@@ -1,8 +1,10 @@
 """Exact trace codes over finite commutative rings.
 
-Everything is integer / rational arithmetic: characters live in cyclotomic
-integer rings, weights and transform values are ``fractions.Fraction``, and
-the two independent routes to every transform value are cross-checked.
+Everything is integer / rational arithmetic: character sums are reduced
+exactly in cyclotomic fields, and weights and transform values are
+``fractions.Fraction``.  Each ring has one gamma = 1 homogeneous-weight
+table, checked against the axiomatic solve when it is built; transform
+values are derived from it.
 """
 
 from .codes import (Code, CodeFunction, SpectrumSet, WeightEnumerator,

@@ -201,7 +201,7 @@ def run_analyze(cfg: JobConfig) -> dict:
     code = build_code(ring, sub, trace, f, budget=cfg.budget)
     wt = _weight_table(cfg, sub)
     enum = weight_enumerator(code, wt)
-    spectrum = code_spectrum(code)
+    spectrum = code_spectrum(code, enum)
     report = _names(ring, sub, trace_spec, cfg)
     report["f"] = f.tag
     if f.seed is not None:

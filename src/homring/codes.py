@@ -2,18 +2,22 @@
 
 A code here is the set of value tables ``x -> T(alpha*x + beta*f(x))`` over
 all pairs (alpha, beta), deduplicated.  Everything downstream — transform
-values, spectra, weight enumerators — is computed exactly with Fractions and
-cyclotomic integers, and the transform is always evaluated through two
-independent routes that must agree.
+values, spectra, weight enumerators — is computed exactly with Fractions.  A
+code's weight data has one representation, its weight enumerator: at
+gamma = 1 the transform value of a codeword is W = |R| - w, with w its
+homogeneous weight, so the spectrum is read off the gamma = 1 enumerator.
+The weight table behind it is checked against the axiomatic solve when it is
+built (see ``weights.hom_weight``).
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import Cyclotomic, rational_str
+from .cyclotomic import rational_str
 from .errors import (
     BudgetExceeded,
     InternalInvariantViolation,
@@ -35,7 +39,6 @@ from .rings import (
 from .traces import (
     DEFAULT_CODE_BUDGET,
     TraceMap,
-    canonical_character,
     char_fixed_by,
     effective_budget,
     generating_character,
@@ -248,42 +251,17 @@ def build_code(ring: Ring, sub: Ring, trace: TraceMap, f: CodeFunction,
         bf = [brow[v] for v in ft]
         for alpha in range(n):
             arow = mot[alpha]
-            cw = tuple(tr[aot[arow[x]][bf[x]]] for x in range(n))
+            cw = tuple([tr[aot[a][b]] for a, b in zip(arow, bf)])
             prev = best.get(cw)
             if prev is None or (alpha, beta) < prev:
                 best[cw] = (alpha, beta)
     return Code(ring, sub, trace, f, sorted(best), best)
 
 
-def _transform_of_codeword(ring: Ring, sub: Ring, cw) -> Fraction:
-    """W value of one codeword, via the unit-averaged character sum, checked
-    against the route through homogeneous weights at gamma = 1."""
-    char = canonical_character(sub)
-    m = char.conductor
-    histos = char.unit_exponent_histograms()
-    counts = [0] * sub.order
-    for s in cw:
-        counts[s] += 1
-    total = [0] * m
-    for s, cnt in enumerate(counts):
-        if cnt:
-            hs = histos[s]
-            for t in range(m):
-                if hs[t]:
-                    total[t] += cnt * hs[t]
-    nunits = len(sub.units())
-    value = Cyclotomic.from_exponent_counts(m, total).to_rational() / nunits
-    den, scaled = hom_weight(sub, 1).scaled()
-    alt = ring.order - Fraction(sum(scaled[s] for s in cw), den)
-    if value != alt:
-        raise InternalInvariantViolation(
-            f"transform mismatch: character route {value}, weight route {alt}")
-    return value
-
-
 def transform_W(ring: Ring, sub: Ring, trace: TraceMap, f: CodeFunction,
                 alpha: int, beta: int) -> Fraction:
-    """W(alpha, beta) for a single pair, without enumerating the whole code."""
+    """W(alpha, beta) = |R| - w for a single pair, w the gamma = 1 homogeneous
+    weight of its codeword, without enumerating the whole code."""
     if trace.ring is not ring or trace.sub is not sub:
         raise InvalidParameter("trace does not map this ring onto this subring")
     if not (0 <= alpha < ring.order and 0 <= beta < ring.order):
@@ -291,7 +269,8 @@ def transform_W(ring: Ring, sub: Ring, trace: TraceMap, f: CodeFunction,
             f"(alpha, beta) = ({alpha}, {beta}) outside {ring.name}")
     cw = _codeword(ring, trace.values, f.table, alpha, beta,
                    ring.mul_table(), ring.add_table())
-    return _transform_of_codeword(ring, sub, cw)
+    den, scaled = hom_weight(sub, 1).scaled()
+    return ring.order - Fraction(sum(scaled[s] for s in cw), den)
 
 
 class SpectrumSet:
@@ -324,9 +303,14 @@ class SpectrumSet:
         return "{" + ", ".join(rational_str(v) for v in self.values) + "}"
 
 
-def code_spectrum(code: Code) -> SpectrumSet:
-    return SpectrumSet(_transform_of_codeword(code.ring, code.sub, cw)
-                       for cw in code.codewords)
+def code_spectrum(code: Code,
+                  enum: WeightEnumerator | None = None) -> SpectrumSet:
+    """W = |R| - w over the weights of the code's gamma = 1 homogeneous
+    enumerator.  A caller that already holds that enumerator passes it as
+    ``enum``; any other enumerator is ignored and the right one computed."""
+    if enum is None or enum.kind != "homogeneous" or enum.gamma != 1:
+        enum = weight_enumerator(code, hom_weight(code.sub, 1))
+    return SpectrumSet(code.ring.order - w for w, _ in enum)
 
 
 def spectrum(ring: Ring, sub: Ring, trace: TraceMap, f: CodeFunction,
@@ -388,11 +372,9 @@ def weight_enumerator(code: Code, table: WeightTable) -> WeightEnumerator:
     if table.ring is not code.sub:
         raise InvalidParameter("weight table is for a different ring than S")
     den, scaled = table.scaled()
-    counts: dict = {}
-    for cw in code.codewords:
-        w = Fraction(sum(scaled[s] for s in cw), den)
-        counts[w] = counts.get(w, 0) + 1
-    return WeightEnumerator(counts, gamma=table.gamma, kind=table.kind)
+    totals = Counter(sum([scaled[s] for s in cw]) for cw in code.codewords)
+    return WeightEnumerator({Fraction(t, den): c for t, c in totals.items()},
+                            gamma=table.gamma, kind=table.kind)
 
 
 def distinct_weights(code: Code, table: WeightTable) -> tuple:

@@ -1,4 +1,4 @@
-"""Exact arithmetic in cyclotomic fields Q(w_m).
+"""Exact sums of roots of unity, reduced in the cyclotomic field Q(w_m).
 
 A value is stored as its coefficient vector over the power basis
 1, w, ..., w^(phi(m)-1) of Q(w_m), where w = w_m is a primitive m-th root of
@@ -6,23 +6,18 @@ unity and phi is Euler's totient.  All coefficients are exact rationals
 (`fractions.Fraction`), and every representation is kept reduced modulo the
 m-th cyclotomic polynomial, so equality of vectors is equality of values.
 
-This is enough machinery to evaluate character sums over finite rings without
-ever touching floating point: sums of roots of unity are assembled as exponent
-histograms, reduced once modulo Phi_m, and converted to a plain rational when
-all non-constant coefficients vanish.
+The module provides no field arithmetic.  It does one job: a character sum
+over a finite ring is assembled as an exponent histogram, reduced once modulo
+Phi_m, and converted to a plain rational when all non-constant coefficients
+vanish.  No floating point is involved.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .errors import InvalidParameter, NotRational
-
-# The package-wide exact rational type.  Arbitrary-precision, always reduced,
-# hashable; division by zero raises (ZeroDivisionError) as expected.
-Rational = Fraction
 
 
 def _divisors(m: int) -> list[int]:
@@ -88,22 +83,6 @@ def _basis_reduction(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce_int_poly(m: int, coeffs: list) -> list:
-    """Reduce a polynomial in w_m (any degree, Fraction or int coeffs)."""
-    phi = cyclotomic_polynomial(m)
-    deg = len(phi) - 1
-    coeffs = list(coeffs)
-    for k in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[k]
-        if c:
-            for i, d in enumerate(phi):
-                coeffs[k - deg + i] -= c * d
-    out = coeffs[:deg]
-    while len(out) < deg:
-        out.append(0)
-    return out
-
-
 class Cyclotomic:
     """An element of Q(w_m), reduced modulo Phi_m."""
 
@@ -121,19 +100,6 @@ class Cyclotomic:
         self.conductor = conductor
         self.coeffs = tuple(cs)
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def rational(value) -> "Cyclotomic":
-        return Cyclotomic(1, [Fraction(value)])
-
-    @staticmethod
-    def root(m: int, e: int) -> "Cyclotomic":
-        """w_m^e, reduced."""
-        if m < 1:
-            raise InvalidParameter("root of unity order must be >= 1")
-        return Cyclotomic(m, _basis_reduction(m)[e % m])
-
     @staticmethod
     def from_exponent_counts(m: int, counts) -> "Cyclotomic":
         """sum over e of counts[e] * w_m^e, where counts is either a
@@ -149,77 +115,7 @@ class Cyclotomic:
                     acc[i] += c * row[i]
         return Cyclotomic(m, acc)
 
-    # -- coercion ----------------------------------------------------------
-
-    def to_conductor(self, big: int) -> "Cyclotomic":
-        if big % self.conductor != 0:
-            raise InvalidParameter(
-                f"cannot coerce conductor {self.conductor} into {big}"
-            )
-        if big == self.conductor:
-            return self
-        step = big // self.conductor
-        rows = _basis_reduction(big)
-        deg = len(rows[0])
-        acc = [Fraction(0)] * deg
-        for i, c in enumerate(self.coeffs):
-            if c:
-                row = rows[(i * step) % big]
-                for j in range(deg):
-                    acc[j] += c * row[j]
-        return Cyclotomic(big, acc)
-
-    @staticmethod
-    def _common(a: "Cyclotomic", b: "Cyclotomic"):
-        m = a.conductor * b.conductor // gcd(a.conductor, b.conductor)
-        return a.to_conductor(m), b.to_conductor(m)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        other = _coerce(other)
-        a, b = Cyclotomic._common(self, other)
-        return Cyclotomic(a.conductor, [x + y for x, y in zip(a.coeffs, b.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyclotomic(self.conductor, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        a, b = Cyclotomic._common(self, other)
-        n = len(a.coeffs)
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        prod[i + j] += x * y
-        return Cyclotomic(a.conductor, _reduce_int_poly(a.conductor, prod))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, (Cyclotomic, int, Fraction)):
-            return NotImplemented
-        other = _coerce(other)
-        a, b = Cyclotomic._common(self, other)
-        return a.coeffs == b.coeffs
-
-    def __hash__(self):
-        return hash((self.conductor, self.coeffs))
-
     # -- predicates and conversion ----------------------------------------
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -232,28 +128,6 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"Cyclotomic(m={self.conductor}, {list(self.coeffs)})"
-
-
-def _coerce(value) -> Cyclotomic:
-    if isinstance(value, Cyclotomic):
-        return value
-    return Cyclotomic.rational(value)
-
-
-def cyc_add(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
-    return _coerce(a) + _coerce(b)
-
-
-def cyc_mul(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
-    return _coerce(a) * _coerce(b)
-
-
-def root_power(m: int, e: int) -> Cyclotomic:
-    return Cyclotomic.root(m, e)
-
-
-def cyc_to_rational(a: Cyclotomic) -> Fraction:
-    return _coerce(a).to_rational()
 
 
 def rational_str(value) -> str:

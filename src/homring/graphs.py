@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .codes import Code, CodeFunction
+from .codes import Code, CodeFunction, weight_enumerator
 from .errors import BudgetExceeded, InternalInvariantViolation, NotTwoWeight
 from .rings import Ring
 from .weights import WeightTable
@@ -37,17 +37,15 @@ class CodeGraph:
 def two_weight_graph(code: Code, table: WeightTable) -> CodeGraph:
     """Graph on the codewords of a two-weight code, joining codewords whose
     difference has the smaller nonzero weight."""
-    den, scaled = table.scaled()
-    weights = sorted({
-        Fraction(sum(scaled[s] for s in cw), den)
-        for cw in code.codewords if any(cw)
-    })
+    # the weights of the nonzero codewords; the zero codeword is one count at 0
+    weights = [w for w, c in weight_enumerator(code, table) if c > (w == 0)]
     if len(weights) != 2:
         raise NotTwoWeight(len(weights), tuple(weights))
     w1 = weights[0]
     n = code.size
     if n > MAX_VERTICES:
         raise BudgetExceeded(f"graph on {n} vertices exceeds cap {MAX_VERTICES}")
+    den, scaled = table.scaled()
     sub = code.sub.sub_table()
     w1_scaled = w1.numerator * (den // w1.denominator)
     cws = code.codewords

@@ -161,14 +161,17 @@ def _verify_automorphism(ring: "Ring", perm: tuple) -> None:
         raise InternalInvariantViolation("automorphism table is not a bijection")
     if perm[0] != 0 or perm[ring.one] != ring.one:
         raise InternalInvariantViolation("automorphism must fix 0 and 1")
+    aot, mot = ring.add_table(), ring.mul_table()
     for a in range(n):
-        pa = perm[a]
+        arow, mrow = aot[a], mot[a]
+        parow, pmrow = aot[perm[a]], mot[perm[a]]
         for b in range(n):
-            if perm[ring.add(a, b)] != ring.add(pa, perm[b]):
+            pb = perm[b]
+            if perm[arow[b]] != parow[pb]:
                 raise InternalInvariantViolation(
                     f"automorphism does not preserve + at ({a},{b})"
                 )
-            if perm[ring.mul(a, b)] != ring.mul(pa, perm[b]):
+            if perm[mrow[b]] != pmrow[pb]:
                 raise InternalInvariantViolation(
                     f"automorphism does not preserve * at ({a},{b})"
                 )
@@ -842,12 +845,6 @@ def _find_identity(mul_t, n: int, name: str) -> int:
     if len(ones) != 1:
         raise InvalidRing(f"{name}: found {len(ones)} multiplicative identities")
     return ones[0]
-
-
-def make_table_ring(add_table, mul_table, name: str = "table",
-                    char_expected=None, render_fn=None) -> TableRing:
-    return TableRing(add_table, mul_table, name, char_expected=char_expected,
-                     render_fn=render_fn)
 
 
 _FXY_SYMS = ("1", "x", "y", "x*y")

@@ -13,8 +13,8 @@ on the generators, extend each assignment by closing the graph subgroup of
 R x S generated by the scaled pairs, and discard assignments whose closure is
 not a function.
 
-Characters are stored as exponent maps into Z_m (m the characteristic) and
-evaluate through exact cyclotomic arithmetic, never floats.
+Characters are stored as exponent maps into Z_m (m the characteristic); their
+unit sums are reduced exactly in a cyclotomic field, never through floats.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import os
 from fractions import Fraction
 from itertools import product
 
-from .cyclotomic import Cyclotomic, root_power
+from .cyclotomic import Cyclotomic
 from .errors import (
     BudgetExceeded,
     InternalInvariantViolation,
@@ -172,22 +172,24 @@ def validate_trace(ring: Ring, sub: Ring, embedding: SubringEmbedding,
     """Check the three trace conditions exhaustively, without raising."""
     values = tuple(values)
     n = ring.order
+    aot, mot = ring.add_table(), ring.mul_table()
+    aos, mos = sub.add_table(), sub.mul_table()
     failures = []
 
     witness = None
     for a in range(n):
-        va = values[a]
+        arow, vrow = aot[a], aos[values[a]]
         for b in range(a, n):
-            if values[ring.add(a, b)] != sub.add(va, values[b]):
+            if values[arow[b]] != vrow[values[b]]:
                 witness = {"kind": "additive", "a": a, "b": b}
                 break
         if witness:
             break
     if witness is None:
         for s in range(sub.order):
-            es = embedding.table[s]
+            erow, srow = mot[embedding.table[s]], mos[s]
             for a in range(n):
-                if values[ring.mul(es, a)] != sub.mul(s, values[a]):
+                if values[erow[a]] != srow[values[a]]:
                     witness = {"kind": "scalar", "s": s, "a": a}
                     break
             if witness:
@@ -197,7 +199,7 @@ def validate_trace(ring: Ring, sub: Ring, embedding: SubringEmbedding,
 
     bad = None
     for x in range(1, n):
-        if values[x] == 0 and all(values[ring.mul(r, x)] == 0 for r in range(n)):
+        if values[x] == 0 and all(values[rx] == 0 for rx in mot[x]):
             bad = x
             break
     if bad is not None:
@@ -490,15 +492,16 @@ class Character:
         if len(exps) != ring.order:
             raise InvalidParameter("exponent map must cover the ring")
         if check:
+            aot, mot = ring.add_table(), ring.mul_table()
             for a in range(ring.order):
-                ea = exps[a]
+                ea, arow = exps[a], aot[a]
                 for b in range(a, ring.order):
-                    if exps[ring.add(a, b)] != (ea + exps[b]) % conductor:
+                    if exps[arow[b]] != (ea + exps[b]) % conductor:
                         raise InvalidParameter(
                             f"exponent map is not additive at ({a},{b})"
                         )
             for x in range(1, ring.order):
-                if all(exps[ring.mul(r, x)] == 0 for r in range(ring.order)):
+                if all(exps[rx] == 0 for rx in mot[x]):
                     raise NotGenerating(
                         f"character of {ring.name} vanishes on the ideal "
                         f"generated by {ring.render(x)}"
@@ -508,9 +511,7 @@ class Character:
         self.exps = exps
         self.tag = tag
         self._unit_hists = None
-
-    def __call__(self, a: int) -> Cyclotomic:
-        return root_power(self.conductor, self.exps[a])
+        self._unit_sums = {}
 
     def exponent(self, a: int) -> int:
         return self.exps[a]
@@ -533,9 +534,13 @@ class Character:
         return self._unit_hists
 
     def unit_sum(self, a: int) -> Fraction:
-        """Sum of chi(u*a) over units u, as an exact rational."""
+        """Sum of chi(u*a) over units u, as an exact rational.  The histogram
+        is constant on unit orbits, so each distinct one is reduced once."""
         h = self.unit_exponent_histograms()[a]
-        return Cyclotomic.from_exponent_counts(self.conductor, h).to_rational()
+        if h not in self._unit_sums:
+            self._unit_sums[h] = Cyclotomic.from_exponent_counts(
+                self.conductor, h).to_rational()
+        return self._unit_sums[h]
 
     def __repr__(self):
         return f"Character({self.ring.name}, conductor={self.conductor}, {self.tag})"

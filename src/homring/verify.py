@@ -47,7 +47,7 @@ from .graphs import (
 )
 from .rings import ring_from_spec
 from .traces import enumerate_trace_maps, trace_from_spec, z4x_trace
-from .weights import hamming_table, hom_weight, hom_weight_axiomatic, validate_weight
+from .weights import hamming_table, hom_weight, validate_weight
 
 RANDOM_PERM_SEEDS = (1, 2, 3, 4, 5)
 
@@ -118,7 +118,7 @@ def _frank_triplet(seed=None):
             f = frank_map(ring, perm, tag=f"frank:rand:{seed}")
             code = build_code(ring, sub, _trace(ring_spec, sub_spec, trace_spec), f)
         enum = weight_enumerator(code, hom_weight(sub, 1))
-        spec = code_spectrum(code)
+        spec = code_spectrum(code, enum)
         ok = (code.size == size and enum == closed_enum and spec == closed_spec)
         results.append((ring_spec, sub_spec, code, enum, spec, closed_enum,
                         closed_spec, size, ok))
@@ -175,7 +175,7 @@ def _criterion_6():
         m = 2 * p
         code = _code(f"Zm:{m}", f"Zm:{m}", "identity", f"pow:{d}")
         enum = weight_enumerator(code, hom_weight(_ring(f"Zm:{m}"), 1))
-        spec = code_spectrum(code)
+        spec = code_spectrum(code, enum)
         ok = ok and enum == z2p_power_enumerator(p, d) and spec == z2p_power_spectrum(p, d)
         parts.append(f"Zm:{m} pow:{d} -> spectrum {_spec_str(spec)}, {enum.poly_str()}")
     expected = "; ".join(
@@ -313,11 +313,8 @@ def _criterion_14():
     failures = []
     for spec in PROPERTY_RINGS:
         ring = _ring(spec)
+        # hom_weight raises unless the character and axiomatic routes agree
         char_wt = hom_weight(ring, 1)
-        axio_wt = hom_weight_axiomatic(ring, 1)
-        if char_wt != axio_wt:
-            failures.append(f"{spec}: axiomatic != character weights")
-            continue
         report = validate_weight(char_wt)
         if not report["valid"]:
             failures.append(f"{spec}: weight axioms fail: {report['violations'][:1]}")

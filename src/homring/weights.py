@@ -1,12 +1,14 @@
-"""Homogeneous weights, computed two independent ways.
+"""Homogeneous weights: one table per ring, checked once when it is built.
 
 The character route evaluates w(x) = gamma * (1 - S_x / |R^x|) with S_x the
 exact cyclotomic sum of chi over the unit multiples of x.  The axiomatic
 route solves the triangular system over the poset of cyclic submodules:
 summing w over a cyclic submodule N must give gamma*|N|, so the weight of
 the generator class of N is determined once all smaller cyclic submodules
-are solved.  The two tables must agree entry-wise; the test suite asserts
-this on every supported ring rather than trusting either construction.
+are solved.  ``hom_weight`` builds the gamma = 1 table by the character
+route and compares it entry by entry with the axiomatic route, raising
+``InternalInvariantViolation`` on a mismatch.  Other values of gamma scale
+the checked table, and every transform value is derived from it.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import InvalidParameter, NotLocal, ParseError, SingularSystem
+from .errors import (InternalInvariantViolation, InvalidParameter, NotLocal,
+                     ParseError, SingularSystem)
 from .rings import Ring
-from .traces import Character, canonical_character
+from .traces import canonical_character
 
 
 class WeightTable:
@@ -62,24 +65,30 @@ class WeightTable:
                 f"kind={self.kind})")
 
 
-def hom_weight_from_character(char: Character, gamma) -> WeightTable:
-    """w(x) = gamma * (1 - S_x/|R^x|), S_x the unit-averaged character sum."""
-    gamma = Fraction(gamma)
-    ring = char.ring
-    nunits = len(ring.units())
-    values = [gamma * (1 - char.unit_sum(a) / nunits) for a in range(ring.order)]
-    return WeightTable(ring, gamma, values)
-
-
 def hom_weight(ring: Ring, gamma=1) -> WeightTable:
-    """The homogeneous weight via the canonical generating character;
-    cached per (ring, gamma)."""
+    """The homogeneous weight, cached per (ring, gamma).
+
+    At gamma = 1, w(x) = 1 - S_x/|R^x| with S_x the unit-averaged sum of the
+    canonical generating character.  That table must equal the axiomatic
+    solve entry by entry; any other gamma scales the checked table."""
     gamma = Fraction(gamma)
     key = ("hom_weight", gamma)
     if key not in ring._cache:
-        ring._cache[key] = hom_weight_from_character(
-            canonical_character(ring), gamma
-        )
+        if gamma == 1:
+            char = canonical_character(ring)
+            nunits = len(ring.units())
+            table = WeightTable(ring, 1, [1 - char.unit_sum(a) / nunits
+                                          for a in range(ring.order)])
+            solved = hom_weight_axiomatic(ring, 1)
+            for x, (wc, wa) in enumerate(zip(table.values, solved.values)):
+                if wc != wa:
+                    raise InternalInvariantViolation(
+                        f"homogeneous weight of {ring.render(x)} in {ring.name}: "
+                        f"character route {wc}, axiomatic route {wa}")
+        else:
+            table = WeightTable(ring, gamma,
+                                [gamma * w for w in hom_weight(ring, 1)])
+        ring._cache[key] = table
     return ring._cache[key]
 
 

@@ -1,10 +1,9 @@
 """Acceptance gate: the fifteen numbered verification records.
 
 Each test prints one PASS/FAIL line and asserts the record's computed result
-equals its recorded expected value with exact (rational) arithmetic.  Three
-records document discrepancies between the recorded source tables and brute
-force (see the failure text for the exact counts); they are expected to fail
-until the source tables are corrected, and must not be silenced.
+equals its recorded expected value with exact (rational) arithmetic.  Records
+9-11 carry corrected values; each names the transcribed table it replaces
+and why that table is wrong.
 """
 
 import pytest

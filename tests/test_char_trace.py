@@ -1,10 +1,8 @@
 """Characters, subring embeddings, trace validation and enumeration."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from homring.cyclotomic import Cyclotomic, cyc_mul, root_power
+from homring.cyclotomic import Cyclotomic, cyclotomic_polynomial
 from homring.errors import (BudgetExceeded, InvalidParameter, ParseError,
                             UnknownPreset, ValidationFailed)
 from homring.rings import named_automorphism, ring_from_spec, z4x_conjugation
@@ -15,13 +13,15 @@ from homring.traces import (canonical_character, char_fixed_by,
                             validate_trace, z4x_trace)
 
 # ---------------------------------------------------------------------------
-# cyclotomic arithmetic used by the character layer
+# cyclotomic reduction used by the character layer
 
 
-@given(st.integers(min_value=1, max_value=24), st.integers(), st.integers())
-@settings(max_examples=120)
-def test_roots_of_unity_multiply_by_adding_exponents(m, a, b):
-    assert cyc_mul(root_power(m, a), root_power(m, b)) == root_power(m, a + b)
+def test_cyclotomic_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for m in range(1, 61):
+        want = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(m) == tuple(int(c) for c in want), m
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8, 9, 12])

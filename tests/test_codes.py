@@ -1,4 +1,4 @@
-"""Trace codes: construction, transform dual routes, closed-form families."""
+"""Trace codes: construction, transform values, closed-form families."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -12,11 +12,12 @@ from homring.codes import (WeightEnumerator, build_code, closed_form_enumerator,
                            distinct_weights, frank_map, function_from_spec,
                            power_map, random_teich_permutation,
                            sigma_quadratic_map, transform_W, weight_enumerator)
+from homring.cyclotomic import Cyclotomic
 from homring.errors import (InvalidParameter, OutOfRange, ParseError,
                             UnknownPreset, ValidationFailed, WrongRingFamily)
 from homring.rings import named_automorphism, ring_from_spec, z4x_conjugation
-from homring.traces import (fxy_sum_trace, galois_trace, identity_trace,
-                            table_trace, trace_from_spec)
+from homring.traces import (canonical_character, fxy_sum_trace, galois_trace,
+                            identity_trace, table_trace, trace_from_spec)
 from homring.weights import hamming_table, hom_weight
 
 F = Fraction
@@ -145,16 +146,26 @@ def test_transform_and_weights_are_two_views_of_one_thing(
 
 
 def test_transform_W_matches_the_enumerated_code():
-    R = ring_from_spec("GR:2,2,2")
-    S = ring_from_spec("Zm:4")
-    tr = galois_trace(R, S)
-    f = frank_map(R)
-    code = build_code(R, S, tr, f)
-    wt = hom_weight(S, 1)
-    den, scaled = wt.scaled()
-    for cw, (alpha, beta) in sorted(code.provenance.items())[:12]:
-        w = F(sum(scaled[s] for s in cw), den)
-        assert transform_W(R, S, tr, f, alpha, beta) == R.order - w
+    # oracle: W(alpha, beta) as the unit-averaged character sum over the
+    # codeword, reduced in the cyclotomic field, never through weight tables
+    for ring_spec, sub_spec, trace_spec, f_spec in (
+            ("GR:2,2,2", "Zm:4", "galois", "frank:id"),
+            ("FXY:2", "FXY:2", "identity", "sigmaquad:swapxy"),
+            ("Zm:10", "Zm:10", "identity", "pow:3"),
+            ("Zm:6", "Zm:6", "identity", "pow:5")):
+        code = _code(ring_spec, sub_spec, trace_spec, f_spec)
+        R, S, tr, f = code.ring, code.sub, code.trace, code.func
+        chi = canonical_character(S)
+        histos = chi.unit_exponent_histograms()
+        nunits = len(S.units())
+        for cw, (alpha, beta) in code.provenance.items():
+            counts = [0] * chi.conductor
+            for s in cw:
+                for e, c in enumerate(histos[s]):
+                    counts[e] += c
+            char_sum = Cyclotomic.from_exponent_counts(chi.conductor, counts)
+            want = char_sum.to_rational() / nunits
+            assert transform_W(R, S, tr, f, alpha, beta) == want, (ring_spec, cw)
 
 
 def test_frank_pair_dedup_classes():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homring.errors import NotLocal, ParseError
-from homring.rings import ring_from_spec
+from homring import weights
+from homring.errors import InternalInvariantViolation, NotLocal, ParseError
+from homring.rings import IntegerModRing, ring_from_spec
 from homring.weights import (WeightTable, hamming_table, hom_weight,
                              hom_weight_axiomatic, parse_gamma,
                              validate_weight)
@@ -81,6 +82,25 @@ def test_validate_weight_reports_a_tampered_value():
                                                         "orbit-sum"}
     wt3 = WeightTable(R, 1, (1, 1, 2, 1))
     assert any(v["axiom"] == "zero" for v in validate_weight(wt3)["violations"])
+
+
+def test_hom_weight_refuses_a_table_the_axiomatic_route_contradicts(monkeypatch):
+    R = IntegerModRing(12)  # a fresh ring: no weight table is cached yet
+    assert not any(isinstance(k, tuple) and k[0] == "hom_weight" for k in R._cache)
+    honest = weights.hom_weight_axiomatic
+
+    def tampered(ring, gamma=1):
+        values = list(honest(ring, gamma).values)
+        values[5] += 1
+        return WeightTable(ring, gamma, values)
+
+    monkeypatch.setattr(weights, "hom_weight_axiomatic", tampered)
+    with pytest.raises(InternalInvariantViolation, match="axiomatic route"):
+        hom_weight(R, 1)
+    # every other gamma scales the gamma = 1 table, so it meets the same check
+    with pytest.raises(InternalInvariantViolation):
+        hom_weight(R, F(1, 2))
+    assert ("hom_weight", 1) not in R._cache
 
 
 def test_units_share_one_weight_on_local_rings():
