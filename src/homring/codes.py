@@ -240,22 +240,28 @@ def build_code(ring: Ring, sub: Ring, trace: TraceMap, f: CodeFunction,
                 "CharacterNotSigmaInvariant",
                 message=("the generating character of this trace is not fixed "
                          f"by {f.sigma.tag}"))
+    best: dict = {}
+    for alpha, beta, cw in pair_codewords(ring, trace, f):
+        prev = best.get(cw)
+        if prev is None or (alpha, beta) < prev:
+            best[cw] = (alpha, beta)
+    return Code(ring, sub, trace, f, sorted(best), best)
+
+
+def pair_codewords(ring: Ring, trace: TraceMap, f: CodeFunction):
+    """Yield (alpha, beta, codeword) for every pair, beta-major: the sweep
+    behind ``build_code``, at |R|^3 table lookups."""
     mot = ring.mul_table()
     aot = ring.add_table()
     tr = trace.values
     ft = f.table
     n = ring.order
-    best: dict = {}
     for beta in range(n):
         brow = mot[beta]
         bf = [brow[v] for v in ft]
         for alpha in range(n):
-            arow = mot[alpha]
-            cw = tuple([tr[aot[a][b]] for a, b in zip(arow, bf)])
-            prev = best.get(cw)
-            if prev is None or (alpha, beta) < prev:
-                best[cw] = (alpha, beta)
-    return Code(ring, sub, trace, f, sorted(best), best)
+            yield alpha, beta, tuple([tr[aot[a][b]]
+                                      for a, b in zip(mot[alpha], bf)])
 
 
 def transform_W(ring: Ring, sub: Ring, trace: TraceMap, f: CodeFunction,

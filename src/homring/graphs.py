@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .codes import Code, CodeFunction, weight_enumerator
+from .codes import Code, CodeFunction, pair_codewords, weight_enumerator
 from .errors import BudgetExceeded, InternalInvariantViolation, NotTwoWeight
 from .rings import Ring
 from .weights import WeightTable
@@ -17,6 +17,10 @@ class CodeGraph:
 
     Adjacency rows are stored as integer bitmasks.
     """
+
+    #: Set by ``two_weight_graph``: the graph is Cay(C, D), so every edge and
+    #: every non-edge is a translate of one at vertex 0.
+    cayley = False
 
     def __init__(self, vertices, adjacency, w1):
         self.vertices = tuple(vertices)
@@ -36,28 +40,58 @@ class CodeGraph:
 
 def two_weight_graph(code: Code, table: WeightTable) -> CodeGraph:
     """Graph on the codewords of a two-weight code, joining codewords whose
-    difference has the smaller nonzero weight."""
+    difference has the smaller nonzero weight.
+
+    The codeword of a sum of pairs is the sum of their codewords (the trace
+    is additive), so the graph is the Cayley graph Cay(C, D), D the nonzero
+    codewords of weight w1.  The row of c is {c + d : d in D}, found by
+    adding pairs: one |R|^3 sweep maps every pair to its vertex, then the
+    rows take |C|*|D| lookups."""
+    n = code.size
+    if n > MAX_VERTICES:
+        raise BudgetExceeded(
+            f"graph on {n} vertices exceeds the cap of {MAX_VERTICES} "
+            f"vertices; its adjacency would need {n * n // 8} bytes")
     # the weights of the nonzero codewords; the zero codeword is one count at 0
     weights = [w for w, c in weight_enumerator(code, table) if c > (w == 0)]
     if len(weights) != 2:
         raise NotTwoWeight(len(weights), tuple(weights))
     w1 = weights[0]
-    n = code.size
-    if n > MAX_VERTICES:
-        raise BudgetExceeded(f"graph on {n} vertices exceeds cap {MAX_VERTICES}")
     den, scaled = table.scaled()
-    sub = code.sub.sub_table()
+    # the row of c, c + D, holds the c' with w(c' - c) = w1; that is the
+    # pair's distance w(c - c') only if w(-x) = w(x), checked once on S
+    neg = code.sub.sub_table()[0]
+    if any(scaled[neg[s]] != scaled[s] for s in range(code.sub.order)):
+        raise InternalInvariantViolation(
+            f"weight table on {code.sub.name} has w(-x) != w(x)")
     w1_scaled = w1.numerator * (den // w1.denominator)
     cws = code.codewords
-    masks = [0] * n
-    for i in range(n):
-        ci = cws[i]
-        for j in range(i + 1, n):
-            cj = cws[j]
-            if sum(scaled[sub[a][b]] for a, b in zip(ci, cj)) == w1_scaled:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return CodeGraph(cws, masks, w1)
+    prov = code.provenance
+    ring = code.ring
+    r = ring.order
+    # a row is written as a binary string, vertex 0 last: slot[c] is the
+    # position of c's digit
+    slot = {cw: n - 1 - v for v, cw in enumerate(cws)}
+    of_pair = [[0] * r for _ in range(r)]
+    for alpha, beta, cw in pair_codewords(ring, code.trace, code.func):
+        of_pair[alpha][beta] = slot[cw]
+    dpairs = [prov[cw] for cw in cws
+              if any(cw) and sum([scaled[s] for s in cw]) == w1_scaled]
+    add = ring.add_table()
+    # over (da, db) in D: the of_pair rows of alpha + da, and beta + db
+    alpha_rows = [[of_pair[row[da]] for da, _ in dpairs] for row in add]
+    beta_cols = [[row[db] for _, db in dpairs] for row in add]
+    zeros = b"0" * n
+    masks = []
+    for cw in cws:
+        a, b = prov[cw]
+        row = bytearray(zeros)
+        for slots, beta in zip(alpha_rows[a], beta_cols[b]):
+            row[slots[beta]] = 49  # ord("1")
+        masks.append(int(row, 2))
+    graph = CodeGraph(cws, masks, w1)
+    graph.cayley = True
+    return graph
 
 
 class SRGParams:
@@ -105,6 +139,10 @@ def srg_check(graph: CodeGraph):
     Common-neighbor counts must be a constant lambda over adjacent pairs and a
     constant mu over non-adjacent pairs.  Complete and edgeless graphs, and
     graphs with mu = 0, are accepted with the degenerate flag set.
+
+    Pairs are scanned row by row.  On a Cayley graph only row 0 is scanned:
+    every pair is a translate of a pair at vertex 0 with the same count, so
+    row 0 holds every count, and a violation anywhere shows there first.
     """
     n = graph.order
     masks = graph.adjacency
@@ -114,7 +152,7 @@ def srg_check(graph: CodeGraph):
         if d != k:
             return SRGFailure("NotRegular", {"vertex": i, "degree": d, "expected": k})
     lam = mu = None
-    for i in range(n):
+    for i in range(1) if graph.cayley else range(n):
         mi = masks[i]
         for j in range(i + 1, n):
             common = (mi & masks[j]).bit_count()

@@ -239,6 +239,17 @@ def test_budget_env_is_honored(capsys, monkeypatch):
     assert code == 0
 
 
+def test_graph_over_the_vertex_cap_is_refused_before_its_weights(capsys):
+    # Zm:143 pow:3 has 20449 codewords and four nonzero weights: the vertex
+    # cap is checked first, so the budget error comes before NotTwoWeight
+    code, out, err = run(capsys, ["code", "graph", "--ring", "Zm:143",
+                                  "--f", "pow:3"])
+    assert code == 8
+    assert out == ""
+    assert err == ("error: graph on 20449 vertices exceeds the cap of 20000 "
+                   "vertices; its adjacency would need 52270200 bytes\n")
+
+
 def test_explicit_budget_flag(capsys):
     code, _, err = run(capsys, ANALYZE + ["--budget", "10"])
     assert code == 8

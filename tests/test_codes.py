@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from homring.codes import (WeightEnumerator, build_code, closed_form_enumerator,
                            closed_form_spectrum, code_spectrum,
                            distinct_weights, frank_map, function_from_spec,
-                           power_map, random_teich_permutation,
+                           pair_codewords, power_map, random_teich_permutation,
                            sigma_quadratic_map, transform_W, weight_enumerator)
 from homring.cyclotomic import Cyclotomic
 from homring.errors import (InvalidParameter, OutOfRange, ParseError,
@@ -40,6 +40,50 @@ SMALL_CODES = [
     ("FXY:2", "Zm:2", "fxy-sum", "sigmaquad:swapxy"),
     ("Z4X", "Zm:4", "z4x:0,1", "pow:2"),
 ]
+
+
+# ---------------------------------------------------------------------------
+# the pair map (alpha, beta) -> codeword
+
+
+@lru_cache(maxsize=None)
+def _codewords_of_pairs(case):
+    """Code size and every pair's codeword x -> T(alpha*x + beta*f(x)),
+    through the ring's own add and mul rather than the cached tables."""
+    ring_spec, sub_spec, trace_spec, f_spec = case
+    R = ring_from_spec(ring_spec)
+    S = ring_from_spec(sub_spec)
+    tr = trace_from_spec(R, S, trace_spec)
+    f = function_from_spec(R, f_spec)
+    n = R.order
+    by_ops = {(a, b): tuple(tr(R.add(R.mul(a, x), R.mul(b, f(x))))
+                            for x in range(n))
+              for a in range(n) for b in range(n)}
+    swept = {(a, b): cw for a, b, cw in pair_codewords(R, tr, f)}
+    return R, S, build_code(R, S, tr, f).size, by_ops, swept
+
+
+PAIR_CASES = st.one_of(
+    st.builds(lambda m, d: (f"Zm:{m}", f"Zm:{m}", "identity", f"pow:{d}"),
+              st.integers(2, 12), st.integers(1, 6)),
+    st.sampled_from([("GR:2,2,2", "Zm:4", "galois", "frank:id"),
+                     ("FXY:2", "FXY:2", "identity", "sigmaquad:swapxy"),
+                     ("FXY:2", "Zm:2", "fxy-sum", "sigmaquad:swapxy")]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=PAIR_CASES, data=st.data())
+def test_codewords_are_additive_in_the_pair(case, data):
+    R, S, size, by_ops, swept = _codewords_of_pairs(case)
+    n = R.order
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    p, q = data.draw(pair), data.draw(pair)
+    assert swept[p] == by_ops[p]
+    pq = (R.add(p[0], q[0]), R.add(p[1], q[1]))
+    assert tuple(S.add(a, b) for a, b in zip(by_ops[p], by_ops[q])) == by_ops[pq]
+    # K: the pairs whose codeword is the zero tuple (not those of weight 0)
+    kernel = [pair for pair, cw in by_ops.items() if not any(cw)]
+    assert size * len(kernel) == n * n
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from homring.codes import build_code, function_from_spec
-from homring.errors import NotTwoWeight
+from homring.errors import InternalInvariantViolation, NotTwoWeight
 from homring.graphs import (CodeGraph, SRGFailure, SRGParams,
                             connected_components, function_columns, is_modular,
                             srg_check, two_weight_graph)
 from homring.rings import ring_from_spec
 from homring.traces import identity_trace, trace_from_spec
-from homring.weights import hamming_table, hom_weight
+from homring.weights import WeightTable, hamming_table, hom_weight
 
 F = Fraction
 
@@ -21,6 +23,78 @@ def _code(ring_spec, f_spec):
     tr = identity_trace(R)
     f = function_from_spec(R, f_spec)
     return build_code(R, R, tr, f)
+
+
+def _all_pairs_graph(code, table):
+    """The two-weight graph by comparing every pair of codewords coordinate
+    by coordinate, at O(|C|^2 |R|): the reference for the Cayley rows."""
+    den, scaled = table.scaled()
+    sub = code.sub.sub_table()
+    cws = code.codewords
+    w1 = min(sum(scaled[s] for s in cw) for cw in cws if any(cw))
+    n = len(cws)
+    masks = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if sum(scaled[sub[a][b]] for a, b in zip(cws[i], cws[j])) == w1:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return CodeGraph(cws, masks, F(w1, den))
+
+
+def _outcome(result):
+    if isinstance(result, SRGParams):
+        return ("SRG", result.as_tuple(), result.degenerate)
+    return (result.reason, result.witness)
+
+
+def _table(ring, hamming):
+    return hamming_table(ring, 1) if hamming else hom_weight(ring, 1)
+
+
+# Z_10, Z_14 and Z_22 have |K| = 2: two pairs per codeword
+@pytest.mark.parametrize("ring_spec,hamming", [
+    ("Zm:5", True), ("Zm:7", True), ("Zm:13", True),
+    ("Zm:10", False), ("Zm:14", False), ("Zm:22", False),
+])
+def test_cayley_rows_equal_all_pairs_adjacency(ring_spec, hamming):
+    code = _code(ring_spec, "pow:3")
+    graph = two_weight_graph(code, _table(code.sub, hamming))
+    reference = _all_pairs_graph(code, _table(code.sub, hamming))
+    assert graph.cayley and not reference.cayley
+    assert graph.vertices == reference.vertices
+    assert graph.w1 == reference.w1
+    assert graph.adjacency == reference.adjacency
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(2, 15), d=st.integers(1, 15), hamming=st.booleans())
+def test_cayley_rows_equal_all_pairs_adjacency_property(m, d, hamming):
+    code = _code(f"Zm:{m}", f"pow:{d}")
+    table = _table(code.sub, hamming)
+    try:
+        graph = two_weight_graph(code, table)
+    except NotTwoWeight:
+        assume(False)
+    reference = _all_pairs_graph(code, table)
+    assert graph.w1 == reference.w1
+    assert graph.adjacency == reference.adjacency
+    assert _outcome(srg_check(graph)) == _outcome(srg_check(reference))
+
+
+@pytest.mark.parametrize("ring_spec,hamming,reason", [
+    ("Zm:10", False, "MuVaries"), ("Zm:14", False, "MuVaries"),
+    ("Zm:26", False, "MuVaries"),
+    ("Zm:5", True, "SRG"), ("Zm:13", True, "SRG"), ("Zm:29", True, "SRG"),
+])
+def test_srg_from_row_zero_equals_all_pairs_scan(ring_spec, hamming, reason):
+    code = _code(ring_spec, "pow:3")
+    graph = two_weight_graph(code, _table(code.sub, hamming))
+    outcome = _outcome(srg_check(graph))
+    assert outcome[0] == reason
+    # an unmarked copy takes srg_check's all-pairs scan
+    unmarked = CodeGraph(graph.vertices, graph.adjacency, graph.w1)
+    assert outcome == _outcome(srg_check(unmarked))
 
 
 def test_z5_cube_graph_is_srg_25_8_3_2():
@@ -65,6 +139,24 @@ def test_three_weight_code_is_rejected():
     assert err.value.exit_code == 12
 
 
+def test_asymmetric_weight_table_is_refused():
+    # on Z_4, w = (0, 1, 1, 3) has w(-1) = 3 != w(1), so w(c - c') is not a
+    # distance; the code {c*x} still has two weights, 2 and 5
+    code = _code("Zm:4", "pow:1")
+    with pytest.raises(InternalInvariantViolation):
+        two_weight_graph(code, WeightTable(code.sub, 1, (0, 1, 1, 3)))
+
+
+def test_nonzero_codewords_of_weight_zero_join_without_loops():
+    # on Z_4, w = (0, 1, 0, 1) gives the codeword 2x weight 0 = w1
+    code = _code("Zm:4", "pow:1")
+    table = WeightTable(code.sub, 1, (0, 1, 0, 1))
+    graph = two_weight_graph(code, table)
+    assert graph.w1 == 0
+    assert graph.adjacency == _all_pairs_graph(code, table).adjacency
+    assert connected_components(graph) == [2, 2]
+
+
 def test_degenerate_matching_graph():
     # the linear code {c*x} over Z_4 in the Hamming metric has weights {2, 3};
     # the w1 = 2 graph is a perfect matching, hence degenerate with mu = 0
@@ -101,6 +193,22 @@ def test_srg_rejects_varying_lambda():
     assert isinstance(failure, SRGFailure)
     assert failure.reason == "LambdaVaries"
     assert connected_components(graph) == [6]
+
+
+def test_srg_rejects_lambda_varying_away_from_vertex_0():
+    # K4 beside a triangular prism: 3-regular, not vertex-transitive.  Row 0
+    # alone reads lambda = 2, mu = 0; the prism's adjacent pairs have 1 or 0
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+             (4, 5), (5, 6), (4, 6), (7, 8), (8, 9), (7, 9),
+             (4, 7), (5, 8), (6, 9)]
+    masks = [0] * 10
+    for i, j in edges:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    failure = srg_check(CodeGraph(tuple(range(10)), tuple(masks), F(1)))
+    assert isinstance(failure, SRGFailure)
+    assert failure.reason == "LambdaVaries"
+    assert failure.witness == {"pair": (4, 5), "common": 1, "expected": 2}
 
 
 def test_five_cycle_is_strongly_regular():

@@ -95,6 +95,22 @@ def test_galois_ring_structure(spec):
     assert pR == set(R.nonunits())
 
 
+@pytest.mark.parametrize("spec", ["GR:2,2,2", "GR:3,2,2", "GR:2,1,4"])
+def test_galois_mul_matches_sympy_polynomial_arithmetic(spec):
+    sympy = pytest.importorskip("sympy")
+    R = ring_from_spec(spec)
+    x = sympy.Symbol("x")
+    # x^r = sum reduction[i] x^i, so h = x^r - sum reduction[i] x^i
+    h = sympy.Poly([1, *(-c for c in reversed(R.reduction))], x, domain="ZZ")
+    polys = [sympy.Poly(list(reversed(R.decode(a))), x, domain="ZZ")
+             for a in range(R.order)]
+    for a in range(R.order):
+        for b in range(R.order):
+            rem = (polys[a] * polys[b]).rem(h).all_coeffs()[::-1]
+            coeffs = [int(c) % R.pn for c in rem] + [0] * (R.r - len(rem))
+            assert R.mul(a, b) == R.encode(coeffs), (a, b)
+
+
 def test_teichmuller_set_and_digits():
     R = ring_from_spec("GR:3,2,2")
     t = R.teichmuller()
