@@ -10,7 +10,7 @@ values are derived from it.
 from .codes import (Code, CodeFunction, SpectrumSet, WeightEnumerator,
                     build_code, closed_form_enumerator, closed_form_spectrum,
                     code_spectrum, frank_map, function_from_spec, power_map,
-                    sigma_quadratic_map, spectrum, transform_W,
+                    sigma_quadratic_map, transform_W,
                     weight_enumerator)
 from .errors import (BadPermutation, BudgetExceeded, HomringError,
                      InternalInvariantViolation, InvalidParameter, InvalidRing,
@@ -45,8 +45,7 @@ __all__ = [
     "function_from_spec", "fxy_ring", "galois_trace", "generating_character",
     "hamming_table", "hom_weight", "hom_weight_axiomatic", "identity_trace",
     "is_modular", "make_galois_ring", "make_integer_ring", "parse_gamma",
-    "power_map", "ring_from_spec", "sigma_quadratic_map", "spectrum",
-    "srg_check", "subring_embedding", "trace_from_spec", "transform_W",
-    "two_weight_graph", "validate_trace", "validate_weight",
-    "weight_enumerator", "z4x_ring",
+    "power_map", "ring_from_spec", "sigma_quadratic_map", "srg_check",
+    "subring_embedding", "trace_from_spec", "transform_W", "two_weight_graph",
+    "validate_trace", "validate_weight", "weight_enumerator", "z4x_ring",
 ]

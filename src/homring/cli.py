@@ -22,8 +22,9 @@ from . import verify as verify_mod
 from .codes import build_code, code_spectrum, function_from_spec, weight_enumerator
 from .cyclotomic import rational_str
 from .errors import HomringError, InvalidParameter, ParseError, ValidationFailed
-from .graphs import (SRGParams, connected_components, function_columns,
-                     is_modular, srg_check, two_weight_graph)
+from .graphs import (SRGParams, check_vertex_cap, connected_components,
+                     function_columns, is_modular, srg_check,
+                     two_weight_graph)
 from .rings import ring_from_spec
 from .traces import (enumerate_trace_maps, read_two_column_table,
                      subring_embedding, trace_from_spec, validate_trace)
@@ -219,18 +220,18 @@ def run_graph(cfg: JobConfig) -> dict:
     if not cfg.f:
         raise InvalidParameter("a function spec is required (f=... or --f)")
     f = function_from_spec(ring, cfg.f, seed=cfg.seed)
-    code = build_code(ring, sub, trace, f, budget=cfg.budget)
+    code = build_code(ring, sub, trace, f, budget=cfg.budget,
+                      check_size=check_vertex_cap)
     wt = _weight_table(cfg, sub)
     graph = two_weight_graph(code, wt)
     srg = srg_check(graph)
-    degs = {graph.degree(i) for i in range(graph.order)}
     modular, r = is_modular(ring, function_columns(ring, f))
     report = _names(ring, sub, trace_spec, cfg)
     report["f"] = f.tag
     report.update({
         "vertices": graph.order,
         "w1": rational_str(graph.w1),
-        "regular_degree": degs.pop() if len(degs) == 1 else None,
+        "regular_degree": graph.degree,
         "srg": ({"v": srg.v, "k": srg.k, "lambda": srg.lam, "mu": srg.mu,
                  "degenerate": srg.degenerate}
                 if isinstance(srg, SRGParams) else None),

@@ -186,16 +186,18 @@ def function_from_spec(ring: Ring, spec: str, seed: int | None = None) -> CodeFu
 
 
 class Code:
-    """A deduplicated trace code with provenance for each codeword."""
+    """A deduplicated trace code with provenance for each codeword, and its
+    kernel: the pairs whose codeword is zero."""
 
     def __init__(self, ring: Ring, sub: Ring, trace: TraceMap, func: CodeFunction,
-                 codewords, provenance):
+                 codewords, provenance, kernel):
         self.ring = ring
         self.sub = sub
         self.trace = trace
         self.func = func
         self.codewords = tuple(codewords)
         self.provenance = dict(provenance)
+        self.kernel = tuple(kernel)
         self.size = len(self.codewords)
 
     def __len__(self):
@@ -222,9 +224,13 @@ def _codeword(ring: Ring, trace_values, f_table, alpha: int, beta: int,
 
 
 def build_code(ring: Ring, sub: Ring, trace: TraceMap, f: CodeFunction,
-               budget: int | None = None) -> Code:
+               budget: int | None = None, check_size=None) -> Code:
     """Enumerate {x -> T(alpha*x + beta*f(x))} over all (alpha, beta) pairs,
-    deduplicate, and record the lexicographically least pair per codeword."""
+    deduplicate, and record the lexicographically least pair per codeword.
+
+    The pair map is additive, so |C| = |R|^2/|K| is known from the kernel K
+    before the sweep; ``check_size``, if given, is called with it there and
+    refuses the code by raising."""
     if f.ring is not ring:
         raise InvalidParameter("function is defined on a different ring")
     if trace.ring is not ring or trace.sub is not sub:
@@ -240,12 +246,37 @@ def build_code(ring: Ring, sub: Ring, trace: TraceMap, f: CodeFunction,
                 "CharacterNotSigmaInvariant",
                 message=("the generating character of this trace is not fixed "
                          f"by {f.sigma.tag}"))
+    kernel = code_kernel(ring, trace, f)
+    if check_size is not None:
+        check_size(ring.order ** 2 // len(kernel))
     best: dict = {}
     for alpha, beta, cw in pair_codewords(ring, trace, f):
         prev = best.get(cw)
         if prev is None or (alpha, beta) < prev:
             best[cw] = (alpha, beta)
-    return Code(ring, sub, trace, f, sorted(best), best)
+    return Code(ring, sub, trace, f, sorted(best), best, kernel)
+
+
+def code_kernel(ring: Ring, trace: TraceMap, f: CodeFunction) -> tuple:
+    """The pairs (alpha, beta) whose codeword is zero, beta-major.  For each
+    beta the candidate alphas are filtered one coordinate at a time, and most
+    leave at x = 1, so this costs about |R|^2 lookups, not |R|^3."""
+    mot = ring.mul_table()
+    aot = ring.add_table()
+    tr = trace.values
+    ft = f.table
+    n = ring.order
+    kernel = []
+    for beta in range(n):
+        brow = mot[beta]
+        alphas = range(n)
+        for x in range(n):
+            bfx = brow[ft[x]]
+            alphas = [a for a in alphas if not tr[aot[mot[a][x]][bfx]]]
+            if not alphas:
+                break
+        kernel.extend((alpha, beta) for alpha in alphas)
+    return tuple(kernel)
 
 
 def pair_codewords(ring: Ring, trace: TraceMap, f: CodeFunction):
@@ -319,11 +350,6 @@ def code_spectrum(code: Code,
     return SpectrumSet(code.ring.order - w for w, _ in enum)
 
 
-def spectrum(ring: Ring, sub: Ring, trace: TraceMap, f: CodeFunction,
-             budget: int | None = None) -> SpectrumSet:
-    return code_spectrum(build_code(ring, sub, trace, f, budget=budget))
-
-
 class WeightEnumerator:
     """Weight -> count map over the codewords of a code, with exact weights."""
 
@@ -381,11 +407,6 @@ def weight_enumerator(code: Code, table: WeightTable) -> WeightEnumerator:
     totals = Counter(sum([scaled[s] for s in cw]) for cw in code.codewords)
     return WeightEnumerator({Fraction(t, den): c for t, c in totals.items()},
                             gamma=table.gamma, kind=table.kind)
-
-
-def distinct_weights(code: Code, table: WeightTable) -> tuple:
-    """Distinct codeword weights, ascending."""
-    return tuple(w for w, _ in weight_enumerator(code, table).items)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import getitem
 
-from .codes import Code, CodeFunction, pair_codewords, weight_enumerator
+from .codes import Code, CodeFunction, weight_enumerator
 from .errors import BudgetExceeded, InternalInvariantViolation, NotTwoWeight
 from .rings import Ring
 from .weights import WeightTable
@@ -13,29 +14,29 @@ MAX_VERTICES = 20000
 
 
 class CodeGraph:
-    """Simple undirected graph on codewords; edges join pairs at distance w1.
+    """The graph of a two-weight code: Cay(C, D), D the nonzero codewords of
+    the smaller weight w1, so c and c' are adjacent iff c' - c is in D.
 
-    Adjacency rows are stored as integer bitmasks.
-    """
+    ``connection`` holds D as provenance pairs, and ``member[a][b]`` is 1 iff
+    the codeword of the pair (a, b) is in D.  The degree is |D|."""
 
-    #: Set by ``two_weight_graph``: the graph is Cay(C, D), so every edge and
-    #: every non-edge is a translate of one at vertex 0.
-    cayley = False
-
-    def __init__(self, vertices, adjacency, w1):
-        self.vertices = tuple(vertices)
-        self.adjacency = tuple(adjacency)
+    def __init__(self, code: Code, w1, connection, member):
+        self.code = code
+        self.order = code.size
         self.w1 = w1
-        self.order = len(self.vertices)
-
-    def degree(self, i: int) -> int:
-        return self.adjacency[i].bit_count()
-
-    def is_edge(self, i: int, j: int) -> bool:
-        return bool((self.adjacency[i] >> j) & 1)
+        self.connection = tuple(connection)
+        self.member = member
+        self.degree = len(self.connection)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"CodeGraph(order={self.order}, w1={self.w1})"
+
+
+def check_vertex_cap(n: int):
+    """Refuse a graph on more than MAX_VERTICES vertices."""
+    if n > MAX_VERTICES:
+        raise BudgetExceeded(
+            f"graph on {n} vertices exceeds the cap of {MAX_VERTICES} vertices")
 
 
 def two_weight_graph(code: Code, table: WeightTable) -> CodeGraph:
@@ -44,54 +45,30 @@ def two_weight_graph(code: Code, table: WeightTable) -> CodeGraph:
 
     The codeword of a sum of pairs is the sum of their codewords (the trace
     is additive), so the graph is the Cayley graph Cay(C, D), D the nonzero
-    codewords of weight w1.  The row of c is {c + d : d in D}, found by
-    adding pairs: one |R|^3 sweep maps every pair to its vertex, then the
-    rows take |C|*|D| lookups."""
-    n = code.size
-    if n > MAX_VERTICES:
-        raise BudgetExceeded(
-            f"graph on {n} vertices exceeds the cap of {MAX_VERTICES} "
-            f"vertices; its adjacency would need {n * n // 8} bytes")
+    codewords of weight w1.  D is kept as pairs; a membership table over all
+    |R|^2 pairs, D lifted by the kernel K, names the edges."""
+    check_vertex_cap(code.size)
     # the weights of the nonzero codewords; the zero codeword is one count at 0
     weights = [w for w, c in weight_enumerator(code, table) if c > (w == 0)]
     if len(weights) != 2:
         raise NotTwoWeight(len(weights), tuple(weights))
     w1 = weights[0]
     den, scaled = table.scaled()
-    # the row of c, c + D, holds the c' with w(c' - c) = w1; that is the
-    # pair's distance w(c - c') only if w(-x) = w(x), checked once on S
+    # c' - c in D is the pair's distance w(c - c') = w1 only if w(-x) = w(x),
+    # checked once on S; it also makes D = -D, so the graph is undirected
     neg = code.sub.sub_table()[0]
     if any(scaled[neg[s]] != scaled[s] for s in range(code.sub.order)):
         raise InternalInvariantViolation(
             f"weight table on {code.sub.name} has w(-x) != w(x)")
     w1_scaled = w1.numerator * (den // w1.denominator)
-    cws = code.codewords
-    prov = code.provenance
-    ring = code.ring
-    r = ring.order
-    # a row is written as a binary string, vertex 0 last: slot[c] is the
-    # position of c's digit
-    slot = {cw: n - 1 - v for v, cw in enumerate(cws)}
-    of_pair = [[0] * r for _ in range(r)]
-    for alpha, beta, cw in pair_codewords(ring, code.trace, code.func):
-        of_pair[alpha][beta] = slot[cw]
-    dpairs = [prov[cw] for cw in cws
-              if any(cw) and sum([scaled[s] for s in cw]) == w1_scaled]
-    add = ring.add_table()
-    # over (da, db) in D: the of_pair rows of alpha + da, and beta + db
-    alpha_rows = [[of_pair[row[da]] for da, _ in dpairs] for row in add]
-    beta_cols = [[row[db] for _, db in dpairs] for row in add]
-    zeros = b"0" * n
-    masks = []
-    for cw in cws:
-        a, b = prov[cw]
-        row = bytearray(zeros)
-        for slots, beta in zip(alpha_rows[a], beta_cols[b]):
-            row[slots[beta]] = 49  # ord("1")
-        masks.append(int(row, 2))
-    graph = CodeGraph(cws, masks, w1)
-    graph.cayley = True
-    return graph
+    connection = [code.provenance[cw] for cw in code.codewords
+                  if any(cw) and sum([scaled[s] for s in cw]) == w1_scaled]
+    add = code.ring.add_table()
+    member = [bytearray(code.ring.order) for _ in add]
+    for da, db in connection:
+        for ka, kb in code.kernel:
+            member[add[da][ka]][add[db][kb]] = 1
+    return CodeGraph(code, w1, connection, member)
 
 
 class SRGParams:
@@ -140,34 +117,37 @@ def srg_check(graph: CodeGraph):
     constant mu over non-adjacent pairs.  Complete and edgeless graphs, and
     graphs with mu = 0, are accepted with the degenerate flag set.
 
-    Pairs are scanned row by row.  On a Cayley graph only row 0 is scanned:
-    every pair is a translate of a pair at vertex 0 with the same count, so
-    row 0 holds every count, and a violation anywhere shows there first.
+    Every pair of vertices is a translate of a pair (0, c), with the same
+    count, so only vertex 0 (the zero codeword) is paired, with each c in
+    sorted order: common(0, c) = |{d in D : c - d in D}|.  The first c that
+    breaks the constant is the witness.
     """
+    code = graph.code
     n = graph.order
-    masks = graph.adjacency
-    degs = [m.bit_count() for m in masks]
-    k = degs[0] if n else 0
-    for i, d in enumerate(degs):
-        if d != k:
-            return SRGFailure("NotRegular", {"vertex": i, "degree": d, "expected": k})
+    k = graph.degree
+    member = graph.member
+    sub = code.ring.sub_table()
+    # for the pair (a, b) of c, the rows of a - da and the columns b - db
+    # over (da, db) in D: common(0, c) sums the member entries they meet
+    rows = [[member[row[da]] for da, _ in graph.connection] for row in sub]
+    cols = [[row[db] for _, db in graph.connection] for row in sub]
+    prov = code.provenance
     lam = mu = None
-    for i in range(1) if graph.cayley else range(n):
-        mi = masks[i]
-        for j in range(i + 1, n):
-            common = (mi & masks[j]).bit_count()
-            if (mi >> j) & 1:
-                if lam is None:
-                    lam = common
-                elif common != lam:
-                    return SRGFailure("LambdaVaries",
-                                      {"pair": (i, j), "common": common, "expected": lam})
-            else:
-                if mu is None:
-                    mu = common
-                elif common != mu:
-                    return SRGFailure("MuVaries",
-                                      {"pair": (i, j), "common": common, "expected": mu})
+    for j, cw in enumerate(code.codewords[1:], 1):
+        a, b = prov[cw]
+        common = sum(map(getitem, rows[a], cols[b]))
+        if member[a][b]:
+            if lam is None:
+                lam = common
+            elif common != lam:
+                return SRGFailure("LambdaVaries",
+                                  {"pair": (0, j), "common": common, "expected": lam})
+        else:
+            if mu is None:
+                mu = common
+            elif common != mu:
+                return SRGFailure("MuVaries",
+                                  {"pair": (0, j), "common": common, "expected": mu})
     complete = lam is not None and mu is None
     edgeless = lam is None and k == 0
     if lam is None:
@@ -183,28 +163,26 @@ def srg_check(graph: CodeGraph):
 
 
 def connected_components(graph: CodeGraph) -> list:
-    """Component sizes in discovery order (count = len of the result)."""
-    n = graph.order
-    masks = graph.adjacency
-    seen = 0
-    sizes = []
-    for s in range(n):
-        if (seen >> s) & 1:
+    """Component sizes.  The components are the cosets of <D> in C, all of
+    size h = |<D>|, listed as |C|/h copies of h.  h is found by closing the
+    subgroup of R^2 that the lifted D generates, which is |<D>| * |K|."""
+    ring = graph.code.ring
+    add = ring.add_table()
+    r = ring.order
+    group = {(0, 0)}
+    for g in [(a, b) for a in range(r) for b in range(r) if graph.member[a][b]]:
+        if g in group:
             continue
-        frontier = 1 << s
-        comp = 0
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= masks[v]
-            frontier = nxt & ~comp
-        seen |= comp
-        sizes.append(comp.bit_count())
-    return sizes
+        # join <g>: the cosets group + m*g up to the first m*g in the group
+        grown = set(group)
+        step = g
+        while step not in group:
+            sa, sb = step
+            grown.update([(add[a][sa], add[b][sb]) for a, b in group])
+            step = (add[sa][g[0]], add[sb][g[1]])
+        group = grown
+    h = len(group) * graph.order // (r * r)
+    return [h] * (graph.order // h)
 
 
 def function_columns(ring: Ring, f: CodeFunction) -> list:

@@ -18,7 +18,6 @@ from .codes import (
     build_code,
     closed_form_enumerator,
     code_spectrum,
-    distinct_weights,
     frank_map,
     frank_subring_enumerator,
     frank_subring_spectrum,
@@ -249,7 +248,7 @@ def _criterion_10():
 
 def _criterion_11():
     code = _code("GR:2,3,2", "Zm:8", "galois", "sigmaquad:frobenius")
-    weights = distinct_weights(code, hom_weight(_ring("Zm:8"), 1))
+    weights = [w for w, _ in weight_enumerator(code, hom_weight(_ring("Zm:8"), 1))]
     want = (0, 32, 48, 64, 96)
     computed = "{" + ", ".join(rational_str(w) for w in weights) + "}"
     expected = ("{" + ", ".join(rational_str(w) for w in want) + "} "
@@ -329,9 +328,9 @@ def _criterion_14():
                 failures.append(f"{spec}: W({alpha},0) = {w_val} != {want}")
                 break
         code = _code(spec, spec, "identity", "pow:1")
-        nz = [w for w in distinct_weights(code, char_wt) if w != 0]
-        if nz != [Fraction(ring.order)]:
-            failures.append(f"{spec}: linear code weights {nz}")
+        enum = weight_enumerator(code, char_wt)
+        if enum.counts != {0: 1, ring.order: code.size - 1}:
+            failures.append(f"{spec}: linear code enumerator {enum.poly_str()}")
     expected = (f"for all of {len(PROPERTY_RINGS)} rings: axiomatic == character "
                 "weights, axioms valid, rational sums, W(alpha,0)=0 for alpha!=0, "
                 "W(0,0)=|R|, linear f gives one-weight code at |R|")

@@ -1,10 +1,11 @@
 """End-to-end CLI behavior: reports, determinism, exit codes."""
 
 import json
+import sys
 
 import pytest
 
-from homring import verify
+from homring import codes, verify
 from homring.cli import JobConfig, main, parse_config
 from homring.errors import ParseError
 
@@ -247,7 +248,43 @@ def test_graph_over_the_vertex_cap_is_refused_before_its_weights(capsys):
     assert code == 8
     assert out == ""
     assert err == ("error: graph on 20449 vertices exceeds the cap of 20000 "
-                   "vertices; its adjacency would need 52270200 bytes\n")
+                   "vertices\n")
+
+
+def _patch_pair_sweep(monkeypatch, replacement):
+    """Put ``replacement`` wherever a homring module binds the pair sweep."""
+    sweep = codes.pair_codewords
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("homring")
+                and getattr(module, "pair_codewords", None) is sweep):
+            monkeypatch.setattr(module, "pair_codewords", replacement)
+    return sweep
+
+
+def test_graph_over_the_vertex_cap_is_refused_without_a_pair_sweep(
+        capsys, monkeypatch):
+    # |C| = |R|^2/|K| is known from the kernel, before any |R|^3 work
+    def no_sweep(*args):
+        raise RuntimeError("the pair sweep ran")
+
+    _patch_pair_sweep(monkeypatch, no_sweep)
+    code, _, err = run(capsys, ["code", "graph", "--ring", "Zm:143",
+                                "--f", "pow:3"])
+    assert code == 8
+    assert "exceeds the cap of 20000 vertices" in err
+
+
+def test_graph_job_sweeps_the_pairs_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    sweep = _patch_pair_sweep(monkeypatch, counted)
+    code, _, _ = run(capsys, ["code", "graph", "--ring", "Zm:10", "--f", "pow:3"])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_explicit_budget_flag(capsys):

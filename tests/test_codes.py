@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homring.codes import (WeightEnumerator, build_code, closed_form_enumerator,
-                           closed_form_spectrum, code_spectrum,
-                           distinct_weights, frank_map, function_from_spec,
-                           pair_codewords, power_map, random_teich_permutation,
-                           sigma_quadratic_map, transform_W, weight_enumerator)
+                           closed_form_spectrum, code_spectrum, frank_map,
+                           function_from_spec, pair_codewords, power_map,
+                           random_teich_permutation, sigma_quadratic_map,
+                           transform_W, weight_enumerator)
 from homring.cyclotomic import Cyclotomic
 from homring.errors import (InvalidParameter, OutOfRange, ParseError,
                             UnknownPreset, ValidationFailed, WrongRingFamily)
@@ -48,7 +48,7 @@ SMALL_CODES = [
 
 @lru_cache(maxsize=None)
 def _codewords_of_pairs(case):
-    """Code size and every pair's codeword x -> T(alpha*x + beta*f(x)),
+    """The code and every pair's codeword x -> T(alpha*x + beta*f(x)),
     through the ring's own add and mul rather than the cached tables."""
     ring_spec, sub_spec, trace_spec, f_spec = case
     R = ring_from_spec(ring_spec)
@@ -60,7 +60,7 @@ def _codewords_of_pairs(case):
                             for x in range(n))
               for a in range(n) for b in range(n)}
     swept = {(a, b): cw for a, b, cw in pair_codewords(R, tr, f)}
-    return R, S, build_code(R, S, tr, f).size, by_ops, swept
+    return R, S, build_code(R, S, tr, f), by_ops, swept
 
 
 PAIR_CASES = st.one_of(
@@ -74,7 +74,7 @@ PAIR_CASES = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(case=PAIR_CASES, data=st.data())
 def test_codewords_are_additive_in_the_pair(case, data):
-    R, S, size, by_ops, swept = _codewords_of_pairs(case)
+    R, S, code, by_ops, swept = _codewords_of_pairs(case)
     n = R.order
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     p, q = data.draw(pair), data.draw(pair)
@@ -83,7 +83,8 @@ def test_codewords_are_additive_in_the_pair(case, data):
     assert tuple(S.add(a, b) for a, b in zip(by_ops[p], by_ops[q])) == by_ops[pq]
     # K: the pairs whose codeword is the zero tuple (not those of weight 0)
     kernel = [pair for pair, cw in by_ops.items() if not any(cw)]
-    assert size * len(kernel) == n * n
+    assert code.size * len(kernel) == n * n
+    assert sorted(code.kernel) == sorted(kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +182,9 @@ def test_transform_and_weights_are_two_views_of_one_thing(
     wt = hom_weight(code.sub, 1)
     den, scaled = wt.scaled()
     lam = code_spectrum(code)
-    weights = distinct_weights(code, wt)
-    # weights and spectrum determine each other via w = |R| - W
-    assert {n - v for v in lam} == set(weights)
     enum = weight_enumerator(code, wt)
+    # weights and spectrum determine each other via w = |R| - W
+    assert {n - v for v in lam} == {w for w, _ in enum}
     assert enum.total == code.size
     assert enum[0] == 1
 

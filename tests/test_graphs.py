@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from homring.codes import build_code, function_from_spec
 from homring.errors import InternalInvariantViolation, NotTwoWeight
-from homring.graphs import (CodeGraph, SRGFailure, SRGParams,
-                            connected_components, function_columns, is_modular,
-                            srg_check, two_weight_graph)
+from homring.graphs import (SRGFailure, SRGParams, connected_components,
+                            function_columns, is_modular, srg_check,
+                            two_weight_graph)
 from homring.rings import ring_from_spec
 from homring.traces import identity_trace, trace_from_spec
 from homring.weights import WeightTable, hamming_table, hom_weight
@@ -26,8 +26,9 @@ def _code(ring_spec, f_spec):
 
 
 def _all_pairs_graph(code, table):
-    """The two-weight graph by comparing every pair of codewords coordinate
-    by coordinate, at O(|C|^2 |R|): the reference for the Cayley rows."""
+    """w1 and the adjacency bitmasks of the two-weight graph, found by
+    comparing every pair of codewords coordinate by coordinate, at
+    O(|C|^2 |R|): the reference for the Cayley graph."""
     den, scaled = table.scaled()
     sub = code.sub.sub_table()
     cws = code.codewords
@@ -39,7 +40,74 @@ def _all_pairs_graph(code, table):
             if sum(scaled[sub[a][b]] for a, b in zip(cws[i], cws[j])) == w1:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
-    return CodeGraph(cws, masks, F(w1, den))
+    return F(w1, den), masks
+
+
+def _cayley_masks(graph):
+    """The Cayley graph's adjacency spelled out: c' is in the row of c iff
+    the pair of c' minus the pair of c is a member of D."""
+    sub = graph.code.ring.sub_table()
+    pairs = [graph.code.provenance[cw] for cw in graph.code.codewords]
+    return [sum(1 << j for j, (a2, b2) in enumerate(pairs)
+                if graph.member[sub[a2][a]][sub[b2][b]])
+            for a, b in pairs]
+
+
+def _all_pairs_srg(masks):
+    """srg_check by scanning every pair of rows: the reference for the scan
+    from vertex 0, and the check that hand-built graphs go through."""
+    n = len(masks)
+    degs = [m.bit_count() for m in masks]
+    k = degs[0] if n else 0
+    for i, d in enumerate(degs):
+        if d != k:
+            return SRGFailure("NotRegular", {"vertex": i, "degree": d, "expected": k})
+    lam = mu = None
+    for i in range(n):
+        mi = masks[i]
+        for j in range(i + 1, n):
+            common = (mi & masks[j]).bit_count()
+            if (mi >> j) & 1:
+                if lam is None:
+                    lam = common
+                elif common != lam:
+                    return SRGFailure("LambdaVaries",
+                                      {"pair": (i, j), "common": common, "expected": lam})
+            else:
+                if mu is None:
+                    mu = common
+                elif common != mu:
+                    return SRGFailure("MuVaries",
+                                      {"pair": (i, j), "common": common, "expected": mu})
+    complete = lam is not None and mu is None
+    edgeless = lam is None and k == 0
+    lam = lam or 0
+    mu = mu or 0
+    return SRGParams(n, k, lam, mu, complete or edgeless or mu == 0)
+
+
+def _all_pairs_components(masks):
+    """Component sizes in discovery order, by breadth-first search over the
+    bitmasks."""
+    seen = 0
+    sizes = []
+    for s in range(len(masks)):
+        if (seen >> s) & 1:
+            continue
+        frontier = 1 << s
+        comp = 0
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            f = frontier
+            while f:
+                v = (f & -f).bit_length() - 1
+                f &= f - 1
+                nxt |= masks[v]
+            frontier = nxt & ~comp
+        seen |= comp
+        sizes.append(comp.bit_count())
+    return sizes
 
 
 def _outcome(result):
@@ -52,19 +120,26 @@ def _table(ring, hamming):
     return hamming_table(ring, 1) if hamming else hom_weight(ring, 1)
 
 
-# Z_10, Z_14 and Z_22 have |K| = 2: two pairs per codeword
+def _assert_equals_all_pairs_graph(graph, code, table):
+    w1, masks = _all_pairs_graph(code, table)
+    assert graph.code is code
+    assert graph.w1 == w1
+    assert _cayley_masks(graph) == masks
+    assert {m.bit_count() for m in masks} == {graph.degree}
+    assert _outcome(srg_check(graph)) == _outcome(_all_pairs_srg(masks))
+    assert connected_components(graph) == _all_pairs_components(masks)
+
+
+# Z_10, Z_14 and Z_22 have |K| = 2: two pairs per codeword, so D must be
+# lifted by K for the membership table to hold every pair of c - d
 @pytest.mark.parametrize("ring_spec,hamming", [
     ("Zm:5", True), ("Zm:7", True), ("Zm:13", True),
     ("Zm:10", False), ("Zm:14", False), ("Zm:22", False),
 ])
 def test_cayley_rows_equal_all_pairs_adjacency(ring_spec, hamming):
     code = _code(ring_spec, "pow:3")
-    graph = two_weight_graph(code, _table(code.sub, hamming))
-    reference = _all_pairs_graph(code, _table(code.sub, hamming))
-    assert graph.cayley and not reference.cayley
-    assert graph.vertices == reference.vertices
-    assert graph.w1 == reference.w1
-    assert graph.adjacency == reference.adjacency
+    table = _table(code.sub, hamming)
+    _assert_equals_all_pairs_graph(two_weight_graph(code, table), code, table)
 
 
 @settings(max_examples=25, deadline=None)
@@ -76,10 +151,7 @@ def test_cayley_rows_equal_all_pairs_adjacency_property(m, d, hamming):
         graph = two_weight_graph(code, table)
     except NotTwoWeight:
         assume(False)
-    reference = _all_pairs_graph(code, table)
-    assert graph.w1 == reference.w1
-    assert graph.adjacency == reference.adjacency
-    assert _outcome(srg_check(graph)) == _outcome(srg_check(reference))
+    _assert_equals_all_pairs_graph(graph, code, table)
 
 
 @pytest.mark.parametrize("ring_spec,hamming,reason", [
@@ -89,12 +161,10 @@ def test_cayley_rows_equal_all_pairs_adjacency_property(m, d, hamming):
 ])
 def test_srg_from_row_zero_equals_all_pairs_scan(ring_spec, hamming, reason):
     code = _code(ring_spec, "pow:3")
-    graph = two_weight_graph(code, _table(code.sub, hamming))
-    outcome = _outcome(srg_check(graph))
+    table = _table(code.sub, hamming)
+    outcome = _outcome(srg_check(two_weight_graph(code, table)))
     assert outcome[0] == reason
-    # an unmarked copy takes srg_check's all-pairs scan
-    unmarked = CodeGraph(graph.vertices, graph.adjacency, graph.w1)
-    assert outcome == _outcome(srg_check(unmarked))
+    assert outcome == _outcome(_all_pairs_srg(_all_pairs_graph(code, table)[1]))
 
 
 def test_z5_cube_graph_is_srg_25_8_3_2():
@@ -117,7 +187,7 @@ def test_z10_cube_graph_splits_and_is_not_modular():
     graph = two_weight_graph(code, hom_weight(code.sub, 1))
     assert graph.order == 50
     assert graph.w1 == 5
-    assert all(graph.degree(i) == 8 for i in range(graph.order))
+    assert graph.degree == 8
     failure = srg_check(graph)
     assert isinstance(failure, SRGFailure)
     assert failure.reason == "MuVaries"
@@ -153,7 +223,7 @@ def test_nonzero_codewords_of_weight_zero_join_without_loops():
     table = WeightTable(code.sub, 1, (0, 1, 0, 1))
     graph = two_weight_graph(code, table)
     assert graph.w1 == 0
-    assert graph.adjacency == _all_pairs_graph(code, table).adjacency
+    assert _cayley_masks(graph) == _all_pairs_graph(code, table)[1]
     assert connected_components(graph) == [2, 2]
 
 
@@ -170,54 +240,51 @@ def test_degenerate_matching_graph():
     assert connected_components(graph) == [2, 2]
 
 
+def _masks(n, edges):
+    masks = [0] * n
+    for i, j in edges:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return masks
+
+
+# graphs built by hand, which only the all-pairs reference accepts
+
+
 def test_srg_rejects_irregular_graphs():
     # a path on three vertices
-    graph = CodeGraph(("a", "b", "c"), (0b010, 0b101, 0b010), F(1))
-    failure = srg_check(graph)
+    masks = _masks(3, [(0, 1), (1, 2)])
+    failure = _all_pairs_srg(masks)
     assert isinstance(failure, SRGFailure)
     assert failure.reason == "NotRegular"
     assert failure.witness["degree"] != failure.witness["expected"]
-    assert connected_components(graph) == [3]
+    assert _all_pairs_components(masks) == [3]
 
 
 def test_srg_rejects_varying_lambda():
     # triangular prism: 3-regular, adjacent pairs have 1 or 0 common neighbors
-    edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
-             (0, 3), (1, 4), (2, 5)]
-    masks = [0] * 6
-    for i, j in edges:
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-    graph = CodeGraph(tuple(range(6)), tuple(masks), F(1))
-    failure = srg_check(graph)
+    masks = _masks(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                       (0, 3), (1, 4), (2, 5)])
+    failure = _all_pairs_srg(masks)
     assert isinstance(failure, SRGFailure)
     assert failure.reason == "LambdaVaries"
-    assert connected_components(graph) == [6]
+    assert _all_pairs_components(masks) == [6]
 
 
 def test_srg_rejects_lambda_varying_away_from_vertex_0():
     # K4 beside a triangular prism: 3-regular, not vertex-transitive.  Row 0
     # alone reads lambda = 2, mu = 0; the prism's adjacent pairs have 1 or 0
-    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
-             (4, 5), (5, 6), (4, 6), (7, 8), (8, 9), (7, 9),
-             (4, 7), (5, 8), (6, 9)]
-    masks = [0] * 10
-    for i, j in edges:
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-    failure = srg_check(CodeGraph(tuple(range(10)), tuple(masks), F(1)))
+    masks = _masks(10, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                        (4, 5), (5, 6), (4, 6), (7, 8), (8, 9), (7, 9),
+                        (4, 7), (5, 8), (6, 9)])
+    failure = _all_pairs_srg(masks)
     assert isinstance(failure, SRGFailure)
     assert failure.reason == "LambdaVaries"
     assert failure.witness == {"pair": (4, 5), "common": 1, "expected": 2}
 
 
 def test_five_cycle_is_strongly_regular():
-    masks = [0] * 5
-    for i in range(5):
-        j = (i + 1) % 5
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-    params = srg_check(CodeGraph(tuple(range(5)), tuple(masks), F(1)))
+    params = _all_pairs_srg(_masks(5, [(i, (i + 1) % 5) for i in range(5)]))
     assert params == (5, 2, 0, 1)
     assert not params.degenerate
 
@@ -225,8 +292,7 @@ def test_five_cycle_is_strongly_regular():
 def test_component_discovery_order():
     # two components laid out as {0, 2} and {1, 3, 4}
     masks = [0b00100, 0b01000, 0b00001, 0b10010, 0b01000]
-    graph = CodeGraph(tuple(range(5)), tuple(masks), F(1))
-    assert connected_components(graph) == [2, 3]
+    assert _all_pairs_components(masks) == [2, 3]
 
 
 def test_is_modular_drops_zero_columns():
