@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Survey transform spectra and weight enumerators across a grid of codes.
 
-For every job in the sweep the code is built by brute force, its spectrum and
-enumerator are printed, and whenever a closed-form family covers the job the
-brute-force result is compared against the prediction.  Summary lines are
-stable, so two runs of the same sweep diff clean.
+For every job in the sweep the code is built, its spectrum and enumerator
+are computed from the code itself and printed, and whenever a closed-form
+family covers the job the computed result is compared against the
+prediction.  Summary lines are stable, so two runs of the same sweep diff
+clean.
 
 Examples:
     python3 scripts/survey_spectra.py                 # the default grid

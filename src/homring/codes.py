@@ -1,20 +1,30 @@
 """Trace codes built from a function f on R and a trace T onto a subring S.
 
 A code here is the set of value tables ``x -> T(alpha*x + beta*f(x))`` over
-all pairs (alpha, beta), deduplicated.  Everything downstream — transform
-values, spectra, weight enumerators — is computed exactly with Fractions.  A
-code's weight data has one representation, its weight enumerator: at
-gamma = 1 the transform value of a codeword is W = |R| - w, with w its
-homogeneous weight, so the spectrum is read off the gamma = 1 enumerator.
-The weight table behind it is checked against the axiomatic solve when it is
-built (see ``weights.hom_weight``).
+all pairs (alpha, beta).  The pair map is additive, so the code is fixed by
+its kernel K, the pairs whose codeword is zero: |C| = |R|^2/|K|.  The
+codewords themselves, with the least pair behind each, are swept only when a
+graph asks for them.
+
+A code's weight data has one representation, its weight enumerator, and it
+is read off orbits of pair space.  A unit s of S maps the codeword of
+(alpha, beta) to s times it, the codeword of (s*alpha, s*beta); a unit u of R
+with f(u*x) = lam*f(x) for all x permutes its coordinates, as the codeword
+of (alpha*u, beta*lam).  Neither changes a weight the table keeps under units
+of S, so each orbit is weighed once, through the composed table w o T.  At
+gamma = 1 the transform value of a codeword is W = |R| - w, w its homogeneous
+weight, so the spectrum is read off the gamma = 1 enumerator.  Everything is
+exact, in Fractions.  The weight table is checked against the axiomatic
+solve when it is built (see ``weights.hom_weight``).
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .cyclotomic import rational_str
@@ -186,19 +196,56 @@ def function_from_spec(ring: Ring, spec: str, seed: int | None = None) -> CodeFu
 
 
 class Code:
-    """A deduplicated trace code with provenance for each codeword, and its
-    kernel: the pairs whose codeword is zero."""
+    """A trace code, given by its kernel K: the pairs whose codeword is zero.
+
+    ``codewords`` (sorted) and ``provenance`` (the lexicographically least
+    pair of each codeword) are built by one pair sweep on first access.
+    ``orbits(table)`` gives the orbits of pair space under the symmetries
+    that keep the table's weights, found once per group."""
 
     def __init__(self, ring: Ring, sub: Ring, trace: TraceMap, func: CodeFunction,
-                 codewords, provenance, kernel):
+                 kernel):
         self.ring = ring
         self.sub = sub
         self.trace = trace
         self.func = func
-        self.codewords = tuple(codewords)
-        self.provenance = dict(provenance)
         self.kernel = tuple(kernel)
-        self.size = len(self.codewords)
+        self.size = ring.order ** 2 // len(self.kernel)
+        self._orbits = {}
+
+    @cached_property
+    def provenance(self) -> dict:
+        best: dict = {}
+        for alpha, beta, cw in pair_codewords(self.ring, self.trace, self.func):
+            prev = best.get(cw)
+            if prev is None or (alpha, beta) < prev:
+                best[cw] = (alpha, beta)
+        return best
+
+    @cached_property
+    def codewords(self) -> tuple:
+        return tuple(sorted(self.provenance))
+
+    @cached_property
+    def _generators(self) -> tuple:
+        return _scalar_generators(self.sub), monomial_symmetries(self.func)
+
+    def orbits(self, table: WeightTable) -> PairOrbits:
+        """Orbits of pair space under the monomial symmetries of f and those
+        scalar generators s of S with w(s*y) = w(y) for every y in S."""
+        all_scalars, monomials = self._generators
+        _, scaled = table.scaled()
+        mos = self.sub.mul_table()
+        scalars = tuple(s for s in all_scalars
+                        if all(scaled[v] == scaled[y] for y, v in enumerate(mos[s])))
+        if scalars not in self._orbits:
+            mot = self.ring.mul_table()
+            emb = self.trace.embedding.table
+            gens = [(mot[emb[s]], mot[emb[s]]) for s in scalars]
+            gens += [([row[u] for row in mot], [row[lam] for row in mot])
+                     for u, lam in monomials]
+            self._orbits[scalars] = PairOrbits(self.ring.order, gens)
+        return self._orbits[scalars]
 
     def __len__(self):
         return self.size
@@ -214,6 +261,98 @@ class Code:
                 f"R={self.ring.name}, S={self.sub.name})")
 
 
+class PairOrbits:
+    """Orbits of the group generated by permutations of pair space, each
+    given as a pair (ga, gb) of permutations of R acting as
+    (alpha, beta) -> (ga[alpha], gb[beta]).  The pair (alpha, beta) has index
+    alpha*|R| + beta; ``labels`` holds each index's orbit, ``reps`` the least
+    pair of each orbit and ``sizes`` the orbit sizes."""
+
+    def __init__(self, n: int, gens):
+        steps = [([v * n for v in ga], gb) for ga, gb in gens]
+        labels = array("i", [-1]) * (n * n)
+        reps, sizes = [], []
+        for start in range(n * n):
+            if labels[start] >= 0:
+                continue
+            label = len(reps)
+            labels[start] = label
+            stack = [start]
+            size = 0
+            while stack:
+                alpha, beta = divmod(stack.pop(), n)
+                size += 1
+                for ga, gb in steps:
+                    q = ga[alpha] + gb[beta]
+                    if labels[q] < 0:
+                        labels[q] = label
+                        stack.append(q)
+            reps.append(divmod(start, n))
+            sizes.append(size)
+        self.n = n
+        self.labels = labels
+        self.reps = reps
+        self.sizes = sizes
+
+    def label(self, alpha: int, beta: int) -> int:
+        return self.labels[alpha * self.n + beta]
+
+
+def _unit_generators(units, one: int, mul, accept) -> list:
+    """Walk ``units`` in order and keep accept(u) for each u outside the
+    subgroup that the units kept so far generate, unless it is None."""
+    span, kept, elems = {one}, [], []
+    for u in units:
+        if u in span:
+            continue
+        gen = accept(u)
+        if gen is None:
+            continue
+        kept.append(gen)
+        elems.append(u)
+        stack = list(span)
+        while stack:
+            x = stack.pop()
+            for g in elems:
+                y = mul[x][g]
+                if y not in span:
+                    span.add(y)
+                    stack.append(y)
+    return kept
+
+
+def _scalar_generators(sub: Ring) -> list:
+    """A small generating set of the units of S."""
+    return _unit_generators(sub.units(), sub.one, sub.mul_table(), lambda s: s)
+
+
+def _is_monomial(f: CodeFunction, u: int, lam: int) -> bool:
+    """Whether f(u*x) = lam*f(x) for every x."""
+    mot = f.ring.mul_table()
+    urow, lrow, ft = mot[u], mot[lam], f.table
+    return all(ft[urow[x]] == lrow[v] for x, v in enumerate(ft))
+
+
+def monomial_symmetries(f: CodeFunction) -> list:
+    """Pairs (u, lam) of units of R with f(u*x) = lam*f(x) for every x, whose
+    u generate the units that have such a lam.  The candidates for lam are
+    read off one nonzero value f(x0) and each is checked on all of f."""
+    ring = f.ring
+    mot = ring.mul_table()
+    ft = f.table
+    units = ring.units()
+    x0 = next((x for x, v in enumerate(ft) if v), 0)
+
+    def accept(u):
+        target = ft[mot[u][x0]]
+        for lam in units:
+            if mot[lam][ft[x0]] == target and _is_monomial(f, u, lam):
+                return (u, lam)
+        return None
+
+    return _unit_generators(units, ring.one, mot, accept)
+
+
 def _codeword(ring: Ring, trace_values, f_table, alpha: int, beta: int,
               mul_table, add_table) -> tuple:
     brow = mul_table[beta]
@@ -225,12 +364,11 @@ def _codeword(ring: Ring, trace_values, f_table, alpha: int, beta: int,
 
 def build_code(ring: Ring, sub: Ring, trace: TraceMap, f: CodeFunction,
                budget: int | None = None, check_size=None) -> Code:
-    """Enumerate {x -> T(alpha*x + beta*f(x))} over all (alpha, beta) pairs,
-    deduplicate, and record the lexicographically least pair per codeword.
+    """The code {x -> T(alpha*x + beta*f(x))} over all (alpha, beta) pairs,
+    found through its kernel K at about |R|^2 lookups; no codeword is built.
 
-    The pair map is additive, so |C| = |R|^2/|K| is known from the kernel K
-    before the sweep; ``check_size``, if given, is called with it there and
-    refuses the code by raising."""
+    The pair map is additive, so |C| = |R|^2/|K|; ``check_size``, if given,
+    is called with it and refuses the code by raising."""
     if f.ring is not ring:
         raise InvalidParameter("function is defined on a different ring")
     if trace.ring is not ring or trace.sub is not sub:
@@ -249,12 +387,7 @@ def build_code(ring: Ring, sub: Ring, trace: TraceMap, f: CodeFunction,
     kernel = code_kernel(ring, trace, f)
     if check_size is not None:
         check_size(ring.order ** 2 // len(kernel))
-    best: dict = {}
-    for alpha, beta, cw in pair_codewords(ring, trace, f):
-        prev = best.get(cw)
-        if prev is None or (alpha, beta) < prev:
-            best[cw] = (alpha, beta)
-    return Code(ring, sub, trace, f, sorted(best), best, kernel)
+    return Code(ring, sub, trace, f, kernel)
 
 
 def code_kernel(ring: Ring, trace: TraceMap, f: CodeFunction) -> tuple:
@@ -281,7 +414,7 @@ def code_kernel(ring: Ring, trace: TraceMap, f: CodeFunction) -> tuple:
 
 def pair_codewords(ring: Ring, trace: TraceMap, f: CodeFunction):
     """Yield (alpha, beta, codeword) for every pair, beta-major: the sweep
-    behind ``build_code``, at |R|^3 table lookups."""
+    behind ``Code.codewords``, at |R|^3 table lookups."""
     mot = ring.mul_table()
     aot = ring.add_table()
     tr = trace.values
@@ -400,12 +533,38 @@ class WeightEnumerator:
         return f"WeightEnumerator({self.poly_str()})"
 
 
-def weight_enumerator(code: Code, table: WeightTable) -> WeightEnumerator:
+def orbit_weights(code: Code, table: WeightTable):
+    """(orbits, D, weights): the code's pair orbits for this table and the
+    weight of each orbit's codeword times the table's common denominator D,
+    one codeword per orbit, read through the composed table w o T."""
     if table.ring is not code.sub:
         raise InvalidParameter("weight table is for a different ring than S")
+    orbits = code.orbits(table)
     den, scaled = table.scaled()
-    totals = Counter(sum([scaled[s] for s in cw]) for cw in code.codewords)
-    return WeightEnumerator({Fraction(t, den): c for t, c in totals.items()},
+    wt = [scaled[v] for v in code.trace.values]
+    mot = code.ring.mul_table()
+    aot = code.ring.add_table()
+    ft = code.func.table
+    weights = []
+    for alpha, beta in orbits.reps:
+        brow = mot[beta]
+        weights.append(sum([wt[aot[a][brow[v]]] for a, v in zip(mot[alpha], ft)]))
+    return orbits, den, weights
+
+
+def weight_enumerator(code: Code, table: WeightTable) -> WeightEnumerator:
+    """Count the pairs of each weight, orbit by orbit, and divide by |K|:
+    every codeword is the codeword of exactly |K| pairs."""
+    orbits, den, weights = orbit_weights(code, table)
+    pairs = Counter()
+    for w, size in zip(weights, orbits.sizes):
+        pairs[w] += size
+    k = len(code.kernel)
+    if any(c % k for c in pairs.values()) or sum(pairs.values()) != code.size * k:
+        raise InternalInvariantViolation(
+            f"pair counts per weight {sorted(pairs.values())} do not split into "
+            f"{code.size} codewords of {k} pairs each")
+    return WeightEnumerator({Fraction(t, den): c // k for t, c in pairs.items()},
                             gamma=table.gamma, kind=table.kind)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import getitem
 
-from .codes import Code, CodeFunction, weight_enumerator
+from .codes import Code, CodeFunction, PairOrbits, orbit_weights, weight_enumerator
 from .errors import BudgetExceeded, InternalInvariantViolation, NotTwoWeight
 from .rings import Ring
 from .weights import WeightTable
@@ -18,15 +18,18 @@ class CodeGraph:
     the smaller weight w1, so c and c' are adjacent iff c' - c is in D.
 
     ``connection`` holds D as provenance pairs, and ``member[a][b]`` is 1 iff
-    the codeword of the pair (a, b) is in D.  The degree is |D|."""
+    the codeword of the pair (a, b) is in D.  The degree is |D|.  ``orbits``
+    are the pair orbits of the symmetries that keep the graph's weights, and
+    so keep D."""
 
-    def __init__(self, code: Code, w1, connection, member):
+    def __init__(self, code: Code, w1, connection, member, orbits: PairOrbits):
         self.code = code
         self.order = code.size
         self.w1 = w1
         self.connection = tuple(connection)
         self.member = member
         self.degree = len(self.connection)
+        self.orbits = orbits
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"CodeGraph(order={self.order}, w1={self.w1})"
@@ -48,12 +51,13 @@ def two_weight_graph(code: Code, table: WeightTable) -> CodeGraph:
     codewords of weight w1.  D is kept as pairs; a membership table over all
     |R|^2 pairs, D lifted by the kernel K, names the edges."""
     check_vertex_cap(code.size)
+    orbits, den, orbit_weight = orbit_weights(code, table)
     # the weights of the nonzero codewords; the zero codeword is one count at 0
     weights = [w for w, c in weight_enumerator(code, table) if c > (w == 0)]
     if len(weights) != 2:
         raise NotTwoWeight(len(weights), tuple(weights))
     w1 = weights[0]
-    den, scaled = table.scaled()
+    _, scaled = table.scaled()
     # c' - c in D is the pair's distance w(c - c') = w1 only if w(-x) = w(x),
     # checked once on S; it also makes D = -D, so the graph is undirected
     neg = code.sub.sub_table()[0]
@@ -61,14 +65,15 @@ def two_weight_graph(code: Code, table: WeightTable) -> CodeGraph:
         raise InternalInvariantViolation(
             f"weight table on {code.sub.name} has w(-x) != w(x)")
     w1_scaled = w1.numerator * (den // w1.denominator)
-    connection = [code.provenance[cw] for cw in code.codewords
-                  if any(cw) and sum([scaled[s] for s in cw]) == w1_scaled]
+    prov = code.provenance
+    connection = [prov[cw] for cw in code.codewords
+                  if any(cw) and orbit_weight[orbits.label(*prov[cw])] == w1_scaled]
     add = code.ring.add_table()
     member = [bytearray(code.ring.order) for _ in add]
     for da, db in connection:
         for ka, kb in code.kernel:
             member[add[da][ka]][add[db][kb]] = 1
-    return CodeGraph(code, w1, connection, member)
+    return CodeGraph(code, w1, connection, member, orbits)
 
 
 class SRGParams:
@@ -120,22 +125,29 @@ def srg_check(graph: CodeGraph):
     Every pair of vertices is a translate of a pair (0, c), with the same
     count, so only vertex 0 (the zero codeword) is paired, with each c in
     sorted order: common(0, c) = |{d in D : c - d in D}|.  The first c that
-    breaks the constant is the witness.
+    breaks the constant is the witness.  The symmetries behind the graph's
+    orbits fix 0 and keep D, so the count is made once per orbit.
     """
     code = graph.code
     n = graph.order
     k = graph.degree
     member = graph.member
     sub = code.ring.sub_table()
-    # for the pair (a, b) of c, the rows of a - da and the columns b - db
-    # over (da, db) in D: common(0, c) sums the member entries they meet
-    rows = [[member[row[da]] for da, _ in graph.connection] for row in sub]
-    cols = [[row[db] for _, db in graph.connection] for row in sub]
+    orbits = graph.orbits
+    counts = {}
     prov = code.provenance
     lam = mu = None
     for j, cw in enumerate(code.codewords[1:], 1):
         a, b = prov[cw]
-        common = sum(map(getitem, rows[a], cols[b]))
+        label = orbits.label(a, b)
+        common = counts.get(label)
+        if common is None:
+            # for the pair (a, b) of c, the rows of a - da and the columns
+            # b - db over (da, db) in D: common(0, c) sums the entries they meet
+            rows, cols = sub[a], sub[b]
+            common = counts[label] = sum(map(
+                getitem, [member[rows[da]] for da, _ in graph.connection],
+                [cols[db] for _, db in graph.connection]))
         if member[a][b]:
             if lam is None:
                 lam = common

@@ -80,13 +80,17 @@ class SubringEmbedding:
             raise InvalidParameter("embedding is not injective")
         if table[0] != 0 or table[sub.one] != ring.one:
             raise InvalidParameter("embedding must send 0 to 0 and 1 to 1")
+        aos, mos = sub.add_table(), sub.mul_table()
+        aot, mot = ring.add_table(), ring.mul_table()
         for a in range(sub.order):
+            sadd, smul = aos[a], mos[a]
+            radd, rmul = aot[table[a]], mot[table[a]]
             for b in range(sub.order):
-                if table[sub.add(a, b)] != ring.add(table[a], table[b]):
+                if table[sadd[b]] != radd[table[b]]:
                     raise InvalidParameter(
                         f"embedding not additive at ({sub.render(a)},{sub.render(b)})"
                     )
-                if table[sub.mul(a, b)] != ring.mul(table[a], table[b]):
+                if table[smul[b]] != rmul[table[b]]:
                     raise InvalidParameter(
                         f"embedding not multiplicative at ({sub.render(a)},{sub.render(b)})"
                     )

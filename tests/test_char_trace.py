@@ -1,12 +1,14 @@
 """Characters, subring embeddings, trace validation and enumeration."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homring.cyclotomic import Cyclotomic, cyclotomic_polynomial
 from homring.errors import (BudgetExceeded, InvalidParameter, ParseError,
                             UnknownPreset, ValidationFailed)
 from homring.rings import named_automorphism, ring_from_spec, z4x_conjugation
-from homring.traces import (canonical_character, char_fixed_by,
+from homring.traces import (SubringEmbedding, canonical_character, char_fixed_by,
                             enumerate_trace_maps, fxy_sum_trace, galois_trace,
                             generating_character, identity_trace,
                             subring_embedding, table_trace, trace_from_spec,
@@ -50,6 +52,55 @@ def test_characteristic_embedding_is_a_ring_hom():
         for b in range(9):
             assert t[(a + b) % 9] == R.add(t[a], t[b])
             assert t[(a * b) % 9] == R.mul(t[a], t[b])
+
+
+def _first_embedding_refusal(sub, ring, table):
+    """The embedding checks pair by pair through the rings' own add and mul:
+    the message of the first refusal, or None."""
+    for a in range(sub.order):
+        for b in range(sub.order):
+            at = f"({sub.render(a)},{sub.render(b)})"
+            if table[sub.add(a, b)] != ring.add(table[a], table[b]):
+                return f"embedding not additive at {at}"
+            if table[sub.mul(a, b)] != ring.mul(table[a], table[b]):
+                return f"embedding not multiplicative at {at}"
+    return None
+
+
+def test_embedding_refuses_a_table_that_is_not_additive():
+    R = ring_from_spec("Zm:5")
+    table = (0, 1, 3, 2, 4)
+    assert _first_embedding_refusal(R, R, table) == "embedding not additive at (1,1)"
+    with pytest.raises(InvalidParameter) as err:
+        SubringEmbedding(R, R, table)
+    assert str(err.value) == "embedding not additive at (1,1)"
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), spec=st.sampled_from(["Zm:7", "GR:2,1,3", "GR:2,2,2"]),
+       additive=st.booleans())
+def test_embedding_refusals_match_the_ring_operations(data, spec, additive):
+    # GF(8) has additive bijections fixing 1 that are not multiplicative;
+    # elsewhere a random table is refused as not additive
+    R = ring_from_spec(spec)
+    if additive and spec == "GR:2,1,3":
+        images = data.draw(st.permutations([2, 3, 4, 5, 6, 7]))
+        b2 = images[0]
+        b4 = next(v for v in images[1:] if v not in (b2, b2 ^ 1))
+        table = tuple((x & 1) ^ (b2 if x & 2 else 0) ^ (b4 if x & 4 else 0)
+                      for x in range(8))
+    else:
+        rest = data.draw(st.permutations([x for x in range(R.order)
+                                          if x not in (0, R.one)]))
+        it = iter(rest)
+        table = tuple(x if x in (0, R.one) else next(it) for x in range(R.order))
+    want = _first_embedding_refusal(R, R, table)
+    if want is None:
+        assert SubringEmbedding(R, R, table).table == table
+    else:
+        with pytest.raises(InvalidParameter) as err:
+            SubringEmbedding(R, R, table)
+        assert str(err.value) == want
 
 
 def test_galois_subring_embedding():

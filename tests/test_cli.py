@@ -274,6 +274,23 @@ def test_graph_over_the_vertex_cap_is_refused_without_a_pair_sweep(
     assert "exceeds the cap of 20000 vertices" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ANALYZE,
+    ANALYZE + ["--weight", "hamming"],
+    ["code", "analyze", "--ring", "Zm:10", "--f", "pow:3", "--gamma", "1/2"],
+    ["code", "analyze", "--ring", "FXY:2", "--f", "sigmaquad:swapxy"],
+])
+def test_analyze_never_sweeps_the_pairs(capsys, monkeypatch, argv):
+    # the enumerator and spectrum come from orbits of pair space
+    def no_sweep(*args):
+        raise RuntimeError("the pair sweep ran")
+
+    _patch_pair_sweep(monkeypatch, no_sweep)
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["enumerator"]
+
+
 def test_graph_job_sweeps_the_pairs_once(capsys, monkeypatch):
     calls = []
 

@@ -1,24 +1,27 @@
 """Trace codes: construction, transform values, closed-form families."""
 
 from fractions import Fraction
+from collections import Counter
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homring.codes import (WeightEnumerator, build_code, closed_form_enumerator,
-                           closed_form_spectrum, code_spectrum, frank_map,
-                           function_from_spec, pair_codewords, power_map,
-                           random_teich_permutation, sigma_quadratic_map,
-                           transform_W, weight_enumerator)
+from homring.codes import (WeightEnumerator, _is_monomial, build_code,
+                           closed_form_enumerator, closed_form_spectrum,
+                           code_spectrum, frank_map, function_from_spec,
+                           monomial_symmetries, orbit_weights, pair_codewords,
+                           power_map, random_teich_permutation,
+                           sigma_quadratic_map, table_map, transform_W,
+                           weight_enumerator, zp_power_enumerator)
 from homring.cyclotomic import Cyclotomic
 from homring.errors import (InvalidParameter, OutOfRange, ParseError,
                             UnknownPreset, ValidationFailed, WrongRingFamily)
 from homring.rings import named_automorphism, ring_from_spec, z4x_conjugation
 from homring.traces import (canonical_character, fxy_sum_trace, galois_trace,
                             identity_trace, table_trace, trace_from_spec)
-from homring.weights import hamming_table, hom_weight
+from homring.weights import WeightTable, hamming_table, hom_weight
 
 F = Fraction
 
@@ -29,6 +32,24 @@ def _code(ring_spec, sub_spec, trace_spec, f_spec, seed=None):
     tr = trace_from_spec(R, S, trace_spec)
     f = function_from_spec(R, f_spec, seed=seed)
     return build_code(R, S, tr, f)
+
+
+def _codeword_sum_enumerator(code, table):
+    """The enumerator by brute force: the weight of every codeword of the
+    swept code, summed coordinate by coordinate.  The oracle for the orbit
+    route of ``weight_enumerator``."""
+    den, scaled = table.scaled()
+    totals = Counter(sum(scaled[s] for s in cw) for cw in code.codewords)
+    return WeightEnumerator({F(t, den): c for t, c in totals.items()},
+                            gamma=table.gamma, kind=table.kind)
+
+
+def _brute_force(code, table):
+    """The oracle's enumerator, after checking that the orbit route gives
+    the same one."""
+    brute = _codeword_sum_enumerator(code, table)
+    assert weight_enumerator(code, table) == brute
+    return brute
 
 
 SMALL_CODES = [
@@ -272,6 +293,132 @@ def test_sigma_check_rejects_unfixed_characters():
 
 
 # ---------------------------------------------------------------------------
+# weight enumerators from orbits of pair space
+
+
+@lru_cache(maxsize=None)
+def _orbit_case(case):
+    ring_spec, sub_spec, trace_spec, f_spec = case
+    return _code(ring_spec, sub_spec, trace_spec, f_spec)
+
+
+@lru_cache(maxsize=None)
+def _table_code(ring_spec, values):
+    R = ring_from_spec(ring_spec)
+    return build_code(R, R, identity_trace(R), table_map(R, values))
+
+
+@st.composite
+def _orbit_codes(draw):
+    kind = draw(st.sampled_from(["pow", "named", "table"]))
+    if kind == "pow":
+        m, d = draw(st.integers(2, 30)), draw(st.integers(1, 8))
+        return _orbit_case((f"Zm:{m}", f"Zm:{m}", "identity", f"pow:{d}"))
+    if kind == "named":
+        return _orbit_case(draw(st.sampled_from([
+            ("GR:2,2,2", "Zm:4", "galois", "frank:id"),
+            ("GR:2,2,2", "Zm:4", "galois", "frank:rand:3"),
+            ("FXY:2", "FXY:2", "identity", "sigmaquad:swapxy"),
+            ("FXY:2", "Zm:2", "fxy-sum", "sigmaquad:swapxy")])))
+    ring_spec = draw(st.sampled_from(["Zm:5", "Zm:6", "Zm:7", "Zm:8", "Zm:9",
+                                      "Zm:12", "GR:2,1,3"]))
+    n = ring_from_spec(ring_spec).order
+    values = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return _table_code(ring_spec, tuple(values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=_orbit_codes(), hamming=st.booleans(),
+       gamma=st.sampled_from([F(1), F(1, 2)]))
+def test_orbit_enumerator_equals_codeword_sum(code, hamming, gamma):
+    table = hamming_table(code.sub, gamma) if hamming else hom_weight(code.sub, gamma)
+    assert weight_enumerator(code, table) == _codeword_sum_enumerator(code, table)
+    # and pair by pair: every pair's codeword has the weight of its orbit
+    orbits, den, weights = orbit_weights(code, table)
+    _, scaled = table.scaled()
+    for alpha, beta, cw in pair_codewords(code.ring, code.trace, code.func):
+        assert sum(scaled[s] for s in cw) == weights[orbits.label(alpha, beta)]
+
+
+def _table_functions():
+    """Maps whose monomial symmetries are partial: x^3 on Z_7 with one value
+    changed, so a candidate lam read off f(1) fails elsewhere on f."""
+    R = ring_from_spec("Zm:7")
+    cube = [pow(x, 3, 7) for x in range(7)]
+    yield table_map(R, cube)
+    yield table_map(R, cube[:6] + [5])
+    yield table_map(R, [0, 1, 1, 6, 1, 6, 0])
+    for ring_spec, f_spec in (("GR:2,2,2", "frank:id"), ("GR:3,2,2", "frank:id"),
+                              ("GR:2,2,2", "frank:rand:3"), ("Zm:12", "pow:2"),
+                              ("FXY:2", "sigmaquad:swapxy"), ("Zm:30", "pow:5"),
+                              ("GR:2,1,4", "pow:3")):
+        yield function_from_spec(ring_from_spec(ring_spec), f_spec)
+
+
+def test_discovered_monomial_symmetries_hold_on_every_element():
+    # checked through the ring's own mul, not the tables discovery reads
+    for f in _table_functions():
+        R = f.ring
+        for u, lam in monomial_symmetries(f):
+            assert R.is_unit(u) and R.is_unit(lam) and u != R.one
+            assert all(f(R.mul(u, x)) == R.mul(lam, f(x)) for x in range(R.order))
+
+
+def test_a_wrong_lambda_is_refused():
+    R = ring_from_spec("Zm:7")
+    f = power_map(R, 3)
+    assert _is_monomial(f, 3, 6)          # (3x)^3 = 27 x^3 = 6 x^3
+    assert not any(_is_monomial(f, 3, lam) for lam in (1, 2, 3, 4, 5))
+    # with f(6) changed, lam = f(2)/f(1) = 1 holds at x = 1 but not at x = 3
+    broken = table_map(R, [0, 1, 1, 6, 1, 6, 5])
+    assert not _is_monomial(broken, 2, 1)
+    assert all(u != 2 for u, _ in monomial_symmetries(broken))
+
+
+def test_monomial_generators_are_few_and_generate_the_units():
+    # x^3 on Z_251: every unit u has lam = u^3, and the greedy set is small
+    f = power_map(ring_from_spec("Zm:251"), 3)
+    gens = monomial_symmetries(f)
+    assert 1 <= len(gens) <= 8
+    span = {1}
+    while True:
+        grown = span | {x * u % 251 for x in span for u, _ in gens}
+        if grown == span:
+            break
+        span = grown
+    assert len(span) == 250
+
+
+def test_scalars_that_change_the_weights_are_not_used():
+    # on Z_4, w = (0, 1, 1, 3) has w(3y) != w(y): the codewords of (0, 1)
+    # and (0, 3), x^2 and 3x^2, weigh 2 and 6, so 3 must not join the group
+    code = _code("Zm:4", "Zm:4", "identity", "pow:2")
+    table = WeightTable(code.sub, 1, (0, 1, 1, 3))
+    orbits = code.orbits(table)
+    assert orbits.label(0, 1) != orbits.label(0, 3)
+    assert weight_enumerator(code, table) == _codeword_sum_enumerator(code, table)
+    # the homogeneous weight keeps the scalars, and both share one code
+    hom = hom_weight(code.sub, 1)
+    assert code.orbits(hom).label(0, 1) == code.orbits(hom).label(0, 3)
+    assert weight_enumerator(code, hom) == _codeword_sum_enumerator(code, hom)
+
+
+def test_orbits_are_found_once_per_group():
+    code = _code("Zm:13", "Zm:13", "identity", "pow:3")
+    hom, ham = hom_weight(code.sub, 1), hamming_table(code.sub, 1)
+    assert code.orbits(hom) is code.orbits(ham)
+    assert code.orbits(hom_weight(code.sub, F(1, 2))) is code.orbits(hom)
+
+
+def test_zp_power_closed_form_on_z509():
+    # admitted by the default budget of 512; by brute force this would be
+    # |R|^3 = 1.3e8 lookups and a dict of 259081 codewords
+    code = _code("Zm:509", "Zm:509", "identity", "pow:3")
+    enum = weight_enumerator(code, hamming_table(code.sub, 1))
+    assert enum == zp_power_enumerator(509, 3)
+
+
+# ---------------------------------------------------------------------------
 # closed forms vs brute force
 
 
@@ -279,7 +426,7 @@ def test_frank_subring_closed_form_matches_brute_force():
     for q, k, ring_spec, sub_spec in ((2, 2, "GR:2,2,2", "Zm:4"),
                                       (3, 2, "GR:3,2,2", "Zm:9")):
         code = _code(ring_spec, sub_spec, "galois", "frank:id")
-        brute = weight_enumerator(code, hom_weight(code.sub, 1))
+        brute = _brute_force(code, hom_weight(code.sub, 1))
         assert brute == closed_form_enumerator("frank-subring", (q, k))
         assert code_spectrum(code) == closed_form_spectrum("frank-subring", (q, k))
 
@@ -287,7 +434,7 @@ def test_frank_subring_closed_form_matches_brute_force():
 def test_frank_self_closed_form_matches_brute_force():
     for p, r in ((2, 2), (3, 2)):
         code = _code(f"GR:{p},2,{r}", f"GR:{p},2,{r}", "identity", "frank:id")
-        brute = weight_enumerator(code, hom_weight(code.sub, 1))
+        brute = _brute_force(code, hom_weight(code.sub, 1))
         assert brute == closed_form_enumerator("frank-self", (p, r))
         assert code_spectrum(code) == closed_form_spectrum("frank-self", (p, r))
 
@@ -295,7 +442,7 @@ def test_frank_self_closed_form_matches_brute_force():
 @pytest.mark.parametrize("p,d", [(5, 3), (7, 4), (11, 3), (13, 5)])
 def test_zp_power_closed_form_matches_brute_force(p, d):
     code = _code(f"Zm:{p}", f"Zm:{p}", "identity", f"pow:{d}")
-    brute = weight_enumerator(code, hamming_table(code.sub, 1))
+    brute = _brute_force(code, hamming_table(code.sub, 1))
     assert brute == closed_form_enumerator("zp-power", (p, d))
     with pytest.raises(InvalidParameter):
         closed_form_spectrum("zp-power", (p, d))
@@ -304,7 +451,7 @@ def test_zp_power_closed_form_matches_brute_force(p, d):
 @pytest.mark.parametrize("p,d", [(5, 3), (7, 4)])
 def test_z2p_power_closed_form_matches_brute_force(p, d):
     code = _code(f"Zm:{2 * p}", f"Zm:{2 * p}", "identity", f"pow:{d}")
-    brute = weight_enumerator(code, hom_weight(code.sub, 1))
+    brute = _brute_force(code, hom_weight(code.sub, 1))
     assert brute == closed_form_enumerator("z2p-power", (p, d))
     assert code_spectrum(code) == closed_form_spectrum("z2p-power", (p, d))
 
@@ -313,7 +460,7 @@ def test_sigma_quadratic_closed_form_over_residue_field_of_two():
     # Z_4 and Z_8 presented as Galois rings, so frobenius is the identity
     for spec in ("GR:2,2,1", "GR:2,3,1"):
         code = _code(spec, spec, "identity", "sigmaquad:frobenius")
-        brute = weight_enumerator(code, hom_weight(code.sub, 1))
+        brute = _brute_force(code, hom_weight(code.sub, 1))
         assert brute == closed_form_enumerator("sigma-quadratic", code.ring)
 
 
@@ -334,7 +481,7 @@ def test_sigma_quadratic_closed_form_deviates_for_larger_residue_fields():
         R = code.ring
         n, m, k = R.order, len(R.nonunits()), R.residue_size()
         assert k > 2
-        brute = weight_enumerator(code, hom_weight(R, 1))
+        brute = _brute_force(code, hom_weight(R, 1))
         assert brute == closed_form_enumerator("sigma-quadratic", R)
         transcribed = WeightEnumerator({
             0: 1,
