@@ -49,6 +49,75 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _table_pow(mot, one: int, a: int, k: int) -> int:
+    """a^k by square-and-multiply on a multiplication table."""
+    out = one
+    while k:
+        if k & 1:
+            out = mot[out][a]
+        a = mot[a][a]
+        k >>= 1
+    return out
+
+
+def _additive_span(n: int, row_of) -> tuple:
+    """Greedy generators of an additive group on 0..n-1, and how it is
+    spanned from 0.
+
+    Each generator g is the smallest element not yet spanned, and
+    ``row_of(g)`` is its row y -> g + y.  Returns the generators, their
+    rows and the steps (y, x, j), y = x + gens[j], in the order the
+    elements are first reached; each x is 0 or an earlier y.  Every
+    generator at least halves the number of cosets of the span, so there
+    are at most log2(n) of them.
+    """
+    gens, rows, steps = [], [], []
+    seen = bytearray(n)
+    seen[0] = 1
+    reached = [0]
+    cand = 1
+    while len(reached) < n:
+        while seen[cand]:
+            cand += 1
+        gens.append(cand)
+        rows.append(row_of(cand))
+        i = 0
+        while i < len(reached):
+            x = reached[i]
+            for j, row in enumerate(rows):
+                y = row[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    reached.append(y)
+                    steps.append((y, x, j))
+            i += 1
+    return gens, rows, steps
+
+
+def _add_rows(n: int, span) -> list:
+    """The add table from the span: row y = x + g is g's row read at row x,
+    since (x + g) + v = g + (x + v)."""
+    _, rows, steps = span
+    aot = [None] * n
+    aot[0] = list(range(n))
+    for y, x, j in steps:
+        aot[y] = list(map(rows[j].__getitem__, aot[x]))
+    return aot
+
+
+def _mul_rows(aot, span, mul) -> list:
+    """The mul table from the add table: only the generators' rows call
+    mul, since (x + g) * b = x * b + g * b."""
+    n = len(aot)
+    gens, _, steps = span
+    rows = [[mul(g, b) for b in range(n)] for g in gens]
+    mot = [None] * n
+    mot[0] = [0] * n
+    for y, x, j in steps:
+        mot[y] = [aot[u][w] for u, w in zip(mot[x], rows[j])]
+    return mot
+
+
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -69,27 +138,35 @@ def _prime_factors(n: int) -> list[int]:
 
 
 class Ideal:
-    """An ideal given by its member set; closure is checked at construction."""
+    """An ideal given by its member set; closure is checked at construction
+    on the ring's add and mul tables."""
 
     def __init__(self, ring: "Ring", members):
         members = sorted(set(members))
         if 0 not in members:
             raise InvalidParameter("an ideal must contain 0")
-        mset = set(members)
+        aot, mot = ring.add_table(), ring.mul_table()
+        inside = bytearray(ring.order)
         for a in members:
-            if ring.neg(a) not in mset:
+            inside[a] = 1
+        held = inside.__getitem__
+        elements = range(ring.order)
+        for a in members:
+            arow, mrow = aot[a], mot[a]
+            if not inside[arow.index(0)]:
                 raise InvalidParameter(f"ideal not closed under negation at {a}")
-            for b in members:
-                if ring.add(a, b) not in mset:
-                    raise InvalidParameter(f"ideal not closed under + at ({a},{b})")
-            for r in range(ring.order):
-                if ring.mul(r, a) not in mset:
-                    raise InvalidParameter(f"ideal not absorbing at ({r},{a})")
+            if not all(map(held, map(arow.__getitem__, members))):
+                b = next(b for b in members if not inside[arow[b]])
+                raise InvalidParameter(f"ideal not closed under + at ({a},{b})")
+            if not all(map(held, mrow)):  # r*a = a*r: the rings are commutative
+                r = next(r for r in elements if not inside[mrow[r]])
+                raise InvalidParameter(f"ideal not absorbing at ({r},{a})")
         self.ring = ring
         self.members = tuple(members)
+        self._set = frozenset(members)
 
     def __contains__(self, a):
-        return a in set(self.members)
+        return a in self._set
 
     def __iter__(self):
         return iter(self.members)
@@ -277,14 +354,12 @@ class Ring:
 
     def units(self) -> tuple:
         if "units" not in self._cache:
+            one = self.one
             inv = {}
-            for a in range(self.order):
-                for b in range(a, self.order):
-                    if self.mul(a, b) == self.one:
-                        inv[a] = b
-                        inv[b] = a
-                        break
-            self._cache["units"] = tuple(sorted(inv))
+            for a, row in enumerate(self.mul_table()):
+                if one in row:
+                    inv[a] = row.index(one)
+            self._cache["units"] = tuple(inv)
             self._cache["inv"] = inv
         return self._cache["units"]
 
@@ -308,7 +383,9 @@ class Ring:
     def radical(self) -> Ideal:
         """The set of nilpotent elements (= Jacobson radical here)."""
         if "radical" not in self._cache:
-            nil = [a for a in range(self.order) if self.pow(a, self.order) == 0]
+            mot = self.mul_table()
+            nil = [a for a in range(self.order)
+                   if _table_pow(mot, self.one, a, self.order) == 0]
             self._cache["radical"] = Ideal(self, nil)
         return self._cache["radical"]
 
@@ -316,10 +393,11 @@ class Ring:
         """Annihilator of the radical."""
         if "socle" not in self._cache:
             rad = self.radical().members
+            mot = self.mul_table()
             soc = [
                 a
                 for a in range(self.order)
-                if all(self.mul(a, ms) == 0 for ms in rad)
+                if not any(map(mot[a].__getitem__, rad))
             ]
             self._cache["socle"] = Ideal(self, soc)
         return self._cache["socle"]
@@ -345,7 +423,9 @@ class Ring:
             if not self.is_local():
                 raise NotLocal(f"{self.name} is not local")
             q = self.residue_size()
-            group = [u for u in self.units() if self.pow(u, q - 1) == self.one]
+            mot = self.mul_table()
+            group = [u for u in self.units()
+                     if _table_pow(mot, self.one, u, q - 1) == self.one]
             if len(group) != q - 1:
                 raise InternalInvariantViolation(
                     f"Teichmueller group of {self.name} has size {len(group)}"
@@ -358,15 +438,22 @@ class Ring:
                 cur = self.mul(cur, gen)
             if cur != self.one or len(set(elements)) != q:
                 raise InternalInvariantViolation("Teichmueller generator order wrong")
-            mset = set(self.nonunits())
-            nu = []
-            for a in range(self.order):
-                hits = [t for t in elements if self.sub(a, t) in mset]
-                if len(hits) != 1:
+            # a - t lies in M exactly when a lies in the coset t + M
+            aot = self.add_table()
+            maximal = self.nonunits()
+            nu = [None] * self.order
+            hits = [0] * self.order
+            for t in elements:
+                row = aot[t]
+                for m in maximal:
+                    a = row[m]
+                    hits[a] += 1
+                    nu[a] = t
+            for a, h in enumerate(hits):
+                if h != 1:
                     raise InternalInvariantViolation(
-                        f"element {a} has {len(hits)} Teichmueller digits"
+                        f"element {a} has {h} Teichmueller digits"
                     )
-                nu.append(hits[0])
             self._cache["teich"] = TeichmullerData(self, elements, gen, nu)
         return self._cache["teich"]
 
@@ -379,29 +466,35 @@ class Ring:
         raise InternalInvariantViolation("no Teichmueller generator found")
 
     # ----- dense tables for hot loops ------------------------------------
+    #
+    # Only the rows of the greedy additive generators call add / mul, g * |R|
+    # calls each (g <= log2 |R|); every other row is |R| lookups.
+
+    def _additive_span(self) -> tuple:
+        if "span" not in self._cache:
+            n, add = self.order, self.add
+            self._cache["span"] = _additive_span(
+                n, lambda g: [add(g, v) for v in range(n)]
+            )
+        return self._cache["span"]
 
     def add_table(self) -> list:
         if "add_table" not in self._cache:
-            n = self.order
-            self._cache["add_table"] = [
-                [self.add(a, b) for b in range(n)] for a in range(n)
-            ]
+            self._cache["add_table"] = _add_rows(self.order, self._additive_span())
         return self._cache["add_table"]
 
     def mul_table(self) -> list:
         if "mul_table" not in self._cache:
-            n = self.order
-            self._cache["mul_table"] = [
-                [self.mul(a, b) for b in range(n)] for a in range(n)
-            ]
+            self._cache["mul_table"] = _mul_rows(
+                self.add_table(), self._additive_span(), self.mul
+            )
         return self._cache["mul_table"]
 
     def sub_table(self) -> list:
         if "sub_table" not in self._cache:
-            n = self.order
-            self._cache["sub_table"] = [
-                [self.sub(a, b) for b in range(n)] for a in range(n)
-            ]
+            aot = self.add_table()
+            neg = [row.index(0) for row in aot]
+            self._cache["sub_table"] = [list(map(row.__getitem__, neg)) for row in aot]
         return self._cache["sub_table"]
 
     # ----- presentation ---------------------------------------------------
@@ -542,29 +635,6 @@ class GaloisRing(Ring):
                 prod[k] = 0
         return self.encode(c % pn for c in prod[:r])
 
-    def units(self):
-        # local with maximal ideal pR: a unit iff some coefficient is
-        # not divisible by p
-        if "units" not in self._cache:
-            us = []
-            inv = {}
-            for a in range(self.order):
-                if any(c % self.p for c in self.decode(a)):
-                    us.append(a)
-            # invert by raising to (a multiple of the group exponent) - 1
-            for a in us:
-                inv[a] = self.pow(a, self._unit_group_exponent() - 1)
-                if self.mul(a, inv[a]) != self.one:
-                    raise InternalInvariantViolation("unit inversion failed")
-            self._cache["units"] = tuple(us)
-            self._cache["inv"] = inv
-        return self._cache["units"]
-
-    def _unit_group_exponent(self) -> int:
-        # exponent divides (q - 1) * p^(n * r); any multiple of the group
-        # exponent works for inversion
-        return (self.q - 1) * self.p ** (self.n * self.r)
-
     # -- p-adic digits -----------------------------------------------------
 
     def _div_by_p(self, a: int) -> int:
@@ -699,11 +769,18 @@ def frobenius(ring: GaloisRing) -> Automorphism:
         raise UnknownPreset(f"frobenius automorphism needs a Galois ring, got {ring.name}")
     key = "frobenius"
     if key not in ring._cache:
+        # sigma is additive: compute it on the additive generators and
+        # extend along the span; the Automorphism check covers the rest
         p = ring.p
-        perm = [
-            ring.from_padic_digits([ring.pow(d, p) for d in ring.padic_digits(a)])
-            for a in range(ring.order)
+        gens, _, steps = ring._additive_span()
+        images = [
+            ring.from_padic_digits([ring.pow(d, p) for d in ring.padic_digits(g)])
+            for g in gens
         ]
+        aot = ring.add_table()
+        perm = [0] * ring.order
+        for y, x, j in steps:
+            perm[y] = aot[perm[x]][images[j]]
         ring._cache[key] = Automorphism(ring, perm, tag="frobenius-1")
     return ring._cache[key]
 
@@ -754,8 +831,9 @@ def named_automorphism(ring: Ring, tag: str) -> Automorphism:
 class TableRing(Ring):
     """A ring given by explicit addition and multiplication tables.
 
-    The full commutative-unital-ring axiom list is checked exhaustively at
-    construction; a violation raises InvalidRing with a witness.
+    The full commutative-unital-ring axiom list is checked at construction,
+    at O(n^2 * g) cells for g greedy additive generators; a violation raises
+    InvalidRing with a witness.
     """
 
     family = "table"
@@ -804,40 +882,69 @@ class TableRing(Ring):
 
 
 def _verify_tables(add_t, mul_t, n: int, name: str) -> None:
+    """Check the commutative-ring axioms.
+
+    Apart from O(n^2) checks of shape, the zero, commutativity and
+    inverses, every check runs on the greedy additive generators g:
+    Light's test (x + g) + y = x + (g + y) makes + associative, since the
+    generators and 0 generate (R, +); then biadditivity
+    a * (b + g) = a * b + a * g, with commutativity, makes * additive in
+    each argument, so * is associative once it is on generator triples.
+    """
     rng = range(n)
     for tab, label in ((add_t, "+"), (mul_t, "*")):
         if len(tab) != n or any(len(row) != n for row in tab):
             raise InvalidRing(f"{name}: {label} table is not {n}x{n}")
         for row in tab:
-            for v in row:
-                if not (0 <= v < n):
-                    raise InvalidRing(f"{name}: {label} entry {v} out of range")
+            if row and (min(row) < 0 or max(row) >= n):
+                v = next(v for v in row if not 0 <= v < n)
+                raise InvalidRing(f"{name}: {label} entry {v} out of range")
     for a in rng:
         if add_t[0][a] != a:
             raise InvalidRing(f"{name}: 0 is not an additive identity at {a}")
+    if add_t != [list(col) for col in zip(*add_t)] or \
+            mul_t != [list(col) for col in zip(*mul_t)]:
+        for a in rng:
+            for b in rng:
+                if add_t[a][b] != add_t[b][a]:
+                    raise InvalidRing(f"{name}: + not commutative at ({a},{b})")
+                if mul_t[a][b] != mul_t[b][a]:
+                    raise InvalidRing(f"{name}: * not commutative at ({a},{b})")
     for a in rng:
-        for b in rng:
-            if add_t[a][b] != add_t[b][a]:
-                raise InvalidRing(f"{name}: + not commutative at ({a},{b})")
-            if mul_t[a][b] != mul_t[b][a]:
-                raise InvalidRing(f"{name}: * not commutative at ({a},{b})")
-    for a in rng:
-        if all(add_t[a][b] != 0 for b in rng):
+        if 0 not in add_t[a]:
             raise InvalidRing(f"{name}: {a} has no additive inverse")
-    for a in rng:
-        arow = add_t[a]
-        mrow = mul_t[a]
-        for b in rng:
-            ab_add = arow[b]
-            ab_mul = mrow[b]
-            brow_add = add_t[b]
-            for c in rng:
-                if add_t[ab_add][c] != arow[brow_add[c]]:
-                    raise InvalidRing(f"{name}: + not associative at ({a},{b},{c})")
-                if mul_t[ab_mul][c] != mrow[mul_t[b][c]]:
-                    raise InvalidRing(f"{name}: * not associative at ({a},{b},{c})")
-                if mul_t[a][brow_add[c]] != add_t[ab_mul][mrow[c]]:
-                    raise InvalidRing(f"{name}: * not distributive at ({a},{b},{c})")
+    gens = _additive_span(n, add_t.__getitem__)[0]
+    for g in gens:
+        grow = add_t[g]
+        for x in rng:
+            xrow = add_t[x]
+            left = add_t[xrow[g]]                     # (x + g) + y
+            right = list(map(xrow.__getitem__, grow))  # x + (g + y)
+            if left != right:
+                y = next(y for y in rng if left[y] != right[y])
+                raise InvalidRing(f"{name}: + not associative at ({x},{g},{y})")
+    for g in gens:
+        grow = add_t[g]
+        for a in rng:
+            mrow = mul_t[a]
+            left = list(map(mrow.__getitem__, grow))             # a * (b + g)
+            right = list(map(add_t[mrow[g]].__getitem__, mrow))  # a * b + a * g
+            if left != right:
+                b = next(b for b in rng if left[b] != right[b])
+                raise InvalidRing(f"{name}: * not distributive at ({a},{b},{g})")
+    for g in gens:
+        for h in gens:
+            for k in gens:
+                if mul_t[mul_t[g][h]][k] != mul_t[g][mul_t[h][k]]:
+                    raise InvalidRing(f"{name}: * not associative at ({g},{h},{k})")
+
+
+def _preset_tables(n: int, add, mul) -> tuple:
+    """A preset's add and mul tables from its coordinate formulas, built
+    from the additive generators; TableRing checks them in full."""
+    span = _additive_span(n, lambda g: [add(g, v) for v in range(n)])
+    add_t = _add_rows(n, span)
+    return add_t, _mul_rows(add_t, span, mul)
 
 
 def _find_identity(mul_t, n: int, name: str) -> int:
@@ -863,24 +970,22 @@ def fxy_ring(p: int) -> TableRing:
     def enc(c):
         return c[0] + c[1] * p + c[2] * p**2 + c[3] * p**3
 
-    add_t = []
-    mul_t = []
-    for a in range(n):
+    def add(a, b):
         a1, ax, ay, axy = dec(a)
-        add_row = []
-        mul_row = []
-        for b in range(n):
-            b1, bx, by, bxy = dec(b)
-            add_row.append(enc(((a1 + b1) % p, (ax + bx) % p,
-                               (ay + by) % p, (axy + bxy) % p)))
-            mul_row.append(enc((
-                (a1 * b1) % p,
-                (a1 * bx + ax * b1) % p,
-                (a1 * by + ay * b1) % p,
-                (a1 * bxy + axy * b1 + ax * by + ay * bx) % p,
-            )))
-        add_t.append(add_row)
-        mul_t.append(mul_row)
+        b1, bx, by, bxy = dec(b)
+        return enc(((a1 + b1) % p, (ax + bx) % p, (ay + by) % p, (axy + bxy) % p))
+
+    def mul(a, b):
+        a1, ax, ay, axy = dec(a)
+        b1, bx, by, bxy = dec(b)
+        return enc((
+            (a1 * b1) % p,
+            (a1 * bx + ax * b1) % p,
+            (a1 * by + ay * b1) % p,
+            (a1 * bxy + axy * b1 + ax * by + ay * bx) % p,
+        ))
+
+    add_t, mul_t = _preset_tables(n, add, mul)
 
     def render(a):
         terms = []
@@ -909,19 +1014,17 @@ def z4x_ring() -> TableRing:
     def enc(c):
         return c[0] + 4 * c[1]
 
-    add_t = []
-    mul_t = []
-    for a in range(n):
+    def add(a, b):
         a0, a1 = dec(a)
-        add_row = []
-        mul_row = []
-        for b in range(n):
-            b0, b1 = dec(b)
-            add_row.append(enc(((a0 + b0) % 4, (a1 + b1) % 4)))
-            mul_row.append(enc(((a0 * b0 + 2 * a1 * b1) % 4,
-                               (a0 * b1 + a1 * b0) % 4)))
-        add_t.append(add_row)
-        mul_t.append(mul_row)
+        b0, b1 = dec(b)
+        return enc(((a0 + b0) % 4, (a1 + b1) % 4))
+
+    def mul(a, b):
+        a0, a1 = dec(a)
+        b0, b1 = dec(b)
+        return enc(((a0 * b0 + 2 * a1 * b1) % 4, (a0 * b1 + a1 * b0) % 4))
+
+    add_t, mul_t = _preset_tables(n, add, mul)
 
     def render(a):
         r0, r1 = dec(a)

@@ -286,13 +286,14 @@ def galois_trace(ring: GaloisRing, sub: Ring = None) -> TraceMap:
     else:
         raise InvalidParameter(f"galois trace does not target {sub.name}")
     k = ring.r // sdeg
-    tau = automorphism_power(frobenius(ring), sdeg)
+    tau = automorphism_power(frobenius(ring), sdeg).perm
+    aot = ring.add_table()
     values = []
     for a in range(ring.order):
         acc, cur = 0, a
         for _ in range(k):
-            acc = ring.add(acc, cur)
-            cur = tau(cur)
+            acc = aot[acc][cur]
+            cur = tau[cur]
         values.append(acc)
     try:
         sec = emb.section

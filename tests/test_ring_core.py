@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from homring.errors import (BadPermutation, InvalidParameter, InvalidRing,
                             NotLocal, ParseError, UnknownPreset)
-from homring.rings import (GaloisRing, IntegerModRing, TableRing, fxy_ring,
-                           make_galois_ring, named_automorphism,
-                           permutation_of_teichmuller, ring_from_spec,
-                           z4x_conjugation, z4x_ring)
+from homring.rings import (GaloisRing, Ideal, IntegerModRing, TableRing,
+                           _verify_tables, frobenius, fxy_ring,
+                           make_galois_ring, make_integer_ring,
+                           named_automorphism, permutation_of_teichmuller,
+                           ring_from_spec, z4x_conjugation, z4x_ring)
+from homring.traces import galois_trace
 
 ALL_SPECS = [
     "Zm:4", "Zm:5", "Zm:6", "Zm:7", "Zm:8", "Zm:9", "Zm:10", "Zm:14",
@@ -109,6 +111,7 @@ def test_galois_mul_matches_sympy_polynomial_arithmetic(spec):
             rem = (polys[a] * polys[b]).rem(h).all_coeffs()[::-1]
             coeffs = [int(c) % R.pn for c in rem] + [0] * (R.r - len(rem))
             assert R.mul(a, b) == R.encode(coeffs), (a, b)
+            assert R.mul_table()[a][b] == R.encode(coeffs), (a, b)
 
 
 def test_teichmuller_set_and_digits():
@@ -266,3 +269,287 @@ def test_permutation_validation():
         permutation_of_teichmuller(R, (0, 1, 1, 3))
     with pytest.raises(BadPermutation):
         permutation_of_teichmuller(R, (0, 1, 2))
+
+
+# ---------------------------------------------------------------------------
+# set-up from additive generators, against the slow operations
+
+
+SETUP_GRID = (
+    [f"GR:2,1,{r}" for r in range(1, 7)] + [f"GR:2,2,{r}" for r in range(1, 4)]
+    + ["GR:2,3,2", "GR:3,2,2", "GR:5,1,2", "GR:7,1,2"]
+    + [f"Zm:{m}" for m in range(2, 41)] + ["FXY:2", "FXY:3", "Z4X"]
+)
+
+
+@pytest.mark.parametrize("spec", SETUP_GRID)
+def test_tables_units_and_digits_equal_the_slow_operations(spec):
+    R = ring_from_spec(spec)
+    n = R.order
+    elements = range(n)
+    assert R.add_table() == [[R.add(a, b) for b in elements] for a in elements]
+    assert R.mul_table() == [[R.mul(a, b) for b in elements] for a in elements]
+    assert R.sub_table() == [[R.sub(a, b) for b in elements] for a in elements]
+    units = tuple(a for a in elements if any(R.mul(a, b) == R.one for b in elements))
+    assert R.units() == units
+    for u in units:
+        assert R.mul(u, R.inverse(u)) == R.one
+    if R.is_local():
+        t = R.teichmuller()
+        maximal = set(R.nonunits())
+        for a in elements:
+            hits = [x for x in t.elements if R.sub(a, x) in maximal]
+            assert hits == [t.nu[a]], a
+
+
+@pytest.mark.parametrize("spec", [s for s in SETUP_GRID if s.startswith("GR:")])
+def test_frobenius_and_galois_trace_equal_the_digit_route(spec):
+    R = ring_from_spec(spec)
+    sigma = [R.from_padic_digits([R.pow(d, R.p) for d in R.padic_digits(a)])
+             for a in range(R.order)]
+    assert list(frobenius(R).perm) == sigma
+    trace = []
+    for a in range(R.order):
+        acc, cur = 0, a
+        for _ in range(R.r):
+            acc, cur = R.add(acc, cur), sigma[cur]
+        trace.append(acc)
+    S = make_integer_ring(R.pn)
+    emb = galois_trace(R, S).embedding
+    assert [emb(v) for v in galois_trace(R, S).values] == trace
+
+
+def _coordinate_tables(n, add, mul):
+    return ([[add(a, b) for b in range(n)] for a in range(n)],
+            [[mul(a, b) for b in range(n)] for a in range(n)])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_fxy_tables_equal_the_coordinate_formulas(p):
+    def dec(a):
+        return (a % p, (a // p) % p, (a // p**2) % p, a // p**3)
+
+    def enc(c):
+        return sum(ci % p * p**i for i, ci in enumerate(c))
+
+    def add(a, b):
+        return enc([x + y for x, y in zip(dec(a), dec(b))])
+
+    def mul(a, b):
+        a1, ax, ay, axy = dec(a)
+        b1, bx, by, bxy = dec(b)
+        return enc((a1 * b1, a1 * bx + ax * b1, a1 * by + ay * b1,
+                    a1 * bxy + axy * b1 + ax * by + ay * bx))
+
+    R = fxy_ring(p)
+    assert (R.add_table(), R.mul_table()) == _coordinate_tables(R.order, add, mul)
+
+
+def test_z4x_tables_equal_the_coordinate_formulas():
+    def add(a, b):
+        return (a % 4 + b % 4) % 4 + 4 * ((a // 4 + b // 4) % 4)
+
+    def mul(a, b):
+        a0, a1, b0, b1 = a % 4, a // 4, b % 4, b // 4
+        return (a0 * b0 + 2 * a1 * b1) % 4 + 4 * ((a0 * b1 + a1 * b0) % 4)
+
+    R = z4x_ring()
+    assert (R.add_table(), R.mul_table()) == _coordinate_tables(16, add, mul)
+
+
+def test_tables_call_the_slow_operations_on_generator_rows_only():
+    base = ring_from_spec("GR:2,2,3")
+    R = GaloisRing(base.p, base.n, base.r, base.reduction)
+    calls = {"add": 0, "mul": 0}
+
+    def counted(op):
+        def run(a, b):
+            calls[op] += 1
+            return fn(a, b)
+        fn = getattr(R, op)
+        return run
+
+    R.add, R.mul = counted("add"), counted("mul")
+    assert R.mul_table() == base.mul_table()
+    # GR(4, 3) = Z_4^3 additively: three generators, one row of each op each
+    assert calls == {"add": 3 * R.order, "mul": 3 * R.order}
+
+
+# ---------------------------------------------------------------------------
+# table-ring axioms: generator checks against the O(n^3) oracle
+
+
+def _cubic_axiom_check(add_t, mul_t, n: int, name: str) -> None:
+    """Every axiom on every cell and triple (the check TableRing made before
+    it checked on generators)."""
+    rng = range(n)
+    for tab, label in ((add_t, "+"), (mul_t, "*")):
+        if len(tab) != n or any(len(row) != n for row in tab):
+            raise InvalidRing(f"{name}: {label} table is not {n}x{n}")
+        for row in tab:
+            for v in row:
+                if not (0 <= v < n):
+                    raise InvalidRing(f"{name}: {label} entry {v} out of range")
+    for a in rng:
+        if add_t[0][a] != a:
+            raise InvalidRing(f"{name}: 0 is not an additive identity at {a}")
+    for a in rng:
+        for b in rng:
+            if add_t[a][b] != add_t[b][a]:
+                raise InvalidRing(f"{name}: + not commutative at ({a},{b})")
+            if mul_t[a][b] != mul_t[b][a]:
+                raise InvalidRing(f"{name}: * not commutative at ({a},{b})")
+    for a in rng:
+        if all(add_t[a][b] != 0 for b in rng):
+            raise InvalidRing(f"{name}: {a} has no additive inverse")
+    for a in rng:
+        arow = add_t[a]
+        mrow = mul_t[a]
+        for b in rng:
+            ab_add = arow[b]
+            ab_mul = mrow[b]
+            brow_add = add_t[b]
+            for c in rng:
+                if add_t[ab_add][c] != arow[brow_add[c]]:
+                    raise InvalidRing(f"{name}: + not associative at ({a},{b},{c})")
+                if mul_t[ab_mul][c] != mrow[mul_t[b][c]]:
+                    raise InvalidRing(f"{name}: * not associative at ({a},{b},{c})")
+                if mul_t[a][brow_add[c]] != add_t[ab_mul][mrow[c]]:
+                    raise InvalidRing(f"{name}: * not distributive at ({a},{b},{c})")
+
+
+def _refusal(check, add_t, mul_t):
+    """The InvalidRing message of ``check`` on copies of the tables, or None."""
+    try:
+        check([list(r) for r in add_t], [list(r) for r in mul_t], len(add_t), "t")
+    except InvalidRing as exc:
+        return str(exc)
+    return None
+
+
+def _tables(spec):
+    R = ring_from_spec(spec)
+    return [list(r) for r in R.add_table()], [list(r) for r in R.mul_table()]
+
+
+@pytest.mark.parametrize("spec", ["FXY:2", "Z4X", "Zm:6", "GR:2,2,2", "GR:3,1,2"])
+def test_generator_checks_accept_the_ring_tables(spec):
+    add_t, mul_t = _tables(spec)
+    assert _refusal(_cubic_axiom_check, add_t, mul_t) is None
+    assert _refusal(_verify_tables, add_t, mul_t) is None
+
+
+@given(st.sampled_from(["FXY:2", "Z4X", "Zm:6"]), st.sampled_from(["+", "*"]),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_generator_checks_refuse_exactly_when_the_oracle_does(spec, which, data):
+    add_t, mul_t = _tables(spec)
+    n = len(add_t)
+    cell = st.integers(min_value=0, max_value=n - 1)
+    a, b, v = data.draw(cell), data.draw(cell), data.draw(cell)
+    tab = add_t if which == "+" else mul_t
+    tab[a][b] = tab[b][a] = v
+    oracle = _refusal(_cubic_axiom_check, add_t, mul_t)
+    fast = _refusal(_verify_tables, add_t, mul_t)
+    assert (oracle is None) == (fast is None), (oracle, fast)
+
+
+# FXY:2 is spanned by the greedy generators 1, x, y, xy = indices 1, 2, 4, 8.
+FXY2_GENERATORS = (1, 2, 4, 8)
+
+
+def test_fxy2_generators_are_the_basis():
+    assert fxy_ring(2)._additive_span()[0] == list(FXY2_GENERATORS)
+
+
+def test_swapping_mul_cells_away_from_the_generators_is_refused():
+    add_t, mul_t = _tables("FXY:2")
+    (a, b), (c, d) = (3, 5), (6, 7)
+    assert not {a, b, c, d} & {0, *FXY2_GENERATORS}
+    assert mul_t[a][b] != mul_t[c][d]
+    mul_t[a][b], mul_t[c][d] = mul_t[c][d], mul_t[a][b]
+    mul_t[b][a], mul_t[d][c] = mul_t[a][b], mul_t[c][d]
+    assert _refusal(_cubic_axiom_check, add_t, mul_t) is not None
+    assert "* not distributive" in _refusal(_verify_tables, add_t, mul_t)
+
+
+def test_one_broken_distributive_cell_is_refused():
+    add_t, mul_t = _tables("FXY:2")
+    # x * (1 + y) = x + xy; make it x alone
+    assert mul_t[2][5] == 10
+    mul_t[2][5] = mul_t[5][2] = 2
+    assert "* not distributive" in _refusal(_cubic_axiom_check, add_t, mul_t)
+    assert "* not distributive" in _refusal(_verify_tables, add_t, mul_t)
+
+
+def test_plus_broken_at_a_triple_without_generators_is_refused():
+    add_t, mul_t = _tables("FXY:2")
+    # (1 + x) + (1 + y) = x + y = 6; make it 7, keeping + commutative with
+    # inverses
+    assert add_t[3][5] == 6
+    add_t[3][5] = add_t[5][3] = 7
+    plain = [e for e in range(16) if e not in (0, *FXY2_GENERATORS)]
+    broken = [(a, b, c) for a in plain for b in plain for c in plain
+              if add_t[add_t[a][b]][c] != add_t[a][add_t[b][c]]]
+    assert broken
+    assert "+ not associative" in _refusal(_cubic_axiom_check, add_t, mul_t)
+    assert "+ not associative" in _refusal(_verify_tables, add_t, mul_t)
+
+
+def test_mul_associativity_is_checked_on_generator_triples():
+    # F_2^2 on e1 = 1, e2 = 2 with the bilinear commutative product
+    # e1*e1 = e2, e2*e2 = e1, e1*e2 = 0: + and the biadditivity checks pass,
+    # but (e1*e1)*e2 = e1 while e1*(e1*e2) = 0
+    add_t = [[a ^ b for b in range(4)] for a in range(4)]
+    mul_t = [[(a >> 1) * (b >> 1) + 2 * ((a & 1) * (b & 1)) for b in range(4)]
+             for a in range(4)]
+    assert "* not associative" in _refusal(_cubic_axiom_check, add_t, mul_t)
+    assert (_refusal(_verify_tables, add_t, mul_t)
+            == "t: * not associative at (1,1,2)")
+
+
+# ---------------------------------------------------------------------------
+# ideals on tables, against the slow operations
+
+
+def _slow_ideal_refusal(ring, members):
+    members = sorted(set(members))
+    mset = set(members)
+    for a in members:
+        if ring.neg(a) not in mset:
+            return f"ideal not closed under negation at {a}"
+        for b in members:
+            if ring.add(a, b) not in mset:
+                return f"ideal not closed under + at ({a},{b})"
+        for r in range(ring.order):
+            if ring.mul(r, a) not in mset:
+                return f"ideal not absorbing at ({r},{a})"
+    return None
+
+
+@given(st.sampled_from(["Zm:12", "Zm:8", "GR:2,2,2", "Z4X", "FXY:2"]),
+       st.sets(st.integers(min_value=1, max_value=15), max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_ideal_refusals_match_the_slow_operations(spec, extra):
+    R = ring_from_spec(spec)
+    members = {0} | {a % R.order for a in extra}
+    want = _slow_ideal_refusal(R, members)
+    if want is None:
+        ideal = Ideal(R, members)
+        assert ideal.members == tuple(sorted(members))
+        assert all(a in ideal for a in members)
+        assert not any(a in ideal for a in range(R.order) if a not in members)
+    else:
+        with pytest.raises(InvalidParameter) as err:
+            Ideal(R, members)
+        assert str(err.value) == want
+
+
+@pytest.mark.parametrize("spec", ["GR:2,1,6", "GR:2,2,3", "GR:3,2,2", "FXY:3",
+                                  "Z4X", "Zm:12", "Zm:36"])
+def test_radical_and_socle_equal_the_slow_operations(spec):
+    R = ring_from_spec(spec)
+    nil = [a for a in range(R.order) if R.pow(a, R.order) == 0]
+    assert R.radical().members == tuple(nil)
+    soc = [a for a in range(R.order) if all(R.mul(a, m) == 0 for m in nil)]
+    assert R.socle().members == tuple(soc)
