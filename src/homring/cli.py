@@ -10,12 +10,10 @@ opt-in via ``--timing`` because it would break that guarantee.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
 import time
-from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
 
 from . import verify as verify_mod
@@ -34,17 +32,32 @@ CONFIG_KEYS = ("ring", "subring", "trace", "f", "gamma", "weight", "format",
                "budget", "seed")
 
 
-@dataclass
 class JobConfig:
-    ring: str | None = None
-    subring: str | None = None
-    trace: str | None = None
-    f: str | None = None
-    gamma: str = "1"
-    weight: str = "homogeneous"
-    format: str | None = None
-    budget: int | None = None
-    seed: int | None = None
+    """The settings of one job, one attribute per name in CONFIG_KEYS."""
+
+    def __init__(self, ring: str | None = None, subring: str | None = None,
+                 trace: str | None = None, f: str | None = None,
+                 gamma: str = "1", weight: str = "homogeneous",
+                 format: str | None = None, budget: int | None = None,
+                 seed: int | None = None):
+        self.ring = ring
+        self.subring = subring
+        self.trace = trace
+        self.f = f
+        self.gamma = gamma
+        self.weight = weight
+        self.format = format
+        self.budget = budget
+        self.seed = seed
+
+    def __eq__(self, other):
+        if not isinstance(other, JobConfig):
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in CONFIG_KEYS)
+
+    def __repr__(self):
+        return "JobConfig(" + ", ".join(f"{k}={getattr(self, k)!r}"
+                                        for k in CONFIG_KEYS) + ")"
 
 
 def parse_config(text: str) -> JobConfig:
@@ -79,10 +92,10 @@ def parse_config(text: str) -> JobConfig:
 
 
 def _merge_flags(cfg: JobConfig, args) -> JobConfig:
-    for f in dataclass_fields(JobConfig):
-        val = getattr(args, f.name, None)
+    for key in CONFIG_KEYS:
+        val = getattr(args, key, None)
         if val is not None:
-            setattr(cfg, f.name, val)
+            setattr(cfg, key, val)
     if cfg.weight not in ("homogeneous", "hamming"):
         raise ParseError(f"weight must be homogeneous or hamming, got {cfg.weight!r}")
     return cfg
@@ -249,6 +262,8 @@ def verify_paper(only=None) -> dict:
 
 
 def _to_csv(rows, header) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -7,11 +7,12 @@ codewords themselves, with the least pair behind each, are swept only when a
 graph asks for them.
 
 A code's weight data has one representation, its weight enumerator, and it
-is read off orbits of pair space.  A unit s of S maps the codeword of
-(alpha, beta) to s times it, the codeword of (s*alpha, s*beta); a unit u of R
-with f(u*x) = lam*f(x) for all x permutes its coordinates, as the codeword
-of (alpha*u, beta*lam).  Neither changes a weight the table keeps under units
-of S, so each orbit is weighed once, through the composed table w o T.  At
+is read off orbits on the code, one point per codeword (one per K-coset of
+pairs).  A unit s of S maps the codeword of (alpha, beta) to s times it, the
+codeword of (s*alpha, s*beta); a unit u of R with f(u*x) = lam*f(x) for all
+x permutes its coordinates, as the codeword of (alpha*u, beta*lam).  Neither
+changes a weight the table keeps under units of S, so each orbit is weighed
+once, through the composed table w o T.  At
 gamma = 1 the transform value of a codeword is W = |R| - w, w its homogeneous
 weight, so the spectrum is read off the gamma = 1 enumerator.  Everything is
 exact, in Fractions.  The weight table is checked against the axiomatic
@@ -20,7 +21,6 @@ solve when it is built (see ``weights.hom_weight``).
 
 from __future__ import annotations
 
-import random
 from array import array
 from collections import Counter
 from fractions import Fraction
@@ -43,6 +43,7 @@ from .rings import (
     GaloisRing,
     Ring,
     _is_prime,
+    _table_pow,
     named_automorphism,
     permutation_of_teichmuller,
 )
@@ -89,12 +90,15 @@ def power_map(ring: Ring, d: int) -> CodeFunction:
     """f(x) = x**d for d >= 1."""
     if d < 1:
         raise OutOfRange(f"power exponent must be >= 1, got {d}")
-    table = [ring.pow(x, d) for x in range(ring.order)]
+    mot = ring.mul_table()
+    table = [_table_pow(mot, ring.one, x, d) for x in range(ring.order)]
     return CodeFunction(ring, "power", table, f"pow:{d}", d=d)
 
 
 def random_teich_permutation(ring: Ring, seed: int) -> tuple:
     """A seeded random permutation of Teichmueller indices fixing index 0."""
+    import random
+
     t = ring.teichmuller()
     idx = list(range(1, len(t.elements)))
     random.Random(seed).shuffle(idx)
@@ -115,12 +119,13 @@ def frank_map(ring: Ring, perm=None, tag: str | None = None) -> CodeFunction:
     perm = permutation_of_teichmuller(ring, perm)
     if tag is None:
         tag = "frank:" + ",".join(str(i) for i in perm)
-    p_elt = ring.element_from_int(ring.p)
+    mot = ring.mul_table()
+    p_row = mot[ring.element_from_int(ring.p)]
     table = []
     for x in range(ring.order):
         x0, x1 = ring.padic_digits(x)
         x0p = t.elements[perm[t.index_of[x0]]]
-        table.append(ring.mul(p_elt, ring.mul(x0p, x1)))
+        table.append(p_row[mot[x0p][x1]])
     return CodeFunction(ring, "frank", table, tag, perm=perm)
 
 
@@ -132,10 +137,11 @@ def sigma_quadratic_map(ring: Ring, sigma, tag: str | None = None) -> CodeFuncti
     if sigma.ring is not ring:
         raise InvalidParameter("automorphism acts on a different ring")
     nu = ring.teichmuller().nu
+    mot, sot = ring.mul_table(), ring.sub_table()
     table = []
     for a in range(ring.order):
-        am = ring.sub(a, nu[a])
-        table.append(ring.sub(ring.mul(sigma(a), a), ring.mul(sigma(am), am)))
+        am = sot[a][nu[a]]
+        table.append(sot[mot[sigma(a)][a]][mot[sigma(am)][am]])
     return CodeFunction(ring, "sigma-quadratic", table,
                         tag or f"sigmaquad:{sigma.tag}", sigma=sigma)
 
@@ -200,7 +206,7 @@ class Code:
 
     ``codewords`` (sorted) and ``provenance`` (the lexicographically least
     pair of each codeword) are built by one pair sweep on first access.
-    ``orbits(table)`` gives the orbits of pair space under the symmetries
+    ``orbits(table)`` gives the orbits on the codewords under the symmetries
     that keep the table's weights, found once per group."""
 
     def __init__(self, ring: Ring, sub: Ring, trace: TraceMap, func: CodeFunction,
@@ -231,8 +237,8 @@ class Code:
         return _scalar_generators(self.sub), monomial_symmetries(self.func)
 
     def orbits(self, table: WeightTable) -> PairOrbits:
-        """Orbits of pair space under the monomial symmetries of f and those
-        scalar generators s of S with w(s*y) = w(y) for every y in S."""
+        """Orbits on the codewords under the monomial symmetries of f and
+        those scalar generators s of S with w(s*y) = w(y) for every y in S."""
         all_scalars, monomials = self._generators
         _, scaled = table.scaled()
         mos = self.sub.mul_table()
@@ -244,7 +250,8 @@ class Code:
             gens = [(mot[emb[s]], mot[emb[s]]) for s in scalars]
             gens += [([row[u] for row in mot], [row[lam] for row in mot])
                      for u, lam in monomials]
-            self._orbits[scalars] = PairOrbits(self.ring.order, gens)
+            self._orbits[scalars] = PairOrbits(self.ring.add_table(),
+                                               self.kernel, gens)
         return self._orbits[scalars]
 
     def __len__(self):
@@ -262,17 +269,55 @@ class Code:
 
 
 class PairOrbits:
-    """Orbits of the group generated by permutations of pair space, each
-    given as a pair (ga, gb) of permutations of R acting as
-    (alpha, beta) -> (ga[alpha], gb[beta]).  The pair (alpha, beta) has index
-    alpha*|R| + beta; ``labels`` holds each index's orbit, ``reps`` the least
-    pair of each orbit and ``sizes`` the orbit sizes."""
+    """Orbits on the code C = R^2/K of a group acting on pair space.  Each
+    generator is a pair (ga, gb) of permutations of R that maps K into K,
+    acting as (alpha, beta) -> (ga[alpha], gb[beta]).
 
-    def __init__(self, n: int, gens):
-        steps = [([v * n for v in ga], gb) for ga, gb in gens]
-        labels = array("i", [-1]) * (n * n)
+    A codeword is named by the least pair of its K-coset.  Let K_a be the
+    alphas of the pairs in K and K_0 the betas b with (0, b) in K.  The least
+    pair of the coset of (alpha, beta) is (alpha*, beta*): alpha* is the least
+    element of alpha + K_a, and beta* the least of beta' + K_0, where
+    (alpha*, beta') is (alpha, beta) minus a pair of K.  If alpha* is the
+    i-th least element of a coset of K_a and beta* the j-th of K_0, the
+    codeword has index i*nb + j, so indices follow the order of least pairs.
+    ``labels`` holds each codeword's orbit, ``reps`` the least pair of each
+    orbit and ``sizes`` the number of codewords in it."""
+
+    def __init__(self, add, kernel, gens):
+        n = len(add)
+        kset = set(kernel)
+        if any((ga[a], gb[b]) not in kset for ga, gb in gens for a, b in kernel):
+            raise InternalInvariantViolation("a pair-space symmetry does not keep K")
+        # neg_kb[ka] = -kb for one pair (ka, kb) in K
+        neg_kb = {}
+        for ka, kb in kernel:
+            if ka not in neg_kb:
+                neg_kb[ka] = add[kb].index(0)
+        acls, arep, offset = _cosets(add, list(neg_kb))
+        bcls, brep, _ = _cosets(add, [kb for ka, kb in kernel if ka == 0])
+        nb = len(brep)
+        if len(arep) * nb * len(kernel) != n * n:
+            raise InternalInvariantViolation(
+                f"{len(arep)} x {nb} least pairs for {n * n // len(kernel)} codewords")
+        # (arep[i] + ka, beta) has the codeword of (arep[i], beta - kb)
+        delta = [neg_kb[k] for k in offset]
+        # moves[i] holds a pair (a, row) per generator: the image of the
+        # codeword with index i*nb + j has index a + row[j].  Images whose
+        # alpha needs the same shift of beta share a row; with K = {0} there
+        # is one row per generator and a step costs two lookups, as over pairs
+        moves = [[] for _ in arep]
+        for ga, gb in gens:
+            gbr = [gb[b] for b in brep]
+            rows = {}
+            for i, alpha in enumerate(arep):
+                y = ga[alpha]
+                d = delta[y]
+                if d not in rows:
+                    rows[d] = [bcls[add[v][d]] for v in gbr]
+                moves[i].append((acls[y] * nb, rows[d]))
+        labels = array("i", [-1]) * (len(arep) * nb)
         reps, sizes = [], []
-        for start in range(n * n):
+        for start in range(len(labels)):
             if labels[start] >= 0:
                 continue
             label = len(reps)
@@ -280,22 +325,45 @@ class PairOrbits:
             stack = [start]
             size = 0
             while stack:
-                alpha, beta = divmod(stack.pop(), n)
+                i, j = divmod(stack.pop(), nb)
                 size += 1
-                for ga, gb in steps:
-                    q = ga[alpha] + gb[beta]
+                for a, row in moves[i]:
+                    q = a + row[j]
                     if labels[q] < 0:
                         labels[q] = label
                         stack.append(q)
-            reps.append(divmod(start, n))
+            i, j = divmod(start, nb)
+            reps.append((arep[i], brep[j]))
             sizes.append(size)
-        self.n = n
+        self.add = add
+        self.acls = acls
+        self.bcls = bcls
+        self.delta = delta
+        self.nb = nb
         self.labels = labels
         self.reps = reps
         self.sizes = sizes
 
     def label(self, alpha: int, beta: int) -> int:
-        return self.labels[alpha * self.n + beta]
+        """The orbit of the codeword of any pair (alpha, beta)."""
+        return self.labels[self.acls[alpha] * self.nb
+                           + self.bcls[self.add[beta][self.delta[alpha]]]]
+
+
+def _cosets(add, members) -> tuple:
+    """The cosets of the subgroup ``members`` of R, numbered in order of
+    their least elements: each element's coset, each coset's least element,
+    and for each element x the member m with x = least + m."""
+    n = len(add)
+    cls, offset, least = [-1] * n, [0] * n, []
+    for x in range(n):
+        if cls[x] < 0:
+            row = add[x]
+            for m in members:
+                cls[row[m]] = len(least)
+                offset[row[m]] = m
+            least.append(x)
+    return cls, least, offset
 
 
 def _unit_generators(units, one: int, mul, accept) -> list:
@@ -534,7 +602,7 @@ class WeightEnumerator:
 
 
 def orbit_weights(code: Code, table: WeightTable):
-    """(orbits, D, weights): the code's pair orbits for this table and the
+    """(orbits, D, weights): the orbits on the code for this table and the
     weight of each orbit's codeword times the table's common denominator D,
     one codeword per orbit, read through the composed table w o T."""
     if table.ring is not code.sub:
@@ -553,18 +621,12 @@ def orbit_weights(code: Code, table: WeightTable):
 
 
 def weight_enumerator(code: Code, table: WeightTable) -> WeightEnumerator:
-    """Count the pairs of each weight, orbit by orbit, and divide by |K|:
-    every codeword is the codeword of exactly |K| pairs."""
+    """Count the codewords of each weight, orbit by orbit."""
     orbits, den, weights = orbit_weights(code, table)
-    pairs = Counter()
+    counts = Counter()
     for w, size in zip(weights, orbits.sizes):
-        pairs[w] += size
-    k = len(code.kernel)
-    if any(c % k for c in pairs.values()) or sum(pairs.values()) != code.size * k:
-        raise InternalInvariantViolation(
-            f"pair counts per weight {sorted(pairs.values())} do not split into "
-            f"{code.size} codewords of {k} pairs each")
-    return WeightEnumerator({Fraction(t, den): c // k for t, c in pairs.items()},
+        counts[w] += size
+    return WeightEnumerator({Fraction(t, den): c for t, c in counts.items()},
                             gamma=table.gamma, kind=table.kind)
 
 

@@ -19,8 +19,8 @@ class CodeGraph:
 
     ``connection`` holds D as provenance pairs, and ``member[a][b]`` is 1 iff
     the codeword of the pair (a, b) is in D.  The degree is |D|.  ``orbits``
-    are the pair orbits of the symmetries that keep the graph's weights, and
-    so keep D."""
+    are the orbits on the codewords of the symmetries that keep the graph's
+    weights, and so keep D."""
 
     def __init__(self, code: Code, w1, connection, member, orbits: PairOrbits):
         self.code = code

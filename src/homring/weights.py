@@ -141,9 +141,10 @@ def validate_weight(wt: WeightTable) -> dict:
                     "axiom": "orbit-constant", "x": gens[0], "y": y,
                     "wx": str(base), "wy": str(wt.values[y]),
                 })
+    totals = {n: sum((wt.values[y] for y in n), Fraction(0)) for n in classes}
     for x in range(1, ring.order):
         n = cls_of[x]
-        total = sum((wt.values[y] for y in n), Fraction(0))
+        total = totals[n]
         expected = wt.gamma * len(n)
         if total != expected:
             violations.append({

@@ -139,6 +139,102 @@ def test_validate_trace_reports_failures_in_order():
     assert "a" in rep2.failures[0]["witness"]
 
 
+def _validate_trace_by_scan(ring, sub, embedding, values):
+    """The three trace conditions checked on every pair a <= b and every
+    (s, a), reported like ``validate_trace``: the oracle for its checks on
+    additive generators."""
+    n = ring.order
+    aot, mot = ring.add_table(), ring.mul_table()
+    aos, mos = sub.add_table(), sub.mul_table()
+    failures = []
+    witness = None
+    for a in range(n):
+        for b in range(a, n):
+            if witness is None and values[aot[a][b]] != aos[values[a]][values[b]]:
+                witness = {"kind": "additive", "a": a, "b": b}
+    for s in range(sub.order):
+        for a in range(n):
+            if witness is None and values[mot[embedding.table[s]][a]] != mos[s][values[a]]:
+                witness = {"kind": "scalar", "s": s, "a": a}
+    if witness is not None:
+        failures.append({"code": "NotLinear", "witness": witness})
+    bad = next((x for x in range(1, n)
+                if all(values[rx] == 0 for rx in mot[x])), None)
+    if bad is not None:
+        failures.append({"code": "KernelContainsIdeal",
+                         "witness": {"ideal_generator": bad}})
+    missing = next((s for s in range(sub.order) if s not in values), None)
+    if missing is not None:
+        failures.append({"code": "NotSurjective", "witness": {"missing": missing}})
+    return {"valid": not failures, "failures": failures}
+
+
+def _frobenius_of(ring):
+    return named_automorphism(ring, "frobenius").perm
+
+
+# (R, S, table): traces, and additive maps that are not S-linear
+TRACE_BASES = [
+    ("GR:2,2,2", "Zm:4", lambda R, S: galois_trace(R, S).values),
+    ("GR:2,1,3", "Zm:2", lambda R, S: galois_trace(R, S).values),
+    ("GR:3,2,2", "Zm:9", lambda R, S: galois_trace(R, S).values),
+    ("GR:2,1,4", "GR:2,1,2", lambda R, S: galois_trace(R, S).values),
+    ("FXY:2", "Zm:2", lambda R, S: fxy_sum_trace(R, S).values),
+    ("Z4X", "Zm:4", lambda R, S: z4x_trace(R, S, 0, 1).values),
+    ("Zm:12", "Zm:12", lambda R, S: tuple(range(12))),
+    ("GR:2,1,3", "GR:2,1,3", lambda R, S: _frobenius_of(R)),
+    ("GR:2,2,2", "GR:2,2,2", lambda R, S: _frobenius_of(R)),
+    ("FXY:2", "FXY:2", lambda R, S: named_automorphism(R, "swap-xy").perm),
+    ("GR:2,1,4", "GR:2,1,2",
+     lambda R, S: tuple(_frobenius_of(S)[v] for v in galois_trace(R, S).values)),
+]
+
+
+@st.composite
+def _perturbed_traces(draw):
+    ring_spec, sub_spec, base = draw(st.sampled_from(TRACE_BASES))
+    R = ring_from_spec(ring_spec)
+    S = R if sub_spec == ring_spec else ring_from_spec(sub_spec)
+    values = list(base(R, S))
+    kind = draw(st.sampled_from(["points", "cosets", "scale"]))
+    if kind == "points":
+        for _ in range(draw(st.integers(0, 3))):
+            values[draw(st.integers(0, R.order - 1))] = draw(st.integers(0, S.order - 1))
+    elif kind == "cosets":
+        # add c on some cosets of <g> other than <g> itself: T(x + g) =
+        # T(x) + T(g) still holds for the first generator g, not for all
+        aot = R.add_table()
+        g = R._additive_span()[0][0]
+        c = draw(st.integers(1, S.order - 1))
+        shifted = set()
+        for x in range(R.order):
+            if x in shifted or not draw(st.booleans()):
+                continue
+            y = x
+            while y not in shifted:
+                shifted.add(y)
+                y = aot[y][g]
+        line, y = set(), 0
+        while y not in line:
+            line.add(y)
+            y = aot[y][g]
+        for x in shifted - line:
+            values[x] = S.add(values[x], c)
+    else:
+        s = draw(st.integers(0, S.order - 1))
+        values = [S.mul(s, v) for v in values]
+    return R, S, tuple(values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_perturbed_traces())
+def test_generator_checks_refuse_exactly_when_the_full_scan_does(case):
+    R, S, values = case
+    emb = subring_embedding(S, R)
+    assert validate_trace(R, S, emb, values).to_dict() == \
+        _validate_trace_by_scan(R, S, emb, values)
+
+
 def test_invalid_trace_raises_with_primary():
     R = ring_from_spec("Zm:4")
     with pytest.raises(ValidationFailed) as err:

@@ -1,7 +1,10 @@
 """End-to-end CLI behavior: reports, determinism, exit codes."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -307,3 +310,15 @@ def test_graph_job_sweeps_the_pairs_once(capsys, monkeypatch):
 def test_explicit_budget_flag(capsys):
     code, _, err = run(capsys, ANALYZE + ["--budget", "10"])
     assert code == 8
+
+
+def test_cli_import_leaves_out_dataclasses_inspect_and_csv():
+    # -S keeps site's own imports out of sys.modules
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys, homring.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

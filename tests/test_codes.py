@@ -8,16 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homring.codes import (WeightEnumerator, _is_monomial, build_code,
-                           closed_form_enumerator, closed_form_spectrum,
+from homring.codes import (PairOrbits, WeightEnumerator, _is_monomial,
+                           build_code, closed_form_enumerator, closed_form_spectrum,
                            code_spectrum, frank_map, function_from_spec,
                            monomial_symmetries, orbit_weights, pair_codewords,
                            power_map, random_teich_permutation,
                            sigma_quadratic_map, table_map, transform_W,
                            weight_enumerator, zp_power_enumerator)
 from homring.cyclotomic import Cyclotomic
-from homring.errors import (InvalidParameter, OutOfRange, ParseError,
-                            UnknownPreset, ValidationFailed, WrongRingFamily)
+from homring.errors import (InternalInvariantViolation, InvalidParameter,
+                            OutOfRange, ParseError, UnknownPreset,
+                            ValidationFailed, WrongRingFamily)
 from homring.rings import named_automorphism, ring_from_spec, z4x_conjugation
 from homring.traces import (canonical_character, fxy_sum_trace, galois_trace,
                             identity_trace, table_trace, trace_from_spec)
@@ -308,9 +309,25 @@ def _table_code(ring_spec, values):
     return build_code(R, R, identity_trace(R), table_map(R, values))
 
 
+# codes with |K| > 1: K_a = {alpha : (alpha, beta) in K} and
+# K_0 = {beta : (0, beta) in K} nontrivial apart and together
+KERNEL_CASES = [
+    ("Zm:10", "Zm:10", "identity", "pow:3"),          # K_a = {0, 5}
+    ("Zm:14", "Zm:14", "identity", "pow:5"),
+    ("Zm:12", "Zm:12", "identity", "pow:1"),          # K_a = R
+    ("GR:2,2,2", "GR:2,2,2", "identity", "pow:1"),
+    ("GR:2,2,2", "Zm:4", "galois", "frank:id"),       # K_0 = 2R
+    ("GR:2,2,2", "Zm:4", "galois", "frank:rand:3"),
+    ("FXY:2", "Zm:2", "fxy-sum", "sigmaquad:swapxy"),  # both
+    ("Z4X", "Zm:4", "z4x:0,1", "pow:2"),
+]
+
+
 @st.composite
 def _orbit_codes(draw):
-    kind = draw(st.sampled_from(["pow", "named", "table"]))
+    kind = draw(st.sampled_from(["pow", "named", "kernel", "table"]))
+    if kind == "kernel":
+        return _orbit_case(draw(st.sampled_from(KERNEL_CASES)))
     if kind == "pow":
         m, d = draw(st.integers(2, 30)), draw(st.integers(1, 8))
         return _orbit_case((f"Zm:{m}", f"Zm:{m}", "identity", f"pow:{d}"))
@@ -338,6 +355,42 @@ def test_orbit_enumerator_equals_codeword_sum(code, hamming, gamma):
     _, scaled = table.scaled()
     for alpha, beta, cw in pair_codewords(code.ring, code.trace, code.func):
         assert sum(scaled[s] for s in cw) == weights[orbits.label(alpha, beta)]
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_orbits_label_each_codeword_by_the_least_pair_of_its_coset(case):
+    code = _orbit_case(case)
+    assert len(code.kernel) > 1
+    pairs_of = {}
+    for alpha, beta, cw in pair_codewords(code.ring, code.trace, code.func):
+        pairs_of.setdefault(cw, []).append((alpha, beta))
+    for table in (hom_weight(code.sub, 1), hamming_table(code.sub, 1)):
+        orbits = code.orbits(table)
+        assert len(orbits.labels) == sum(orbits.sizes) == code.size
+        # label is constant on every K-coset, the pairs of one codeword
+        label_of = {}
+        for cw, pairs in pairs_of.items():
+            labels = {orbits.label(*pair) for pair in pairs}
+            assert len(labels) == 1, (cw, labels)
+            label_of[cw] = labels.pop()
+        assert Counter(label_of.values()) == Counter(dict(enumerate(orbits.sizes)))
+        # each rep is the least pair of its coset and of its orbit
+        for label, rep in enumerate(orbits.reps):
+            cw = next(cw for cw, pairs in pairs_of.items() if rep in pairs)
+            assert rep == min(pairs_of[cw]) == code.provenance[cw]
+            assert rep == min(min(pairs) for c, pairs in pairs_of.items()
+                              if label_of[c] == label)
+
+
+def test_pair_orbits_refuse_a_symmetry_or_kernel_that_does_not_fit():
+    code = _orbit_case(("Zm:10", "Zm:10", "identity", "pow:3"))
+    add = code.ring.add_table()
+    ident = list(range(10))
+    assert sum(PairOrbits(add, code.kernel, [(ident, ident)]).sizes) == 50
+    with pytest.raises(InternalInvariantViolation, match="does not keep K"):
+        PairOrbits(add, code.kernel, [(ident, add[1])])  # beta -> beta + 1
+    with pytest.raises(InternalInvariantViolation, match="least pairs"):
+        PairOrbits(add, code.kernel + ((1, 1),), [])     # not a subgroup
 
 
 def _table_functions():

@@ -84,6 +84,44 @@ def test_validate_weight_reports_a_tampered_value():
     assert any(v["axiom"] == "zero" for v in validate_weight(wt3)["violations"])
 
 
+def _validate_weight_class_by_class(wt):
+    """``validate_weight`` with the sum over Rx made afresh for every x:
+    the oracle for its one sum per cyclic submodule."""
+    R = wt.ring
+    mul = R.mul_table()
+    violations = []
+    if wt.values[0] != 0:
+        violations.append({"axiom": "zero", "x": 0, "value": str(wt.values[0])})
+    classes = {}
+    for x in range(R.order):
+        classes.setdefault(frozenset(mul[r][x] for r in range(R.order)), []).append(x)
+    for n, gens in sorted(classes.items(), key=lambda kv: sorted(kv[0])):
+        for y in gens[1:]:
+            if wt.values[y] != wt.values[gens[0]]:
+                violations.append({
+                    "axiom": "orbit-constant", "x": gens[0], "y": y,
+                    "wx": str(wt.values[gens[0]]), "wy": str(wt.values[y])})
+    for x in range(1, R.order):
+        n = set(mul[x])
+        total = sum((wt.values[y] for y in n), F(0))
+        if total != wt.gamma * len(n):
+            violations.append({"axiom": "orbit-sum", "x": x, "sum": str(total),
+                               "expected": str(wt.gamma * len(n))})
+    return {"valid": not violations, "violations": violations}
+
+
+@given(st.sampled_from(RINGS), st.sampled_from([F(1), F(1, 2)]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_validate_weight_equals_the_per_element_sums(spec, gamma, data):
+    R = ring_from_spec(spec)
+    values = list(hom_weight(R, gamma).values)
+    for _ in range(data.draw(st.integers(0, 3))):
+        x = data.draw(st.integers(0, R.order - 1))
+        values[x] += data.draw(st.fractions(-2, 2, max_denominator=4))
+    wt = WeightTable(R, gamma, values)
+    assert validate_weight(wt) == _validate_weight_class_by_class(wt)
+
+
 def test_hom_weight_refuses_a_table_the_axiomatic_route_contradicts(monkeypatch):
     R = IntegerModRing(12)  # a fresh ring: no weight table is cached yet
     assert not any(isinstance(k, tuple) and k[0] == "hom_weight" for k in R._cache)

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homring.codes import (frank_map, power_map, random_teich_permutation,
+                           sigma_quadratic_map)
 from homring.errors import (BadPermutation, InvalidParameter, InvalidRing,
                             NotLocal, ParseError, UnknownPreset)
 from homring.rings import (GaloisRing, Ideal, IntegerModRing, TableRing,
@@ -317,6 +319,33 @@ def test_frobenius_and_galois_trace_equal_the_digit_route(spec):
     S = make_integer_ring(R.pn)
     emb = galois_trace(R, S).embedding
     assert [emb(v) for v in galois_trace(R, S).values] == trace
+
+
+@pytest.mark.parametrize("spec", SETUP_GRID)
+def test_code_functions_equal_the_slow_operations(spec):
+    R = ring_from_spec(spec)
+    n = R.order
+    for d in (1, 2, 3, 5, n + 1):
+        assert power_map(R, d).table == tuple(R.pow(x, d) for x in range(n))
+    if isinstance(R, GaloisRing) and R.n == 2:
+        t = R.teichmuller()
+        p = R.element_from_int(R.p)
+        for f in (frank_map(R), frank_map(R, random_teich_permutation(R, 5))):
+            slow = []
+            for x in range(n):
+                x0, x1 = R.padic_digits(x)
+                x0p = t.elements[f.perm[t.index_of[x0]]]
+                slow.append(R.mul(p, R.mul(x0p, x1)))
+            assert f.table == tuple(slow)
+    if isinstance(R, GaloisRing) or getattr(R, "preset", None) == "fxy":
+        sigma = named_automorphism(
+            R, "frobenius" if isinstance(R, GaloisRing) else "swap-xy")
+        nu = R.teichmuller().nu
+        slow = []
+        for a in range(n):
+            am = R.sub(a, nu[a])
+            slow.append(R.sub(R.mul(sigma(a), a), R.mul(sigma(am), am)))
+        assert sigma_quadratic_map(R, sigma).table == tuple(slow)
 
 
 def _coordinate_tables(n, add, mul):
