@@ -292,33 +292,36 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="homring")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_job_flags(p, with_format_default=None):
-        p.add_argument("--config", help="path to a key=value config file")
-        p.add_argument("--ring")
-        p.add_argument("--subring")
-        p.add_argument("--trace")
-        p.add_argument("--f", dest="f")
-        p.add_argument("--gamma")
-        p.add_argument("--weight", choices=("homogeneous", "hamming"))
-        p.add_argument("--format", choices=("json", "csv"))
-        p.add_argument("--budget", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--timing", action="store_true")
-        p.set_defaults(default_format=with_format_default or "json")
+    # the flags every job leaf takes, added once and shared as a parent
+    job = argparse.ArgumentParser(add_help=False)
+    job.add_argument("--config", help="path to a key=value config file")
+    job.add_argument("--ring")
+    job.add_argument("--subring")
+    job.add_argument("--trace")
+    job.add_argument("--f", dest="f")
+    job.add_argument("--gamma")
+    job.add_argument("--weight", choices=("homogeneous", "hamming"))
+    job.add_argument("--format", choices=("json", "csv"))
+    job.add_argument("--budget", type=int)
+    job.add_argument("--seed", type=int)
+    job.add_argument("--timing", action="store_true")
+    job.set_defaults(default_format="json")
+    jobs = [job]
 
     ring_p = sub.add_parser("ring").add_subparsers(dest="action", required=True)
-    add_job_flags(ring_p.add_parser("info"))
+    ring_p.add_parser("info", parents=jobs)
 
     trace_p = sub.add_parser("trace").add_subparsers(dest="action", required=True)
-    add_job_flags(trace_p.add_parser("list"))
-    add_job_flags(trace_p.add_parser("check"))
+    trace_p.add_parser("list", parents=jobs)
+    trace_p.add_parser("check", parents=jobs)
 
     weight_p = sub.add_parser("weight").add_subparsers(dest="action", required=True)
-    add_job_flags(weight_p.add_parser("table", help=None), "csv")
+    weight_p.add_parser("table", help=None, parents=jobs).set_defaults(
+        default_format="csv")
 
     code_p = sub.add_parser("code").add_subparsers(dest="action", required=True)
-    add_job_flags(code_p.add_parser("analyze"))
-    add_job_flags(code_p.add_parser("graph"))
+    code_p.add_parser("analyze", parents=jobs)
+    code_p.add_parser("graph", parents=jobs)
 
     verify_p = sub.add_parser("verify").add_subparsers(dest="action", required=True)
     vp = verify_p.add_parser("paper")

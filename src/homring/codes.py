@@ -21,7 +21,6 @@ solve when it is built (see ``weights.hom_weight``).
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
@@ -119,13 +118,12 @@ def frank_map(ring: Ring, perm=None, tag: str | None = None) -> CodeFunction:
     perm = permutation_of_teichmuller(ring, perm)
     if tag is None:
         tag = "frank:" + ",".join(str(i) for i in perm)
-    mot = ring.mul_table()
+    mot, sot = ring.mul_table(), ring.sub_table()
     p_row = mot[ring.element_from_int(ring.p)]
-    table = []
-    for x in range(ring.order):
-        x0, x1 = ring.padic_digits(x)
-        x0p = t.elements[perm[t.index_of[x0]]]
-        table.append(p_row[mot[x0p][x1]])
+    # x0 = nu(x), and x - x0 = p*x1 for one Teichmueller x1
+    x1_of = {p_row[e]: e for e in t.elements}
+    pi = {e: t.elements[perm[i]] for i, e in enumerate(t.elements)}
+    table = [p_row[mot[pi[x0]][x1_of[sot[x][x0]]]] for x, x0 in enumerate(t.nu)]
     return CodeFunction(ring, "frank", table, tag, perm=perm)
 
 
@@ -236,23 +234,25 @@ class Code:
     def _generators(self) -> tuple:
         return _scalar_generators(self.sub), monomial_symmetries(self.func)
 
-    def orbits(self, table: WeightTable) -> PairOrbits:
-        """Orbits on the codewords under the monomial symmetries of f and
-        those scalar generators s of S with w(s*y) = w(y) for every y in S."""
+    def _pair_generators(self, table: WeightTable) -> tuple:
+        """The unit multiplier pairs the orbits for this table act by: (s, s)
+        for the scalar generators s of S with w(s*y) = w(y) for every y in S,
+        and (u, lam) for the monomial symmetries of f."""
         all_scalars, monomials = self._generators
         _, scaled = table.scaled()
         mos = self.sub.mul_table()
-        scalars = tuple(s for s in all_scalars
-                        if all(scaled[v] == scaled[y] for y, v in enumerate(mos[s])))
-        if scalars not in self._orbits:
-            mot = self.ring.mul_table()
-            emb = self.trace.embedding.table
-            gens = [(mot[emb[s]], mot[emb[s]]) for s in scalars]
-            gens += [([row[u] for row in mot], [row[lam] for row in mot])
-                     for u, lam in monomials]
-            self._orbits[scalars] = PairOrbits(self.ring.add_table(),
-                                               self.kernel, gens)
-        return self._orbits[scalars]
+        emb = self.trace.embedding.table
+        return tuple([(emb[s], emb[s]) for s in all_scalars
+                      if all(scaled[v] == scaled[y] for y, v in enumerate(mos[s]))]
+                     + monomials)
+
+    def orbits(self, table: WeightTable) -> PairOrbits:
+        """Orbits on the codewords under the pair generators for this table,
+        found once per group."""
+        gens = self._pair_generators(table)
+        if gens not in self._orbits:
+            self._orbits[gens] = PairOrbits(self.ring, self.kernel, gens)
+        return self._orbits[gens]
 
     def __len__(self):
         return self.size
@@ -270,24 +270,32 @@ class Code:
 
 class PairOrbits:
     """Orbits on the code C = R^2/K of a group acting on pair space.  Each
-    generator is a pair (ga, gb) of permutations of R that maps K into K,
-    acting as (alpha, beta) -> (ga[alpha], gb[beta]).
+    generator is a pair (a, b) of units of R that maps K into K, acting as
+    (alpha, beta) -> (alpha*a, beta*b); the group's elements are such pairs
+    too, multiplied entrywise.
 
     A codeword is named by the least pair of its K-coset.  Let K_a be the
     alphas of the pairs in K and K_0 the betas b with (0, b) in K.  The least
     pair of the coset of (alpha, beta) is (alpha*, beta*): alpha* is the least
     element of alpha + K_a, and beta* the least of beta' + K_0, where
-    (alpha*, beta') is (alpha, beta) minus a pair of K.  If alpha* is the
-    i-th least element of a coset of K_a and beta* the j-th of K_0, the
-    codeword has index i*nb + j, so indices follow the order of least pairs.
-    ``labels`` holds each codeword's orbit, ``reps`` the least pair of each
-    orbit and ``sizes`` the number of codewords in it."""
+    (alpha*, beta') is (alpha, beta) minus a pair of K.  So the codewords
+    over the alpha-class i (a coset of K_a, numbered by least element) form
+    a fiber, one point per coset j of K_0.
 
-    def __init__(self, add, kernel, gens):
-        n = len(add)
+    The group permutes the alpha-classes.  In each class orbit the least
+    class h is the head, and a transversal t_i carries h to each class i of
+    the orbit.  The codeword orbits over this class orbit are the orbits on
+    h's fiber of the stabilizer of h, which the Schreier elements
+    t_(g.i)^-1 * g * t_i generate (g a generator), so only head fibers are
+    walked.  Orbits are numbered by their least pair; ``reps`` holds it and
+    ``sizes`` the number of codewords in each orbit."""
+
+    def __init__(self, ring: Ring, kernel, gens):
+        add, mul, one = ring.add_table(), ring.mul_table(), ring.one
         kset = set(kernel)
-        if any((ga[a], gb[b]) not in kset for ga, gb in gens for a, b in kernel):
+        if any((mul[ka][a], mul[kb][b]) not in kset for a, b in gens for ka, kb in kernel):
             raise InternalInvariantViolation("a pair-space symmetry does not keep K")
+        n = len(add)
         # neg_kb[ka] = -kb for one pair (ka, kb) in K
         neg_kb = {}
         for ka, kb in kernel:
@@ -301,53 +309,75 @@ class PairOrbits:
                 f"{len(arep)} x {nb} least pairs for {n * n // len(kernel)} codewords")
         # (arep[i] + ka, beta) has the codeword of (arep[i], beta - kb)
         delta = [neg_kb[k] for k in offset]
-        # moves[i] holds a pair (a, row) per generator: the image of the
-        # codeword with index i*nb + j has index a + row[j].  Images whose
-        # alpha needs the same shift of beta share a row; with K = {0} there
-        # is one row per generator and a step costs two lookups, as over pairs
-        moves = [[] for _ in arep]
-        for ga, gb in gens:
-            gbr = [gb[b] for b in brep]
-            rows = {}
-            for i, alpha in enumerate(arep):
-                y = ga[alpha]
-                d = delta[y]
-                if d not in rows:
-                    rows[d] = [bcls[add[v][d]] for v in gbr]
-                moves[i].append((acls[y] * nb, rows[d]))
-        labels = array("i", [-1]) * (len(arep) * nb)
-        reps, sizes = [], []
-        for start in range(len(labels)):
-            if labels[start] >= 0:
+        inv = [(mul[a].index(one), mul[b].index(one)) for a, b in gens]
+        # per alpha-class: the slot of its head's fiber table, t_i and t_i^-1
+        head = [-1] * len(arep)
+        trans = [None] * len(arep)
+        tinv = [None] * len(arep)
+        fibers, reps, sizes = [], [], []
+        for h in range(len(arep)):
+            if head[h] >= 0:
                 continue
-            label = len(reps)
-            labels[start] = label
-            stack = [start]
-            size = 0
-            while stack:
-                i, j = divmod(stack.pop(), nb)
-                size += 1
-                for a, row in moves[i]:
-                    q = a + row[j]
-                    if labels[q] < 0:
-                        labels[q] = label
-                        stack.append(q)
-            i, j = divmod(start, nb)
-            reps.append((arep[i], brep[j]))
-            sizes.append(size)
+            slot = len(fibers)
+            head[h], trans[h], tinv[h] = slot, (one, one), (one, one)
+            orbit = [h]
+            stab = set()
+            for i in orbit:
+                (ta, tb), (sa, sb) = trans[i], tinv[i]
+                for (a, b), (ia, ib) in zip(gens, inv):
+                    k = acls[mul[arep[i]][a]]
+                    if head[k] < 0:
+                        head[k] = slot
+                        trans[k] = (mul[ta][a], mul[tb][b])
+                        tinv[k] = (mul[ia][sa], mul[ib][sb])
+                        orbit.append(k)
+                    else:
+                        ka, kb = tinv[k]
+                        stab.add((mul[mul[ta][a]][ka], mul[mul[tb][b]][kb]))
+            stab.discard((one, one))
+            # each stabilizer element as a permutation of h's fiber
+            ah = arep[h]
+            moves = []
+            for a, b in stab:
+                d = delta[mul[ah][a]]
+                moves.append([bcls[add[mul[y][b]][d]] for y in brep])
+            labels = [-1] * nb
+            for start in range(nb):
+                if labels[start] >= 0:
+                    continue
+                label = len(reps)
+                labels[start] = label
+                stack = [start]
+                size = 0
+                while stack:
+                    j = stack.pop()
+                    size += 1
+                    for row in moves:
+                        q = row[j]
+                        if labels[q] < 0:
+                            labels[q] = label
+                            stack.append(q)
+                reps.append((ah, brep[start]))
+                sizes.append(size * len(orbit))
+            fibers.append(labels)
         self.add = add
+        self.mul = mul
         self.acls = acls
         self.bcls = bcls
         self.delta = delta
-        self.nb = nb
-        self.labels = labels
+        self.head = head
+        self.tinv = tinv
+        self.fibers = fibers
         self.reps = reps
         self.sizes = sizes
 
     def label(self, alpha: int, beta: int) -> int:
-        """The orbit of the codeword of any pair (alpha, beta)."""
-        return self.labels[self.acls[alpha] * self.nb
-                           + self.bcls[self.add[beta][self.delta[alpha]]]]
+        """The orbit of the codeword of any pair (alpha, beta): carried back
+        by t_i^-1 into its head's fiber, i the alpha-class of alpha."""
+        i = self.acls[alpha]
+        a, b = self.tinv[i]
+        alpha, beta = self.mul[alpha][a], self.mul[beta][b]
+        return self.fibers[self.head[i]][self.bcls[self.add[beta][self.delta[alpha]]]]
 
 
 def _cosets(add, members) -> tuple:
@@ -410,11 +440,13 @@ def monomial_symmetries(f: CodeFunction) -> list:
     ft = f.table
     units = ring.units()
     x0 = next((x for x, v in enumerate(ft) if v), 0)
+    lams_of = {}  # lam*f(x0) -> the units lam giving it, in order
+    for lam in units:
+        lams_of.setdefault(mot[lam][ft[x0]], []).append(lam)
 
     def accept(u):
-        target = ft[mot[u][x0]]
-        for lam in units:
-            if mot[lam][ft[x0]] == target and _is_monomial(f, u, lam):
+        for lam in lams_of.get(ft[mot[u][x0]], ()):
+            if _is_monomial(f, u, lam):
                 return (u, lam)
         return None
 
@@ -459,24 +491,34 @@ def build_code(ring: Ring, sub: Ring, trace: TraceMap, f: CodeFunction,
 
 
 def code_kernel(ring: Ring, trace: TraceMap, f: CodeFunction) -> tuple:
-    """The pairs (alpha, beta) whose codeword is zero, beta-major.  For each
-    beta the candidate alphas are filtered one coordinate at a time, and most
-    leave at x = 1, so this costs about |R|^2 lookups, not |R|^3."""
+    """The pairs (alpha, beta) whose codeword is zero, beta-major.
+
+    x -> T(alpha*x) is additive, so its values on the additive generators g
+    of R fix it: alphas with the same key (T(alpha*g))_g give the same map.
+    The pair (alpha, beta) is in K when that map is x -> -T(beta*f(x)), so
+    each beta looks up the alphas keyed by (T(beta*(-f(g))))_g and confirms
+    one of them on every x, stopping at the first x that fails: |R|*g
+    lookups plus the confirmations."""
     mot = ring.mul_table()
     aot = ring.add_table()
     tr = trace.values
     ft = f.table
     n = ring.order
+    gens = ring._additive_span()[0]
+    alphas_of = {}
+    for alpha in range(n):
+        row = mot[alpha]
+        alphas_of.setdefault(tuple([tr[row[g]] for g in gens]), []).append(alpha)
+    neg_fg = [aot[ft[g]].index(0) for g in gens]
     kernel = []
     for beta in range(n):
         brow = mot[beta]
-        alphas = range(n)
-        for x in range(n):
-            bfx = brow[ft[x]]
-            alphas = [a for a in alphas if not tr[aot[mot[a][x]][bfx]]]
-            if not alphas:
-                break
-        kernel.extend((alpha, beta) for alpha in alphas)
+        alphas = alphas_of.get(tuple([tr[brow[v]] for v in neg_fg]))
+        if alphas is None:
+            continue
+        arow = mot[alphas[0]]
+        if not any(tr[aot[arow[x]][brow[v]]] for x, v in enumerate(ft)):
+            kernel.extend((alpha, beta) for alpha in alphas)
     return tuple(kernel)
 
 

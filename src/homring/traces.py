@@ -9,9 +9,8 @@ with a witness.
 
 ``enumerate_trace_maps`` finds every valid map by brute force over S-module
 homomorphisms: pick a greedy S-generating set of R, try all value assignments
-on the generators, extend each assignment by closing the graph subgroup of
-R x S generated by the scaled pairs, and discard assignments whose closure is
-not a function.
+on the generators, extend each assignment along one spanning tree of R, and
+keep the tables that pass the trace checks.
 
 Characters are stored as exponent maps into Z_m (m the characteristic); their
 unit sums are reduced exactly in a cyclotomic field, never through floats.
@@ -173,45 +172,52 @@ class TraceReport:
 
 def validate_trace(ring: Ring, sub: Ring, embedding: SubringEmbedding,
                    values) -> TraceReport:
-    """Check the three trace conditions, without raising.
-
-    T is additive when T(x + g) = T(x) + T(g) for every x and each additive
-    generator g of R, and then S-linear when T(s*x) = s*T(x) for every x
-    and each additive generator s of S: in both checks the elements that
-    pass are closed under +.  That is |R|*g cells, not |R|^2.  When either
+    """Check the three trace conditions, without raising.  When linearity
     fails, a full scan names the first witness."""
     values = tuple(values)
-    n = ring.order
-    aot, mot = ring.add_table(), ring.mul_table()
-    aos, mos = sub.add_table(), sub.mul_table()
     failures = []
-
-    def image(row):  # T(row[x]) for each x
-        return list(map(values.__getitem__, row))
-
-    additive = all(image(aot[g]) == [aos[values[g]][v] for v in values]
-                   for g in ring._additive_span()[0])
-    linear = additive and all(image(mot[embedding.table[s]]) == [mos[s][v] for v in values]
-                              for s in sub._additive_span()[0])
-    if not linear:
+    if not _is_linear(ring, sub, embedding, values):
         failures.append({"code": "NotLinear",
                          "witness": _linearity_witness(ring, sub, embedding, values)})
-
-    bad = None
-    for x in range(1, n):
-        if values[x] == 0 and all(values[rx] == 0 for rx in mot[x]):
-            bad = x
-            break
+    bad = _ideal_in_kernel(ring, values)
     if bad is not None:
         failures.append({"code": "KernelContainsIdeal",
                          "witness": {"ideal_generator": bad}})
-
-    seen = set(values)
-    missing = next((s for s in range(sub.order) if s not in seen), None)
+    missing = _missing_value(sub, values)
     if missing is not None:
         failures.append({"code": "NotSurjective", "witness": {"missing": missing}})
-
     return TraceReport(not failures, failures)
+
+
+def _is_linear(ring: Ring, sub: Ring, embedding: SubringEmbedding, values) -> bool:
+    """Whether T is S-linear.  T is additive when T(x + g) = T(x) + T(g) for
+    every x and each additive generator g of R, and then S-linear when
+    T(s*x) = s*T(x) for every x and each additive generator s of S: in both
+    checks the elements that pass are closed under +.  That is |R|*g cells,
+    not |R|^2."""
+    aot, mot = ring.add_table(), ring.mul_table()
+    aos, mos = sub.add_table(), sub.mul_table()
+
+    def image(row, table=values):  # table[row[x]] for each x
+        return list(map(table.__getitem__, row))
+
+    return (all(image(aot[g]) == image(values, aos[values[g]])
+                for g in ring._additive_span()[0])
+            and all(image(mot[embedding.table[s]]) == image(values, mos[s])
+                    for s in sub._additive_span()[0]))
+
+
+def _ideal_in_kernel(ring: Ring, values):
+    """The first x != 0 whose ideal x*R T sends to 0, or None."""
+    mot = ring.mul_table()
+    return next((x for x in range(1, ring.order)
+                 if values[x] == 0 and not any(map(values.__getitem__, mot[x]))), None)
+
+
+def _missing_value(sub: Ring, values):
+    """The first element of S that T misses, or None."""
+    seen = set(values)
+    return next((s for s in range(sub.order) if s not in seen), None)
 
 
 def _linearity_witness(ring: Ring, sub: Ring, embedding: SubringEmbedding,
@@ -237,10 +243,11 @@ def _linearity_witness(ring: Ring, sub: Ring, embedding: SubringEmbedding,
 
 class TraceMap:
     """A validated trace map; construction raises ValidationFailed on any
-    violated condition."""
+    violated condition.  A caller that has already checked these values
+    passes its passing ``report``, and they are not checked again."""
 
     def __init__(self, ring: Ring, sub: Ring, embedding: SubringEmbedding,
-                 values, tag: str = "table"):
+                 values, tag: str = "table", report: TraceReport | None = None):
         values = tuple(values)
         if len(values) != ring.order:
             raise InvalidParameter(
@@ -248,7 +255,8 @@ class TraceMap:
             )
         if any(not (0 <= v < sub.order) for v in values):
             raise InvalidParameter("trace table value out of range for S")
-        report = validate_trace(ring, sub, embedding, values)
+        if report is None:
+            report = validate_trace(ring, sub, embedding, values)
         if not report.ok:
             raise ValidationFailed(
                 report.primary,
@@ -419,82 +427,70 @@ def trace_from_spec(ring: Ring, sub: Ring, spec: str) -> TraceMap:
 # ---------------------------------------------------------------------------
 
 
-def _span(ring: Ring, sub: Ring, emb: SubringEmbedding, gens) -> set:
-    mot = ring.mul_table()
-    aot = ring.add_table()
-    scaled = {0}
-    for g in gens:
-        for s in range(sub.order):
-            scaled.add(mot[emb.table[s]][g])
-    span = {0}
-    queue = [0]
-    while queue:
-        x = queue.pop()
-        row = aot[x]
-        for d in scaled:
-            y = row[d]
-            if y not in span:
-                span.add(y)
-                queue.append(y)
-    return span
+def _module_tree(ring: Ring, sub: Ring, emb: SubringEmbedding) -> tuple:
+    """Greedy generators of R as an S-module, and a spanning tree of R.
+
+    Each generator is the least element outside the S-span of those before
+    it.  The tree's steps (y, x, i, s), y = x + s*gens[i], come in the order
+    the elements are first reached, so each x is 0 or an earlier y."""
+    mot, aot = ring.mul_table(), ring.add_table()
+    n = ring.order
+    gens, moves, steps = [], [], []
+    seen = bytearray(n)
+    seen[0] = 1
+    reached = [0]
+    for cand in range(n):
+        if seen[cand]:
+            continue
+        moves += [(len(gens), s, mot[emb.table[s]][cand]) for s in range(sub.order)]
+        gens.append(cand)
+        k = 0
+        while k < len(reached):
+            x = reached[k]
+            row = aot[x]
+            for i, s, d in moves:
+                y = row[d]
+                if not seen[y]:
+                    seen[y] = 1
+                    reached.append(y)
+                    steps.append((y, x, i, s))
+            k += 1
+    return gens, steps
 
 
 def enumerate_trace_maps(ring: Ring, sub: Ring, budget: int = None) -> list:
-    """All valid trace maps R -> S, deduplicated and ordered by value table."""
+    """All valid trace maps R -> S, deduplicated and ordered by value table.
+
+    Each assignment of values to the S-module generators of R is extended
+    along one spanning tree, T(x + s*g_i) = T(x) + s*v_i, at |R| lookups, and
+    the table is kept when it passes the three trace checks (without the
+    witness scan of a refusal)."""
     cap = budget if budget is not None else effective_budget(DEFAULT_ENUM_BUDGET)
     if ring.order > cap:
         raise BudgetExceeded(
             f"|{ring.name}| = {ring.order} exceeds enumeration budget {cap}"
         )
     emb = subring_embedding(sub, ring)
-    gens = []
-    span = {0}
-    for a in range(ring.order):
-        if a not in span:
-            gens.append(a)
-            span = _span(ring, sub, emb, gens)
+    gens, steps = _module_tree(ring, sub, emb)
     if sub.order ** len(gens) > _CANDIDATE_CAP:
         raise BudgetExceeded(
             f"candidate count {sub.order}^{len(gens)} exceeds cap {_CANDIDATE_CAP}"
         )
-    aot, mot = ring.add_table(), ring.mul_table()
     aos, mos = sub.add_table(), sub.mul_table()
-    n = ring.order
+    ns = sub.order
+    steps = [(y, x, i * ns + s) for y, x, i, s in steps]
     found = {}
-    for assignment in product(range(sub.order), repeat=len(gens)):
-        # pairs (s*g_i, s*v_i) generate the graph subgroup of R x S;
-        # closing it detects ill-defined assignments as value conflicts
-        pairs = []
-        for g, v in zip(gens, assignment):
-            for s in range(sub.order):
-                pairs.append((mot[emb.table[s]][g], mos[s][v]))
-        table = [None] * n
-        table[0] = 0
-        queue = [0]
-        consistent = True
-        while queue and consistent:
-            x = queue.pop()
-            vx = table[x]
-            arow = aot[x]
-            for dg, dv in pairs:
-                y = arow[dg]
-                vy = aos[vx][dv]
-                cur = table[y]
-                if cur is None:
-                    table[y] = vy
-                    queue.append(y)
-                elif cur != vy:
-                    consistent = False
-                    break
-        if not consistent or any(v is None for v in table):
-            continue
+    table = [0] * ring.order
+    for assignment in product(range(ns), repeat=len(gens)):
+        # moves[i*|S| + s] = s*v_i, the step of T along y = x + s*g_i
+        moves = [mos[s][v] for v in assignment for s in range(ns)]
+        for y, x, m in steps:
+            table[y] = aos[table[x]][moves[m]]
         key = tuple(table)
-        if key in found:
-            continue
-        try:
-            found[key] = TraceMap(ring, sub, emb, key)
-        except ValidationFailed:
-            continue
+        if (key not in found and _is_linear(ring, sub, emb, key)
+                and _ideal_in_kernel(ring, key) is None
+                and _missing_value(sub, key) is None):
+            found[key] = TraceMap(ring, sub, emb, key, report=TraceReport(True, []))
     out = [found[key] for key in sorted(found)]
     for i, trace in enumerate(out):
         trace.tag = f"enum[{i}]"

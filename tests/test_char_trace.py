@@ -316,6 +316,27 @@ def test_z4x_trace_census_matches_the_closed_description():
     assert {t.values for t in maps} == expected
 
 
+@pytest.mark.parametrize("ring_spec,sub_spec", [
+    ("GR:2,2,2", "Zm:4"), ("GR:3,2,2", "Zm:9"), ("GR:2,1,4", "Zm:2"),
+    ("GR:2,2,3", "Zm:4")])
+def test_galois_census_is_the_unit_twists_without_a_witness_scan(
+        monkeypatch, ring_spec, sub_spec):
+    # the traces of a Galois ring onto its base ring are x -> T(lam*x) over
+    # the units lam; rejected candidates are dropped without naming a witness
+    import homring.traces as traces
+
+    def no_scan(*args):
+        raise AssertionError("the witness scan ran")
+
+    monkeypatch.setattr(traces, "_linearity_witness", no_scan)
+    R, S = ring_from_spec(ring_spec), ring_from_spec(sub_spec)
+    base = galois_trace(R, S).values
+    twists = {tuple(base[R.mul(lam, x)] for x in range(R.order)) for lam in R.units()}
+    maps = enumerate_trace_maps(R, S)
+    assert [t.values for t in maps] == sorted(twists)
+    assert all(t.report.ok for t in maps)
+
+
 def test_enumeration_budget(monkeypatch):
     R = ring_from_spec("GR:2,2,2")
     with pytest.raises(BudgetExceeded):

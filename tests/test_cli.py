@@ -322,3 +322,104 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_csv():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+# ---------------------------------------------------------------------------
+# argparse output, pinned byte for byte at 80 columns (Python 3.11 wording)
+
+_JOB_OPTIONS = """
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       path to a key=value config file
+  --ring RING
+  --subring SUBRING
+  --trace TRACE
+  --f F
+  --gamma GAMMA
+  --weight {homogeneous,hamming}
+  --format {json,csv}
+  --budget BUDGET
+  --seed SEED
+  --timing
+"""
+
+_RING_INFO_USAGE = """\
+usage: homring ring info [-h] [--config CONFIG] [--ring RING]
+                         [--subring SUBRING] [--trace TRACE] [--f F]
+                         [--gamma GAMMA] [--weight {homogeneous,hamming}]
+                         [--format {json,csv}] [--budget BUDGET] [--seed SEED]
+                         [--timing]
+"""
+
+_CODE_ANALYZE_USAGE = """\
+usage: homring code analyze [-h] [--config CONFIG] [--ring RING]
+                            [--subring SUBRING] [--trace TRACE] [--f F]
+                            [--gamma GAMMA] [--weight {homogeneous,hamming}]
+                            [--format {json,csv}] [--budget BUDGET]
+                            [--seed SEED] [--timing]
+"""
+
+
+def _job_usage(leaf: str) -> str:
+    """The usage block of a job leaf whose name wraps like ``code analyze``'s."""
+    prefix = f"usage: homring {leaf} "
+    head, *rest = _CODE_ANALYZE_USAGE.splitlines(keepends=True)
+    return "".join([prefix + head[len("usage: homring code analyze "):]]
+                   + [" " * len(prefix) + line.lstrip(" ") for line in rest])
+
+
+def _group_help(command: str, choices: str, pad: int, extra: str = "") -> str:
+    return (f"usage: homring {command} [-h] {{{choices}}} ...\n\n"
+            f"positional arguments:\n  {{{choices}}}\n{extra}\n"
+            f"options:\n  -h, --help{' ' * pad}show this help message and exit\n")
+
+
+HELP_TEXTS = {
+    (): ("usage: homring [-h] {ring,trace,weight,code,verify} ...\n\n"
+         "positional arguments:\n  {ring,trace,weight,code,verify}\n\n"
+         "options:\n  -h, --help            show this help message and exit\n"),
+    ("ring",): _group_help("ring", "info", 2),
+    ("trace",): _group_help("trace", "list,check", 4),
+    ("weight",): _group_help("weight", "table", 2, "    table\n"),
+    ("code",): _group_help("code", "analyze,graph", 7),
+    ("verify",): _group_help("verify", "paper", 2),
+    ("ring", "info"): _RING_INFO_USAGE + _JOB_OPTIONS,
+    ("trace", "list"): _job_usage("trace list") + _JOB_OPTIONS,
+    ("trace", "check"): _job_usage("trace check") + _JOB_OPTIONS,
+    ("weight", "table"): _job_usage("weight table") + _JOB_OPTIONS,
+    ("code", "analyze"): _CODE_ANALYZE_USAGE + _JOB_OPTIONS,
+    ("code", "graph"): _job_usage("code graph") + _JOB_OPTIONS,
+    ("verify", "paper"): ("usage: homring verify paper [-h] [--only ONLY] [--timing]\n\n"
+                          "options:\n"
+                          "  -h, --help   show this help message and exit\n"
+                          "  --only ONLY  comma-separated record ids\n"
+                          "  --timing\n"),
+}
+
+
+def _exit_of(capsys, argv):
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    out = capsys.readouterr()
+    return done.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", list(HELP_TEXTS), ids=" ".join)
+def test_help_text_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exit_of(capsys, [*argv, "--help"]) == (0, HELP_TEXTS[argv], "")
+
+
+@pytest.mark.parametrize("argv,err", [
+    ([], "usage: homring [-h] {ring,trace,weight,code,verify} ...\n"
+         "homring: error: the following arguments are required: command\n"),
+    (["code", "analyze", "--weight", "euclidean"],
+     _CODE_ANALYZE_USAGE + "homring code analyze: error: argument --weight: "
+     "invalid choice: 'euclidean' (choose from 'homogeneous', 'hamming')\n"),
+    (["ring", "info", "--budget", "ten"],
+     _RING_INFO_USAGE + "homring ring info: error: argument --budget: "
+     "invalid int value: 'ten'\n"),
+], ids=["no-command", "bad-choice", "bad-int"])
+def test_argparse_errors_are_pinned(capsys, monkeypatch, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exit_of(capsys, argv) == (2, "", err)

@@ -357,6 +357,85 @@ def test_orbit_enumerator_equals_codeword_sum(code, hamming, gamma):
         assert sum(scaled[s] for s in cw) == weights[orbits.label(alpha, beta)]
 
 
+def _depth_first_orbits(code, gens):
+    """Oracle for ``PairOrbits``: a depth-first walk that labels every one
+    of the |C| codewords, each generator given as permutation rows of R.
+    Returns the reps, the sizes and a label function on pairs."""
+    mot, add = code.ring.mul_table(), code.ring.add_table()
+    rows = [([row[a] for row in mot], [row[b] for row in mot]) for a, b in gens]
+    n = len(add)
+    neg_kb = {}
+    for ka, kb in code.kernel:
+        if ka not in neg_kb:
+            neg_kb[ka] = add[kb].index(0)
+
+    def cosets(members):
+        cls, offset, least = [-1] * n, [0] * n, []
+        for x in range(n):
+            if cls[x] < 0:
+                for m in members:
+                    cls[add[x][m]] = len(least)
+                    offset[add[x][m]] = m
+                least.append(x)
+        return cls, least, offset
+
+    acls, arep, offset = cosets(list(neg_kb))
+    bcls, brep, _ = cosets([kb for ka, kb in code.kernel if ka == 0])
+    nb = len(brep)
+    delta = [neg_kb[k] for k in offset]
+
+    def point(alpha, beta):
+        return acls[alpha] * nb + bcls[add[beta][delta[alpha]]]
+
+    labels = [-1] * (len(arep) * nb)
+    reps, sizes = [], []
+    for start in range(len(labels)):
+        if labels[start] >= 0:
+            continue
+        labels[start] = len(reps)
+        stack, size = [start], 0
+        while stack:
+            i, j = divmod(stack.pop(), nb)
+            size += 1
+            for ga, gb in rows:
+                q = point(ga[arep[i]], gb[brep[j]])
+                if labels[q] < 0:
+                    labels[q] = len(reps)
+                    stack.append(q)
+        i, j = divmod(start, nb)
+        reps.append((arep[i], brep[j]))
+        sizes.append(size)
+    return reps, sizes, lambda alpha, beta: labels[point(alpha, beta)]
+
+
+def _filter_kernel(code):
+    """Oracle for ``code_kernel``: for each beta, the alphas filtered one
+    coordinate at a time, beta-major."""
+    R, tr, ft = code.ring, code.trace.values, code.func.table
+    mot, aot = R.mul_table(), R.add_table()
+    kernel = []
+    for beta in range(R.order):
+        alphas = range(R.order)
+        for x in range(R.order):
+            bfx = mot[beta][ft[x]]
+            alphas = [a for a in alphas if not tr[aot[mot[a][x]][bfx]]]
+        kernel.extend((alpha, beta) for alpha in alphas)
+    return tuple(kernel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=_orbit_codes(), hamming=st.booleans())
+def test_orbits_and_kernel_equal_the_depth_first_and_filter_oracles(code, hamming):
+    assert code.kernel == _filter_kernel(code)
+    table = hamming_table(code.sub, 1) if hamming else hom_weight(code.sub, 1)
+    orbits = code.orbits(table)
+    reps, sizes, label = _depth_first_orbits(code, code._pair_generators(table))
+    assert orbits.reps == reps
+    assert orbits.sizes == sizes
+    n = code.ring.order
+    assert all(orbits.label(a, b) == label(a, b) for a in range(n) for b in range(n))
+
+
 @pytest.mark.parametrize("case", KERNEL_CASES)
 def test_orbits_label_each_codeword_by_the_least_pair_of_its_coset(case):
     code = _orbit_case(case)
@@ -366,13 +445,14 @@ def test_orbits_label_each_codeword_by_the_least_pair_of_its_coset(case):
         pairs_of.setdefault(cw, []).append((alpha, beta))
     for table in (hom_weight(code.sub, 1), hamming_table(code.sub, 1)):
         orbits = code.orbits(table)
-        assert len(orbits.labels) == sum(orbits.sizes) == code.size
+        assert sum(orbits.sizes) == code.size
         # label is constant on every K-coset, the pairs of one codeword
         label_of = {}
         for cw, pairs in pairs_of.items():
             labels = {orbits.label(*pair) for pair in pairs}
             assert len(labels) == 1, (cw, labels)
             label_of[cw] = labels.pop()
+        # the labels are 0..len(sizes) - 1, each on as many codewords as its size
         assert Counter(label_of.values()) == Counter(dict(enumerate(orbits.sizes)))
         # each rep is the least pair of its coset and of its orbit
         for label, rep in enumerate(orbits.reps):
@@ -383,14 +463,16 @@ def test_orbits_label_each_codeword_by_the_least_pair_of_its_coset(case):
 
 
 def test_pair_orbits_refuse_a_symmetry_or_kernel_that_does_not_fit():
-    code = _orbit_case(("Zm:10", "Zm:10", "identity", "pow:3"))
-    add = code.ring.add_table()
-    ident = list(range(10))
-    assert sum(PairOrbits(add, code.kernel, [(ident, ident)]).sizes) == 50
+    # pow:1 with S = R: K = {(alpha, -alpha)}, and (1, 5) maps (1, 11) to
+    # (1, 7), outside K
+    code = _orbit_case(("Zm:12", "Zm:12", "identity", "pow:1"))
+    assert sum(PairOrbits(code.ring, code.kernel, [(1, 1)]).sizes) == 12
     with pytest.raises(InternalInvariantViolation, match="does not keep K"):
-        PairOrbits(add, code.kernel, [(ident, add[1])])  # beta -> beta + 1
+        PairOrbits(code.ring, code.kernel, [(1, 5)])
+    code = _orbit_case(("Zm:10", "Zm:10", "identity", "pow:3"))
+    assert sum(PairOrbits(code.ring, code.kernel, [(1, 1)]).sizes) == 50
     with pytest.raises(InternalInvariantViolation, match="least pairs"):
-        PairOrbits(add, code.kernel + ((1, 1),), [])     # not a subgroup
+        PairOrbits(code.ring, code.kernel + ((1, 1),), [])     # not a subgroup
 
 
 def _table_functions():
