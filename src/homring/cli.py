@@ -190,15 +190,12 @@ def run_trace_check(cfg: JobConfig) -> dict:
 def run_weight_table(cfg: JobConfig) -> dict:
     ring = _require_ring(cfg)
     wt = _weight_table(cfg, ring)
-    mul = ring.mul_table()
-    module_of = [frozenset(mul[x]) for x in range(ring.order)]
-    orbit_gen = {}
-    for x in range(ring.order):
-        key = module_of[x]
-        rows_same = [y for y in range(ring.order) if module_of[y] == key]
-        orbit_gen[x] = min(rows_same)
-    rows = [{"element": x, "orbit": orbit_gen[x], "weight": rational_str(wt.values[x])}
-            for x in range(ring.order)]
+    # each element's orbit is named by the least element generating its
+    # module xR, the first one met in increasing order
+    first = {}
+    rows = [{"element": x, "orbit": first.setdefault(frozenset(row), x),
+             "weight": rational_str(wt.values[x])}
+            for x, row in enumerate(ring.mul_table())]
     return {
         "ring": ring.name,
         "gamma": rational_str(wt.gamma),

@@ -2,9 +2,10 @@
 
 A code here is the set of value tables ``x -> T(alpha*x + beta*f(x))`` over
 all pairs (alpha, beta).  The pair map is additive, so the code is fixed by
-its kernel K, the pairs whose codeword is zero: |C| = |R|^2/|K|.  The
-codewords themselves, with the least pair behind each, are swept only when a
-graph asks for them.
+its kernel K, the pairs whose codeword is zero: |C| = |R|^2/|K|.  Each
+codeword is named by the least pair of its K-coset, and no codeword tuple is
+built: a graph asks only for these pairs in sorted codeword order, which the
+codewords' values on a few pivot coordinates fix.
 
 A code's weight data has one representation, its weight enumerator, and it
 is read off orbits on the code, one point per codeword (one per K-coset of
@@ -202,10 +203,10 @@ def function_from_spec(ring: Ring, spec: str, seed: int | None = None) -> CodeFu
 class Code:
     """A trace code, given by its kernel K: the pairs whose codeword is zero.
 
-    ``codewords`` (sorted) and ``provenance`` (the lexicographically least
-    pair of each codeword) are built by one pair sweep on first access.
-    ``orbits(table)`` gives the orbits on the codewords under the symmetries
-    that keep the table's weights, found once per group."""
+    ``points`` holds the least pair of each codeword, in sorted codeword
+    order, found on first access.  ``orbits(table)`` gives the orbits on the
+    codewords under the symmetries that keep the table's weights, found once
+    per group."""
 
     def __init__(self, ring: Ring, sub: Ring, trace: TraceMap, func: CodeFunction,
                  kernel):
@@ -218,17 +219,32 @@ class Code:
         self._orbits = {}
 
     @cached_property
-    def provenance(self) -> dict:
-        best: dict = {}
-        for alpha, beta, cw in pair_codewords(self.ring, self.trace, self.func):
-            prev = best.get(cw)
-            if prev is None or (alpha, beta) < prev:
-                best[cw] = (alpha, beta)
-        return best
+    def points(self) -> tuple:
+        """The least pair of each codeword, in sorted codeword order; the
+        first is (0, 0), the zero codeword.
 
-    @cached_property
-    def codewords(self) -> tuple:
-        return tuple(sorted(self.provenance))
+        The least pairs are arep x brep (see ``PairOrbits``).  Walking
+        x = 0, 1, ..., ``live`` keeps the points whose codeword is zero on
+        every coordinate so far; x is a pivot when some live codeword is
+        nonzero at x, and those leave ``live``.  Two codewords that first
+        differ at x have a difference that is live there and nonzero at x,
+        so x is a pivot, and comparing values at the pivots compares the
+        whole codewords."""
+        mot, aot = self.ring.mul_table(), self.ring.add_table()
+        tr = self.trace.values
+        (_, arep, _), (_, brep, _) = _transversal(aot, self.kernel)
+        points = [(a, b) for a in arep for b in brep]
+        live, pivots = points, []
+        for x, fx in enumerate(self.func.table):
+            if len(live) == 1:
+                break
+            xrow, frow = mot[x], mot[fx]
+            rest = [(a, b) for a, b in live if not tr[aot[xrow[a]][frow[b]]]]
+            if len(rest) < len(live):
+                pivots.append((xrow, frow))
+                live = rest
+        return tuple(sorted(points, key=lambda p: [tr[aot[xrow[p[0]]][frow[p[1]]]]
+                                                   for xrow, frow in pivots]))
 
     @cached_property
     def _generators(self) -> tuple:
@@ -256,12 +272,6 @@ class Code:
 
     def __len__(self):
         return self.size
-
-    def __iter__(self):
-        return iter(self.codewords)
-
-    def __contains__(self, cw):
-        return tuple(cw) in self.provenance
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return (f"Code(|C|={self.size}, f={self.func.tag!r}, "
@@ -301,8 +311,7 @@ class PairOrbits:
         for ka, kb in kernel:
             if ka not in neg_kb:
                 neg_kb[ka] = add[kb].index(0)
-        acls, arep, offset = _cosets(add, list(neg_kb))
-        bcls, brep, _ = _cosets(add, [kb for ka, kb in kernel if ka == 0])
+        (acls, arep, offset), (bcls, brep, _) = _transversal(add, kernel)
         nb = len(brep)
         if len(arep) * nb * len(kernel) != n * n:
             raise InternalInvariantViolation(
@@ -394,6 +403,14 @@ def _cosets(add, members) -> tuple:
                 offset[row[m]] = m
             least.append(x)
     return cls, least, offset
+
+
+def _transversal(add, kernel) -> tuple:
+    """``_cosets`` of K_a, the alphas of the pairs in K, and of K_0, the
+    betas b with (0, b) in K.  The least pairs of the K-cosets, one per
+    codeword, are arep x brep."""
+    return (_cosets(add, {ka for ka, _ in kernel}),
+            _cosets(add, [kb for ka, kb in kernel if ka == 0]))
 
 
 def _unit_generators(units, one: int, mul, accept) -> list:
@@ -520,22 +537,6 @@ def code_kernel(ring: Ring, trace: TraceMap, f: CodeFunction) -> tuple:
         if not any(tr[aot[arow[x]][brow[v]]] for x, v in enumerate(ft)):
             kernel.extend((alpha, beta) for alpha in alphas)
     return tuple(kernel)
-
-
-def pair_codewords(ring: Ring, trace: TraceMap, f: CodeFunction):
-    """Yield (alpha, beta, codeword) for every pair, beta-major: the sweep
-    behind ``Code.codewords``, at |R|^3 table lookups."""
-    mot = ring.mul_table()
-    aot = ring.add_table()
-    tr = trace.values
-    ft = f.table
-    n = ring.order
-    for beta in range(n):
-        brow = mot[beta]
-        bf = [brow[v] for v in ft]
-        for alpha in range(n):
-            yield alpha, beta, tuple([tr[aot[a][b]]
-                                      for a, b in zip(mot[alpha], bf)])
 
 
 def transform_W(ring: Ring, sub: Ring, trace: TraceMap, f: CodeFunction,

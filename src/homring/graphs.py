@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import getitem
 
-from .codes import Code, CodeFunction, PairOrbits, orbit_weights, weight_enumerator
+from .codes import Code, CodeFunction, PairOrbits, orbit_weights
 from .errors import BudgetExceeded, InternalInvariantViolation, NotTwoWeight
 from .rings import Ring
 from .weights import WeightTable
@@ -17,10 +17,11 @@ class CodeGraph:
     """The graph of a two-weight code: Cay(C, D), D the nonzero codewords of
     the smaller weight w1, so c and c' are adjacent iff c' - c is in D.
 
-    ``connection`` holds D as provenance pairs, and ``member[a][b]`` is 1 iff
-    the codeword of the pair (a, b) is in D.  The degree is |D|.  ``orbits``
-    are the orbits on the codewords of the symmetries that keep the graph's
-    weights, and so keep D."""
+    ``connection`` holds D as least pairs (``Code.points``), in sorted
+    codeword order, and ``member[a][b]`` is 1 iff the codeword of the pair
+    (a, b) is in D.  The degree is |D|.  ``orbits`` are the orbits on the
+    codewords of the symmetries that keep the graph's weights, and so keep
+    D."""
 
     def __init__(self, code: Code, w1, connection, member, orbits: PairOrbits):
         self.code = code
@@ -52,11 +53,12 @@ def two_weight_graph(code: Code, table: WeightTable) -> CodeGraph:
     |R|^2 pairs, D lifted by the kernel K, names the edges."""
     check_vertex_cap(code.size)
     orbits, den, orbit_weight = orbit_weights(code, table)
-    # the weights of the nonzero codewords; the zero codeword is one count at 0
-    weights = [w for w, c in weight_enumerator(code, table) if c > (w == 0)]
+    # orbit 0 is the zero codeword alone; the others weigh the nonzero ones
+    weights = sorted(set(orbit_weight[1:]))
     if len(weights) != 2:
-        raise NotTwoWeight(len(weights), tuple(weights))
-    w1 = weights[0]
+        raise NotTwoWeight(len(weights), tuple(Fraction(t, den) for t in weights))
+    w1_scaled = weights[0]
+    w1 = Fraction(w1_scaled, den)
     _, scaled = table.scaled()
     # c' - c in D is the pair's distance w(c - c') = w1 only if w(-x) = w(x),
     # checked once on S; it also makes D = -D, so the graph is undirected
@@ -64,10 +66,8 @@ def two_weight_graph(code: Code, table: WeightTable) -> CodeGraph:
     if any(scaled[neg[s]] != scaled[s] for s in range(code.sub.order)):
         raise InternalInvariantViolation(
             f"weight table on {code.sub.name} has w(-x) != w(x)")
-    w1_scaled = w1.numerator * (den // w1.denominator)
-    prov = code.provenance
-    connection = [prov[cw] for cw in code.codewords
-                  if any(cw) and orbit_weight[orbits.label(*prov[cw])] == w1_scaled]
+    connection = [p for p in code.points[1:]
+                  if orbit_weight[orbits.label(*p)] == w1_scaled]
     add = code.ring.add_table()
     member = [bytearray(code.ring.order) for _ in add]
     for da, db in connection:
@@ -124,9 +124,10 @@ def srg_check(graph: CodeGraph):
 
     Every pair of vertices is a translate of a pair (0, c), with the same
     count, so only vertex 0 (the zero codeword) is paired, with each c in
-    sorted order: common(0, c) = |{d in D : c - d in D}|.  The first c that
-    breaks the constant is the witness.  The symmetries behind the graph's
-    orbits fix 0 and keep D, so the count is made once per orbit.
+    sorted codeword order (``Code.points``): common(0, c) =
+    |{d in D : c - d in D}|.  The first c that breaks the constant is the
+    witness.  The symmetries behind the graph's orbits fix 0 and keep D, so
+    the count is made once per orbit.
     """
     code = graph.code
     n = graph.order
@@ -135,10 +136,8 @@ def srg_check(graph: CodeGraph):
     sub = code.ring.sub_table()
     orbits = graph.orbits
     counts = {}
-    prov = code.provenance
     lam = mu = None
-    for j, cw in enumerate(code.codewords[1:], 1):
-        a, b = prov[cw]
+    for j, (a, b) in enumerate(code.points[1:], 1):
         label = orbits.label(a, b)
         common = counts.get(label)
         if common is None:

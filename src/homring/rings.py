@@ -336,9 +336,6 @@ class Ring:
             c >>= 1
         return out
 
-    def elements(self) -> range:
-        return range(self.order)
-
     # ----- cached structural data ----------------------------------------
 
     def characteristic(self) -> int:
@@ -757,12 +754,6 @@ def make_galois_ring(p: int, n: int, r: int) -> GaloisRing:
     return ring
 
 
-def padic_digits(ring: GaloisRing, a: int) -> tuple:
-    if not isinstance(ring, GaloisRing):
-        raise InvalidParameter("p-adic digits are defined for Galois rings")
-    return ring.padic_digits(a)
-
-
 def frobenius(ring: GaloisRing) -> Automorphism:
     """The Frobenius automorphism: sum p^i a_i -> sum p^i a_i^p."""
     if not isinstance(ring, GaloisRing):
@@ -1050,24 +1041,8 @@ def z4x_conjugation(ring: TableRing) -> Automorphism:
 
 
 # ---------------------------------------------------------------------------
-# module-level wrappers and the ring-spec grammar
+# the ring-spec grammar
 # ---------------------------------------------------------------------------
-
-
-def radical(ring: Ring) -> Ideal:
-    return ring.radical()
-
-
-def socle(ring: Ring) -> Ideal:
-    return ring.socle()
-
-
-def units(ring: Ring) -> tuple:
-    return ring.units()
-
-
-def teichmuller(ring: Ring) -> TeichmullerData:
-    return ring.teichmuller()
 
 
 def parse_ring_spec_parts(spec: str):

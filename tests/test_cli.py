@@ -254,23 +254,18 @@ def test_graph_over_the_vertex_cap_is_refused_before_its_weights(capsys):
                    "vertices\n")
 
 
-def _patch_pair_sweep(monkeypatch, replacement):
-    """Put ``replacement`` wherever a homring module binds the pair sweep."""
-    sweep = codes.pair_codewords
-    for name, module in list(sys.modules.items()):
-        if (name.startswith("homring")
-                and getattr(module, "pair_codewords", None) is sweep):
-            monkeypatch.setattr(module, "pair_codewords", replacement)
-    return sweep
+def _forbid_points(monkeypatch):
+    """Make listing a code's points in codeword order raise."""
+    def no_points(code):
+        raise RuntimeError("the codewords were listed")
+
+    monkeypatch.setattr(codes.Code, "points", property(no_points))
 
 
 def test_graph_over_the_vertex_cap_is_refused_without_a_pair_sweep(
         capsys, monkeypatch):
-    # |C| = |R|^2/|K| is known from the kernel, before any |R|^3 work
-    def no_sweep(*args):
-        raise RuntimeError("the pair sweep ran")
-
-    _patch_pair_sweep(monkeypatch, no_sweep)
+    # |C| = |R|^2/|K| is known from the kernel, before any codeword is listed
+    _forbid_points(monkeypatch)
     code, _, err = run(capsys, ["code", "graph", "--ring", "Zm:143",
                                 "--f", "pow:3"])
     assert code == 8
@@ -285,26 +280,21 @@ def test_graph_over_the_vertex_cap_is_refused_without_a_pair_sweep(
 ])
 def test_analyze_never_sweeps_the_pairs(capsys, monkeypatch, argv):
     # the enumerator and spectrum come from orbits of pair space
-    def no_sweep(*args):
-        raise RuntimeError("the pair sweep ran")
-
-    _patch_pair_sweep(monkeypatch, no_sweep)
+    _forbid_points(monkeypatch)
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert json.loads(out)["enumerator"]
 
 
-def test_graph_job_sweeps_the_pairs_once(capsys, monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return sweep(*args)
-
-    sweep = _patch_pair_sweep(monkeypatch, counted)
-    code, _, _ = run(capsys, ["code", "graph", "--ring", "Zm:10", "--f", "pow:3"])
+def test_graph_just_under_the_vertex_cap_is_strongly_regular(capsys):
+    # x^3 on Z_137, 137 = 2 mod 3: 18769 codewords, two Hamming weights
+    code, out, _ = run(capsys, ["code", "graph", "--ring", "Zm:137",
+                                "--f", "pow:3", "--weight", "hamming"])
     assert code == 0
-    assert len(calls) == 1
+    report = json.loads(out)
+    assert report["srg"] == {"v": 18769, "k": 9248, "lambda": 4557,
+                             "mu": 4556, "degenerate": False}
+    assert report["srg_failure"] is None
 
 
 def test_explicit_budget_flag(capsys):

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from homring.codes import (PairOrbits, WeightEnumerator, _is_monomial,
                            build_code, closed_form_enumerator, closed_form_spectrum,
                            code_spectrum, frank_map, function_from_spec,
-                           monomial_symmetries, orbit_weights, pair_codewords,
-                           power_map, random_teich_permutation,
-                           sigma_quadratic_map, table_map, transform_W,
-                           weight_enumerator, zp_power_enumerator)
+                           monomial_symmetries, orbit_weights, power_map,
+                           random_teich_permutation, sigma_quadratic_map,
+                           table_map, transform_W, weight_enumerator,
+                           zp_power_enumerator)
 from homring.cyclotomic import Cyclotomic
 from homring.errors import (InternalInvariantViolation, InvalidParameter,
                             OutOfRange, ParseError, UnknownPreset,
@@ -23,6 +23,8 @@ from homring.rings import named_automorphism, ring_from_spec, z4x_conjugation
 from homring.traces import (canonical_character, fxy_sum_trace, galois_trace,
                             identity_trace, table_trace, trace_from_spec)
 from homring.weights import WeightTable, hamming_table, hom_weight
+
+from codeword_oracle import least_pairs, pair_codewords, sorted_codewords
 
 F = Fraction
 
@@ -40,7 +42,7 @@ def _codeword_sum_enumerator(code, table):
     swept code, summed coordinate by coordinate.  The oracle for the orbit
     route of ``weight_enumerator``."""
     den, scaled = table.scaled()
-    totals = Counter(sum(scaled[s] for s in cw) for cw in code.codewords)
+    totals = Counter(sum(scaled[s] for s in cw) for cw in least_pairs(code))
     return WeightEnumerator({F(t, den): c for t, c in totals.items()},
                             gamma=table.gamma, kind=table.kind)
 
@@ -180,14 +182,15 @@ def test_function_spec_grammar(tmp_path):
 def test_code_invariants(ring_spec, sub_spec, trace_spec, f_spec):
     code = _code(ring_spec, sub_spec, trace_spec, f_spec)
     S = code.sub
-    # all codewords are distinct, length |R|, first is zero
-    assert len(set(code.codewords)) == code.size
-    assert all(len(cw) == code.ring.order for cw in code.codewords)
-    assert code.codewords[0] == (0,) * code.ring.order
-    assert code.provenance[code.codewords[0]] == (0, 0)
+    # the swept code has |R|^2/|K| codewords of length |R|; the least is zero
+    swept = [cw for cw, _ in sorted_codewords(code)]
+    assert len(swept) == code.size == len(code.points)
+    assert all(len(cw) == code.ring.order for cw in swept)
+    assert swept[0] == (0,) * code.ring.order
+    assert code.points[0] == (0, 0)
     # S-linearity: closed under scalar action and addition
-    cws = set(code.codewords)
-    sample = code.codewords[:: max(1, code.size // 8)]
+    cws = set(swept)
+    sample = swept[:: max(1, code.size // 8)]
     for cw in sample:
         for s in range(S.order):
             assert tuple(S.mul(s, v) for v in cw) in cws
@@ -224,7 +227,7 @@ def test_transform_W_matches_the_enumerated_code():
         chi = canonical_character(S)
         histos = chi.unit_exponent_histograms()
         nunits = len(S.units())
-        for cw, (alpha, beta) in code.provenance.items():
+        for cw, (alpha, beta) in least_pairs(code).items():
             counts = [0] * chi.conductor
             for s in cw:
                 for e, c in enumerate(histos[s]):
@@ -235,7 +238,9 @@ def test_transform_W_matches_the_enumerated_code():
 
 
 def test_frank_pair_dedup_classes():
-    # c(a,b) == c(a',b') exactly when a == a' and b - b' lies in pR
+    # c(a,b) == c(a',b') exactly when a == a' and b - b' lies in pR, so the
+    # kernel is K = {0} x pR; the codewords come from the ring's own add and
+    # mul, each product alpha*x and beta*f(x) made once
     for ring_spec, sub_spec, trace_spec in (
             ("GR:2,2,2", "Zm:4", "galois"), ("GR:3,2,2", "Zm:9", "galois")):
         R = ring_from_spec(ring_spec)
@@ -244,15 +249,17 @@ def test_frank_pair_dedup_classes():
         f = frank_map(R)
         p = R.element_from_int(R.p)
         pR = {R.mul(p, a) for a in range(R.order)}
+        elems = range(R.order)
+        ax = [[R.mul(alpha, x) for x in elems] for alpha in elems]
+        bf = [[R.mul(beta, f.table[x]) for x in elems] for beta in elems]
         by_cw = {}
-        for alpha in range(R.order):
-            for beta in range(R.order):
-                cw = tuple(tr.values[R.add(R.mul(alpha, x), R.mul(beta, f.table[x]))]
-                           for x in range(R.order))
+        for alpha in elems:
+            for beta in elems:
+                cw = tuple([tr.values[R.add(a, b)] for a, b in zip(ax[alpha], bf[beta])])
                 by_cw.setdefault(cw, []).append((alpha, beta))
         code = build_code(R, S, tr, f)
-        assert set(by_cw) == set(code.codewords)
-        assert code.size == R.order * (R.order // len(pR))
+        assert sorted(code.kernel) == sorted((0, b) for b in pR)
+        assert code.size == len(by_cw) == R.order * (R.order // len(pR))
         for pairs in by_cw.values():
             alphas = {a for a, _ in pairs}
             betas = [b for _, b in pairs]
@@ -263,14 +270,43 @@ def test_frank_pair_dedup_classes():
 
 
 def test_min_lex_provenance():
+    # each point, rebuilt through the ring's own add and mul, is the codeword
+    # the sweep gives it, and the least pair of that codeword
     code = _code("GR:2,2,2", "Zm:4", "galois", "frank:id")
     R = code.ring
     tr = code.trace
     f = code.func
-    for cw, (alpha, beta) in code.provenance.items():
+    best = least_pairs(code)
+    for alpha, beta in code.points:
         rebuilt = tuple(tr.values[R.add(R.mul(alpha, x), R.mul(beta, f.table[x]))]
                         for x in range(R.order))
-        assert rebuilt == cw
+        assert best[rebuilt] == (alpha, beta)
+    assert len(code.points) == len(best)
+
+
+@st.composite
+def _point_codes(draw):
+    kind = draw(st.sampled_from(["pow", "z2p", "frank", "table"]))
+    if kind == "pow":
+        m, d = draw(st.integers(2, 30)), draw(st.integers(1, 8))
+        return _orbit_case((f"Zm:{m}", f"Zm:{m}", "identity", f"pow:{d}"))
+    if kind == "z2p":       # |K| = 2 for most d
+        p, d = draw(st.sampled_from([3, 5, 7, 11, 13])), draw(st.integers(2, 6))
+        return _orbit_case((f"Zm:{2 * p}", f"Zm:{2 * p}", "identity", f"pow:{d}"))
+    if kind == "frank":     # K = {0} x 3R, |K| = 9
+        seed = draw(st.integers(0, 2))
+        return _orbit_case(("GR:3,2,2", "Zm:9", "galois", f"frank:rand:{seed}"))
+    ring_spec = draw(st.sampled_from(["Zm:5", "Zm:6", "Zm:8", "Zm:9", "Zm:12",
+                                      "GR:2,1,3", "GR:2,2,2"]))
+    n = ring_from_spec(ring_spec).order
+    values = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return _table_code(ring_spec, tuple(values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(code=_point_codes())
+def test_points_are_the_least_pairs_in_sorted_codeword_order(code):
+    assert code.points == tuple(pair for _, pair in sorted_codewords(code))
 
 
 def test_sigma_check_rejects_unfixed_characters():
@@ -445,6 +481,7 @@ def test_orbits_label_each_codeword_by_the_least_pair_of_its_coset(case):
         pairs_of.setdefault(cw, []).append((alpha, beta))
     for table in (hom_weight(code.sub, 1), hamming_table(code.sub, 1)):
         orbits = code.orbits(table)
+        points = set(code.points)
         assert sum(orbits.sizes) == code.size
         # label is constant on every K-coset, the pairs of one codeword
         label_of = {}
@@ -457,7 +494,8 @@ def test_orbits_label_each_codeword_by_the_least_pair_of_its_coset(case):
         # each rep is the least pair of its coset and of its orbit
         for label, rep in enumerate(orbits.reps):
             cw = next(cw for cw, pairs in pairs_of.items() if rep in pairs)
-            assert rep == min(pairs_of[cw]) == code.provenance[cw]
+            assert rep == min(pairs_of[cw])
+            assert rep in points
             assert rep == min(min(pairs) for c, pairs in pairs_of.items()
                               if label_of[c] == label)
 

@@ -15,6 +15,8 @@ from homring.rings import ring_from_spec
 from homring.traces import identity_trace, trace_from_spec
 from homring.weights import WeightTable, hamming_table, hom_weight
 
+from codeword_oracle import sorted_codewords
+
 F = Fraction
 
 
@@ -27,11 +29,11 @@ def _code(ring_spec, f_spec):
 
 def _all_pairs_graph(code, table):
     """w1 and the adjacency bitmasks of the two-weight graph, found by
-    comparing every pair of codewords coordinate by coordinate, at
-    O(|C|^2 |R|): the reference for the Cayley graph."""
+    comparing every pair of swept codewords coordinate by coordinate, in
+    sorted order, at O(|C|^2 |R|): the reference for the Cayley graph."""
     den, scaled = table.scaled()
     sub = code.sub.sub_table()
-    cws = code.codewords
+    cws = [cw for cw, _ in sorted_codewords(code)]
     w1 = min(sum(scaled[s] for s in cw) for cw in cws if any(cw))
     n = len(cws)
     masks = [0] * n
@@ -45,9 +47,10 @@ def _all_pairs_graph(code, table):
 
 def _cayley_masks(graph):
     """The Cayley graph's adjacency spelled out: c' is in the row of c iff
-    the pair of c' minus the pair of c is a member of D."""
+    the pair of c' minus the pair of c is a member of D, with the swept
+    codewords' least pairs in sorted order."""
     sub = graph.code.ring.sub_table()
-    pairs = [graph.code.provenance[cw] for cw in graph.code.codewords]
+    pairs = [pair for _, pair in sorted_codewords(graph.code)]
     return [sum(1 << j for j, (a2, b2) in enumerate(pairs)
                 if graph.member[sub[a2][a]][sub[b2][b]])
             for a, b in pairs]
