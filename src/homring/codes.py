@@ -62,7 +62,7 @@ class CodeFunction:
     """A total map f : R -> R stored as a value table on canonical indices."""
 
     def __init__(self, ring: Ring, kind: str, table, tag: str, *, sigma=None,
-                 perm=None, d=None, seed=None):
+                 perm=None, seed=None):
         table = tuple(int(v) for v in table)
         if len(table) != ring.order:
             raise InvalidParameter(
@@ -76,7 +76,6 @@ class CodeFunction:
         self.tag = tag
         self.sigma = sigma
         self.perm = perm
-        self.d = d
         self.seed = seed
 
     def __call__(self, x: int) -> int:
@@ -92,7 +91,7 @@ def power_map(ring: Ring, d: int) -> CodeFunction:
         raise OutOfRange(f"power exponent must be >= 1, got {d}")
     mot = ring.mul_table()
     table = [_table_pow(mot, ring.one, x, d) for x in range(ring.order)]
-    return CodeFunction(ring, "power", table, f"pow:{d}", d=d)
+    return CodeFunction(ring, "power", table, f"pow:{d}")
 
 
 def random_teich_permutation(ring: Ring, seed: int) -> tuple:
@@ -450,21 +449,26 @@ def _is_monomial(f: CodeFunction, u: int, lam: int) -> bool:
 
 def monomial_symmetries(f: CodeFunction) -> list:
     """Pairs (u, lam) of units of R with f(u*x) = lam*f(x) for every x, whose
-    u generate the units that have such a lam.  The candidates for lam are
-    read off one nonzero value f(x0) and each is checked on all of f."""
+    u generate the units that have such a lam.  Whether (u, lam) holds
+    depends on lam only through its action on f's values, so the first lam
+    per action is kept; u needs the action v -> f(u*x_v), x_v the first x
+    with f(x) = v, and that lam is checked on all of f."""
     ring = f.ring
     mot = ring.mul_table()
     ft = f.table
     units = ring.units()
-    x0 = next((x for x, v in enumerate(ft) if v), 0)
-    lams_of = {}  # lam*f(x0) -> the units lam giving it, in order
+    first_x = {}  # each distinct value of f -> the first x with it
+    for x, v in enumerate(ft):
+        first_x.setdefault(v, x)
+    values, xs = list(first_x), list(first_x.values())
+    lam_of = {}
     for lam in units:
-        lams_of.setdefault(mot[lam][ft[x0]], []).append(lam)
+        lam_of.setdefault(tuple(map(mot[lam].__getitem__, values)), lam)
 
     def accept(u):
-        for lam in lams_of.get(ft[mot[u][x0]], ()):
-            if _is_monomial(f, u, lam):
-                return (u, lam)
+        lam = lam_of.get(tuple(map(ft.__getitem__, map(mot[u].__getitem__, xs))))
+        if lam is not None and _is_monomial(f, u, lam):
+            return (u, lam)
         return None
 
     return _unit_generators(units, ring.one, mot, accept)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from operator import getitem
 
@@ -210,12 +211,12 @@ def is_modular(ring: Ring, columns) -> tuple:
     mul = ring.mul_table()
     modules = [frozenset(tuple(mul[s][c] for c in y) for s in range(ring.order))
                for y in cols]
+    counts = Counter(modules)
     units = ring.units()
     r = None
-    for j, y in enumerate(cols):
-        count = sum(1 for m in modules if m == modules[j])
+    for y, module in zip(cols, modules):
         ucount = len({tuple(mul[u][c] for c in y) for u in units})
-        rj = Fraction(count, ucount)
+        rj = Fraction(counts[module], ucount)
         if r is None:
             r = rj
         elif rj != r:

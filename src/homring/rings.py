@@ -10,7 +10,8 @@ Three families are provided:
   lexicographically smallest monic polynomial over F_p whose root generates
   the multiplicative group of F_{p^r} is lifted so that the class xi of x
   satisfies xi^(p^r - 1) = 1.  The unit xi then generates the Teichmueller
-  group and the Frobenius map acts digit-wise on p-adic coordinates.
+  group, and the Frobenius map, which acts digit-wise on p-adic
+  coordinates, is the ring automorphism with xi -> xi^p.
 * explicit operation tables (``TableRing``), with two presets:
   ``FXY:<p>`` = F_p[x,y]/(x^2, y^2) on the basis (1, x, y, xy), encoded in
   base p, and ``Z4X`` = Z_4[x]/(x^2 + 2) on the basis (1, t), encoded in
@@ -200,17 +201,6 @@ class Automorphism:
     def __call__(self, a: int) -> int:
         return self.perm[a]
 
-    def order(self) -> int:
-        k = 1
-        cur = self
-        ident = tuple(range(self.ring.order))
-        while cur.perm != ident:
-            cur = cur.compose(self)
-            k += 1
-            if k > self.ring.order:
-                raise InternalInvariantViolation("automorphism order runaway")
-        return k
-
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other: a -> self(other(a))."""
         if self.ring is not other.ring:
@@ -233,24 +223,32 @@ class Automorphism:
 
 
 def _verify_automorphism(ring: "Ring", perm: tuple) -> None:
+    """Check a ring automorphism on the additive generators g, at |R|*g +
+    g^2 cells.  sigma(a + g) = sigma(a) + sigma(g) for every a makes sigma
+    additive, since the b that pass for every a are closed under + and the
+    generators span (R, +); then * is additive in each argument, so
+    sigma(g*h) = sigma(g)*sigma(h) on generator pairs makes it
+    multiplicative."""
     n = ring.order
     if len(perm) != n or sorted(perm) != list(range(n)):
         raise InternalInvariantViolation("automorphism table is not a bijection")
     if perm[0] != 0 or perm[ring.one] != ring.one:
         raise InternalInvariantViolation("automorphism must fix 0 and 1")
     aot, mot = ring.add_table(), ring.mul_table()
-    for a in range(n):
-        arow, mrow = aot[a], mot[a]
-        parow, pmrow = aot[perm[a]], mot[perm[a]]
-        for b in range(n):
-            pb = perm[b]
-            if perm[arow[b]] != parow[pb]:
+    gens = ring._additive_span()[0]
+    for g in gens:
+        left = list(map(perm.__getitem__, aot[g]))            # sigma(a + g)
+        right = list(map(aot[perm[g]].__getitem__, perm))     # sigma(a) + sigma(g)
+        if left != right:
+            a = next(a for a in range(n) if left[a] != right[a])
+            raise InternalInvariantViolation(
+                f"automorphism does not preserve + at ({a},{g})"
+            )
+    for g in gens:
+        for h in gens:
+            if perm[mot[g][h]] != mot[perm[g]][perm[h]]:
                 raise InternalInvariantViolation(
-                    f"automorphism does not preserve + at ({a},{b})"
-                )
-            if perm[mrow[b]] != pmrow[pb]:
-                raise InternalInvariantViolation(
-                    f"automorphism does not preserve * at ({a},{b})"
+                    f"automorphism does not preserve * at ({g},{h})"
                 )
 
 
@@ -359,10 +357,6 @@ class Ring:
             self._cache["units"] = tuple(inv)
             self._cache["inv"] = inv
         return self._cache["units"]
-
-    def is_unit(self, a: int) -> bool:
-        self.units()
-        return a in self._cache["inv"]
 
     def inverse(self, a: int) -> int:
         self.units()
@@ -632,33 +626,6 @@ class GaloisRing(Ring):
                 prod[k] = 0
         return self.encode(c % pn for c in prod[:r])
 
-    # -- p-adic digits -----------------------------------------------------
-
-    def _div_by_p(self, a: int) -> int:
-        cs = self.decode(a)
-        if any(c % self.p for c in cs):
-            raise InternalInvariantViolation("element not divisible by p")
-        return self.encode(c // self.p for c in cs)
-
-    def padic_digits(self, a: int) -> tuple:
-        """Digits (a_0, ..., a_{n-1}) in the Teichmueller set with
-        a = sum p^i a_i."""
-        t = self.teichmuller()
-        digits = []
-        cur = a
-        for i in range(self.n):
-            d = t.nu[cur]
-            digits.append(d)
-            if i + 1 < self.n:
-                cur = self._div_by_p(self.sub(cur, d))
-        return tuple(digits)
-
-    def from_padic_digits(self, digits) -> int:
-        out = 0
-        for i, d in enumerate(digits):
-            out = self.add(out, self.mul(self.element_from_int(self.p**i), d))
-        return out
-
     def _teichmuller_generator(self, group, order):
         # the class of x is Teichmueller by construction; pin it as the
         # canonical generator so 𝒯-indices follow powers of x
@@ -755,20 +722,24 @@ def make_galois_ring(p: int, n: int, r: int) -> GaloisRing:
 
 
 def frobenius(ring: GaloisRing) -> Automorphism:
-    """The Frobenius automorphism: sum p^i a_i -> sum p^i a_i^p."""
+    """The Frobenius automorphism sum p^i a_i -> sum p^i a_i^p on digits
+    a_i in the Teichmueller set, which holds the class x of the variable:
+    so sigma(x) = x^p and sigma(sum c_k x^k) = sum c_k x^(pk)."""
     if not isinstance(ring, GaloisRing):
         raise UnknownPreset(f"frobenius automorphism needs a Galois ring, got {ring.name}")
     key = "frobenius"
     if key not in ring._cache:
         # sigma is additive: compute it on the additive generators and
         # extend along the span; the Automorphism check covers the rest
-        p = ring.p
+        aot, mot = ring.add_table(), ring.mul_table()
+        xp = ring.pow(ring.xbar, ring.p)
         gens, _, steps = ring._additive_span()
-        images = [
-            ring.from_padic_digits([ring.pow(d, p) for d in ring.padic_digits(g)])
-            for g in gens
-        ]
-        aot = ring.add_table()
+        images = []
+        for g in gens:
+            acc = 0
+            for c in reversed(ring.decode(g)):  # Horner at x^p; c < p^n encodes c*1
+                acc = aot[mot[acc][xp]][c]
+            images.append(acc)
         perm = [0] * ring.order
         for y, x, j in steps:
             perm[y] = aot[perm[x]][images[j]]
@@ -1030,14 +1001,6 @@ def z4x_ring() -> TableRing:
 
     return TableRing(add_t, mul_t, "Z4X", char_expected=4,
                      render_fn=render, preset="z4x")
-
-
-def z4x_conjugation(ring: TableRing) -> Automorphism:
-    """The automorphism t -> -t of Z4X."""
-    if getattr(ring, "preset", None) != "z4x":
-        raise UnknownPreset("conjugation automorphism needs the Z4X ring")
-    perm = [(a % 4) + 4 * ((-(a // 4)) % 4) for a in range(ring.order)]
-    return Automorphism(ring, perm, tag="custom")
 
 
 # ---------------------------------------------------------------------------

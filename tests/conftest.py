@@ -1,9 +1,17 @@
 import pytest
 
 from homring import verify
+from homring.rings import Automorphism, z4x_ring
 
 
 @pytest.fixture(scope="session")
 def verify_report():
     """Run the built-in verification suite once and share the report."""
     return verify.run()
+
+
+@pytest.fixture(scope="session")
+def z4x_conjugation():
+    """The automorphism t -> -t of Z4X."""
+    Z = z4x_ring()
+    return Automorphism(Z, [(a % 4) + 4 * ((-(a // 4)) % 4) for a in range(Z.order)])

@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 from homring.cyclotomic import Cyclotomic, cyclotomic_polynomial
 from homring.errors import (BudgetExceeded, InvalidParameter, ParseError,
                             UnknownPreset, ValidationFailed)
-from homring.rings import named_automorphism, ring_from_spec, z4x_conjugation
+from homring.rings import (GaloisRing, make_integer_ring, named_automorphism,
+                           ring_from_spec)
 from homring.traces import (SubringEmbedding, canonical_character, char_fixed_by,
                             enumerate_trace_maps, fxy_sum_trace, galois_trace,
                             generating_character, identity_trace,
                             subring_embedding, table_trace, trace_from_spec,
                             validate_trace, z4x_trace)
+
+from ring_oracle import SETUP_GRID, character_scan
 
 # ---------------------------------------------------------------------------
 # cyclotomic reduction used by the character layer
@@ -369,6 +372,56 @@ def test_canonical_character_is_generating(spec):
         assert any(chi.exps[a] != 0 for a in ideal)
 
 
+def _named_traces(R):
+    """The identity trace, and the galois, fxy-sum or z4x traces onto Z_c,
+    c the characteristic."""
+    S = make_integer_ring(R.characteristic())
+    if isinstance(R, GaloisRing):
+        return [identity_trace(R), galois_trace(R, S)]
+    if getattr(R, "preset", None) == "fxy":
+        return [identity_trace(R), fxy_sum_trace(R, S)]
+    if getattr(R, "preset", None) == "z4x":
+        return [identity_trace(R)] + [z4x_trace(R, S, l0, l1)
+                                      for l0 in range(4) for l1 in (1, 3)]
+    return [identity_trace(R)]
+
+
+@pytest.mark.parametrize("spec", SETUP_GRID)
+def test_characters_are_additive_and_generating_by_the_full_scan(spec):
+    # Character checks nothing: each is Phi o T for a validated trace T
+    R = ring_from_spec(spec)
+    chi = canonical_character(R)
+    assert character_scan(R, chi.conductor, chi.exps) is None
+    for tr in _named_traces(R):
+        chi = generating_character(tr)
+        assert character_scan(R, chi.conductor, chi.exps) is None, tr.tag
+
+
+@pytest.mark.parametrize("ring_spec,sub_spec", [
+    ("Zm:12", "Zm:12"), ("GR:2,1,3", "Zm:2"), ("GR:2,2,2", "Zm:4"),
+    ("GR:2,2,2", "GR:2,2,2"), ("FXY:2", "Zm:2"), ("Z4X", "Zm:4"),
+])
+def test_enumerated_characters_are_additive_and_generating_by_the_full_scan(
+        ring_spec, sub_spec):
+    R, S = ring_from_spec(ring_spec), ring_from_spec(sub_spec)
+    traces = enumerate_trace_maps(R, S)
+    assert traces
+    for tr in traces:
+        chi = generating_character(tr)
+        assert character_scan(R, chi.conductor, chi.exps) is None, tr.tag
+
+
+def test_the_character_scan_refuses_what_is_not_a_character():
+    R = ring_from_spec("GR:2,2,2")
+    chi = canonical_character(R)
+    two = R.element_from_int(2)
+    # x -> chi(2x) is additive and vanishes on the ideal 2R
+    exps = [chi.exps[R.mul(two, x)] for x in range(R.order)]
+    assert character_scan(R, 4, exps) == "generating"
+    exps[1] = (exps[1] + 1) % 4
+    assert character_scan(R, 4, exps) == "additive"
+
+
 def test_generating_character_factors_through_the_trace():
     R = ring_from_spec("GR:2,2,2")
     S = ring_from_spec("Zm:4")
@@ -379,7 +432,7 @@ def test_generating_character_factors_through_the_trace():
     assert all(chi.exps[a] == phi.exps[tr(a)] for a in range(R.order))
 
 
-def test_char_fixed_by():
+def test_char_fixed_by(z4x_conjugation):
     R = ring_from_spec("GR:2,2,2")
     frob = named_automorphism(R, "frobenius")
     S = ring_from_spec("Zm:4")
@@ -389,4 +442,4 @@ def test_char_fixed_by():
     # which Frobenius permutes termwise
     assert char_fixed_by(canonical_character(R), frob)
     Z = ring_from_spec("Z4X")
-    assert not char_fixed_by(canonical_character(Z), z4x_conjugation(Z))
+    assert not char_fixed_by(canonical_character(Z), z4x_conjugation)

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homring import codes
 from homring.codes import (PairOrbits, WeightEnumerator, _is_monomial,
-                           build_code, closed_form_enumerator, closed_form_spectrum,
-                           code_spectrum, frank_map, function_from_spec,
+                           _unit_generators, build_code, closed_form_enumerator,
+                           closed_form_spectrum, code_spectrum, frank_map,
+                           function_from_spec,
                            monomial_symmetries, orbit_weights, power_map,
                            random_teich_permutation, sigma_quadratic_map,
                            table_map, transform_W, weight_enumerator,
@@ -19,12 +21,13 @@ from homring.cyclotomic import Cyclotomic
 from homring.errors import (InternalInvariantViolation, InvalidParameter,
                             OutOfRange, ParseError, UnknownPreset,
                             ValidationFailed, WrongRingFamily)
-from homring.rings import named_automorphism, ring_from_spec, z4x_conjugation
+from homring.rings import named_automorphism, ring_from_spec
 from homring.traces import (canonical_character, fxy_sum_trace, galois_trace,
                             identity_trace, table_trace, trace_from_spec)
 from homring.weights import WeightTable, hamming_table, hom_weight
 
 from codeword_oracle import least_pairs, pair_codewords, sorted_codewords
+from ring_oracle import padic_digits
 
 F = Fraction
 
@@ -142,7 +145,7 @@ def test_frank_map_lands_in_p_times_teichmuller_products():
     p = R.element_from_int(3)
     t = R.teichmuller()
     for x in range(R.order):
-        x0, x1 = R.padic_digits(x)
+        x0, x1 = padic_digits(R, x)
         assert f.table[x] == R.mul(p, R.mul(x0, x1))
 
 
@@ -309,11 +312,11 @@ def test_points_are_the_least_pairs_in_sorted_codeword_order(code):
     assert code.points == tuple(pair for _, pair in sorted_codewords(code))
 
 
-def test_sigma_check_rejects_unfixed_characters():
+def test_sigma_check_rejects_unfixed_characters(z4x_conjugation):
     Z = ring_from_spec("Z4X")
     with pytest.raises(ValidationFailed) as err:
         build_code(Z, Z, identity_trace(Z),
-                   sigma_quadratic_map(Z, z4x_conjugation(Z)))
+                   sigma_quadratic_map(Z, z4x_conjugation))
     assert err.value.primary == "CharacterNotSigmaInvariant"
 
     # a unit-twisted trace on FXY:2 breaks the swap-xy symmetry
@@ -532,9 +535,62 @@ def test_discovered_monomial_symmetries_hold_on_every_element():
     # checked through the ring's own mul, not the tables discovery reads
     for f in _table_functions():
         R = f.ring
+        units = set(R.units())
         for u, lam in monomial_symmetries(f):
-            assert R.is_unit(u) and R.is_unit(lam) and u != R.one
+            assert u in units and lam in units and u != R.one
             assert all(f(R.mul(u, x)) == R.mul(lam, f(x)) for x in range(R.order))
+
+
+def _bucket_monomial_symmetries(f):
+    """Oracle for ``monomial_symmetries``: the units lam bucketed by
+    lam*f(x0) for the first nonzero value f(x0), and each u tried against
+    every lam of its bucket until one holds on all of f."""
+    R = f.ring
+    mot, ft, units = R.mul_table(), f.table, R.units()
+    x0 = next((x for x, v in enumerate(ft) if v), 0)
+    lams_of = {}
+    for lam in units:
+        lams_of.setdefault(mot[lam][ft[x0]], []).append(lam)
+
+    def accept(u):
+        for lam in lams_of.get(ft[mot[u][x0]], ()):
+            if _is_monomial(f, u, lam):
+                return (u, lam)
+        return None
+
+    return _unit_generators(units, R.one, mot, accept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=_orbit_codes())
+def test_monomial_symmetries_equal_the_bucket_oracle(code):
+    assert monomial_symmetries(code.func) == _bucket_monomial_symmetries(code.func)
+
+
+def test_each_unit_is_checked_against_one_lambda_at_most(monkeypatch):
+    calls = {"accept": 0, "monomial": 0}
+    unit_generators, is_monomial = codes._unit_generators, codes._is_monomial
+
+    def counted_unit_generators(units, one, mul, accept):
+        def counted_accept(u):
+            calls["accept"] += 1
+            return accept(u)
+        return unit_generators(units, one, mul, counted_accept)
+
+    def counted_is_monomial(f, u, lam):
+        calls["monomial"] += 1
+        return is_monomial(f, u, lam)
+
+    monkeypatch.setattr(codes, "_unit_generators", counted_unit_generators)
+    monkeypatch.setattr(codes, "_is_monomial", counted_is_monomial)
+    # no symmetry: on GR:3,2,2 the 9 units lam = lam0 mod 3 act alike on pR
+    f = function_from_spec(ring_from_spec("GR:3,2,2"), "frank:rand:7")
+    assert monomial_symmetries(f) == _bucket_monomial_symmetries(f) == []
+    assert calls["monomial"] <= calls["accept"] > 0
+    calls.update(accept=0, monomial=0)
+    for f in _table_functions():
+        monomial_symmetries(f)
+    assert 0 < calls["monomial"] <= calls["accept"]
 
 
 def test_a_wrong_lambda_is_refused():

@@ -305,3 +305,43 @@ def test_is_modular_drops_zero_columns():
     assert is_modular(R, cols + [(0, 0)]) == (True, F(1))
     assert is_modular(R, [(1, 0), (2, 0)]) == (False, None)
     assert is_modular(R, [(0, 0)]) == (True, None)
+
+
+def _pairwise_is_modular(ring, columns):
+    """Oracle for ``is_modular``: each column's module compared with every
+    other column's."""
+    cols = [tuple(c) for c in columns if any(c)]
+    if not cols:
+        return (True, None)
+    mul = ring.mul_table()
+    modules = [frozenset(tuple(mul[s][c] for c in y) for s in range(ring.order))
+               for y in cols]
+    r = None
+    for j, y in enumerate(cols):
+        count = sum(1 for m in modules if m == modules[j])
+        rj = F(count, len({tuple(mul[u][c] for c in y) for u in ring.units()}))
+        if r is None:
+            r = rj
+        elif rj != r:
+            return (False, None)
+    return (True, r)
+
+
+GRAPH_FUNCTIONS = (
+    [(f"Zm:{m}", f"pow:{d}") for m in range(2, 41) for d in range(1, 9)]
+    + [(ring, f) for ring in ("GR:2,2,2", "GR:3,2,2")
+       for f in ("frank:id", "frank:rand:3")]
+    + [(f"GR:2,1,{r}", "pow:3") for r in (3, 4, 5)]
+    + [(f"GR:3,1,{r}", "pow:2") for r in (2, 3)]
+    + [("FXY:2", "sigmaquad:swapxy"), ("FXY:3", "sigmaquad:swapxy"), ("Z4X", "pow:2")]
+    + [(ring, "sigmaquad:frobenius") for ring in ("GR:2,1,2", "GR:2,1,3", "GR:2,2,2",
+                                                 "GR:3,1,2", "GR:2,3,2", "GR:3,2,2")]
+)
+
+
+def test_is_modular_equals_the_pairwise_count():
+    for ring_spec, f_spec in GRAPH_FUNCTIONS:
+        R = ring_from_spec(ring_spec)
+        columns = function_columns(R, function_from_spec(R, f_spec))
+        assert is_modular(R, columns) == _pairwise_is_modular(R, columns), \
+            (ring_spec, f_spec)

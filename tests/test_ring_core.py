@@ -1,19 +1,24 @@
 """Ring construction and structure across all four families."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homring.codes import (frank_map, power_map, random_teich_permutation,
                            sigma_quadratic_map)
-from homring.errors import (BadPermutation, InvalidParameter, InvalidRing,
-                            NotLocal, ParseError, UnknownPreset)
-from homring.rings import (GaloisRing, Ideal, IntegerModRing, TableRing,
-                           _verify_tables, frobenius, fxy_ring,
-                           make_galois_ring, make_integer_ring,
-                           named_automorphism, permutation_of_teichmuller,
-                           ring_from_spec, z4x_conjugation, z4x_ring)
+from homring.errors import (BadPermutation, InternalInvariantViolation,
+                            InvalidParameter, InvalidRing, NotLocal,
+                            ParseError, UnknownPreset)
+from homring.rings import (Automorphism, GaloisRing, Ideal, IntegerModRing,
+                           TableRing, _verify_tables, automorphism_power,
+                           frobenius, fxy_ring, make_galois_ring,
+                           make_integer_ring, named_automorphism,
+                           permutation_of_teichmuller, ring_from_spec,
+                           swap_xy, z4x_ring)
 from homring.traces import galois_trace
+
+from ring_oracle import (SETUP_GRID, automorphism_scan, frobenius_by_digits,
+                         from_padic_digits, padic_digits)
 
 ALL_SPECS = [
     "Zm:4", "Zm:5", "Zm:6", "Zm:7", "Zm:8", "Zm:9", "Zm:10", "Zm:14",
@@ -125,10 +130,10 @@ def test_teichmuller_set_and_digits():
         assert R.pow(x, 8) == R.one
     # digits are Teichmueller and reassemble the element
     for a in range(R.order):
-        digits = R.padic_digits(a)
+        digits = padic_digits(R, a)
         assert len(digits) == R.n
         assert all(d in t.index_of for d in digits)
-        assert R.from_padic_digits(digits) == a
+        assert from_padic_digits(R, digits) == a
 
 
 @given(st.integers(min_value=0, max_value=4095))
@@ -136,7 +141,7 @@ def test_teichmuller_set_and_digits():
 def test_digit_round_trip_gr_2_3_2(a):
     R = ring_from_spec("GR:2,3,2")
     a %= R.order
-    assert R.from_padic_digits(R.padic_digits(a)) == a
+    assert from_padic_digits(R, padic_digits(R, a)) == a
 
 
 def test_nu_picks_the_teichmuller_part():
@@ -156,6 +161,61 @@ def test_frobenius_fixes_exactly_the_base_ring():
     assert fixed == base
     # order r in the automorphism group
     assert all(frob(frob(a)) == a for a in range(R.order))
+
+
+AUTO_SPECS = ["GR:2,1,3", "GR:2,1,4", "GR:2,2,2", "GR:3,1,2", "GR:2,3,2",
+              "GR:3,2,2", "FXY:2", "FXY:3", "Z4X"]
+
+
+def _known_automorphisms(R, z4x_conjugation):
+    """The identity, and the Frobenius powers, swap-xy or t -> -t."""
+    if isinstance(R, GaloisRing):
+        sigma = frobenius(R)
+        return [automorphism_power(sigma, k).perm for k in range(R.r)]
+    if R.preset == "fxy":
+        return [tuple(range(R.order)), swap_xy(R).perm]
+    return [tuple(range(R.order)), z4x_conjugation.perm]
+
+
+@st.composite
+def _candidate_automorphisms(draw, z4x_conjugation):
+    """Additive bijections fixing 1, from random images of the additive
+    generators or a known automorphism, with two points swapped or not."""
+    R = ring_from_spec(draw(st.sampled_from(AUTO_SPECS)))
+    gens, _, steps = R._additive_span()
+    assert gens[0] == R.one
+    if draw(st.booleans()):
+        images = [R.one] + [draw(st.integers(0, R.order - 1)) for _ in gens[1:]]
+        aot = R.add_table()
+        perm = [0] * R.order
+        for y, x, j in steps:
+            perm[y] = aot[perm[x]][images[j]]
+        assume(len(set(perm)) == R.order)
+    else:
+        perm = list(draw(st.sampled_from(_known_automorphisms(R, z4x_conjugation))))
+    if draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(2, R.order - 1), min_size=2, max_size=2,
+                             unique=True))
+        perm[a], perm[b] = perm[b], perm[a]
+    return R, tuple(perm)
+
+
+def _automorphism_refusal(R, perm):
+    try:
+        Automorphism(R, perm)
+    except InternalInvariantViolation as err:
+        return "+" if "preserve +" in str(err) else "*"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_generator_automorphism_check_refuses_exactly_when_the_full_scan_does(
+        data, z4x_conjugation):
+    R, perm = data.draw(_candidate_automorphisms(z4x_conjugation))
+    failed = automorphism_scan(R, perm)
+    expected = "+" if "+" in failed else "*" if failed else None
+    assert _automorphism_refusal(R, perm) == expected
 
 
 def test_bad_galois_parameters():
@@ -197,9 +257,9 @@ def test_z4x_ring_basics():
     assert set(R.socle()) == {0, 8}
 
 
-def test_z4x_conjugation_is_an_involution():
-    R = z4x_ring()
-    sigma = z4x_conjugation(R)
+def test_z4x_conjugation_is_an_involution(z4x_conjugation):
+    sigma = z4x_conjugation
+    assert sigma.ring is z4x_ring()
     assert sigma(4) == 12
     assert all(sigma(sigma(a)) == a for a in range(16))
 
@@ -277,13 +337,6 @@ def test_permutation_validation():
 # set-up from additive generators, against the slow operations
 
 
-SETUP_GRID = (
-    [f"GR:2,1,{r}" for r in range(1, 7)] + [f"GR:2,2,{r}" for r in range(1, 4)]
-    + ["GR:2,3,2", "GR:3,2,2", "GR:5,1,2", "GR:7,1,2"]
-    + [f"Zm:{m}" for m in range(2, 41)] + ["FXY:2", "FXY:3", "Z4X"]
-)
-
-
 @pytest.mark.parametrize("spec", SETUP_GRID)
 def test_tables_units_and_digits_equal_the_slow_operations(spec):
     R = ring_from_spec(spec)
@@ -307,8 +360,7 @@ def test_tables_units_and_digits_equal_the_slow_operations(spec):
 @pytest.mark.parametrize("spec", [s for s in SETUP_GRID if s.startswith("GR:")])
 def test_frobenius_and_galois_trace_equal_the_digit_route(spec):
     R = ring_from_spec(spec)
-    sigma = [R.from_padic_digits([R.pow(d, R.p) for d in R.padic_digits(a)])
-             for a in range(R.order)]
+    sigma = frobenius_by_digits(R)
     assert list(frobenius(R).perm) == sigma
     trace = []
     for a in range(R.order):
@@ -333,7 +385,7 @@ def test_code_functions_equal_the_slow_operations(spec):
         for f in (frank_map(R), frank_map(R, random_teich_permutation(R, 5))):
             slow = []
             for x in range(n):
-                x0, x1 = R.padic_digits(x)
+                x0, x1 = padic_digits(R, x)
                 x0p = t.elements[f.perm[t.index_of[x0]]]
                 slow.append(R.mul(p, R.mul(x0p, x1)))
             assert f.table == tuple(slow)
