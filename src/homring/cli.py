@@ -26,7 +26,7 @@ from .graphs import (SRGParams, check_vertex_cap, connected_components,
 from .rings import ring_from_spec
 from .traces import (enumerate_trace_maps, read_two_column_table,
                      subring_embedding, trace_from_spec, validate_trace)
-from .weights import hamming_table, hom_weight, parse_gamma
+from .weights import cyclic_submodules, hamming_table, hom_weight, parse_gamma
 
 CONFIG_KEYS = ("ring", "subring", "trace", "f", "gamma", "weight", "format",
                "budget", "seed")
@@ -96,6 +96,8 @@ def _merge_flags(cfg: JobConfig, args) -> JobConfig:
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
+    if cfg.budget is not None and cfg.budget <= 0:  # parse_config refused the rest
+        raise ParseError("budget must be positive")
     if cfg.weight not in ("homogeneous", "hamming"):
         raise ParseError(f"weight must be homogeneous or hamming, got {cfg.weight!r}")
     return cfg
@@ -190,12 +192,11 @@ def run_trace_check(cfg: JobConfig) -> dict:
 def run_weight_table(cfg: JobConfig) -> dict:
     ring = _require_ring(cfg)
     wt = _weight_table(cfg, ring)
-    # each element's orbit is named by the least element generating its
-    # module xR, the first one met in increasing order
-    first = {}
-    rows = [{"element": x, "orbit": first.setdefault(frozenset(row), x),
+    # each element's orbit is named by the least generator of its module xR
+    classes, cls_of = cyclic_submodules(ring)
+    rows = [{"element": x, "orbit": classes[n][0],
              "weight": rational_str(wt.values[x])}
-            for x, row in enumerate(ring.mul_table())]
+            for x, n in enumerate(cls_of)]
     return {
         "ring": ring.name,
         "gamma": rational_str(wt.gamma),

@@ -119,7 +119,7 @@ def frank_map(ring: Ring, perm=None, tag: str | None = None) -> CodeFunction:
     if tag is None:
         tag = "frank:" + ",".join(str(i) for i in perm)
     mot, sot = ring.mul_table(), ring.sub_table()
-    p_row = mot[ring.element_from_int(ring.p)]
+    p_row = mot[ring.p]  # p < p^2 encodes p*1
     # x0 = nu(x), and x - x0 = p*x1 for one Teichmueller x1
     x1_of = {p_row[e]: e for e in t.elements}
     pi = {e: t.elements[perm[i]] for i, e in enumerate(t.elements)}

@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 from operator import getitem
 
-from .codes import Code, CodeFunction, PairOrbits, orbit_weights
+from .codes import Code, CodeFunction, orbit_weights
 from .errors import BudgetExceeded, InternalInvariantViolation, NotTwoWeight
 from .rings import Ring
 from .weights import WeightTable
@@ -20,18 +20,18 @@ class CodeGraph:
 
     ``connection`` holds D as least pairs (``Code.points``), in sorted
     codeword order, and ``member[a][b]`` is 1 iff the codeword of the pair
-    (a, b) is in D.  The degree is |D|.  ``orbits`` are the orbits on the
-    codewords of the symmetries that keep the graph's weights, and so keep
-    D."""
+    (a, b) is in D.  The degree is |D|.  ``labels[i]`` is the orbit of the
+    nonzero codeword ``code.points[i + 1]`` under the symmetries that keep
+    the graph's weights, and so keep D."""
 
-    def __init__(self, code: Code, w1, connection, member, orbits: PairOrbits):
+    def __init__(self, code: Code, w1, connection, member, labels):
         self.code = code
         self.order = code.size
         self.w1 = w1
         self.connection = tuple(connection)
         self.member = member
         self.degree = len(self.connection)
-        self.orbits = orbits
+        self.labels = labels
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"CodeGraph(order={self.order}, w1={self.w1})"
@@ -67,14 +67,16 @@ def two_weight_graph(code: Code, table: WeightTable) -> CodeGraph:
     if any(scaled[neg[s]] != scaled[s] for s in range(code.sub.order)):
         raise InternalInvariantViolation(
             f"weight table on {code.sub.name} has w(-x) != w(x)")
-    connection = [p for p in code.points[1:]
-                  if orbit_weight[orbits.label(*p)] == w1_scaled]
+    points = code.points[1:]
+    labels = [orbits.label(a, b) for a, b in points]
+    connection = [p for p, label in zip(points, labels)
+                  if orbit_weight[label] == w1_scaled]
     add = code.ring.add_table()
     member = [bytearray(code.ring.order) for _ in add]
     for da, db in connection:
         for ka, kb in code.kernel:
             member[add[da][ka]][add[db][kb]] = 1
-    return CodeGraph(code, w1, connection, member, orbits)
+    return CodeGraph(code, w1, connection, member, labels)
 
 
 class SRGParams:
@@ -135,11 +137,9 @@ def srg_check(graph: CodeGraph):
     k = graph.degree
     member = graph.member
     sub = code.ring.sub_table()
-    orbits = graph.orbits
     counts = {}
     lam = mu = None
-    for j, (a, b) in enumerate(code.points[1:], 1):
-        label = orbits.label(a, b)
+    for j, ((a, b), label) in enumerate(zip(code.points[1:], graph.labels), 1):
         common = counts.get(label)
         if common is None:
             # for the pair (a, b) of c, the rows of a - da and the columns

@@ -106,17 +106,50 @@ def _add_rows(n: int, span) -> list:
     return aot
 
 
+def _extend(aot, steps, images) -> list:
+    """The additive map with images[j] at the j-th additive generator, along
+    the steps (y, x, j), y = x + gens[j], of ``_additive_span``, on the add
+    table ``aot`` of the target.  The map is not checked here."""
+    out = [0] * (len(steps) + 1)
+    for y, x, j in steps:
+        out[y] = aot[out[x]][images[j]]
+    return out
+
+
 def _mul_rows(aot, span, mul) -> list:
-    """The mul table from the add table: only the generators' rows call
-    mul, since (x + g) * b = x * b + g * b."""
-    n = len(aot)
+    """The mul table from the add table: only generator pairs call mul,
+    since b -> g*b is additive and (x + g)*b = x*b + g*b."""
     gens, _, steps = span
-    rows = [[mul(g, b) for b in range(n)] for g in gens]
-    mot = [None] * n
-    mot[0] = [0] * n
+    rows = [_extend(aot, steps, [mul(g, h) for h in gens]) for g in gens]
+    mot = [None] * len(aot)
+    mot[0] = [0] * len(aot)
     for y, x, j in steps:
         mot[y] = [aot[u][w] for u, w in zip(mot[x], rows[j])]
     return mot
+
+
+def _homomorphism_failure(src: "Ring", table, add, mul=None):
+    """Where ``table``, a map from src into a ring with add table ``add``
+    (and mul table ``mul``), first fails to preserve + (or *), checked on
+    src's additive generators g at |src|*g + g^2 cells: ("+", a, g) with
+    table[a + g] != table[a] + table[g], else ("*", g, h) with
+    table[g*h] != table[g]*table[h]; None when neither fails.  The b with
+    table[a + b] = table[a] + table[b] for every a are closed under +, so
+    the first check makes the map additive; * is additive in each argument,
+    so generator pairs then make it multiplicative."""
+    aot, gens = src.add_table(), src._additive_span()[0]
+    for g in gens:
+        left = list(map(table.__getitem__, aot[g]))          # table[a + g]
+        right = list(map(add[table[g]].__getitem__, table))  # table[a] + table[g]
+        if left != right:
+            return "+", next(a for a in range(src.order) if left[a] != right[a]), g
+    if mul is not None:
+        mot = src.mul_table()
+        for g in gens:
+            for h in gens:
+                if table[mot[g][h]] != mul[table[g]][table[h]]:
+                    return "*", g, h
+    return None
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -223,33 +256,18 @@ class Automorphism:
 
 
 def _verify_automorphism(ring: "Ring", perm: tuple) -> None:
-    """Check a ring automorphism on the additive generators g, at |R|*g +
-    g^2 cells.  sigma(a + g) = sigma(a) + sigma(g) for every a makes sigma
-    additive, since the b that pass for every a are closed under + and the
-    generators span (R, +); then * is additive in each argument, so
-    sigma(g*h) = sigma(g)*sigma(h) on generator pairs makes it
-    multiplicative."""
+    """Check a ring automorphism: a bijection fixing 0 and 1 that preserves
+    + and *, checked on the additive generators."""
     n = ring.order
     if len(perm) != n or sorted(perm) != list(range(n)):
         raise InternalInvariantViolation("automorphism table is not a bijection")
     if perm[0] != 0 or perm[ring.one] != ring.one:
         raise InternalInvariantViolation("automorphism must fix 0 and 1")
-    aot, mot = ring.add_table(), ring.mul_table()
-    gens = ring._additive_span()[0]
-    for g in gens:
-        left = list(map(perm.__getitem__, aot[g]))            # sigma(a + g)
-        right = list(map(aot[perm[g]].__getitem__, perm))     # sigma(a) + sigma(g)
-        if left != right:
-            a = next(a for a in range(n) if left[a] != right[a])
-            raise InternalInvariantViolation(
-                f"automorphism does not preserve + at ({a},{g})"
-            )
-    for g in gens:
-        for h in gens:
-            if perm[mot[g][h]] != mot[perm[g]][perm[h]]:
-                raise InternalInvariantViolation(
-                    f"automorphism does not preserve * at ({g},{h})"
-                )
+    failure = _homomorphism_failure(ring, perm, ring.add_table(), ring.mul_table())
+    if failure is not None:
+        op, u, v = failure
+        raise InternalInvariantViolation(
+            f"automorphism does not preserve {op} at ({u},{v})")
 
 
 class TeichmullerData:
@@ -321,26 +339,14 @@ class Ring:
             k >>= 1
         return out
 
-    def element_from_int(self, c: int) -> int:
-        """The image of the integer c under Z -> R, i.e. c * 1."""
-        c %= self.characteristic()
-        out = 0
-        step = self.one
-        # double-and-add on the additive group
-        while c:
-            if c & 1:
-                out = self.add(out, step)
-            step = self.add(step, step)
-            c >>= 1
-        return out
-
     # ----- cached structural data ----------------------------------------
 
     def characteristic(self) -> int:
         if "char" not in self._cache:
+            step = self.add_table()[self.one]  # a -> 1 + a
             c, acc = 1, self.one
             while acc != 0:
-                acc = self.add(acc, self.one)
+                acc = step[acc]
                 c += 1
                 if c > self.order:
                     raise InternalInvariantViolation("additive order of 1 runaway")
@@ -398,9 +404,8 @@ class Ring:
         if "local" not in self._cache:
             non = self.nonunits()
             ns = set(non)
-            self._cache["local"] = all(
-                self.add(a, b) in ns for a in non for b in non
-            )
+            aot = self.add_table()
+            self._cache["local"] = all(aot[a][b] in ns for a in non for b in non)
         return self._cache["local"]
 
     def residue_size(self) -> int:
@@ -458,8 +463,9 @@ class Ring:
 
     # ----- dense tables for hot loops ------------------------------------
     #
-    # Only the rows of the greedy additive generators call add / mul, g * |R|
-    # calls each (g <= log2 |R|); every other row is |R| lookups.
+    # Only the rows of the g greedy additive generators call add, g * |R|
+    # calls, and only generator pairs call mul, g^2 calls (g <= log2 |R|);
+    # every other cell is a lookup.
 
     def _additive_span(self) -> tuple:
         if "span" not in self._cache:
@@ -637,6 +643,14 @@ class GaloisRing(Ring):
             raise InternalInvariantViolation("class of x has premature order")
         return xb
 
+    def _evaluate(self, coeffs, at: int) -> int:
+        """sum c_k * at^k by Horner's rule; c_k < p^n encodes c_k * 1."""
+        aot, mot = self.add_table(), self.mul_table()
+        acc = 0
+        for c in reversed(coeffs):
+            acc = aot[mot[acc][at]][c]
+        return acc
+
     def render(self, a: int) -> str:
         return "(" + ",".join(str(c) for c in self.decode(a)) + ")"
 
@@ -731,18 +745,10 @@ def frobenius(ring: GaloisRing) -> Automorphism:
     if key not in ring._cache:
         # sigma is additive: compute it on the additive generators and
         # extend along the span; the Automorphism check covers the rest
-        aot, mot = ring.add_table(), ring.mul_table()
-        xp = ring.pow(ring.xbar, ring.p)
+        xp = _table_pow(ring.mul_table(), ring.one, ring.xbar, ring.p)
         gens, _, steps = ring._additive_span()
-        images = []
-        for g in gens:
-            acc = 0
-            for c in reversed(ring.decode(g)):  # Horner at x^p; c < p^n encodes c*1
-                acc = aot[mot[acc][xp]][c]
-            images.append(acc)
-        perm = [0] * ring.order
-        for y, x, j in steps:
-            perm[y] = aot[perm[x]][images[j]]
+        images = [ring._evaluate(ring.decode(g), xp) for g in gens]
+        perm = _extend(ring.add_table(), steps, images)
         ring._cache[key] = Automorphism(ring, perm, tag="frobenius-1")
     return ring._cache[key]
 
@@ -762,16 +768,13 @@ def swap_xy(ring: "TableRing") -> Automorphism:
     """The coefficient-swap automorphism of FXY:p (x <-> y)."""
     if getattr(ring, "preset", None) != "fxy":
         raise UnknownPreset(f"swap-xy automorphism needs an FXY ring, got {ring.name}")
-    p = ring.char_expected
-    perm = []
-    for a in range(ring.order):
-        c1 = a % p
-        cx = (a // p) % p
-        cy = (a // p**2) % p
-        cxy = a // p**3
-        perm.append(c1 + cy * p + cx * p**2 + cxy * p**3)
     key = "swapxy"
     if key not in ring._cache:
+        # the greedy additive generators of FXY:p are 1, x, y, xy, encoded
+        # 1, p, p^2, p^3; their images are 1, y, x, xy
+        p = ring.char_expected
+        perm = _extend(ring.add_table(), ring._additive_span()[2],
+                       [1, p * p, p, p**3])
         ring._cache[key] = Automorphism(ring, perm, tag="swap-xy")
     return ring._cache[key]
 
@@ -805,11 +808,12 @@ class TableRing(Ring):
         n = len(add_table)
         add_t = [list(row) for row in add_table]
         mul_t = [list(row) for row in mul_table]
-        _verify_tables(add_t, mul_t, n, name)
+        span = _verify_tables(add_t, mul_t, n, name)
         one = _find_identity(mul_t, n, name)
         self._add = add_t
         self._mul = mul_t
         super().__init__(n, one, name)
+        self._cache["span"] = span
         self._cache["add_table"] = add_t
         self._cache["mul_table"] = mul_t
         self._render_fn = render_fn
@@ -824,15 +828,7 @@ class TableRing(Ring):
         return self._add[a][b]
 
     def neg(self, a):
-        if "neg" not in self._cache:
-            neg = [None] * self.order
-            for x in range(self.order):
-                for y in range(self.order):
-                    if self._add[x][y] == 0:
-                        neg[x] = y
-                        break
-            self._cache["neg"] = neg
-        return self._cache["neg"][a]
+        return self._add[a].index(0)
 
     def mul(self, a, b):
         return self._mul[a][b]
@@ -843,8 +839,8 @@ class TableRing(Ring):
         return f"e{a}"
 
 
-def _verify_tables(add_t, mul_t, n: int, name: str) -> None:
-    """Check the commutative-ring axioms.
+def _verify_tables(add_t, mul_t, n: int, name: str) -> tuple:
+    """Check the commutative-ring axioms, and return the additive span.
 
     Apart from O(n^2) checks of shape, the zero, commutativity and
     inverses, every check runs on the greedy additive generators g:
@@ -875,7 +871,8 @@ def _verify_tables(add_t, mul_t, n: int, name: str) -> None:
     for a in rng:
         if 0 not in add_t[a]:
             raise InvalidRing(f"{name}: {a} has no additive inverse")
-    gens = _additive_span(n, add_t.__getitem__)[0]
+    span = _additive_span(n, add_t.__getitem__)
+    gens = span[0]
     for g in gens:
         grow = add_t[g]
         for x in rng:
@@ -899,6 +896,7 @@ def _verify_tables(add_t, mul_t, n: int, name: str) -> None:
             for k in gens:
                 if mul_t[mul_t[g][h]][k] != mul_t[g][mul_t[h][k]]:
                     raise InvalidRing(f"{name}: * not associative at ({g},{h},{k})")
+    return span
 
 
 def _preset_tables(n: int, add, mul) -> tuple:

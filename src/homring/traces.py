@@ -38,6 +38,8 @@ from .rings import (
     IntegerModRing,
     Ring,
     TableRing,
+    _extend,
+    _homomorphism_failure,
     automorphism_power,
     frobenius,
     make_integer_ring,
@@ -79,20 +81,23 @@ class SubringEmbedding:
             raise InvalidParameter("embedding is not injective")
         if table[0] != 0 or table[sub.one] != ring.one:
             raise InvalidParameter("embedding must send 0 to 0 and 1 to 1")
-        aos, mos = sub.add_table(), sub.mul_table()
         aot, mot = ring.add_table(), ring.mul_table()
-        for a in range(sub.order):
-            sadd, smul = aos[a], mos[a]
-            radd, rmul = aot[table[a]], mot[table[a]]
-            for b in range(sub.order):
-                if table[sadd[b]] != radd[table[b]]:
+        if _homomorphism_failure(sub, table, aot, mot) is not None:
+            # name the first failing pair (a, b) of a scan of every pair;
+            # the failing generator pair is among them, so the scan raises
+            aos, mos = sub.add_table(), sub.mul_table()
+            for a in range(sub.order):
+                sadd, smul = aos[a], mos[a]
+                radd, rmul = aot[table[a]], mot[table[a]]
+                for b in range(sub.order):
+                    if table[sadd[b]] != radd[table[b]]:
+                        op = "additive"
+                    elif table[smul[b]] != rmul[table[b]]:
+                        op = "multiplicative"
+                    else:
+                        continue
                     raise InvalidParameter(
-                        f"embedding not additive at ({sub.render(a)},{sub.render(b)})"
-                    )
-                if table[smul[b]] != rmul[table[b]]:
-                    raise InvalidParameter(
-                        f"embedding not multiplicative at ({sub.render(a)},{sub.render(b)})"
-                    )
+                        f"embedding not {op} at ({sub.render(a)},{sub.render(b)})")
         self.sub = sub
         self.ring = ring
         self.table = table
@@ -115,31 +120,25 @@ def subring_embedding(sub: Ring, ring: Ring) -> SubringEmbedding:
     """
     if sub is ring:
         return SubringEmbedding(sub, ring, range(ring.order), kind="identity")
+    gens, _, steps = sub._additive_span()
     if isinstance(sub, IntegerModRing):
         if sub.m != ring.characteristic():
             raise InvalidParameter(
                 f"{sub.name} does not embed in {ring.name}: "
                 f"characteristic is {ring.characteristic()}"
             )
-        table = [ring.element_from_int(c) for c in range(sub.m)]
+        # Z_c is spanned by 1
+        table = _extend(ring.add_table(), steps, [ring.one])
         return SubringEmbedding(sub, ring, table, kind="characteristic")
     if isinstance(sub, GaloisRing) and isinstance(ring, GaloisRing):
         if sub.p != ring.p or sub.n != ring.n or ring.r % sub.r != 0:
             raise InvalidParameter(
                 f"{sub.name} is not a Galois subring of {ring.name}"
             )
-        eta = ring.pow(
-            ring.teichmuller().generator, (ring.q - 1) // (sub.q - 1)
-        )
-        powers = [ring.one]
-        for _ in range(sub.r - 1):
-            powers.append(ring.mul(powers[-1], eta))
-        table = []
-        for a in range(sub.order):
-            acc = 0
-            for c, pw in zip(sub.decode(a), powers):
-                acc = ring.add(acc, ring.mul(ring.element_from_int(c), pw))
-            table.append(acc)
+        eta = ring.pow(ring.teichmuller().generator, (ring.q - 1) // (sub.q - 1))
+        # a generator sum c_k x^k of S goes to sum c_k eta^k in R
+        images = [ring._evaluate(sub.decode(g), eta) for g in gens]
+        table = _extend(ring.add_table(), steps, images)
         return SubringEmbedding(sub, ring, table, kind="teichmuller-power")
     raise InvalidParameter(f"no canonical embedding of {sub.name} into {ring.name}")
 
@@ -195,14 +194,13 @@ def _is_linear(ring: Ring, sub: Ring, embedding: SubringEmbedding, values) -> bo
     T(s*x) = s*T(x) for every x and each additive generator s of S: in both
     checks the elements that pass are closed under +.  That is |R|*g cells,
     not |R|^2."""
-    aot, mot = ring.add_table(), ring.mul_table()
+    mot = ring.mul_table()
     aos, mos = sub.add_table(), sub.mul_table()
 
     def image(row, table=values):  # table[row[x]] for each x
         return list(map(table.__getitem__, row))
 
-    return (all(image(aot[g]) == image(values, aos[values[g]])
-                for g in ring._additive_span()[0])
+    return (_homomorphism_failure(ring, values, aos) is None
             and all(image(mot[embedding.table[s]]) == image(values, mos[s])
                     for s in sub._additive_span()[0]))
 
@@ -336,13 +334,8 @@ def fxy_sum_trace(ring: TableRing, sub: Ring) -> TraceMap:
     if not isinstance(sub, IntegerModRing) or sub.m != p:
         raise InvalidParameter(f"fxy-sum maps onto Zm:{p}; got subring {sub.name}")
     emb = subring_embedding(sub, ring)
-    values = []
-    for a in range(ring.order):
-        c1 = a % p
-        cx = (a // p) % p
-        cy = (a // p**2) % p
-        cxy = a // p**3
-        values.append((c1 + cx + cy + cxy) % p)
+    # the additive generators of FXY:p are 1, x, y, xy (see swap_xy)
+    values = _extend(sub.add_table(), ring._additive_span()[2], [1, 1, 1, 1])
     return TraceMap(ring, sub, emb, values, tag="fxy-sum")
 
 
@@ -354,7 +347,8 @@ def z4x_trace(ring: TableRing, sub: Ring, l0: int, l1: int) -> TraceMap:
     if not isinstance(sub, IntegerModRing) or sub.m != 4:
         raise InvalidParameter(f"z4x trace maps onto Zm:4; got subring {sub.name}")
     emb = subring_embedding(sub, ring)
-    values = [(l0 * (a % 4) + l1 * (a // 4)) % 4 for a in range(ring.order)]
+    # the additive generators of Z4X are 1 and t
+    values = _extend(sub.add_table(), ring._additive_span()[2], [l0 % 4, l1 % 4])
     return TraceMap(ring, sub, emb, values, tag=f"z4x:{l0 % 4},{l1 % 4}")
 
 

@@ -92,22 +92,23 @@ def hom_weight(ring: Ring, gamma=1) -> WeightTable:
     return ring._cache[key]
 
 
-def _cyclic_submodules(ring: Ring):
-    """Map frozenset(Rx) -> list of generators, plus per-element class."""
-    mot = ring.mul_table()
-    classes = {}
-    cls_of = [None] * ring.order
-    for x in range(ring.order):
-        n = frozenset(mot[r][x] for r in range(ring.order))
-        classes.setdefault(n, []).append(x)
-        cls_of[x] = n
-    return classes, cls_of
+def cyclic_submodules(ring: Ring):
+    """Map frozenset(xR) -> its generators in increasing order, plus each
+    element's module; xR is the row mul[x], since the rings are
+    commutative.  Built once per ring."""
+    if "cyclic" not in ring._cache:
+        cls_of = list(map(frozenset, ring.mul_table()))
+        classes = {}
+        for x, n in enumerate(cls_of):
+            classes.setdefault(n, []).append(x)
+        ring._cache["cyclic"] = classes, cls_of
+    return ring._cache["cyclic"]
 
 
 def hom_weight_axiomatic(ring: Ring, gamma=1) -> WeightTable:
     """Solve the orbit-sum equations bottom-up over cyclic submodules."""
     gamma = Fraction(gamma)
-    classes, cls_of = _cyclic_submodules(ring)
+    classes, cls_of = cyclic_submodules(ring)
     order = sorted(classes, key=lambda n: (len(n), sorted(n)))
     w = {}
     for n in order:
@@ -129,7 +130,7 @@ def validate_weight(wt: WeightTable) -> dict:
     """Check w(0)=0, constancy on generator classes, and orbit sums;
     report every violation."""
     ring = wt.ring
-    classes, cls_of = _cyclic_submodules(ring)
+    classes, cls_of = cyclic_submodules(ring)
     violations = []
     if wt.values[0] != 0:
         violations.append({"axiom": "zero", "x": 0, "value": str(wt.values[0])})
@@ -162,7 +163,7 @@ def hamming_table(ring: Ring, gamma=1) -> WeightTable:
 
 def parse_gamma(spec: str, ring: Ring) -> Fraction:
     """gamma grammar: `<num>/<den>` | integer | `hamming-normalized`
-    (= (q-1)/q for the residue field size q of a local ring)."""
+    (= (q-1)/q for the residue field size q of a local ring); gamma >= 0."""
     spec = spec.strip()
     if spec == "hamming-normalized":
         if not ring.is_local():
@@ -172,6 +173,9 @@ def parse_gamma(spec: str, ring: Ring) -> Fraction:
         q = ring.residue_size()
         return Fraction(q - 1, q)
     try:
-        return Fraction(spec)
+        gamma = Fraction(spec)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad gamma spec {spec!r}")
+    if gamma < 0:
+        raise ParseError(f"gamma must be >= 0, got {spec!r}")
+    return gamma

@@ -6,6 +6,11 @@ library's generator checks and its Frobenius are compared against.
   sum p^i a_i -> sum p^i a_i^p is a route independent of x -> x^p.
 * The full pair scans that ``_verify_automorphism`` and ``Character`` made
   before they checked on generators or not at all: O(|R|^2) cells each.
+* The per-element routes of the maps that the library now extends from its
+  images of the additive generators: every cell of the mul table through
+  ``mul``, swap-xy and the fxy-sum and z4x traces from coordinate digits,
+  and the canonical subring embeddings through ``add``, ``mul`` and
+  ``element_from_int`` below.
 """
 
 from homring.errors import InternalInvariantViolation
@@ -16,6 +21,18 @@ SETUP_GRID = (
     + ["GR:2,3,2", "GR:3,2,2", "GR:5,1,2", "GR:7,1,2"]
     + [f"Zm:{m}" for m in range(2, 41)] + ["FXY:2", "FXY:3", "Z4X"]
 )
+
+
+def element_from_int(R, c: int) -> int:
+    """c*1 by double-and-add through the ring's own ``add``."""
+    c %= R.characteristic()
+    out, step = 0, R.one
+    while c:
+        if c & 1:
+            out = R.add(out, step)
+        step = R.add(step, step)
+        c >>= 1
+    return out
 
 
 def div_by_p(R, a: int) -> int:
@@ -43,7 +60,7 @@ def padic_digits(R, a: int) -> tuple:
 def from_padic_digits(R, digits) -> int:
     out = 0
     for i, d in enumerate(digits):
-        out = R.add(out, R.mul(R.element_from_int(R.p**i), d))
+        out = R.add(out, R.mul(element_from_int(R, R.p**i), d))
     return out
 
 
@@ -82,3 +99,50 @@ def character_scan(R, conductor: int, exps):
         if all(exps[rx] == 0 for rx in mot[x]):
             return "generating"
     return None
+
+
+def mul_table_by_cells(R) -> list:
+    return [[R.mul(a, b) for b in range(R.order)] for a in range(R.order)]
+
+
+def _fxy_digits(R, a: int) -> tuple:
+    """(c_1, c_x, c_y, c_xy) of an element of FXY:p."""
+    p = R.char_expected
+    return a % p, (a // p) % p, (a // p**2) % p, a // p**3
+
+
+def swap_xy_by_digits(R) -> list:
+    p = R.char_expected
+    out = []
+    for a in range(R.order):
+        c1, cx, cy, cxy = _fxy_digits(R, a)
+        out.append(c1 + cy * p + cx * p**2 + cxy * p**3)
+    return out
+
+
+def fxy_sum_by_digits(R) -> list:
+    return [sum(_fxy_digits(R, a)) % R.char_expected for a in range(R.order)]
+
+
+def z4x_trace_by_digits(l0: int, l1: int) -> list:
+    """T(r0 + t*r1) = l0*r0 + l1*r1 on Z4X, element r0 + 4*r1."""
+    return [(l0 * (a % 4) + l1 * (a // 4)) % 4 for a in range(16)]
+
+
+def embedding_by_elements(sub, R) -> list:
+    """The canonical embedding S -> R on every element: the identity,
+    c -> c*1 from Z_c, or sum c_k x^k -> sum c_k eta^k from a Galois
+    subring, eta = xi^((q_R - 1)/(q_S - 1))."""
+    if sub is R:
+        return list(range(R.order))
+    if not hasattr(sub, "decode"):
+        return [element_from_int(R, c) for c in range(sub.order)]
+    eta = R.pow(R.teichmuller().generator, (R.q - 1) // (sub.q - 1))
+    powers = [R.pow(eta, k) for k in range(sub.r)]
+    table = []
+    for a in range(sub.order):
+        acc = 0
+        for c, pw in zip(sub.decode(a), powers):
+            acc = R.add(acc, R.mul(element_from_int(R, c), pw))
+        table.append(acc)
+    return table

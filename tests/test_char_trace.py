@@ -15,7 +15,7 @@ from homring.traces import (SubringEmbedding, canonical_character, char_fixed_by
                             subring_embedding, table_trace, trace_from_spec,
                             validate_trace, z4x_trace)
 
-from ring_oracle import SETUP_GRID, character_scan
+from ring_oracle import SETUP_GRID, character_scan, element_from_int
 
 # ---------------------------------------------------------------------------
 # cyclotomic reduction used by the character layer
@@ -414,7 +414,7 @@ def test_enumerated_characters_are_additive_and_generating_by_the_full_scan(
 def test_the_character_scan_refuses_what_is_not_a_character():
     R = ring_from_spec("GR:2,2,2")
     chi = canonical_character(R)
-    two = R.element_from_int(2)
+    two = element_from_int(R, 2)
     # x -> chi(2x) is additive and vanishes on the ideal 2R
     exps = [chi.exps[R.mul(two, x)] for x in range(R.order)]
     assert character_scan(R, 4, exps) == "generating"

@@ -226,6 +226,8 @@ def test_verify_full_run_reports_known_failures(capsys, verify_report,
     (["trace", "check", "--ring", "Zm:4"], 2),
     (["verify", "paper", "--only", "one"], 13),
     (["code", "analyze", "--config", "/nonexistent/path.cfg"], 2),
+    (["code", "analyze", "--ring", "Zm:5", "--f", "pow:3", "--gamma", "-1"], 13),
+    (["weight", "table", "--ring", "Zm:4", "--gamma=-1/2"], 13),
 ])
 def test_exit_codes(capsys, argv, expected):
     code, out, err = run(capsys, argv)
@@ -300,6 +302,20 @@ def test_graph_just_under_the_vertex_cap_is_strongly_regular(capsys):
 def test_explicit_budget_flag(capsys):
     code, _, err = run(capsys, ANALYZE + ["--budget", "10"])
     assert code == 8
+
+
+@pytest.mark.parametrize("argv", [
+    ["code", "analyze", "--ring", "Zm:5", "--f", "pow:3"],
+    ["trace", "list", "--ring", "Zm:5"],
+])
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_a_non_positive_budget_flag_is_refused_like_a_config_value(
+        capsys, argv, budget):
+    assert run(capsys, argv + ["--budget", budget]) == (
+        13, "", "error: budget must be positive\n")
+    with pytest.raises(ParseError) as err:
+        parse_config(f"budget={budget}")
+    assert str(err.value) == "budget must be positive (line 1, col 1)"
 
 
 def test_cli_import_leaves_out_dataclasses_inspect_and_csv():

@@ -1,11 +1,14 @@
 """Two-weight graphs, strong regularity, components, modularity."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from homring import codes
+from homring.cli import main
 from homring.codes import build_code, function_from_spec
 from homring.errors import InternalInvariantViolation, NotTwoWeight
 from homring.graphs import (SRGFailure, SRGParams, connected_components,
@@ -168,6 +171,27 @@ def test_srg_from_row_zero_equals_all_pairs_scan(ring_spec, hamming, reason):
     outcome = _outcome(srg_check(two_weight_graph(code, table)))
     assert outcome[0] == reason
     assert outcome == _outcome(_all_pairs_srg(_all_pairs_graph(code, table)[1]))
+
+
+@pytest.mark.parametrize("argv,srg", [
+    (["--ring", "Zm:5", "--f", "pow:3"], True),
+    (["--ring", "Zm:9", "--f", "pow:3", "--weight", "hamming"], False),
+    (["--ring", "Zm:10", "--f", "pow:3"], False),
+])
+def test_a_graph_job_labels_each_nonzero_codeword_once(capsys, monkeypatch,
+                                                         argv, srg):
+    calls = []
+    label = codes.PairOrbits.label
+
+    def counted(orbits, a, b):
+        calls.append((a, b))
+        return label(orbits, a, b)
+
+    monkeypatch.setattr(codes.PairOrbits, "label", counted)
+    assert main(["code", "graph"] + argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["srg"] is not None) == srg
+    assert len(calls) == len(set(calls)) == report["vertices"] - 1
 
 
 def test_z5_cube_graph_is_srg_25_8_3_2():

@@ -170,6 +170,11 @@ def test_parse_gamma():
         parse_gamma("one", R4)
     with pytest.raises(ParseError):
         parse_gamma("1/0", R4)
+    # a negative gamma would give negative weights; gamma = 0 weighs all 0
+    assert parse_gamma("0", R4) == 0
+    for spec in ("-1", "-1/2"):
+        with pytest.raises(ParseError):
+            parse_gamma(spec, R4)
 
 
 def test_scaled_representation_round_trips():

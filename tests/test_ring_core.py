@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from homring import traces
 from homring.codes import (frank_map, power_map, random_teich_permutation,
                            sigma_quadratic_map)
 from homring.errors import (BadPermutation, InternalInvariantViolation,
@@ -15,10 +16,14 @@ from homring.rings import (Automorphism, GaloisRing, Ideal, IntegerModRing,
                            make_integer_ring, named_automorphism,
                            permutation_of_teichmuller, ring_from_spec,
                            swap_xy, z4x_ring)
-from homring.traces import galois_trace
+from homring.traces import (fxy_sum_trace, galois_trace, subring_embedding,
+                            z4x_trace)
 
-from ring_oracle import (SETUP_GRID, automorphism_scan, frobenius_by_digits,
-                         from_padic_digits, padic_digits)
+from ring_oracle import (SETUP_GRID, automorphism_scan, element_from_int,
+                         embedding_by_elements, frobenius_by_digits,
+                         from_padic_digits, fxy_sum_by_digits,
+                         mul_table_by_cells, padic_digits, swap_xy_by_digits,
+                         z4x_trace_by_digits)
 
 ALL_SPECS = [
     "Zm:4", "Zm:5", "Zm:6", "Zm:7", "Zm:8", "Zm:9", "Zm:10", "Zm:14",
@@ -99,7 +104,7 @@ def test_galois_ring_structure(spec):
     assert R.residue_size() == R.p ** R.r
     assert len(R.units()) == R.order - R.order // R.residue_size()
     # maximal ideal = pR = the non-units
-    p_elt = R.element_from_int(R.p)
+    p_elt = element_from_int(R, R.p)
     pR = {R.mul(p_elt, a) for a in range(R.order)}
     assert pR == set(R.nonunits())
 
@@ -147,7 +152,7 @@ def test_digit_round_trip_gr_2_3_2(a):
 def test_nu_picks_the_teichmuller_part():
     R = ring_from_spec("GR:2,2,2")
     t = R.teichmuller()
-    p_elt = R.element_from_int(2)
+    p_elt = element_from_int(R, 2)
     max_ideal = {R.mul(p_elt, a) for a in range(R.order)}
     for a in range(R.order):
         assert R.sub(a, t.nu[a]) in max_ideal
@@ -157,7 +162,7 @@ def test_frobenius_fixes_exactly_the_base_ring():
     R = ring_from_spec("GR:2,2,2")
     frob = named_automorphism(R, "frobenius")
     fixed = {a for a in range(R.order) if frob(a) == a}
-    base = {R.element_from_int(c) for c in range(4)}
+    base = {element_from_int(R, c) for c in range(4)}
     assert fixed == base
     # order r in the automorphism group
     assert all(frob(frob(a)) == a for a in range(R.order))
@@ -343,7 +348,6 @@ def test_tables_units_and_digits_equal_the_slow_operations(spec):
     n = R.order
     elements = range(n)
     assert R.add_table() == [[R.add(a, b) for b in elements] for a in elements]
-    assert R.mul_table() == [[R.mul(a, b) for b in elements] for a in elements]
     assert R.sub_table() == [[R.sub(a, b) for b in elements] for a in elements]
     units = tuple(a for a in elements if any(R.mul(a, b) == R.one for b in elements))
     assert R.units() == units
@@ -355,6 +359,40 @@ def test_tables_units_and_digits_equal_the_slow_operations(spec):
         for a in elements:
             hits = [x for x in t.elements if R.sub(a, x) in maximal]
             assert hits == [t.nu[a]], a
+
+
+def _canonical_subrings(R):
+    """Zm:c for the characteristic c and, in GR(p^n, r), each GR(p^n, s)
+    with s | r (S = R among them)."""
+    specs = [f"Zm:{R.characteristic()}"]
+    if isinstance(R, GaloisRing):
+        specs += [f"GR:{R.p},{R.n},{s}" for s in range(1, R.r + 1) if R.r % s == 0]
+    return [ring_from_spec(s) for s in specs]
+
+
+@pytest.mark.parametrize("spec", SETUP_GRID)
+def test_maps_from_generator_images_equal_the_per_element_routes(spec, monkeypatch):
+    R = ring_from_spec(spec)
+    assert R.mul_table() == mul_table_by_cells(R)
+    if isinstance(R, GaloisRing):
+        assert list(frobenius(R).perm) == frobenius_by_digits(R)
+    # the raw tables of embeddings and traces, before the checks that refuse
+    # some of them (GR:2,1,3 does not embed in GR:2,1,6 this way)
+    monkeypatch.setattr(traces, "SubringEmbedding",
+                        lambda sub, ring, table, kind: list(table))
+    monkeypatch.setattr(traces, "TraceMap",
+                        lambda ring, sub, emb, values, tag: list(values))
+    for S in _canonical_subrings(R):
+        assert subring_embedding(S, R) == embedding_by_elements(S, R), S.name
+    if getattr(R, "preset", None) == "fxy":
+        assert list(swap_xy(R).perm) == swap_xy_by_digits(R)
+        S = make_integer_ring(R.char_expected)
+        assert fxy_sum_trace(R, S) == fxy_sum_by_digits(R)
+    if getattr(R, "preset", None) == "z4x":
+        for l0 in range(-4, 8):
+            for l1 in range(-4, 8):
+                assert (z4x_trace(R, make_integer_ring(4), l0, l1)
+                        == z4x_trace_by_digits(l0, l1)), (l0, l1)
 
 
 @pytest.mark.parametrize("spec", [s for s in SETUP_GRID if s.startswith("GR:")])
@@ -381,7 +419,7 @@ def test_code_functions_equal_the_slow_operations(spec):
         assert power_map(R, d).table == tuple(R.pow(x, d) for x in range(n))
     if isinstance(R, GaloisRing) and R.n == 2:
         t = R.teichmuller()
-        p = R.element_from_int(R.p)
+        p = element_from_int(R, R.p)
         for f in (frank_map(R), frank_map(R, random_teich_permutation(R, 5))):
             slow = []
             for x in range(n):
@@ -452,8 +490,9 @@ def test_tables_call_the_slow_operations_on_generator_rows_only():
 
     R.add, R.mul = counted("add"), counted("mul")
     assert R.mul_table() == base.mul_table()
-    # GR(4, 3) = Z_4^3 additively: three generators, one row of each op each
-    assert calls == {"add": 3 * R.order, "mul": 3 * R.order}
+    # GR(4, 3) = Z_4^3 additively: three generators, one add row each, and
+    # one mul call per generator pair
+    assert calls == {"add": 3 * R.order, "mul": 3 * 3}
 
 
 # ---------------------------------------------------------------------------
