@@ -10,7 +10,11 @@ are printed.
 Examples:
     python3 scripts/trace_census.py
     python3 scripts/trace_census.py --pair Z4X:Zm:4 --values
-    python3 scripts/trace_census.py --budget 1024 --pair GR:2,2,2:GR:2,2,2
+    python3 scripts/trace_census.py --budget 600000 --pair GR:2,1,8:Zm:2
+
+``--budget`` is the work budget of ``homring --budget``, in table lookups
+per stage: GR:2,1,8 -> Zm:2 needs 524288 for ring set-up and 589824 for
+the enumeration, so 600000 admits it and 500000 refuses it.
 """
 
 from __future__ import annotations
@@ -48,8 +52,8 @@ class CensusRow:
 
 
 def census(ring_spec: str, sub_spec: str, budget=None) -> CensusRow:
-    ring = ring_from_spec(ring_spec)
-    sub = ring_from_spec(sub_spec)
+    ring = ring_from_spec(ring_spec, budget)
+    sub = ring_from_spec(sub_spec, budget)
     maps = enumerate_trace_maps(ring, sub, budget=budget)
     tables = {t.values for t in maps}
     unit_closed = all(
@@ -73,7 +77,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pair", action="append", default=[],
                         metavar="RING:SUB", help="e.g. Z4X:Zm:4 (repeatable)")
-    parser.add_argument("--budget", type=int, default=None)
+    parser.add_argument("--budget", type=int, default=None,
+                        help="work budget in table lookups per stage "
+                             "(default: HOMRING_BUDGET, else 2^25)")
     parser.add_argument("--values", action="store_true",
                         help="print each trace's value table")
     args = parser.parse_args(argv)

@@ -1,0 +1,54 @@
+"""One work budget for every stage of a job, counted in table lookups.
+
+Each stage estimates its work before it starts, and ``check_budget``
+refuses the stage (BudgetExceeded, exit 8) when that estimate is over the
+budget.  The unit is one cell of the orbit-weighing loop, about 0.15 us in
+CPython 3.11; a stage whose cells cost more time or memory charges a
+measured multiple of it.  The estimates and where they are checked:
+
+* ring set-up (``rings.ring_from_spec``): |R|^2 cells for each of the add,
+  mul and sub tables and the cyclic submodules, two lookups a cell;
+* trace enumeration (``traces.enumerate_trace_maps``): |S|^k candidates,
+  k the S-module generators of R, each extended and checked at |R| * (1 + g)
+  lookups, g the additive generators of R;
+* the kernel and the orbit labelling (``codes.build_code``): 16 |R|^2;
+* orbit weighing (``codes.orbit_weights``): the orbit representatives times
+  |R|, once labelling has counted them;
+* a graph (``graphs.two_weight_graph``): |C| * (log2 |C| + 32) for listing,
+  sorting and labelling the points, |R|^2 for the membership table and the
+  orbit representatives times |D| for the common-neighbour counts.
+
+The budget is the ``budget`` argument when one is given (``--budget``, or
+``budget=`` in a config file), else the HOMRING_BUDGET environment variable
+(read per call), else DEFAULT_BUDGET.
+"""
+
+from __future__ import annotations
+
+import os
+
+from .errors import BudgetExceeded, InvalidParameter
+
+# admits the 2^24 weighing lookups of a map without symmetry on GR(2, 8)
+# (2.4 s) and refuses the 2^27 of GR(2, 9) (33 s)
+DEFAULT_BUDGET = 2 ** 25
+
+
+def check_budget(stage: str, estimate: int, budget: int | None = None) -> None:
+    """Refuse ``stage`` when its estimate is over the budget."""
+    if budget is None:
+        env = os.environ.get("HOMRING_BUDGET")
+        if env is None:
+            budget = DEFAULT_BUDGET
+        else:
+            try:
+                budget = int(env)
+            except ValueError:
+                raise InvalidParameter(
+                    f"HOMRING_BUDGET must be an integer, got {env!r}") from None
+            if budget <= 0:
+                raise InvalidParameter("HOMRING_BUDGET must be positive")
+    if estimate > budget:
+        raise BudgetExceeded(
+            f"{stage} needs about {estimate} table lookups, over the budget "
+            f"of {budget}; raise it with --budget or HOMRING_BUDGET")

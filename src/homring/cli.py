@@ -20,9 +20,8 @@ from . import verify as verify_mod
 from .codes import build_code, code_spectrum, function_from_spec, weight_enumerator
 from .cyclotomic import rational_str
 from .errors import HomringError, InvalidParameter, ParseError, ValidationFailed
-from .graphs import (SRGParams, check_vertex_cap, connected_components,
-                     function_columns, is_modular, srg_check,
-                     two_weight_graph)
+from .graphs import (SRGParams, connected_components, function_columns,
+                     is_modular, srg_check, two_weight_graph)
 from .rings import ring_from_spec
 from .traces import (enumerate_trace_maps, read_two_column_table,
                      subring_embedding, trace_from_spec, validate_trace)
@@ -106,12 +105,16 @@ def _merge_flags(cfg: JobConfig, args) -> JobConfig:
 def _require_ring(cfg: JobConfig):
     if not cfg.ring:
         raise InvalidParameter("a ring spec is required (ring=... or --ring)")
-    return ring_from_spec(cfg.ring)
+    return ring_from_spec(cfg.ring, cfg.budget)
+
+
+def _subring(cfg: JobConfig, ring):
+    return ring_from_spec(cfg.subring, cfg.budget) if cfg.subring else ring
 
 
 def _resolve_pair(cfg: JobConfig):
     ring = _require_ring(cfg)
-    sub = ring_from_spec(cfg.subring) if cfg.subring else ring
+    sub = _subring(cfg, ring)
     trace_spec = cfg.trace
     if trace_spec is None:
         if sub is ring:
@@ -160,7 +163,7 @@ def run_ring_info(cfg: JobConfig) -> dict:
 
 def run_trace_list(cfg: JobConfig) -> dict:
     ring = _require_ring(cfg)
-    sub = ring_from_spec(cfg.subring) if cfg.subring else ring
+    sub = _subring(cfg, ring)
     maps = enumerate_trace_maps(ring, sub, budget=cfg.budget)
     return {
         "ring": ring.name,
@@ -172,7 +175,7 @@ def run_trace_list(cfg: JobConfig) -> dict:
 
 def run_trace_check(cfg: JobConfig) -> dict:
     ring = _require_ring(cfg)
-    sub = ring_from_spec(cfg.subring) if cfg.subring else ring
+    sub = _subring(cfg, ring)
     if not cfg.trace:
         raise InvalidParameter("trace check needs a trace spec")
     spec = cfg.trace.strip()
@@ -231,8 +234,7 @@ def run_graph(cfg: JobConfig) -> dict:
     if not cfg.f:
         raise InvalidParameter("a function spec is required (f=... or --f)")
     f = function_from_spec(ring, cfg.f, seed=cfg.seed)
-    code = build_code(ring, sub, trace, f, budget=cfg.budget,
-                      check_size=check_vertex_cap)
+    code = build_code(ring, sub, trace, f, budget=cfg.budget)
     wt = _weight_table(cfg, sub)
     graph = two_weight_graph(code, wt)
     srg = srg_check(graph)

@@ -27,9 +27,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
+from .budget import check_budget
 from .cyclotomic import rational_str
 from .errors import (
-    BudgetExceeded,
     InternalInvariantViolation,
     InvalidParameter,
     NotLocal,
@@ -48,10 +48,8 @@ from .rings import (
     permutation_of_teichmuller,
 )
 from .traces import (
-    DEFAULT_CODE_BUDGET,
     TraceMap,
     char_fixed_by,
-    effective_budget,
     generating_character,
     read_two_column_table,
 )
@@ -205,15 +203,17 @@ class Code:
     ``points`` holds the least pair of each codeword, in sorted codeword
     order, found on first access.  ``orbits(table)`` gives the orbits on the
     codewords under the symmetries that keep the table's weights, found once
-    per group."""
+    per group.  ``budget`` bounds the stages that read the code (see
+    ``budget.check_budget``)."""
 
     def __init__(self, ring: Ring, sub: Ring, trace: TraceMap, func: CodeFunction,
-                 kernel):
+                 kernel, budget: int | None = None):
         self.ring = ring
         self.sub = sub
         self.trace = trace
         self.func = func
         self.kernel = tuple(kernel)
+        self.budget = budget
         self.size = ring.order ** 2 // len(self.kernel)
         self._orbits = {}
 
@@ -484,20 +484,19 @@ def _codeword(ring: Ring, trace_values, f_table, alpha: int, beta: int,
 
 
 def build_code(ring: Ring, sub: Ring, trace: TraceMap, f: CodeFunction,
-               budget: int | None = None, check_size=None) -> Code:
+               budget: int | None = None) -> Code:
     """The code {x -> T(alpha*x + beta*f(x))} over all (alpha, beta) pairs,
-    found through its kernel K at about |R|^2 lookups; no codeword is built.
+    found through its kernel K; no codeword is built.
 
-    The pair map is additive, so |C| = |R|^2/|K|; ``check_size``, if given,
-    is called with it and refuses the code by raising."""
+    The kernel takes at most |R|^2 lookups and labelling the orbits on the
+    code a few per codeword, |C| <= |R|^2: both are charged, as 16 |R|^2,
+    before the kernel.  The code keeps the budget for the stages that read
+    it."""
     if f.ring is not ring:
         raise InvalidParameter("function is defined on a different ring")
     if trace.ring is not ring or trace.sub is not sub:
         raise InvalidParameter("trace does not map this ring onto this subring")
-    cap = effective_budget(DEFAULT_CODE_BUDGET) if budget is None else budget
-    if ring.order > cap:
-        raise BudgetExceeded(
-            f"|R| = {ring.order} exceeds the code enumeration budget {cap}")
+    check_budget("kernel and orbit labelling", 16 * ring.order ** 2, budget)
     if f.kind == "sigma-quadratic":
         chi = generating_character(trace)
         if not char_fixed_by(chi, f.sigma):
@@ -505,10 +504,7 @@ def build_code(ring: Ring, sub: Ring, trace: TraceMap, f: CodeFunction,
                 "CharacterNotSigmaInvariant",
                 message=("the generating character of this trace is not fixed "
                          f"by {f.sigma.tag}"))
-    kernel = code_kernel(ring, trace, f)
-    if check_size is not None:
-        check_size(ring.order ** 2 // len(kernel))
-    return Code(ring, sub, trace, f, kernel)
+    return Code(ring, sub, trace, f, code_kernel(ring, trace, f), budget)
 
 
 def code_kernel(ring: Ring, trace: TraceMap, f: CodeFunction) -> tuple:
@@ -651,10 +647,12 @@ class WeightEnumerator:
 def orbit_weights(code: Code, table: WeightTable):
     """(orbits, D, weights): the orbits on the code for this table and the
     weight of each orbit's codeword times the table's common denominator D,
-    one codeword per orbit, read through the composed table w o T."""
+    one codeword per orbit, read through the composed table w o T, at |R|
+    lookups each, charged to the code's budget once the orbits are known."""
     if table.ring is not code.sub:
         raise InvalidParameter("weight table is for a different ring than S")
     orbits = code.orbits(table)
+    check_budget("orbit weighing", len(orbits.reps) * code.ring.order, code.budget)
     den, scaled = table.scaled()
     wt = [scaled[v] for v in code.trace.values]
     mot = code.ring.mul_table()

@@ -6,12 +6,11 @@ from collections import Counter
 from fractions import Fraction
 from operator import getitem
 
+from .budget import check_budget
 from .codes import Code, CodeFunction, orbit_weights
-from .errors import BudgetExceeded, InternalInvariantViolation, NotTwoWeight
+from .errors import InternalInvariantViolation, NotTwoWeight
 from .rings import Ring
 from .weights import WeightTable
-
-MAX_VERTICES = 20000
 
 
 class CodeGraph:
@@ -37,13 +36,6 @@ class CodeGraph:
         return f"CodeGraph(order={self.order}, w1={self.w1})"
 
 
-def check_vertex_cap(n: int):
-    """Refuse a graph on more than MAX_VERTICES vertices."""
-    if n > MAX_VERTICES:
-        raise BudgetExceeded(
-            f"graph on {n} vertices exceeds the cap of {MAX_VERTICES} vertices")
-
-
 def two_weight_graph(code: Code, table: WeightTable) -> CodeGraph:
     """Graph on the codewords of a two-weight code, joining codewords whose
     difference has the smaller nonzero weight.
@@ -51,8 +43,13 @@ def two_weight_graph(code: Code, table: WeightTable) -> CodeGraph:
     The codeword of a sum of pairs is the sum of their codewords (the trace
     is additive), so the graph is the Cayley graph Cay(C, D), D the nonzero
     codewords of weight w1.  D is kept as pairs; a membership table over all
-    |R|^2 pairs, D lifted by the kernel K, names the edges."""
-    check_vertex_cap(code.size)
+    |R|^2 pairs, D lifted by the kernel K, names the edges.
+
+    Once the weights are known, and before any codeword is listed, the
+    graph is charged to the code's budget: |C| * (log2 |C| + 32) lookups to
+    list the points by their pivots (at most log2 |C| of them), sort and
+    label them, |R|^2 for the membership table, and the orbits times |D|
+    for the common-neighbour counts of ``srg_check``."""
     orbits, den, orbit_weight = orbit_weights(code, table)
     # orbit 0 is the zero codeword alone; the others weigh the nonzero ones
     weights = sorted(set(orbit_weight[1:]))
@@ -60,6 +57,10 @@ def two_weight_graph(code: Code, table: WeightTable) -> CodeGraph:
         raise NotTwoWeight(len(weights), tuple(Fraction(t, den) for t in weights))
     w1_scaled = weights[0]
     w1 = Fraction(w1_scaled, den)
+    degree = sum(size for w, size in zip(orbit_weight[1:], orbits.sizes[1:])
+                 if w == w1_scaled)
+    check_budget("graph", code.size * (code.size.bit_length() + 32)
+                 + code.ring.order ** 2 + len(orbits.reps) * degree, code.budget)
     _, scaled = table.scaled()
     # c' - c in D is the pair's distance w(c - c') = w1 only if w(-x) = w(x),
     # checked once on S; it also makes D = -D, so the graph is undirected

@@ -28,6 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
+from .budget import check_budget
 from .errors import (
     BadPermutation,
     InternalInvariantViolation,
@@ -1035,10 +1036,26 @@ def parse_ring_spec_parts(spec: str):
     raise UnknownPreset(f"unknown ring family {head!r} in spec {spec!r}")
 
 
-@lru_cache(maxsize=None)
-def ring_from_spec(spec: str) -> Ring:
-    """Build (and memoize) a ring from its spec string."""
+def ring_from_spec(spec: str, budget: int | None = None) -> Ring:
+    """Build (and memoize) a ring from its spec string, once the budget
+    admits its set-up.  The presets build their tables as they are made,
+    so FXY:p is charged on its order p^4 first."""
     family, params = parse_ring_spec_parts(spec)
+    if family == "fxy" and _is_prime(params[0]):
+        _check_setup(params[0] ** 4, budget)
+    ring = _ring_from_parts(family, params)
+    _check_setup(ring.order, budget)
+    return ring
+
+
+def _check_setup(order: int, budget: int | None) -> None:
+    """Ring set-up builds |R|^2 cells in each of the add, mul and sub tables
+    and the cyclic submodules, at two lookups a cell."""
+    check_budget("ring set-up", 8 * order * order, budget)
+
+
+@lru_cache(maxsize=None)
+def _ring_from_parts(family: str, params: tuple) -> Ring:
     if family == "zm":
         return make_integer_ring(*params)
     if family == "galois":

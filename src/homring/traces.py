@@ -18,13 +18,13 @@ unit sums are reduced exactly in a cyclotomic field, never through floats.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
+from .budget import check_budget
 from .cyclotomic import Cyclotomic
 from .errors import (
-    BudgetExceeded,
     InternalInvariantViolation,
     InvalidParameter,
     NotGenerating,
@@ -44,26 +44,6 @@ from .rings import (
     frobenius,
     make_integer_ring,
 )
-
-DEFAULT_ENUM_BUDGET = 256
-DEFAULT_CODE_BUDGET = 512
-_CANDIDATE_CAP = 10**6
-
-
-def effective_budget(default: int) -> int:
-    """Enumeration budget; the HOMRING_BUDGET env var (read per call)
-    overrides the given default."""
-    env = os.environ.get("HOMRING_BUDGET")
-    if env is None:
-        return default
-    try:
-        value = int(env)
-    except ValueError:
-        raise InvalidParameter(f"HOMRING_BUDGET must be an integer, got {env!r}")
-    if value <= 0:
-        raise InvalidParameter("HOMRING_BUDGET must be positive")
-    return value
-
 
 # ---------------------------------------------------------------------------
 # subring embeddings
@@ -116,7 +96,9 @@ def subring_embedding(sub: Ring, ring: Ring) -> SubringEmbedding:
 
     Supported: S = R (identity); S = Z_c with c the characteristic of R
     (c -> c*1); Galois subrings GR(p^n, s) of GR(p^n, r) with s | r, where
-    the canonical generator of S maps to xi^((p^r-1)/(p^s-1)).
+    the canonical generator of S maps to the first power eta^m, m prime to
+    p^s - 1, that is a root of S's modulus; eta = xi^((p^r-1)/(p^s-1))
+    generates the Teichmueller group of that subring.
     """
     if sub is ring:
         return SubringEmbedding(sub, ring, range(ring.order), kind="identity")
@@ -136,8 +118,15 @@ def subring_embedding(sub: Ring, ring: Ring) -> SubringEmbedding:
                 f"{sub.name} is not a Galois subring of {ring.name}"
             )
         eta = ring.pow(ring.teichmuller().generator, (ring.q - 1) // (sub.q - 1))
-        # a generator sum c_k x^k of S goes to sum c_k eta^k in R
-        images = [ring._evaluate(sub.decode(g), eta) for g in gens]
+        # S's modulus x^s - sum red_k x^k, with coefficients encoding c_k*1
+        modulus = [-c % sub.pn for c in sub.reduction] + [1]
+        powers = (ring.pow(eta, m) for m in range(1, sub.q) if gcd(m, sub.q - 1) == 1)
+        root = next((y for y in powers if ring._evaluate(modulus, y) == 0), None)
+        if root is None:
+            raise InternalInvariantViolation(
+                f"no root of the modulus of {sub.name} in {ring.name}")
+        # a generator sum c_k x^k of S goes to sum c_k root^k in R
+        images = [ring._evaluate(sub.decode(g), root) for g in gens]
         table = _extend(ring.add_table(), steps, images)
         return SubringEmbedding(sub, ring, table, kind="teichmuller-power")
     raise InvalidParameter(f"no canonical embedding of {sub.name} into {ring.name}")
@@ -458,18 +447,14 @@ def enumerate_trace_maps(ring: Ring, sub: Ring, budget: int = None) -> list:
     Each assignment of values to the S-module generators of R is extended
     along one spanning tree, T(x + s*g_i) = T(x) + s*v_i, at |R| lookups, and
     the table is kept when it passes the three trace checks (without the
-    witness scan of a refusal)."""
-    cap = budget if budget is not None else effective_budget(DEFAULT_ENUM_BUDGET)
-    if ring.order > cap:
-        raise BudgetExceeded(
-            f"|{ring.name}| = {ring.order} exceeds enumeration budget {cap}"
-        )
+    witness scan of a refusal), which read at most |R| cells for each
+    additive generator of R before one fails.  The tree costs at most
+    |R|^2 lookups, which ring set-up has paid for; the |S|^k candidates,
+    k = len(gens), are charged before the first is tried."""
     emb = subring_embedding(sub, ring)
     gens, steps = _module_tree(ring, sub, emb)
-    if sub.order ** len(gens) > _CANDIDATE_CAP:
-        raise BudgetExceeded(
-            f"candidate count {sub.order}^{len(gens)} exceeds cap {_CANDIDATE_CAP}"
-        )
+    check_budget("trace enumeration", sub.order ** len(gens) * ring.order
+                 * (1 + len(ring._additive_span()[0])), budget)
     aos, mos = sub.add_table(), sub.mul_table()
     ns = sub.order
     steps = [(y, x, i * ns + s) for y, x, i, s in steps]

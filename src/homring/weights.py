@@ -95,9 +95,11 @@ def hom_weight(ring: Ring, gamma=1) -> WeightTable:
 def cyclic_submodules(ring: Ring):
     """Map frozenset(xR) -> its generators in increasing order, plus each
     element's module; xR is the row mul[x], since the rings are
-    commutative.  Built once per ring."""
+    commutative.  Built once per ring; the elements of one module share
+    one set, so only the distinct modules are stored."""
     if "cyclic" not in ring._cache:
-        cls_of = list(map(frozenset, ring.mul_table()))
+        distinct = {}
+        cls_of = [distinct.setdefault(n, n) for n in map(frozenset, ring.mul_table())]
         classes = {}
         for x, n in enumerate(cls_of):
             classes.setdefault(n, []).append(x)

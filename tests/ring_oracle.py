@@ -13,6 +13,8 @@ library's generator checks and its Frobenius are compared against.
   ``element_from_int`` below.
 """
 
+from math import gcd
+
 from homring.errors import InternalInvariantViolation
 
 # the 55 rings whose set-up is compared with the slow operations
@@ -131,14 +133,24 @@ def z4x_trace_by_digits(l0: int, l1: int) -> list:
 
 def embedding_by_elements(sub, R) -> list:
     """The canonical embedding S -> R on every element: the identity,
-    c -> c*1 from Z_c, or sum c_k x^k -> sum c_k eta^k from a Galois
-    subring, eta = xi^((q_R - 1)/(q_S - 1))."""
+    c -> c*1 from Z_c, or sum c_k x^k -> sum c_k y^k from a Galois subring,
+    y the first eta^m, m prime to q_S - 1, at which S's modulus
+    x^s - sum red_k x^k vanishes, eta = xi^((q_R - 1)/(q_S - 1))."""
     if sub is R:
         return list(range(R.order))
     if not hasattr(sub, "decode"):
         return [element_from_int(R, c) for c in range(sub.order)]
     eta = R.pow(R.teichmuller().generator, (R.q - 1) // (sub.q - 1))
-    powers = [R.pow(eta, k) for k in range(sub.r)]
+
+    def modulus_at(y):
+        acc = R.pow(y, sub.r)
+        for k, c in enumerate(sub.reduction):
+            acc = R.sub(acc, R.mul(element_from_int(R, c), R.pow(y, k)))
+        return acc
+
+    root = next(y for y in (R.pow(eta, m) for m in range(1, sub.q)
+                            if gcd(m, sub.q - 1) == 1) if modulus_at(y) == 0)
+    powers = [R.pow(root, k) for k in range(sub.r)]
     table = []
     for a in range(sub.order):
         acc = 0

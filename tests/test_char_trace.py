@@ -341,10 +341,13 @@ def test_galois_census_is_the_unit_twists_without_a_witness_scan(
 
 
 def test_enumeration_budget(monkeypatch):
+    # 16 candidates on R as a module over itself, each extended and checked
+    # at 16 * (1 + 2) lookups, GR:2,2,2 having two additive generators
     R = ring_from_spec("GR:2,2,2")
-    with pytest.raises(BudgetExceeded):
-        enumerate_trace_maps(R, R, budget=4)
-    monkeypatch.setenv("HOMRING_BUDGET", "4")
+    with pytest.raises(BudgetExceeded, match="trace enumeration needs about 768 "):
+        enumerate_trace_maps(R, R, budget=767)
+    assert len(enumerate_trace_maps(R, R, budget=768)) == len(R.units())
+    monkeypatch.setenv("HOMRING_BUDGET", "767")
     with pytest.raises(BudgetExceeded):
         enumerate_trace_maps(R, R)
     monkeypatch.setenv("HOMRING_BUDGET", "zero")

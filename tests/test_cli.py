@@ -236,24 +236,29 @@ def test_exit_codes(capsys, argv, expected):
 
 
 def test_budget_env_is_honored(capsys, monkeypatch):
-    monkeypatch.setenv("HOMRING_BUDGET", "10")
+    # ANALYZE's largest estimate is its kernel and orbit labelling, 16 * 16^2
+    monkeypatch.setenv("HOMRING_BUDGET", "4095")
     code, _, err = run(capsys, ANALYZE)
     assert code == 8
-    assert "budget" in err
-    monkeypatch.setenv("HOMRING_BUDGET", "100")
+    assert "kernel and orbit labelling needs about 4096" in err
+    monkeypatch.setenv("HOMRING_BUDGET", "4096")
     code, _, _ = run(capsys, ANALYZE)
     assert code == 0
 
 
-def test_graph_over_the_vertex_cap_is_refused_before_its_weights(capsys):
-    # Zm:143 pow:3 has 20449 codewords and four nonzero weights: the vertex
-    # cap is checked first, so the budget error comes before NotTwoWeight
-    code, out, err = run(capsys, ["code", "graph", "--ring", "Zm:143",
-                                  "--f", "pow:3"])
+# x^3 on Z_137 with the Hamming weight: SRG(18769, 9248, 4557, 4556), whose
+# graph stage is its largest estimate, 18769 * (15 + 32) + 137^2 + 5 * 9248
+GRAPH_137 = ["code", "graph", "--ring", "Zm:137", "--f", "pow:3",
+             "--weight", "hamming"]
+
+
+def test_graph_over_the_budget_is_refused_before_its_points(capsys):
+    code, out, err = run(capsys, GRAPH_137 + ["--budget", "947151"])
     assert code == 8
     assert out == ""
-    assert err == ("error: graph on 20449 vertices exceeds the cap of 20000 "
-                   "vertices\n")
+    assert err == ("error: graph needs about 947152 table lookups, over the "
+                   "budget of 947151; raise it with --budget or "
+                   "HOMRING_BUDGET\n")
 
 
 def _forbid_points(monkeypatch):
@@ -264,14 +269,14 @@ def _forbid_points(monkeypatch):
     monkeypatch.setattr(codes.Code, "points", property(no_points))
 
 
-def test_graph_over_the_vertex_cap_is_refused_without_a_pair_sweep(
+def test_graph_over_the_budget_is_refused_without_listing_the_codewords(
         capsys, monkeypatch):
-    # |C| = |R|^2/|K| is known from the kernel, before any codeword is listed
+    # the estimate needs |C| = |R|^2/|K| and the orbits' weights, not the
+    # codewords in order
     _forbid_points(monkeypatch)
-    code, _, err = run(capsys, ["code", "graph", "--ring", "Zm:143",
-                                "--f", "pow:3"])
+    code, _, err = run(capsys, GRAPH_137 + ["--budget", "947151"])
     assert code == 8
-    assert "exceeds the cap of 20000 vertices" in err
+    assert err.startswith("error: graph needs about 947152 table lookups")
 
 
 @pytest.mark.parametrize("argv", [
@@ -288,10 +293,9 @@ def test_analyze_never_sweeps_the_pairs(capsys, monkeypatch, argv):
     assert json.loads(out)["enumerator"]
 
 
-def test_graph_just_under_the_vertex_cap_is_strongly_regular(capsys):
+def test_graph_at_its_estimate_is_strongly_regular(capsys):
     # x^3 on Z_137, 137 = 2 mod 3: 18769 codewords, two Hamming weights
-    code, out, _ = run(capsys, ["code", "graph", "--ring", "Zm:137",
-                                "--f", "pow:3", "--weight", "hamming"])
+    code, out, _ = run(capsys, GRAPH_137 + ["--budget", "947152"])
     assert code == 0
     report = json.loads(out)
     assert report["srg"] == {"v": 18769, "k": 9248, "lambda": 4557,
@@ -299,9 +303,19 @@ def test_graph_just_under_the_vertex_cap_is_strongly_regular(capsys):
     assert report["srg_failure"] is None
 
 
+def test_the_default_budget_admits_the_graph_on_z251(capsys):
+    # 63001 vertices, which the old cap of 20000 vertices refused
+    code, out, _ = run(capsys, ["code", "graph", "--ring", "Zm:251", "--f",
+                                "pow:3", "--weight", "hamming"])
+    assert code == 0
+    assert json.loads(out)["srg"] == {"v": 63001, "k": 31250, "lambda": 15501,
+                                      "mu": 15500, "degenerate": False}
+
+
 def test_explicit_budget_flag(capsys):
-    code, _, err = run(capsys, ANALYZE + ["--budget", "10"])
+    code, _, err = run(capsys, ANALYZE + ["--budget", "4095"])
     assert code == 8
+    assert run(capsys, ANALYZE + ["--budget", "4096"])[0] == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -243,7 +243,7 @@ def test_transform_W_matches_the_enumerated_code():
 def test_frank_pair_dedup_classes():
     # c(a,b) == c(a',b') exactly when a == a' and b - b' lies in pR, so the
     # kernel is K = {0} x pR; the codewords come from the ring's own add and
-    # mul, each product alpha*x and beta*f(x) made once
+    # mul, each product alpha*x and beta*f(x) and each sum a + b made once
     for ring_spec, sub_spec, trace_spec in (
             ("GR:2,2,2", "Zm:4", "galois"), ("GR:3,2,2", "Zm:9", "galois")):
         R = ring_from_spec(ring_spec)
@@ -255,10 +255,12 @@ def test_frank_pair_dedup_classes():
         elems = range(R.order)
         ax = [[R.mul(alpha, x) for x in elems] for alpha in elems]
         bf = [[R.mul(beta, f.table[x]) for x in elems] for beta in elems]
+        # T(a + b) for every pair, through the ring's own add
+        tr_sum = [[tr.values[R.add(a, b)] for b in elems] for a in elems]
         by_cw = {}
         for alpha in elems:
             for beta in elems:
-                cw = tuple([tr.values[R.add(a, b)] for a, b in zip(ax[alpha], bf[beta])])
+                cw = tuple([tr_sum[a][b] for a, b in zip(ax[alpha], bf[beta])])
                 by_cw.setdefault(cw, []).append((alpha, beta))
         code = build_code(R, S, tr, f)
         assert sorted(code.kernel) == sorted((0, b) for b in pR)
@@ -640,8 +642,8 @@ def test_orbits_are_found_once_per_group():
 
 
 def test_zp_power_closed_form_on_z509():
-    # admitted by the default budget of 512; by brute force this would be
-    # |R|^3 = 1.3e8 lookups and a dict of 259081 codewords
+    # by brute force this would be |R|^3 = 1.3e8 lookups and a dict of
+    # 259081 codewords; the orbits weigh 5 codewords at |R| lookups each
     code = _code("Zm:509", "Zm:509", "identity", "pow:3")
     enum = weight_enumerator(code, hamming_table(code.sub, 1))
     assert enum == zp_power_enumerator(509, 3)

@@ -377,7 +377,7 @@ def test_maps_from_generator_images_equal_the_per_element_routes(spec, monkeypat
     if isinstance(R, GaloisRing):
         assert list(frobenius(R).perm) == frobenius_by_digits(R)
     # the raw tables of embeddings and traces, before the checks that refuse
-    # some of them (GR:2,1,3 does not embed in GR:2,1,6 this way)
+    # some of them (z4x:l0,l1 is no trace when l1 is not a unit)
     monkeypatch.setattr(traces, "SubringEmbedding",
                         lambda sub, ring, table, kind: list(table))
     monkeypatch.setattr(traces, "TraceMap",
