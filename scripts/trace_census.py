@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Census of trace maps R -> S for small ring pairs.
 
-Enumerates every valid trace map for each pair, reports the count, and checks
-two structural facts about the census: the set is closed under composition
-with units of S, and each trace induces a generating character (verified by
-re-validating the kernel condition).  With ``--values`` the full value tables
+Enumerates every valid trace map for each pair and reports the count, and
+whether the set is closed under multiplication by the units of S (T a trace
+makes u*T one for every unit u).  With ``--values`` the full value tables
 are printed.
 
 Examples:

@@ -11,7 +11,9 @@ measured multiple of it.  The estimates and where they are checked:
 * trace enumeration (``traces.enumerate_trace_maps``): |S|^k candidates,
   k the S-module generators of R, each extended and checked at |R| * (1 + g)
   lookups, g the additive generators of R;
-* the kernel and the orbit labelling (``codes.build_code``): 16 |R|^2;
+* the kernel and the orbit labelling (``codes.check_code_budget``, from
+  ``codes.build_code`` and, before the trace is built, from the CLI's
+  ``code analyze`` and ``code graph``): 16 |R|^2;
 * orbit weighing (``codes.orbit_weights``): the orbit representatives times
   |R|, once labelling has counted them;
 * a graph (``graphs.two_weight_graph``): |C| * (log2 |C| + 32) for listing,

@@ -17,7 +17,8 @@ import time
 from fractions import Fraction
 
 from . import verify as verify_mod
-from .codes import build_code, code_spectrum, function_from_spec, weight_enumerator
+from .codes import (build_code, check_code_budget, code_spectrum,
+                    function_from_spec, weight_enumerator)
 from .cyclotomic import rational_str
 from .errors import HomringError, InvalidParameter, ParseError, ValidationFailed
 from .graphs import (SRGParams, connected_components, function_columns,
@@ -113,8 +114,12 @@ def _subring(cfg: JobConfig, ring):
 
 
 def _resolve_pair(cfg: JobConfig):
+    """The rings, the trace and its spec of a code job.  The code's budget
+    is checked once the rings are parsed, before the trace or any table is
+    built."""
     ring = _require_ring(cfg)
     sub = _subring(cfg, ring)
+    check_code_budget(ring, cfg.budget)
     trace_spec = cfg.trace
     if trace_spec is None:
         if sub is ring:

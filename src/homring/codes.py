@@ -483,20 +483,26 @@ def _codeword(ring: Ring, trace_values, f_table, alpha: int, beta: int,
                  for x in range(ring.order))
 
 
+def check_code_budget(ring: Ring, budget: int | None = None) -> None:
+    """The kernel takes at most |R|^2 lookups and labelling the orbits on the
+    code a few per codeword, |C| <= |R|^2: both are charged, as 16 |R|^2.
+    The estimate needs only |R|, so a job can check it before it builds a
+    trace or a table."""
+    check_budget("kernel and orbit labelling", 16 * ring.order ** 2, budget)
+
+
 def build_code(ring: Ring, sub: Ring, trace: TraceMap, f: CodeFunction,
                budget: int | None = None) -> Code:
     """The code {x -> T(alpha*x + beta*f(x))} over all (alpha, beta) pairs,
     found through its kernel K; no codeword is built.
 
-    The kernel takes at most |R|^2 lookups and labelling the orbits on the
-    code a few per codeword, |C| <= |R|^2: both are charged, as 16 |R|^2,
-    before the kernel.  The code keeps the budget for the stages that read
-    it."""
+    ``check_code_budget`` is checked before the kernel.  The code keeps the
+    budget for the stages that read it."""
     if f.ring is not ring:
         raise InvalidParameter("function is defined on a different ring")
     if trace.ring is not ring or trace.sub is not sub:
         raise InvalidParameter("trace does not map this ring onto this subring")
-    check_budget("kernel and orbit labelling", 16 * ring.order ** 2, budget)
+    check_code_budget(ring, budget)
     if f.kind == "sigma-quadratic":
         chi = generating_character(trace)
         if not char_fixed_by(chi, f.sigma):

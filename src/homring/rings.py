@@ -62,16 +62,17 @@ def _table_pow(mot, one: int, a: int, k: int) -> int:
     return out
 
 
-def _additive_span(n: int, row_of) -> tuple:
+def _additive_span(n: int, rows_of) -> tuple:
     """Greedy generators of an additive group on 0..n-1, and how it is
     spanned from 0.
 
     Each generator g is the smallest element not yet spanned, and
-    ``row_of(g)`` is its row y -> g + y.  Returns the generators, their
-    rows and the steps (y, x, j), y = x + gens[j], in the order the
-    elements are first reached; each x is 0 or an earlier y.  Every
-    generator at least halves the number of cosets of the span, so there
-    are at most log2(n) of them.
+    ``rows_of(g)`` lists the rows y -> d + y of the steps d it adds: [g]
+    for the additive span, s*g for each s in S for an S-module.  Returns
+    the generators, the rows of all steps in order and the steps (y, x, j),
+    y = x + (the j-th step), in the order the elements are first reached;
+    each x is 0 or an earlier y.  Every generator at least halves the
+    number of cosets of the span, so there are at most log2(n) of them.
     """
     gens, rows, steps = [], [], []
     seen = bytearray(n)
@@ -82,7 +83,7 @@ def _additive_span(n: int, row_of) -> tuple:
         while seen[cand]:
             cand += 1
         gens.append(cand)
-        rows.append(row_of(cand))
+        rows += rows_of(cand)
         i = 0
         while i < len(reached):
             x = reached[i]
@@ -108,25 +109,26 @@ def _add_rows(n: int, span) -> list:
 
 
 def _extend(aot, steps, images) -> list:
-    """The additive map with images[j] at the j-th additive generator, along
-    the steps (y, x, j), y = x + gens[j], of ``_additive_span``, on the add
-    table ``aot`` of the target.  The map is not checked here."""
+    """The additive map with images[j] at the j-th step of the span, along
+    its steps (y, x, j), y = x + (the j-th step), from ``_additive_span``,
+    on the add table ``aot`` of the target: out[y] = images[j] + out[x],
+    read on the row of images[j], so only len(images) rows are touched.
+    The map is not checked here."""
+    rows = [aot[v] for v in images]
     out = [0] * (len(steps) + 1)
     for y, x, j in steps:
-        out[y] = aot[out[x]][images[j]]
+        out[y] = rows[j][out[x]]
     return out
 
 
 def _mul_rows(aot, span, mul) -> list:
-    """The mul table from the add table: only generator pairs call mul,
-    since b -> g*b is additive and (x + g)*b = x*b + g*b."""
+    """The mul table from the add table: only generator pairs call mul.
+    Row y is the additive map b -> y*b, extended from its images
+    y*g = g*y of the generators, read off the generator rows."""
     gens, _, steps = span
-    rows = [_extend(aot, steps, [mul(g, h) for h in gens]) for g in gens]
-    mot = [None] * len(aot)
-    mot[0] = [0] * len(aot)
-    for y, x, j in steps:
-        mot[y] = [aot[u][w] for u, w in zip(mot[x], rows[j])]
-    return mot
+    gen_rows = [_extend(aot, steps, [mul(g, h) for h in gens]) for g in gens]
+    return [_extend(aot, steps, [row[y] for row in gen_rows])
+            for y in range(len(aot))]
 
 
 def _homomorphism_failure(src: "Ring", table, add, mul=None):
@@ -224,23 +226,15 @@ class Ideal:
 class Automorphism:
     """A ring automorphism stored as a permutation of canonical indices."""
 
-    def __init__(self, ring: "Ring", perm, tag: str = "custom", _verified=False):
+    def __init__(self, ring: "Ring", perm, tag: str = "custom"):
         perm = tuple(perm)
-        if not _verified:
-            _verify_automorphism(ring, perm)
+        _verify_automorphism(ring, perm)
         self.ring = ring
         self.perm = perm
         self.tag = tag
 
     def __call__(self, a: int) -> int:
         return self.perm[a]
-
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        """self after other: a -> self(other(a))."""
-        if self.ring is not other.ring:
-            raise InvalidParameter("cannot compose automorphisms of different rings")
-        perm = tuple(self.perm[other.perm[a]] for a in range(self.ring.order))
-        return Automorphism(self.ring, perm, tag=f"{self.tag}*{other.tag}", _verified=True)
 
     def __eq__(self, other):
         return (
@@ -472,7 +466,7 @@ class Ring:
         if "span" not in self._cache:
             n, add = self.order, self.add
             self._cache["span"] = _additive_span(
-                n, lambda g: [add(g, v) for v in range(n)]
+                n, lambda g: [[add(g, v) for v in range(n)]]
             )
         return self._cache["span"]
 
@@ -754,17 +748,6 @@ def frobenius(ring: GaloisRing) -> Automorphism:
     return ring._cache[key]
 
 
-def automorphism_power(auto: Automorphism, k: int) -> Automorphism:
-    if k < 0:
-        raise InvalidParameter("automorphism power must be >= 0")
-    out = Automorphism(auto.ring, range(auto.ring.order), tag="identity", _verified=True)
-    for _ in range(k):
-        out = auto.compose(out)
-    if auto.tag == "frobenius-1":
-        out.tag = f"frobenius-{k}"
-    return out
-
-
 def swap_xy(ring: "TableRing") -> Automorphism:
     """The coefficient-swap automorphism of FXY:p (x <-> y)."""
     if getattr(ring, "preset", None) != "fxy":
@@ -872,7 +855,7 @@ def _verify_tables(add_t, mul_t, n: int, name: str) -> tuple:
     for a in rng:
         if 0 not in add_t[a]:
             raise InvalidRing(f"{name}: {a} has no additive inverse")
-    span = _additive_span(n, add_t.__getitem__)
+    span = _additive_span(n, lambda g: [add_t[g]])
     gens = span[0]
     for g in gens:
         grow = add_t[g]
@@ -903,7 +886,7 @@ def _verify_tables(add_t, mul_t, n: int, name: str) -> tuple:
 def _preset_tables(n: int, add, mul) -> tuple:
     """A preset's add and mul tables from its coordinate formulas, built
     from the additive generators; TableRing checks them in full."""
-    span = _additive_span(n, lambda g: [add(g, v) for v in range(n)])
+    span = _additive_span(n, lambda g: [[add(g, v) for v in range(n)]])
     add_t = _add_rows(n, span)
     return add_t, _mul_rows(add_t, span, mul)
 

@@ -38,9 +38,9 @@ from .rings import (
     IntegerModRing,
     Ring,
     TableRing,
+    _additive_span,
     _extend,
     _homomorphism_failure,
-    automorphism_power,
     frobenius,
     make_integer_ring,
 )
@@ -297,21 +297,24 @@ def galois_trace(ring: GaloisRing, sub: Ring = None) -> TraceMap:
         sdeg = sub.r
     else:
         raise InvalidParameter(f"galois trace does not target {sub.name}")
-    k = ring.r // sdeg
-    tau = automorphism_power(frobenius(ring), sdeg).perm
+    # T is additive: sum the r/sdeg conjugates tau^i(g) = sigma^(i*sdeg)(g)
+    # of each additive generator g only, and extend the sums in S
+    sigma = frobenius(ring).perm
     aot = ring.add_table()
-    values = []
-    for a in range(ring.order):
-        acc, cur = 0, a
-        for _ in range(k):
+    gens, _, steps = ring._additive_span()
+    images = []
+    for g in gens:
+        acc, cur = 0, g
+        for _ in range(ring.r // sdeg):
             acc = aot[acc][cur]
-            cur = tau[cur]
-        values.append(acc)
+            for _ in range(sdeg):
+                cur = sigma[cur]
+        images.append(acc)
     try:
-        sec = emb.section
-        values = [sec[v] for v in values]
+        images = [emb.section[v] for v in images]
     except KeyError:
         raise InternalInvariantViolation("galois trace image escapes the subring")
+    values = _extend(sub.add_table(), steps, images)
     return TraceMap(ring, sub, emb, values, tag="galois")
 
 
@@ -410,62 +413,30 @@ def trace_from_spec(ring: Ring, sub: Ring, spec: str) -> TraceMap:
 # ---------------------------------------------------------------------------
 
 
-def _module_tree(ring: Ring, sub: Ring, emb: SubringEmbedding) -> tuple:
-    """Greedy generators of R as an S-module, and a spanning tree of R.
-
-    Each generator is the least element outside the S-span of those before
-    it.  The tree's steps (y, x, i, s), y = x + s*gens[i], come in the order
-    the elements are first reached, so each x is 0 or an earlier y."""
-    mot, aot = ring.mul_table(), ring.add_table()
-    n = ring.order
-    gens, moves, steps = [], [], []
-    seen = bytearray(n)
-    seen[0] = 1
-    reached = [0]
-    for cand in range(n):
-        if seen[cand]:
-            continue
-        moves += [(len(gens), s, mot[emb.table[s]][cand]) for s in range(sub.order)]
-        gens.append(cand)
-        k = 0
-        while k < len(reached):
-            x = reached[k]
-            row = aot[x]
-            for i, s, d in moves:
-                y = row[d]
-                if not seen[y]:
-                    seen[y] = 1
-                    reached.append(y)
-                    steps.append((y, x, i, s))
-            k += 1
-    return gens, steps
-
-
 def enumerate_trace_maps(ring: Ring, sub: Ring, budget: int = None) -> list:
     """All valid trace maps R -> S, deduplicated and ordered by value table.
 
     Each assignment of values to the S-module generators of R is extended
-    along one spanning tree, T(x + s*g_i) = T(x) + s*v_i, at |R| lookups, and
+    along the S-module span, T(x + s*g_i) = T(x) + s*v_i, at |R| lookups, and
     the table is kept when it passes the three trace checks (without the
     witness scan of a refusal), which read at most |R| cells for each
-    additive generator of R before one fails.  The tree costs at most
+    additive generator of R before one fails.  The span costs at most
     |R|^2 lookups, which ring set-up has paid for; the |S|^k candidates,
     k = len(gens), are charged before the first is tried."""
     emb = subring_embedding(sub, ring)
-    gens, steps = _module_tree(ring, sub, emb)
-    check_budget("trace enumeration", sub.order ** len(gens) * ring.order
+    aot, mot = ring.add_table(), ring.mul_table()
+    ns = sub.order
+    # the S-module span: generator i adds the steps s*g_i, numbered i*|S| + s
+    gens, _, steps = _additive_span(
+        ring.order, lambda g: [aot[mot[e][g]] for e in emb.table])
+    check_budget("trace enumeration", ns ** len(gens) * ring.order
                  * (1 + len(ring._additive_span()[0])), budget)
     aos, mos = sub.add_table(), sub.mul_table()
-    ns = sub.order
-    steps = [(y, x, i * ns + s) for y, x, i, s in steps]
     found = {}
-    table = [0] * ring.order
     for assignment in product(range(ns), repeat=len(gens)):
-        # moves[i*|S| + s] = s*v_i, the step of T along y = x + s*g_i
-        moves = [mos[s][v] for v in assignment for s in range(ns)]
-        for y, x, m in steps:
-            table[y] = aos[table[x]][moves[m]]
-        key = tuple(table)
+        # the step s*g_i goes to s*v_i
+        key = tuple(_extend(aos, steps, [mos[s][v] for v in assignment
+                                         for s in range(ns)]))
         if (key not in found and _is_linear(ring, sub, emb, key)
                 and _ideal_in_kernel(ring, key) is None
                 and _missing_value(sub, key) is None):
@@ -505,18 +476,21 @@ class Character:
 
     def unit_exponent_histograms(self) -> list:
         """For each a: a length-m integer vector counting exponents of
-        chi(u*a) over the units u.  The workhorse for unit-averaged sums."""
+        chi(u*a) over the units u.  The workhorse for unit-averaged sums.
+        The vector is constant on unit orbits, so the elements of one orbit
+        share one tuple and only the distinct vectors are stored."""
         if self._unit_hists is None:
-            m = self.conductor
+            m, exps = self.conductor, self.exps
             mot = self.ring.mul_table()
             units = self.ring.units()
-            hists = []
+            hists, distinct = [], {}
             for a in range(self.ring.order):
                 row = mot[a]
                 h = [0] * m
                 for u in units:
-                    h[self.exps[row[u]]] += 1
-                hists.append(tuple(h))
+                    h[exps[row[u]]] += 1
+                h = tuple(h)
+                hists.append(distinct.setdefault(h, h))
             self._unit_hists = hists
         return self._unit_hists
 
@@ -577,6 +551,7 @@ def canonical_character(ring: Ring) -> Character:
 
 
 def char_fixed_by(char: Character, auto) -> bool:
-    """True iff the exponent map satisfies e(sigma(a)) = e(a) for all a."""
+    """True iff the exponent map satisfies e(sigma(a)) = e(a) for all a.
+    Both e and sigma are additive, so the additive generators decide."""
     exps = char.exps
-    return all(exps[auto(a)] == exps[a] for a in range(char.ring.order))
+    return all(exps[auto(g)] == exps[g] for g in char.ring._additive_span()[0])

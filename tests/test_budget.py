@@ -210,6 +210,21 @@ def test_ring_info_on_a_large_ring_is_refused_before_its_tables(capsys):
     assert "add_table" not in ring_from_spec("Zm:100000", 10**11)._cache
 
 
+@pytest.mark.parametrize("command", ["analyze", "graph"])
+def test_a_code_job_over_budget_is_refused_before_any_table(
+        command, capsys, monkeypatch):
+    # 16 |R|^2 needs only |R|: no trace, function or table is built first
+    def no_table(self):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr(rings.Ring, "mul_table", no_table)
+    code, out, err = _run(capsys, ["code", command, "--ring", "Zm:2048",
+                                   "--f", "pow:3"])
+    assert (code, out) == (8, "")
+    assert err == ("error: kernel and orbit labelling needs about 67108864 table "
+                   f"lookups, over the budget of {DEFAULT_BUDGET}; raise it with "
+                   "--budget or HOMRING_BUDGET\n")
+
+
 def test_a_map_without_symmetry_on_gr_2_9_is_refused_before_weighing(
         capsys, tmp_path):
     # 2^18 codewords, each its own orbit, would be weighed at 512 lookups:

@@ -435,6 +435,12 @@ def test_generating_character_factors_through_the_trace():
     assert all(chi.exps[a] == phi.exps[tr(a)] for a in range(R.order))
 
 
+@pytest.mark.parametrize("spec", ["Zm:12", "GR:2,2,2"])
+def test_equal_unit_histograms_are_one_tuple(spec):
+    hists = canonical_character(ring_from_spec(spec)).unit_exponent_histograms()
+    assert len({id(h) for h in hists}) == len(set(hists)) < len(hists)
+
+
 def test_char_fixed_by(z4x_conjugation):
     R = ring_from_spec("GR:2,2,2")
     frob = named_automorphism(R, "frobenius")

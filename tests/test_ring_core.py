@@ -11,13 +11,13 @@ from homring.errors import (BadPermutation, InternalInvariantViolation,
                             InvalidParameter, InvalidRing, NotLocal,
                             ParseError, UnknownPreset)
 from homring.rings import (Automorphism, GaloisRing, Ideal, IntegerModRing,
-                           TableRing, _verify_tables, automorphism_power,
-                           frobenius, fxy_ring, make_galois_ring,
-                           make_integer_ring, named_automorphism,
-                           permutation_of_teichmuller, ring_from_spec,
-                           swap_xy, z4x_ring)
-from homring.traces import (fxy_sum_trace, galois_trace, subring_embedding,
-                            z4x_trace)
+                           TableRing, _verify_tables, frobenius, fxy_ring,
+                           make_galois_ring, make_integer_ring,
+                           named_automorphism, permutation_of_teichmuller,
+                           ring_from_spec, swap_xy, z4x_ring)
+from homring.traces import (canonical_character, char_fixed_by,
+                            enumerate_trace_maps, fxy_sum_trace, galois_trace,
+                            generating_character, subring_embedding, z4x_trace)
 
 from ring_oracle import (SETUP_GRID, automorphism_scan, element_from_int,
                          embedding_by_elements, frobenius_by_digits,
@@ -175,8 +175,11 @@ AUTO_SPECS = ["GR:2,1,3", "GR:2,1,4", "GR:2,2,2", "GR:3,1,2", "GR:2,3,2",
 def _known_automorphisms(R, z4x_conjugation):
     """The identity, and the Frobenius powers, swap-xy or t -> -t."""
     if isinstance(R, GaloisRing):
-        sigma = frobenius(R)
-        return [automorphism_power(sigma, k).perm for k in range(R.r)]
+        sigma = frobenius(R).perm
+        perms = [tuple(range(R.order))]
+        for _ in range(R.r - 1):
+            perms.append(tuple(sigma[a] for a in perms[-1]))
+        return perms
     if R.preset == "fxy":
         return [tuple(range(R.order)), swap_xy(R).perm]
     return [tuple(range(R.order)), z4x_conjugation.perm]
@@ -409,6 +412,47 @@ def test_frobenius_and_galois_trace_equal_the_digit_route(spec):
     S = make_integer_ring(R.pn)
     emb = galois_trace(R, S).embedding
     assert [emb(v) for v in galois_trace(R, S).values] == trace
+
+
+@pytest.mark.parametrize("ring_spec,sub_spec", [
+    ("GR:2,1,6", "GR:2,1,2"), ("GR:2,1,6", "GR:2,1,3"), ("GR:2,2,4", "GR:2,2,2"),
+    ("GR:3,1,4", "GR:3,1,2"), ("GR:2,1,4", "GR:2,1,2")])
+def test_relative_galois_traces_equal_the_conjugate_sum(ring_spec, sub_spec):
+    # T(a) = sum of tau^i(a), i < r/s, with tau = sigma^s, on every element
+    R, S = ring_from_spec(ring_spec), ring_from_spec(sub_spec)
+    sigma = frobenius_by_digits(R)
+    trace = []
+    for a in range(R.order):
+        acc, cur = 0, a
+        for _ in range(R.r // S.r):
+            acc = R.add(acc, cur)
+            for _ in range(S.r):
+                cur = sigma[cur]
+        trace.append(acc)
+    tr = galois_trace(R, S)
+    assert [tr.embedding(v) for v in tr.values] == trace
+
+
+@pytest.mark.parametrize("spec", AUTO_SPECS)
+def test_char_fixed_by_equals_the_full_scan(spec, z4x_conjugation):
+    R = ring_from_spec(spec)
+    chars = [canonical_character(R)]
+    if isinstance(R, GaloisRing):
+        chars += [generating_character(galois_trace(R, S))
+                  for S in _canonical_subrings(R)]
+    # the characters of every trace onto Z_char, most of them not fixed
+    chars += map(generating_character,
+                 enumerate_trace_maps(R, make_integer_ring(R.characteristic())))
+    seen = set()
+    for perm in _known_automorphisms(R, z4x_conjugation):
+        auto = Automorphism(R, perm)
+        for chi in chars:
+            fixed = all(chi.exps[perm[a]] == chi.exps[a] for a in range(R.order))
+            assert char_fixed_by(chi, auto) == fixed, (chi.tag, perm)
+            seen.add(fixed)
+    assert seen == {True, False}
+    if spec == "Z4X":
+        assert not char_fixed_by(canonical_character(R), z4x_conjugation)
 
 
 @pytest.mark.parametrize("spec", SETUP_GRID)
