@@ -8,9 +8,8 @@ measured multiple of it.  The estimates and where they are checked:
 
 * ring set-up (``rings.ring_from_spec``): |R|^2 cells for each of the add,
   mul and sub tables and the cyclic submodules, two lookups a cell;
-* trace enumeration (``traces.enumerate_trace_maps``): |S|^k candidates,
-  k the S-module generators of R, each extended and checked at |R| * (1 + g)
-  lookups, g the additive generators of R;
+* trace enumeration (``traces.enumerate_trace_maps``): |R^x| * |R|, one
+  table of |R| lookups for each unit of R, before the named trace is built;
 * the kernel and the orbit labelling (``codes.check_code_budget``, from
   ``codes.build_code`` and, before the trace is built, from the CLI's
   ``code analyze`` and ``code graph``): 16 |R|^2;

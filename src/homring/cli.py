@@ -185,7 +185,7 @@ def run_trace_check(cfg: JobConfig) -> dict:
         raise InvalidParameter("trace check needs a trace spec")
     spec = cfg.trace.strip()
     if spec.startswith("table:"):
-        values = read_two_column_table(spec[6:], ring.order)
+        values = read_two_column_table(spec[6:], ring.order, "trace table")
         for v in values:
             if not 0 <= v < sub.order:
                 raise InvalidParameter(f"trace value {v} out of range for {sub.name}")

@@ -192,7 +192,7 @@ def function_from_spec(ring: Ring, spec: str, seed: int | None = None) -> CodeFu
     if spec.startswith("sigmaquad:"):
         raise UnknownPreset(f"unknown automorphism preset {spec[10:]!r}")
     if spec.startswith("table:"):
-        values = read_two_column_table(spec[6:], ring.order)
+        values = read_two_column_table(spec[6:], ring.order, "function table")
         return table_map(ring, values, tag=spec)
     raise UnknownPreset(f"unknown function spec {spec!r}")
 

@@ -62,17 +62,16 @@ def _table_pow(mot, one: int, a: int, k: int) -> int:
     return out
 
 
-def _additive_span(n: int, rows_of) -> tuple:
+def _additive_span(n: int, row_of) -> tuple:
     """Greedy generators of an additive group on 0..n-1, and how it is
     spanned from 0.
 
     Each generator g is the smallest element not yet spanned, and
-    ``rows_of(g)`` lists the rows y -> d + y of the steps d it adds: [g]
-    for the additive span, s*g for each s in S for an S-module.  Returns
-    the generators, the rows of all steps in order and the steps (y, x, j),
-    y = x + (the j-th step), in the order the elements are first reached;
-    each x is 0 or an earlier y.  Every generator at least halves the
-    number of cosets of the span, so there are at most log2(n) of them.
+    ``row_of(g)`` is its add row y -> g + y.  Returns the generators, their
+    rows and the steps (y, x, j), y = x + (the j-th generator), in the
+    order the elements are first reached; each x is 0 or an earlier y.
+    Every generator at least halves the number of cosets of the span, so
+    there are at most log2(n) of them.
     """
     gens, rows, steps = [], [], []
     seen = bytearray(n)
@@ -83,7 +82,7 @@ def _additive_span(n: int, rows_of) -> tuple:
         while seen[cand]:
             cand += 1
         gens.append(cand)
-        rows += rows_of(cand)
+        rows.append(row_of(cand))
         i = 0
         while i < len(reached):
             x = reached[i]
@@ -109,8 +108,8 @@ def _add_rows(n: int, span) -> list:
 
 
 def _extend(aot, steps, images) -> list:
-    """The additive map with images[j] at the j-th step of the span, along
-    its steps (y, x, j), y = x + (the j-th step), from ``_additive_span``,
+    """The additive map with images[j] at the j-th generator, along the
+    steps (y, x, j), y = x + (the j-th generator), from ``_additive_span``,
     on the add table ``aot`` of the target: out[y] = images[j] + out[x],
     read on the row of images[j], so only len(images) rows are touched.
     The map is not checked here."""
@@ -466,7 +465,7 @@ class Ring:
         if "span" not in self._cache:
             n, add = self.order, self.add
             self._cache["span"] = _additive_span(
-                n, lambda g: [[add(g, v) for v in range(n)]]
+                n, lambda g: [add(g, v) for v in range(n)]
             )
         return self._cache["span"]
 
@@ -855,7 +854,7 @@ def _verify_tables(add_t, mul_t, n: int, name: str) -> tuple:
     for a in rng:
         if 0 not in add_t[a]:
             raise InvalidRing(f"{name}: {a} has no additive inverse")
-    span = _additive_span(n, lambda g: [add_t[g]])
+    span = _additive_span(n, add_t.__getitem__)
     gens = span[0]
     for g in gens:
         grow = add_t[g]
@@ -886,7 +885,7 @@ def _verify_tables(add_t, mul_t, n: int, name: str) -> tuple:
 def _preset_tables(n: int, add, mul) -> tuple:
     """A preset's add and mul tables from its coordinate formulas, built
     from the additive generators; TableRing checks them in full."""
-    span = _additive_span(n, lambda g: [[add(g, v) for v in range(n)]])
+    span = _additive_span(n, lambda g: [add(g, v) for v in range(n)])
     add_t = _add_rows(n, span)
     return add_t, _mul_rows(add_t, span, mul)
 

@@ -7,10 +7,9 @@ fully validated against those three conditions, and a failed build raises
 (checked in the order NotLinear, KernelContainsIdeal, NotSurjective) together
 with a witness.
 
-``enumerate_trace_maps`` finds every valid map by brute force over S-module
-homomorphisms: pick a greedy S-generating set of R, try all value assignments
-on the generators, extend each assignment along one spanning tree of R, and
-keep the tables that pass the trace checks.
+``enumerate_trace_maps`` lists every trace map as the unit orbit
+x -> T0(u*x) of the one trace T0 that the ring family names; T0 is
+validated, and the orbit is a trace by duality, not by a check per map.
 
 Characters are stored as exponent maps into Z_m (m the characteristic); their
 unit sums are reduced exactly in a cyclotomic field, never through floats.
@@ -19,7 +18,6 @@ unit sums are reduced exactly in a cyclotomic field, never through floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import gcd
 
 from .budget import check_budget
@@ -38,7 +36,6 @@ from .rings import (
     IntegerModRing,
     Ring,
     TableRing,
-    _additive_span,
     _extend,
     _homomorphism_failure,
     frobenius,
@@ -349,13 +346,15 @@ def table_trace(ring: Ring, sub: Ring, values, tag: str = "table") -> TraceMap:
     return TraceMap(ring, sub, emb, values, tag=tag)
 
 
-def read_two_column_table(path: str, order: int) -> list:
+def read_two_column_table(path: str, order: int, what: str) -> list:
+    """The values of a two-column file of canonical indices; ``what`` names
+    the table in the messages ("trace table", "function table")."""
     values = [None] * order
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise InvalidParameter(f"cannot read trace table {path!r}: {exc}")
+        raise InvalidParameter(f"cannot read {what} {path!r}: {exc}")
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -374,7 +373,7 @@ def read_two_column_table(path: str, order: int) -> list:
         values[a] = s
     hole = next((i for i, v in enumerate(values) if v is None), None)
     if hole is not None:
-        raise ParseError(f"trace table {path!r} missing index {hole}")
+        raise ParseError(f"{what} {path!r} missing index {hole}")
     return values
 
 
@@ -403,48 +402,60 @@ def trace_from_spec(ring: Ring, sub: Ring, spec: str) -> TraceMap:
             raise ParseError(f"bad integer in trace spec {spec!r}")
         return z4x_trace(ring, sub, l0, l1)
     if spec.startswith("table:"):
-        values = read_two_column_table(spec[6:], ring.order)
+        values = read_two_column_table(spec[6:], ring.order, "trace table")
         return table_trace(ring, sub, values)
     raise UnknownPreset(f"unknown trace spec {spec!r}")
 
 
 # ---------------------------------------------------------------------------
-# brute-force enumeration
+# enumeration
 # ---------------------------------------------------------------------------
 
 
-def enumerate_trace_maps(ring: Ring, sub: Ring, budget: int = None) -> list:
-    """All valid trace maps R -> S, deduplicated and ordered by value table.
+def _named_trace(ring: Ring, sub: Ring) -> TraceMap:
+    """The trace R -> S that the ring family names: the identity when S is
+    R or R is Z_m, else the galois, fxy-sum or z4x:0,1 trace.  A table
+    ring that is no preset names none onto a proper subring."""
+    if sub is ring or isinstance(ring, IntegerModRing):
+        return table_trace(ring, sub, range(ring.order), tag="identity")
+    if isinstance(ring, GaloisRing):
+        return galois_trace(ring, sub)
+    preset = getattr(ring, "preset", None)
+    if preset == "fxy":
+        return fxy_sum_trace(ring, sub)
+    if preset == "z4x":
+        return z4x_trace(ring, sub, 0, 1)
+    raise NotGenerating(
+        f"{ring.name} names no trace map onto {sub.name}; "
+        "no generating character is known"
+    )
 
-    Each assignment of values to the S-module generators of R is extended
-    along the S-module span, T(x + s*g_i) = T(x) + s*v_i, at |R| lookups, and
-    the table is kept when it passes the three trace checks (without the
-    witness scan of a refusal), which read at most |R| cells for each
-    additive generator of R before one fails.  The span costs at most
-    |R|^2 lookups, which ring set-up has paid for; the |S|^k candidates,
-    k = len(gens), are charged before the first is tried."""
-    emb = subring_embedding(sub, ring)
-    aot, mot = ring.add_table(), ring.mul_table()
-    ns = sub.order
-    # the S-module span: generator i adds the steps s*g_i, numbered i*|S| + s
-    gens, _, steps = _additive_span(
-        ring.order, lambda g: [aot[mot[e][g]] for e in emb.table])
-    check_budget("trace enumeration", ns ** len(gens) * ring.order
-                 * (1 + len(ring._additive_span()[0])), budget)
-    aos, mos = sub.add_table(), sub.mul_table()
-    found = {}
-    for assignment in product(range(ns), repeat=len(gens)):
-        # the step s*g_i goes to s*v_i
-        key = tuple(_extend(aos, steps, [mos[s][v] for v in assignment
-                                         for s in range(ns)]))
-        if (key not in found and _is_linear(ring, sub, emb, key)
-                and _ideal_in_kernel(ring, key) is None
-                and _missing_value(sub, key) is None):
-            found[key] = TraceMap(ring, sub, emb, key, report=TraceReport(True, []))
-    out = [found[key] for key in sorted(found)]
-    for i, trace in enumerate(out):
-        trace.tag = f"enum[{i}]"
-    return out
+
+def enumerate_trace_maps(ring: Ring, sub: Ring, budget: int = None) -> list:
+    """All trace maps R -> S, ordered by value table: the unit orbit
+    x -> T0(u*x), u in R^x, of the named trace T0.
+
+    S is Frobenius, so a -> T0(a*.) is a bijection from R onto Hom_S(R, S)
+    (character duality: Wood 1999, Honold 2001), and T0(a*.) is a trace
+    exactly when a is a unit: a non-unit kills the nonzero ideal ann(a).
+    The |R^x| tables, |R| lookups each, are charged before T0 is built.
+    Units u != v give equal tables exactly when u - v lies in the largest
+    ideal J in the kernel of T0, so the one check, that there are |R^x|
+    distinct tables, catches a nonzero J on every local ring, where all
+    of 1 + J are units."""
+    subring_embedding(sub, ring)   # a pair with no embedding is refused here
+    units = ring.units()
+    check_budget("trace enumeration", len(units) * ring.order, budget)
+    base = _named_trace(ring, sub)
+    mot, at = ring.mul_table(), base.values.__getitem__
+    tables = sorted({tuple(map(at, mot[u])) for u in units})
+    if len(tables) != len(units):
+        raise InternalInvariantViolation(
+            f"the unit orbit of the {base.tag} trace {ring.name} -> {sub.name} "
+            f"has {len(tables)} tables, not one per unit ({len(units)})")
+    return [TraceMap(ring, sub, base.embedding, values, tag=f"enum[{i}]",
+                     report=TraceReport(True, []))
+            for i, values in enumerate(tables)]
 
 
 # ---------------------------------------------------------------------------
@@ -508,29 +519,14 @@ class Character:
 
 
 def _absolute_exponents(ring: Ring):
-    """The canonical exponent chain of a ring down to Z_char: (m, exps)."""
+    """The canonical exponent chain of a ring down to Z_char: (m, exps),
+    exps the named trace onto Z_m, m the characteristic."""
     if "abs_exps" in ring._cache:
         return ring._cache["abs_exps"]
     m = ring.characteristic()
-    if isinstance(ring, IntegerModRing):
-        exps = tuple(range(m))
-    elif isinstance(ring, GaloisRing):
-        tr = galois_trace(ring, make_integer_ring(m))
-        exps = tr.values
-    elif getattr(ring, "preset", None) == "fxy":
-        tr = fxy_sum_trace(ring, make_integer_ring(m))
-        exps = tr.values
-    elif getattr(ring, "preset", None) == "z4x":
-        tr = z4x_trace(ring, make_integer_ring(4), 0, 1)
-        exps = tr.values
-    else:
-        maps = enumerate_trace_maps(ring, make_integer_ring(m))
-        if not maps:
-            raise NotGenerating(
-                f"{ring.name} admits no trace map onto Zm:{m}; "
-                "no generating character exists"
-            )
-        exps = maps[0].values
+    # Z_m is its own Z_char: a second copy would build |R|^2 tables again
+    base = ring if isinstance(ring, IntegerModRing) else make_integer_ring(m)
+    exps = _named_trace(ring, base).values
     ring._cache["abs_exps"] = (m, exps)
     return m, exps
 

@@ -11,11 +11,17 @@ library's generator checks and its Frobenius are compared against.
   ``mul``, swap-xy and the fxy-sum and z4x traces from coordinate digits,
   and the canonical subring embeddings through ``add``, ``mul`` and
   ``element_from_int`` below.
+* The brute search for trace maps that the unit orbit of the named trace
+  replaced: every S-linear candidate on a greedy S-module generating set,
+  kept when it passes the trace checks.
 """
 
+from itertools import product
 from math import gcd
 
 from homring.errors import InternalInvariantViolation
+from homring.traces import (_ideal_in_kernel, _is_linear, _missing_value,
+                            subring_embedding)
 
 # the 55 rings whose set-up is compared with the slow operations
 SETUP_GRID = (
@@ -23,6 +29,13 @@ SETUP_GRID = (
     + ["GR:2,3,2", "GR:3,2,2", "GR:5,1,2", "GR:7,1,2"]
     + [f"Zm:{m}" for m in range(2, 41)] + ["FXY:2", "FXY:3", "Z4X"]
 )
+
+# every ring GR(p^n, r) whose divisor pairs GR(p^n, s) < GR(p^n, r) are
+# checked; GR:2,3,4 (4096 elements, whose add and mul tables take about
+# 7 s to build) is left out
+EMBEDDING_GRID = ([(2, 1, r) for r in range(2, 9)] + [(2, 2, r) for r in range(2, 5)]
+                  + [(2, 3, 2), (2, 3, 3)] + [(3, 1, r) for r in range(2, 5)]
+                  + [(3, 2, 2)] + [(5, 1, r) for r in range(2, 5)])
 
 
 def element_from_int(R, c: int) -> int:
@@ -158,3 +171,42 @@ def embedding_by_elements(sub, R) -> list:
             acc = R.add(acc, R.mul(element_from_int(R, c), pw))
         table.append(acc)
     return table
+
+
+def traces_by_search(R, S) -> list:
+    """The value tables of every trace map R -> S, sorted: each assignment
+    v of values to greedy S-module generators g_i of R is extended along
+    the S-module span, T(x + s*g_i) = T(x) + s*v_i, and kept when it is
+    S-linear, has no nonzero ideal in its kernel and is onto S.  That is
+    |S|^k candidates, k the number of generators."""
+    emb = subring_embedding(S, R)
+    aot, mot = R.add_table(), R.mul_table()
+    aos, mos = S.add_table(), S.mul_table()
+    # the span: (y, x, j, s) with y = x + s*g_j, in the order y is reached
+    gens, steps = [], []
+    seen = [True] + [False] * (R.order - 1)
+    reached = [0]
+    while len(reached) < R.order:
+        gens.append(seen.index(False))
+        i = 0
+        while i < len(reached):
+            x = reached[i]
+            for j, g in enumerate(gens):
+                for s in range(S.order):
+                    y = aot[x][mot[emb.table[s]][g]]
+                    if not seen[y]:
+                        seen[y] = True
+                        reached.append(y)
+                        steps.append((y, x, j, s))
+            i += 1
+    found = set()
+    for v in product(range(S.order), repeat=len(gens)):
+        table = [0] * R.order
+        for y, x, j, s in steps:
+            table[y] = aos[table[x]][mos[s][v[j]]]
+        table = tuple(table)
+        if (table not in found and _is_linear(R, S, emb, table)
+                and _ideal_in_kernel(R, table) is None
+                and _missing_value(S, table) is None):
+            found.add(table)
+    return sorted(found)

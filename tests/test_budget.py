@@ -25,6 +25,8 @@ from homring.traces import (enumerate_trace_maps, galois_trace,
                             subring_embedding, trace_from_spec)
 from homring.weights import cyclic_submodules, hamming_table, hom_weight
 
+from ring_oracle import EMBEDDING_GRID
+
 # every stage reads at most this many table cells per lookup it estimates
 FACTOR = 8
 
@@ -258,14 +260,6 @@ def test_the_environment_budget_must_be_a_positive_integer(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Galois subrings
-
-# every ring GR(p^n, r) whose divisor pairs GR(p^n, s) < GR(p^n, r) are
-# checked here; GR:2,3,4 (4096 elements, whose add and mul tables take
-# about 7 s to build) is left out
-EMBEDDING_GRID = ([(2, 1, r) for r in range(2, 9)] + [(2, 2, r) for r in range(2, 5)]
-                  + [(2, 3, 2), (2, 3, 3)] + [(3, 1, r) for r in range(2, 5)]
-                  + [(3, 2, 2)] + [(5, 1, r) for r in range(2, 5)])
-
 
 @pytest.mark.parametrize("p,n,r", EMBEDDING_GRID)
 def test_every_galois_subring_embeds_and_has_a_galois_trace(p, n, r):

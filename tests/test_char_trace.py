@@ -1,21 +1,28 @@
 """Characters, subring embeddings, trace validation and enumeration."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homring import traces
 from homring.cyclotomic import Cyclotomic, cyclotomic_polynomial
-from homring.errors import (BudgetExceeded, InvalidParameter, ParseError,
+from homring.errors import (BudgetExceeded, InternalInvariantViolation,
+                            InvalidParameter, NotGenerating, ParseError,
                             UnknownPreset, ValidationFailed)
-from homring.rings import (GaloisRing, make_integer_ring, named_automorphism,
-                           ring_from_spec)
-from homring.traces import (SubringEmbedding, canonical_character, char_fixed_by,
+from homring.rings import (GaloisRing, TableRing, make_integer_ring,
+                           named_automorphism, ring_from_spec)
+from homring.traces import (SubringEmbedding, TraceMap, TraceReport,
+                            canonical_character, char_fixed_by,
                             enumerate_trace_maps, fxy_sum_trace, galois_trace,
                             generating_character, identity_trace,
                             subring_embedding, table_trace, trace_from_spec,
                             validate_trace, z4x_trace)
 
-from ring_oracle import SETUP_GRID, character_scan, element_from_int
+from ring_oracle import (EMBEDDING_GRID, SETUP_GRID, character_scan,
+                         element_from_int, traces_by_search)
 
 # ---------------------------------------------------------------------------
 # cyclotomic reduction used by the character layer
@@ -325,9 +332,7 @@ def test_z4x_trace_census_matches_the_closed_description():
 def test_galois_census_is_the_unit_twists_without_a_witness_scan(
         monkeypatch, ring_spec, sub_spec):
     # the traces of a Galois ring onto its base ring are x -> T(lam*x) over
-    # the units lam; rejected candidates are dropped without naming a witness
-    import homring.traces as traces
-
+    # the units lam, listed without a witness scan
     def no_scan(*args):
         raise AssertionError("the witness scan ran")
 
@@ -340,14 +345,79 @@ def test_galois_census_is_the_unit_twists_without_a_witness_scan(
     assert all(t.report.ok for t in maps)
 
 
+def _census_defaults() -> list:
+    """The default pairs of scripts/trace_census.py."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "trace_census.py"
+    spec = importlib.util.spec_from_file_location("trace_census", path)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    return census.DEFAULT_PAIRS
+
+
+def _orbit_pairs() -> list:
+    """The census pairs, the five pairs of the paper-census benchmark, every
+    Galois subring pair of EMBEDDING_GRID, and each SETUP_GRID ring over
+    itself and over Z_char."""
+    pairs = _census_defaults() + [
+        ("GR:3,2,2", "Zm:9"), ("GR:2,1,6", "Zm:2"), ("GR:2,2,3", "Zm:4"),
+        ("FXY:3", "Zm:3"), ("Z4X", "Zm:4")]
+    pairs += [(f"GR:{p},{n},{r}", f"GR:{p},{n},{s}") for p, n, r in EMBEDDING_GRID
+              for s in range(1, r) if r % s == 0]
+    for spec in SETUP_GRID:
+        pairs += [(spec, spec),
+                  (spec, f"Zm:{ring_from_spec(spec).characteristic()}")]
+    return list(dict.fromkeys(pairs))
+
+
+@pytest.mark.parametrize("ring_spec,sub_spec", _orbit_pairs())
+def test_the_unit_orbit_is_every_trace_of_the_search(ring_spec, sub_spec):
+    R, S = ring_from_spec(ring_spec), ring_from_spec(sub_spec)
+    maps = enumerate_trace_maps(R, S)
+    assert [t.values for t in maps] == traces_by_search(R, S)
+    assert len(maps) == len(R.units())
+
+
+def test_an_orbit_over_all_of_r_is_not_the_search(monkeypatch):
+    # a non-unit a makes x -> T0(a*x) no trace, yet every a in R gives its
+    # own table, so the count check passes and only the search tells
+    R, S = ring_from_spec("GR:2,2,2"), ring_from_spec("Zm:4")
+    monkeypatch.setattr(R, "units", lambda: tuple(range(R.order)))
+    maps = enumerate_trace_maps(R, S)
+    assert len(maps) == R.order
+    assert [t.values for t in maps] != traces_by_search(R, S)
+
+
+def test_a_named_trace_with_an_ideal_in_its_kernel_trips_the_count_check(
+        monkeypatch):
+    # 2*T kills the ideal 2R, so units equal mod 2R give one table: the 12
+    # units of GR:2,2,2 give the 3 of F_4
+    R, S = ring_from_spec("GR:2,2,2"), ring_from_spec("Zm:4")
+    good = galois_trace(R, S)
+    doubled = TraceMap(R, S, good.embedding, [S.add(v, v) for v in good.values],
+                       report=TraceReport(True, []))
+    monkeypatch.setattr(traces, "_named_trace", lambda ring, sub: doubled)
+    with pytest.raises(InternalInvariantViolation,
+                       match=r"has 3 tables, not one per unit \(12\)"):
+        enumerate_trace_maps(R, S)
+
+
+def test_a_table_ring_that_is_no_preset_names_no_trace_onto_z_char():
+    Z = ring_from_spec("Zm:4")
+    R = TableRing(Z.add_table(), Z.mul_table(), "T4")
+    with pytest.raises(NotGenerating):
+        enumerate_trace_maps(R, make_integer_ring(4))
+    with pytest.raises(NotGenerating):
+        canonical_character(R)
+    assert [t.values for t in enumerate_trace_maps(R, R)] == traces_by_search(R, R)
+
+
 def test_enumeration_budget(monkeypatch):
-    # 16 candidates on R as a module over itself, each extended and checked
-    # at 16 * (1 + 2) lookups, GR:2,2,2 having two additive generators
+    # one table of 16 lookups for each of the 12 units of GR:2,2,2
     R = ring_from_spec("GR:2,2,2")
-    with pytest.raises(BudgetExceeded, match="trace enumeration needs about 768 "):
-        enumerate_trace_maps(R, R, budget=767)
-    assert len(enumerate_trace_maps(R, R, budget=768)) == len(R.units())
-    monkeypatch.setenv("HOMRING_BUDGET", "767")
+    with pytest.raises(BudgetExceeded, match="trace enumeration needs about 192 "):
+        enumerate_trace_maps(R, R, budget=191)
+    assert len(enumerate_trace_maps(R, R, budget=192)) == len(R.units())
+    monkeypatch.setenv("HOMRING_BUDGET", "191")
     with pytest.raises(BudgetExceeded):
         enumerate_trace_maps(R, R)
     monkeypatch.setenv("HOMRING_BUDGET", "zero")

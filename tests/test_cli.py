@@ -235,6 +235,15 @@ def test_exit_codes(capsys, argv, expected):
     assert err.startswith("error: ")
 
 
+def test_an_unreadable_table_is_named_by_what_it_holds(capsys, tmp_path):
+    missing = tmp_path / "missing.txt"
+    for argv, noun in ((["code", "analyze", "--ring", "Zm:12", "--f"], "function table"),
+                       (["trace", "check", "--ring", "Zm:12", "--trace"], "trace table")):
+        code, out, err = run(capsys, argv + [f"table:{missing}"])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {noun} {str(missing)!r}: "), err
+
+
 def test_budget_env_is_honored(capsys, monkeypatch):
     # ANALYZE's largest estimate is its kernel and orbit labelling, 16 * 16^2
     monkeypatch.setenv("HOMRING_BUDGET", "4095")
