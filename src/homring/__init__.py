@@ -10,12 +10,11 @@ values are derived from it.
 from .codes import (Code, CodeFunction, SpectrumSet, WeightEnumerator,
                     build_code, closed_form_enumerator, closed_form_spectrum,
                     code_spectrum, frank_map, function_from_spec, power_map,
-                    sigma_quadratic_map, transform_W,
-                    weight_enumerator)
+                    sigma_quadratic_map, weight_enumerator)
 from .errors import (BadPermutation, BudgetExceeded, HomringError,
                      InternalInvariantViolation, InvalidParameter, InvalidRing,
                      NotGenerating, NotLocal, NotRational, NotTwoWeight,
-                     OutOfRange, ParseError, SingularSystem, UnknownPreset,
+                     OutOfRange, ParseError, UnknownPreset,
                      ValidationFailed, WrongRingFamily)
 from .graphs import (CodeGraph, SRGFailure, SRGParams, connected_components,
                      function_columns, is_modular, srg_check, two_weight_graph)
@@ -36,7 +35,7 @@ __all__ = [
     "CodeGraph", "GaloisRing", "HomringError", "IntegerModRing",
     "InternalInvariantViolation", "InvalidParameter", "InvalidRing",
     "NotGenerating", "NotLocal", "NotRational", "NotTwoWeight", "OutOfRange",
-    "ParseError", "Ring", "SRGFailure", "SRGParams", "SingularSystem",
+    "ParseError", "Ring", "SRGFailure", "SRGParams",
     "SpectrumSet", "TableRing", "TraceMap", "TraceReport", "UnknownPreset",
     "ValidationFailed", "WeightEnumerator", "WeightTable", "WrongRingFamily",
     "build_code", "canonical_character", "closed_form_enumerator",
@@ -46,6 +45,6 @@ __all__ = [
     "hamming_table", "hom_weight", "hom_weight_axiomatic", "identity_trace",
     "is_modular", "make_galois_ring", "make_integer_ring", "parse_gamma",
     "power_map", "ring_from_spec", "sigma_quadratic_map", "srg_check",
-    "subring_embedding", "trace_from_spec", "transform_W", "two_weight_graph",
+    "subring_embedding", "trace_from_spec", "two_weight_graph",
     "validate_trace", "validate_weight", "weight_enumerator", "z4x_ring",
 ]

@@ -14,9 +14,9 @@ import io
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import verify as verify_mod
+from .budget import check_budget
 from .codes import (build_code, check_code_budget, code_spectrum,
                     function_from_spec, weight_enumerator)
 from .cyclotomic import rational_str
@@ -96,10 +96,9 @@ def _merge_flags(cfg: JobConfig, args) -> JobConfig:
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
-    if cfg.budget is not None and cfg.budget <= 0:  # parse_config refused the rest
+    # parse_config refused a bad budget or weight, and --weight has choices
+    if cfg.budget is not None and cfg.budget <= 0:
         raise ParseError("budget must be positive")
-    if cfg.weight not in ("homogeneous", "hamming"):
-        raise ParseError(f"weight must be homogeneous or hamming, got {cfg.weight!r}")
     return cfg
 
 
@@ -166,9 +165,18 @@ def run_ring_info(cfg: JobConfig) -> dict:
     }
 
 
+# lookups charged per cell of a trace list report: a cell takes about 100
+# bytes in process, and the other stages charge a lookup per 4-8 bytes
+REPORT_CELL = 16
+
+
 def run_trace_list(cfg: JobConfig) -> dict:
+    """The report lists |R^x| tables of |R| values; it is charged before
+    the enumeration builds them."""
     ring = _require_ring(cfg)
     sub = _subring(cfg, ring)
+    check_budget("trace list report", REPORT_CELL * len(ring.units()) * ring.order,
+                 cfg.budget)
     maps = enumerate_trace_maps(ring, sub, budget=cfg.budget)
     return {
         "ring": ring.name,
@@ -341,7 +349,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        command = f"{args.command}-{args.action}" if args.action else args.command
+        command = f"{args.command}-{args.action}"
         if command == "verify-paper":
             only = None
             if args.only:
@@ -353,7 +361,7 @@ def main(argv=None) -> int:
             exit_code = 0 if report["passed"] else 1
         else:
             cfg = JobConfig()
-            if getattr(args, "config", None):
+            if args.config:
                 try:
                     with open(args.config, "r", encoding="utf-8") as fh:
                         cfg = parse_config(fh.read())
@@ -371,17 +379,14 @@ def main(argv=None) -> int:
                     exit_code = ValidationFailed.exit_code
             elif command == "weight-table":
                 report = run_weight_table(cfg)
-                command = "weight-table"
             elif command == "code-analyze":
                 report = run_analyze(cfg)
                 command = "analyze"
-            elif command == "code-graph":
+            else:  # argparse leaves only code graph
                 report = run_graph(cfg)
-            else:  # pragma: no cover - argparse restricts choices
-                raise InvalidParameter(f"unknown command {command}")
-        if getattr(args, "timing", False):
+        if args.timing:
             report["timing_seconds"] = f"{time.perf_counter() - started:.3f}"
-        fmt = getattr(args, "format", None) or getattr(args, "default_format", "json")
+        fmt = getattr(args, "format", None) or args.default_format
         sys.stdout.write(_render(report, command, fmt))
         return exit_code
     except HomringError as exc:

@@ -281,7 +281,9 @@ class PairOrbits:
     """Orbits on the code C = R^2/K of a group acting on pair space.  Each
     generator is a pair (a, b) of units of R that maps K into K, acting as
     (alpha, beta) -> (alpha*a, beta*b); the group's elements are such pairs
-    too, multiplied entrywise.
+    too, multiplied entrywise.  The caller vouches for K: the pairs (s, s)
+    keep it because T is S-linear (``validate_trace``), and the pairs
+    (u, lam) because f(u*x) = lam*f(x) on all of R (``_is_monomial``).
 
     A codeword is named by the least pair of its K-coset.  Let K_a be the
     alphas of the pairs in K and K_0 the betas b with (0, b) in K.  The least
@@ -301,9 +303,6 @@ class PairOrbits:
 
     def __init__(self, ring: Ring, kernel, gens):
         add, mul, one = ring.add_table(), ring.mul_table(), ring.one
-        kset = set(kernel)
-        if any((mul[ka][a], mul[kb][b]) not in kset for a, b in gens for ka, kb in kernel):
-            raise InternalInvariantViolation("a pair-space symmetry does not keep K")
         n = len(add)
         # neg_kb[ka] = -kb for one pair (ka, kb) in K
         neg_kb = {}
@@ -474,15 +473,6 @@ def monomial_symmetries(f: CodeFunction) -> list:
     return _unit_generators(units, ring.one, mot, accept)
 
 
-def _codeword(ring: Ring, trace_values, f_table, alpha: int, beta: int,
-              mul_table, add_table) -> tuple:
-    brow = mul_table[beta]
-    bf = [brow[v] for v in f_table]
-    arow = mul_table[alpha]
-    return tuple(trace_values[add_table[arow[x]][bf[x]]]
-                 for x in range(ring.order))
-
-
 def check_code_budget(ring: Ring, budget: int | None = None) -> None:
     """The kernel takes at most |R|^2 lookups and labelling the orbits on the
     code a few per codeword, |C| <= |R|^2: both are charged, as 16 |R|^2.
@@ -543,21 +533,6 @@ def code_kernel(ring: Ring, trace: TraceMap, f: CodeFunction) -> tuple:
         if not any(tr[aot[arow[x]][brow[v]]] for x, v in enumerate(ft)):
             kernel.extend((alpha, beta) for alpha in alphas)
     return tuple(kernel)
-
-
-def transform_W(ring: Ring, sub: Ring, trace: TraceMap, f: CodeFunction,
-                alpha: int, beta: int) -> Fraction:
-    """W(alpha, beta) = |R| - w for a single pair, w the gamma = 1 homogeneous
-    weight of its codeword, without enumerating the whole code."""
-    if trace.ring is not ring or trace.sub is not sub:
-        raise InvalidParameter("trace does not map this ring onto this subring")
-    if not (0 <= alpha < ring.order and 0 <= beta < ring.order):
-        raise InvalidParameter(
-            f"(alpha, beta) = ({alpha}, {beta}) outside {ring.name}")
-    cw = _codeword(ring, trace.values, f.table, alpha, beta,
-                   ring.mul_table(), ring.add_table())
-    den, scaled = hom_weight(sub, 1).scaled()
-    return ring.order - Fraction(sum(scaled[s] for s in cw), den)
 
 
 class SpectrumSet:
@@ -703,10 +678,7 @@ def frank_subring_enumerator(q: int, k: int) -> WeightEnumerator:
         Fraction(q ** (2 * k)) + Fraction(qk, q - 1):
             (qk - 1) * (q ** (2 * k - 1) - qk - q ** (2 * k - 2) + q ** (k - 1)),
     }
-    enum = WeightEnumerator(counts)
-    if enum.total != q ** (3 * k):
-        raise InternalInvariantViolation("frank-subring counts do not sum to q^(3k)")
-    return enum
+    return WeightEnumerator(counts)
 
 
 def frank_subring_spectrum(q: int, k: int) -> SpectrumSet:
@@ -775,9 +747,10 @@ def sigma_quadratic_enumerator(ring: Ring) -> WeightEnumerator:
 
     For residue fields with k > 2 elements this corrects the transcribed
     table, which put k - 1 codewords at weight |R| - |M| instead of |R|.  The
-    table is checked against the first moment: every coordinate x != 0 maps
-    the code onto a nonzero ideal, over which the weight averages to gamma,
-    so the weights sum to |C| * (|R| - 1)."""
+    table meets the first moment: every coordinate x != 0 maps the code
+    onto a nonzero ideal, over which the weight averages to gamma, so the
+    weights sum to |C| * (|R| - 1).  With |R| = k*|M| the counts and the
+    weights sum right on every local ring, as an identity in k and |M|."""
     if not ring.is_local():
         raise NotLocal(f"{ring.name} is not local")
     n = ring.order
@@ -785,7 +758,6 @@ def sigma_quadratic_enumerator(ring: Ring) -> WeightEnumerator:
     k = ring.residue_size()
     u = n - m
     if k > 2:
-        size = n * n
         counts = {
             Fraction(0): 1,
             Fraction(n - m): k * (n - k),
@@ -793,20 +765,12 @@ def sigma_quadratic_enumerator(ring: Ring) -> WeightEnumerator:
             Fraction(n): n * n - k * n + 2 * (k - 1),
         }
     else:
-        size = n * n // 2
         counts = {
             Fraction(0): 1,
             Fraction(n, 2): n - 2,
             Fraction(n): n * n // 2 - n + 1,
         }
-    enum = WeightEnumerator(counts)
-    if enum.total != size:
-        raise InternalInvariantViolation(
-            f"sigma-quadratic counts sum to {enum.total}, not {size}")
-    if sum(w * c for w, c in enum) != size * (n - 1):
-        raise InternalInvariantViolation(
-            f"sigma-quadratic weights do not sum to {size} * {n - 1}")
-    return enum
+    return WeightEnumerator(counts)
 
 
 def sigma_quadratic_spectrum(ring: Ring) -> SpectrumSet:

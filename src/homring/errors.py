@@ -3,7 +3,9 @@
 Every error the package raises on a user-triggerable path derives from
 :class:`HomringError` and carries a distinct ``exit_code`` so shell scripts can
 branch on the failure class.  ``InternalInvariantViolation`` is reserved for
-cross-checks that can only fail on a bug in this package itself.
+cross-checks that can only fail on a bug in this package itself.  Exit
+code 15 is retired: the orbit-sum system it reported (SingularSystem) always
+has a unique solution, so nothing raised it.
 """
 
 from __future__ import annotations
@@ -122,12 +124,6 @@ class UnknownPreset(HomringError):
     """A named preset does not exist or does not apply to the given ring."""
 
     exit_code = 14
-
-
-class SingularSystem(HomringError):
-    """The triangular orbit-sum system has no unique solution."""
-
-    exit_code = 15
 
 
 class InternalInvariantViolation(HomringError):

@@ -278,14 +278,6 @@ class TeichmullerData:
         self.elements = tuple(elements)
         self.generator = generator
         self.nu = tuple(nu)
-        self.q = len(self.elements)
-        self.index_of = {t: i for i, t in enumerate(self.elements)}
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -337,33 +329,21 @@ class Ring:
 
     def characteristic(self) -> int:
         if "char" not in self._cache:
+            # the additive order of 1, at most |R| since + is a group
             step = self.add_table()[self.one]  # a -> 1 + a
             c, acc = 1, self.one
             while acc != 0:
                 acc = step[acc]
                 c += 1
-                if c > self.order:
-                    raise InternalInvariantViolation("additive order of 1 runaway")
             self._cache["char"] = c
         return self._cache["char"]
 
     def units(self) -> tuple:
         if "units" not in self._cache:
             one = self.one
-            inv = {}
-            for a, row in enumerate(self.mul_table()):
-                if one in row:
-                    inv[a] = row.index(one)
-            self._cache["units"] = tuple(inv)
-            self._cache["inv"] = inv
+            self._cache["units"] = tuple(a for a, row in enumerate(self.mul_table())
+                                         if one in row)
         return self._cache["units"]
-
-    def inverse(self, a: int) -> int:
-        self.units()
-        try:
-            return self._cache["inv"][a]
-        except KeyError:
-            raise InvalidParameter(f"{self.render(a)} is not a unit in {self.name}")
 
     def nonunits(self) -> tuple:
         if "nonunits" not in self._cache:
@@ -522,9 +502,7 @@ class IntegerModRing(Ring):
 
     def units(self):
         if "units" not in self._cache:
-            us = tuple(a for a in range(self.m) if gcd(a, self.m) == 1)
-            self._cache["units"] = us
-            self._cache["inv"] = {a: pow(a, -1, self.m) for a in us}
+            self._cache["units"] = tuple(a for a in range(self.m) if gcd(a, self.m) == 1)
         return self._cache["units"]
 
 

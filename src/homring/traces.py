@@ -1,11 +1,13 @@
 """Trace maps R -> S and the additive characters they induce.
 
 A trace map is an S-linear surjection whose kernel contains no nonzero ideal
-of R; S sits inside R through an explicit embedding.  Every map built here is
-fully validated against those three conditions, and a failed build raises
-``ValidationFailed`` carrying a report that names the first violated property
-(checked in the order NotLinear, KernelContainsIdeal, NotSurjective) together
-with a witness.
+of R; S sits inside R through an explicit embedding.  Every map built here
+from a table or a formula is validated against those three conditions, and
+a failed build raises ``ValidationFailed`` carrying a report that names the
+first violated property (checked in the order NotLinear,
+KernelContainsIdeal, NotSurjective) together with a witness.  The identity
+trace (onto R, or onto Z_m from R = Z_m) holds by construction and is not
+checked.
 
 ``enumerate_trace_maps`` lists every trace map as the unit orbit
 x -> T0(u*x) of the one trace T0 that the ring family names; T0 is
@@ -227,19 +229,20 @@ def _linearity_witness(ring: Ring, sub: Ring, embedding: SubringEmbedding,
 
 class TraceMap:
     """A validated trace map; construction raises ValidationFailed on any
-    violated condition.  A caller that has already checked these values
-    passes its passing ``report``, and they are not checked again."""
+    violated condition.  A caller whose values are checked already, or hold
+    by how it built them, passes its passing ``report``, and they are not
+    checked again, not even their length and range."""
 
     def __init__(self, ring: Ring, sub: Ring, embedding: SubringEmbedding,
                  values, tag: str = "table", report: TraceReport | None = None):
         values = tuple(values)
-        if len(values) != ring.order:
-            raise InvalidParameter(
-                f"trace table has {len(values)} entries, expected {ring.order}"
-            )
-        if any(not (0 <= v < sub.order) for v in values):
-            raise InvalidParameter("trace table value out of range for S")
         if report is None:
+            if len(values) != ring.order:
+                raise InvalidParameter(
+                    f"trace table has {len(values)} entries, expected {ring.order}"
+                )
+            if any(not (0 <= v < sub.order) for v in values):
+                raise InvalidParameter("trace table value out of range for S")
             report = validate_trace(ring, sub, embedding, values)
         if not report.ok:
             raise ValidationFailed(
@@ -274,8 +277,7 @@ class TraceMap:
 
 
 def identity_trace(ring: Ring) -> TraceMap:
-    emb = subring_embedding(ring, ring)
-    return TraceMap(ring, ring, emb, range(ring.order), tag="identity")
+    return _named_trace(ring, ring)
 
 
 def galois_trace(ring: GaloisRing, sub: Ring = None) -> TraceMap:
@@ -415,9 +417,12 @@ def trace_from_spec(ring: Ring, sub: Ring, spec: str) -> TraceMap:
 def _named_trace(ring: Ring, sub: Ring) -> TraceMap:
     """The trace R -> S that the ring family names: the identity when S is
     R or R is Z_m, else the galois, fxy-sum or z4x:0,1 trace.  A table
-    ring that is no preset names none onto a proper subring."""
+    ring that is no preset names none onto a proper subring.  The identity
+    is S-linear, with kernel {0}, onto S by construction, so it is not
+    checked."""
     if sub is ring or isinstance(ring, IntegerModRing):
-        return table_trace(ring, sub, range(ring.order), tag="identity")
+        return TraceMap(ring, sub, subring_embedding(sub, ring), range(ring.order),
+                        tag="identity", report=TraceReport(True, []))
     if isinstance(ring, GaloisRing):
         return galois_trace(ring, sub)
     preset = getattr(ring, "preset", None)

@@ -253,6 +253,19 @@ def test_invalid_trace_raises_with_primary():
     assert err.value.exit_code == 5
 
 
+def test_a_trace_table_without_a_report_is_checked_for_length_and_range():
+    # a report vouches for its values; without one, a table with a value
+    # outside S or a missing entry is refused before it is validated
+    R, S = ring_from_spec("GR:2,2,2"), ring_from_spec("Zm:4")
+    emb = subring_embedding(S, R)
+    good = galois_trace(R, S).values
+    with pytest.raises(InvalidParameter, match="out of range for S"):
+        TraceMap(R, S, emb, good[:-1] + (4,))
+    with pytest.raises(InvalidParameter, match="15 entries, expected 16"):
+        TraceMap(R, S, emb, good[:-1])
+    assert TraceMap(R, S, emb, good).report.ok
+
+
 def test_identity_trace_needs_matching_rings():
     R = ring_from_spec("GR:2,2,2")
     S = ring_from_spec("Zm:4")

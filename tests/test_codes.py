@@ -15,14 +15,14 @@ from homring.codes import (PairOrbits, WeightEnumerator, _is_monomial,
                            function_from_spec,
                            monomial_symmetries, orbit_weights, power_map,
                            random_teich_permutation, sigma_quadratic_map,
-                           table_map, transform_W, weight_enumerator,
+                           table_map, weight_enumerator,
                            zp_power_enumerator)
 from homring.cyclotomic import Cyclotomic
 from homring.errors import (InternalInvariantViolation, InvalidParameter,
                             OutOfRange, ParseError, UnknownPreset,
                             ValidationFailed, WrongRingFamily)
 from homring.rings import named_automorphism, ring_from_spec
-from homring.traces import (canonical_character, fxy_sum_trace, galois_trace,
+from homring.traces import (canonical_character, fxy_sum_trace,
                             identity_trace, table_trace, trace_from_spec)
 from homring.weights import WeightTable, hamming_table, hom_weight
 
@@ -217,27 +217,30 @@ def test_transform_and_weights_are_two_views_of_one_thing(
     assert enum[0] == 1
 
 
-def test_transform_W_matches_the_enumerated_code():
-    # oracle: W(alpha, beta) as the unit-averaged character sum over the
-    # codeword, reduced in the cyclotomic field, never through weight tables
+def test_the_spectrum_is_the_character_sum_over_each_codeword():
+    # oracle: W of each codeword as the unit-averaged character sum over it,
+    # reduced in the cyclotomic field, never through weight tables
     for ring_spec, sub_spec, trace_spec, f_spec in (
             ("GR:2,2,2", "Zm:4", "galois", "frank:id"),
             ("FXY:2", "FXY:2", "identity", "sigmaquad:swapxy"),
             ("Zm:10", "Zm:10", "identity", "pow:3"),
             ("Zm:6", "Zm:6", "identity", "pow:5")):
         code = _code(ring_spec, sub_spec, trace_spec, f_spec)
-        R, S, tr, f = code.ring, code.sub, code.trace, code.func
+        S = code.sub
         chi = canonical_character(S)
         histos = chi.unit_exponent_histograms()
         nunits = len(S.units())
-        for cw, (alpha, beta) in least_pairs(code).items():
+        transform = Counter()
+        for cw in least_pairs(code):
             counts = [0] * chi.conductor
             for s in cw:
                 for e, c in enumerate(histos[s]):
                     counts[e] += c
             char_sum = Cyclotomic.from_exponent_counts(chi.conductor, counts)
-            want = char_sum.to_rational() / nunits
-            assert transform_W(R, S, tr, f, alpha, beta) == want, (ring_spec, cw)
+            transform[char_sum.to_rational() / nunits] += 1
+        enum = weight_enumerator(code, hom_weight(S, 1))
+        assert transform == Counter({code.ring.order - w: c for w, c in enum}), ring_spec
+        assert code_spectrum(code) == set(transform), ring_spec
 
 
 def test_frank_pair_dedup_classes():
@@ -506,16 +509,26 @@ def test_orbits_label_each_codeword_by_the_least_pair_of_its_coset(case):
 
 
 def test_pair_orbits_refuse_a_symmetry_or_kernel_that_does_not_fit():
-    # pow:1 with S = R: K = {(alpha, -alpha)}, and (1, 5) maps (1, 11) to
-    # (1, 7), outside K
-    code = _orbit_case(("Zm:12", "Zm:12", "identity", "pow:1"))
-    assert sum(PairOrbits(code.ring, code.kernel, [(1, 1)]).sizes) == 12
-    with pytest.raises(InternalInvariantViolation, match="does not keep K"):
-        PairOrbits(code.ring, code.kernel, [(1, 5)])
+    # PairOrbits trusts its generators to keep K, and the code hands it only
+    # pairs that do (the next test); a kernel that is not a subgroup is
+    # refused by the count of least pairs
     code = _orbit_case(("Zm:10", "Zm:10", "identity", "pow:3"))
     assert sum(PairOrbits(code.ring, code.kernel, [(1, 1)]).sizes) == 50
     with pytest.raises(InternalInvariantViolation, match="least pairs"):
         PairOrbits(code.ring, code.kernel + ((1, 1),), [])     # not a subgroup
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=_orbit_codes(), hamming=st.booleans())
+def test_every_pair_generator_keeps_the_kernel(code, hamming):
+    # (s, s) keeps K because T is S-linear, (u, lam) because f(u*x) =
+    # lam*f(x) on all of R; on Zm:12 with pow:1, K = {(alpha, -alpha)} and
+    # the pair (1, 5) would map (1, 11) to (1, 7), outside K
+    table = hamming_table(code.sub, 1) if hamming else hom_weight(code.sub, 1)
+    mul = code.ring.mul_table()
+    kernel = set(code.kernel)
+    for a, b in code._pair_generators(table):
+        assert {(mul[ka][a], mul[kb][b]) for ka, kb in kernel} == kernel, (a, b)
 
 
 def _table_functions():
@@ -728,6 +741,23 @@ def test_sigma_quadratic_closed_form_deviates_for_larger_residue_fields():
         assert code_spectrum(code) == closed_form_spectrum("sigma-quadratic", R)
 
 
+def test_closed_form_counts_and_first_moments_are_identities():
+    # the closed forms are not checked as they are built: their counts sum
+    # to |C| and, at gamma = 1 with S = R, their weights to |C| * (|R| - 1)
+    for q in (2, 3, 5, 7):
+        for k in (2, 3, 4, 5):
+            assert closed_form_enumerator("frank-subring", (q, k)).total == q ** (3 * k)
+    for spec in ("GR:2,2,1", "GR:2,3,1", "GR:2,1,2", "GR:2,1,5", "GR:3,1,3",
+                 "GR:5,1,2", "GR:7,1,1", "GR:3,2,2", "GR:2,3,2", "GR:5,2,1",
+                 "FXY:2", "FXY:3", "Z4X"):
+        R = ring_from_spec(spec)
+        n = R.order
+        enum = closed_form_enumerator("sigma-quadratic", R)
+        size = n * n if R.residue_size() > 2 else n * n // 2
+        assert enum.total == size, spec
+        assert sum(w * c for w, c in enum) == size * (n - 1), spec
+
+
 def test_closed_form_dispatch_errors():
     with pytest.raises(UnknownPreset):
         closed_form_enumerator("mystery", (2, 2))
@@ -762,27 +792,3 @@ def test_spectrum_set_semantics():
     assert lam == [F(4), 16, -4, 0]
     assert 4 in lam and 5 not in lam
     assert repr(lam) == "{16/1, 4/1, 0/1, -4/1}"
-
-
-@lru_cache(maxsize=1)
-def _gr_frank_setting():
-    R = ring_from_spec("GR:2,2,2")
-    S = ring_from_spec("Zm:4")
-    tr = galois_trace(R, S)
-    f = frank_map(R)
-    return R, S, tr, f, code_spectrum(build_code(R, S, tr, f))
-
-
-@given(st.integers(min_value=0, max_value=15), st.integers(min_value=0, max_value=15))
-@settings(max_examples=40, deadline=None)
-def test_transform_W_is_defined_for_every_pair(alpha, beta):
-    R, S, tr, f, lam = _gr_frank_setting()
-    assert transform_W(R, S, tr, f, alpha, beta) in lam
-
-
-def test_transform_W_rejects_out_of_range_pairs():
-    R, S, tr, f, _ = _gr_frank_setting()
-    with pytest.raises(InvalidParameter):
-        transform_W(R, S, tr, f, 16, 0)
-    with pytest.raises(InvalidParameter):
-        transform_W(R, S, tr, f, 0, -1)

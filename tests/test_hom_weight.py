@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homring import weights
+from homring import verify, weights
 from homring.errors import InternalInvariantViolation, NotLocal, ParseError
 from homring.rings import IntegerModRing, ring_from_spec
+from homring.traces import TraceMap, TraceReport, subring_embedding
 from homring.weights import (WeightTable, hamming_table, hom_weight,
                              hom_weight_axiomatic, parse_gamma,
                              validate_weight)
@@ -139,6 +140,41 @@ def test_hom_weight_refuses_a_table_the_axiomatic_route_contradicts(monkeypatch)
     with pytest.raises(InternalInvariantViolation):
         hom_weight(R, F(1, 2))
     assert ("hom_weight", 1) not in R._cache
+
+
+@pytest.mark.parametrize("mutate", ["weight", "trace"])
+def test_record_14_fails_when_a_multiple_of_x_does_not_weigh_r(mutate, monkeypatch):
+    # record 14 checks pow:1 with S = R once: |C| = |R| and every nonzero
+    # codeword x -> gamma*x at weight |R|, so W(alpha, 0) = 0 for alpha != 0;
+    # a weight or a trace value changed at 3 on Zm:9 must fail it
+    ring = verify._ring("Zm:9")
+    if mutate == "weight":
+        honest = verify.hom_weight
+
+        def tampered(r, gamma=1):
+            table = honest(r, gamma)
+            if r is not ring:
+                return table
+            values = list(table.values)
+            values[3] += 1
+            return WeightTable(r, gamma, values)
+
+        monkeypatch.setattr(verify, "hom_weight", tampered)
+    else:
+        values = list(range(ring.order))
+        values[3] = 0
+        bad = TraceMap(ring, ring, subring_embedding(ring, ring), values,
+                       tag="identity", report=TraceReport(True, []))
+        honest = verify._trace
+        monkeypatch.setattr(verify, "_trace", lambda r, *rest: (
+            bad if r == "Zm:9" else honest(r, *rest)))
+    verify._code.cache_clear()
+    try:
+        (rec,) = verify.run(only=[14])["records"]
+    finally:
+        verify._code.cache_clear()
+    assert not rec["pass"]
+    assert "Zm:9: linear code |C|=" in rec["computed"]
 
 
 def test_units_share_one_weight_on_local_rings():

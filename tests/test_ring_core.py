@@ -137,7 +137,7 @@ def test_teichmuller_set_and_digits():
     for a in range(R.order):
         digits = padic_digits(R, a)
         assert len(digits) == R.n
-        assert all(d in t.index_of for d in digits)
+        assert all(d in t.elements for d in digits)
         assert from_padic_digits(R, digits) == a
 
 
@@ -354,8 +354,6 @@ def test_tables_units_and_digits_equal_the_slow_operations(spec):
     assert R.sub_table() == [[R.sub(a, b) for b in elements] for a in elements]
     units = tuple(a for a in elements if any(R.mul(a, b) == R.one for b in elements))
     assert R.units() == units
-    for u in units:
-        assert R.mul(u, R.inverse(u)) == R.one
     if R.is_local():
         t = R.teichmuller()
         maximal = set(R.nonunits())
@@ -468,7 +466,7 @@ def test_code_functions_equal_the_slow_operations(spec):
             slow = []
             for x in range(n):
                 x0, x1 = padic_digits(R, x)
-                x0p = t.elements[f.perm[t.index_of[x0]]]
+                x0p = t.elements[f.perm[t.elements.index(x0)]]
                 slow.append(R.mul(p, R.mul(x0p, x1)))
             assert f.table == tuple(slow)
     if isinstance(R, GaloisRing) or getattr(R, "preset", None) == "fxy":
