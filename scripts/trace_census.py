@@ -9,12 +9,12 @@ search over S-linear candidates.
 Examples:
     python3 scripts/trace_census.py
     python3 scripts/trace_census.py --pair Z4X:Zm:4 --values
-    python3 scripts/trace_census.py --budget 600000 --pair GR:2,1,8:Zm:2
+    python3 scripts/trace_census.py --budget 1100000 --pair GR:2,1,8:Zm:2
 
 ``--budget`` is the work budget of ``homring --budget``, in table lookups
-per stage: GR:2,1,8 -> Zm:2 needs 524288 for ring set-up and 65280 (255
-units times 256 elements) for the enumeration, so 600000 admits it and
-500000 refuses its set-up.
+per stage: GR:2,1,8 -> Zm:2 needs 524288 for ring set-up and 1044480 (16
+for each of 255 units times 256 elements) for the enumeration, so 1100000
+admits it and 1000000 refuses its enumeration.
 """
 
 from __future__ import annotations

@@ -8,11 +8,9 @@ measured multiple of it.  The estimates and where they are checked:
 
 * ring set-up (``rings.ring_from_spec``): |R|^2 cells for each of the add,
   mul and sub tables and the cyclic submodules, two lookups a cell;
-* a trace list report (``cli.run_trace_list``): 16 |R^x| * |R|, 16 for
-  each of its cells, about 100 bytes each in process, before the
-  enumeration;
-* trace enumeration (``traces.enumerate_trace_maps``): |R^x| * |R|, one
-  table of |R| lookups for each unit of R, before the named trace is built;
+* trace enumeration (``traces.enumerate_trace_maps``): 16 |R^x| * |R|,
+  16 for each value of the |R^x| tables of |R| values, about 100 bytes each
+  in process with a trace list report, before the named trace is built;
 * the kernel and the orbit labelling (``codes.check_code_budget``, from
   ``codes.build_code`` and, before the trace is built, from the CLI's
   ``code analyze`` and ``code graph``): 16 |R|^2;

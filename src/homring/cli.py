@@ -16,7 +16,6 @@ import sys
 import time
 
 from . import verify as verify_mod
-from .budget import check_budget
 from .codes import (build_code, check_code_budget, code_spectrum,
                     function_from_spec, weight_enumerator)
 from .cyclotomic import rational_str
@@ -96,7 +95,8 @@ def _merge_flags(cfg: JobConfig, args) -> JobConfig:
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
-    # parse_config refused a bad budget or weight, and --weight has choices
+    # argparse choices and parse_config refuse a bad weight, and
+    # parse_config a bad budget; a --budget flag is checked here
     if cfg.budget is not None and cfg.budget <= 0:
         raise ParseError("budget must be positive")
     return cfg
@@ -165,18 +165,9 @@ def run_ring_info(cfg: JobConfig) -> dict:
     }
 
 
-# lookups charged per cell of a trace list report: a cell takes about 100
-# bytes in process, and the other stages charge a lookup per 4-8 bytes
-REPORT_CELL = 16
-
-
 def run_trace_list(cfg: JobConfig) -> dict:
-    """The report lists |R^x| tables of |R| values; it is charged before
-    the enumeration builds them."""
     ring = _require_ring(cfg)
     sub = _subring(cfg, ring)
-    check_budget("trace list report", REPORT_CELL * len(ring.units()) * ring.order,
-                 cfg.budget)
     maps = enumerate_trace_maps(ring, sub, budget=cfg.budget)
     return {
         "ring": ring.name,

@@ -436,6 +436,12 @@ def _named_trace(ring: Ring, sub: Ring) -> TraceMap:
     )
 
 
+# lookups charged for each value of an enumerated table: a value, with its
+# share of a trace list report, takes about 100 bytes in process, and the
+# other stages charge a lookup per 4-8 bytes
+TABLE_CELL = 16
+
+
 def enumerate_trace_maps(ring: Ring, sub: Ring, budget: int = None) -> list:
     """All trace maps R -> S, ordered by value table: the unit orbit
     x -> T0(u*x), u in R^x, of the named trace T0.
@@ -443,14 +449,15 @@ def enumerate_trace_maps(ring: Ring, sub: Ring, budget: int = None) -> list:
     S is Frobenius, so a -> T0(a*.) is a bijection from R onto Hom_S(R, S)
     (character duality: Wood 1999, Honold 2001), and T0(a*.) is a trace
     exactly when a is a unit: a non-unit kills the nonzero ideal ann(a).
-    The |R^x| tables, |R| lookups each, are charged before T0 is built.
+    The |R^x| tables of |R| values are charged TABLE_CELL lookups a value
+    before T0 is built.
     Units u != v give equal tables exactly when u - v lies in the largest
     ideal J in the kernel of T0, so the one check, that there are |R^x|
     distinct tables, catches a nonzero J on every local ring, where all
     of 1 + J are units."""
     subring_embedding(sub, ring)   # a pair with no embedding is refused here
     units = ring.units()
-    check_budget("trace enumeration", len(units) * ring.order, budget)
+    check_budget("trace enumeration", TABLE_CELL * len(units) * ring.order, budget)
     base = _named_trace(ring, sub)
     mot, at = ring.mul_table(), base.values.__getitem__
     tables = sorted({tuple(map(at, mot[u])) for u in units})

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from homring import cli, codes, graphs, rings, traces
+from homring import codes, graphs, rings, traces
 from homring.budget import DEFAULT_BUDGET, check_budget
 from homring.cli import main
 from homring.codes import build_code, function_from_spec, table_map, weight_enumerator
@@ -61,7 +61,7 @@ def _record_checks(monkeypatch) -> list:
         checks.append((stage, estimate, READS[0]))
         check_budget(stage, estimate, budget)
 
-    for module in (rings, traces, codes, graphs, cli):
+    for module in (rings, traces, codes, graphs):
         monkeypatch.setattr(module, "check_budget", record)
     return checks
 
@@ -127,48 +127,28 @@ def test_trace_enumeration_is_bounded_by_its_estimate(ring_spec, sub_spec,
     R, S = ring_from_spec(ring_spec), ring_from_spec(sub_spec)
     _count_reads(monkeypatch, R, S)
     checks = _record_checks(monkeypatch)
-    assert enumerate_trace_maps(R, S)
-    _assert_bounded(_stages(checks), ["trace enumeration"])
-
-
-@pytest.mark.parametrize("ring_spec,sub_spec", [
-    ("Zm:12", "Zm:12"), ("GR:2,1,6", "Zm:2"), ("GR:3,2,2", "Zm:9"),
-    ("GR:2,2,2", "GR:2,2,2"), ("FXY:2", "Zm:2"), ("Z4X", "Zm:4"),
-])
-def test_a_trace_list_report_is_charged_per_cell_before_the_enumeration(
-        ring_spec, sub_spec, monkeypatch, capsys):
-    R, S = ring_from_spec(ring_spec), ring_from_spec(sub_spec)
-    _count_reads(monkeypatch, R, S)
-    checks = _record_checks(monkeypatch)
-    assert main(["trace", "list", "--ring", ring_spec, "--subring", sub_spec]) == 0
+    maps = enumerate_trace_maps(R, S)
     stages = _stages(checks)
-    _assert_bounded(stages, ["ring set-up"] * (len(stages) - 2)
-                    + ["trace list report", "trace enumeration"])
-    # REPORT_CELL lookups for each value the report lists
-    report = json.loads(capsys.readouterr().out)
-    cells = sum(len(t["values"]) for t in report["traces"])
-    assert stages[-2][1] == cli.REPORT_CELL * cells
+    _assert_bounded(stages, ["trace enumeration"])
+    # TABLE_CELL lookups for each value of the tables a trace list reports
+    assert stages[0][1] == traces.TABLE_CELL * sum(len(t.values) for t in maps)
 
 
-def test_a_large_trace_list_is_refused_before_the_enumeration(capsys, monkeypatch):
-    # 2038 tables of 2039 values would be a 56 MB report and peak near 490 MB
+@pytest.mark.parametrize("spec,lookups", [
+    ("Zm:2039", 16 * 2038 * 2039), ("GR:2,1,11", 16 * 2047 * 2048),
+])
+def test_a_large_trace_list_is_refused_before_the_enumeration(spec, lookups, capsys,
+                                                              monkeypatch):
+    # unrefused, either list peaked near 490 MB (Zm:2039: 2038 tables of 2039
+    # values, a 56 MB report)
     def no_enumeration(*args, **kwargs):
-        raise AssertionError("the traces were enumerated")
-    monkeypatch.setattr(cli, "enumerate_trace_maps", no_enumeration)
-    code, out, err = _run(capsys, ["trace", "list", "--ring", "Zm:2039"])
+        raise AssertionError("the named trace was built")
+    monkeypatch.setattr(traces, "_named_trace", no_enumeration)
+    code, out, err = _run(capsys, ["trace", "list", "--ring", spec])
     assert (code, out) == (8, "")
-    assert err == ("error: trace list report needs about 66487712 table lookups, "
+    assert err == (f"error: trace enumeration needs about {lookups} table lookups, "
                    f"over the budget of {DEFAULT_BUDGET}; raise it with "
                    "--budget or HOMRING_BUDGET\n")
-
-
-def test_the_trace_list_report_budget_boundary(capsys):
-    # 16 lookups for each of 12 tables of 16 values on GR:2,2,2
-    argv = ["trace", "list", "--ring", "GR:2,2,2", "--budget"]
-    code, _, err = _run(capsys, argv + ["3071"])
-    assert code == 8 and "trace list report needs about 3072 " in err
-    code, out, _ = _run(capsys, argv + ["3072"])
-    assert code == 0 and json.loads(out)["count"] == 12
 
 
 def _random_table(spec, seed):

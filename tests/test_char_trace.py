@@ -425,12 +425,12 @@ def test_a_table_ring_that_is_no_preset_names_no_trace_onto_z_char():
 
 
 def test_enumeration_budget(monkeypatch):
-    # one table of 16 lookups for each of the 12 units of GR:2,2,2
+    # 16 lookups for each value of the 12 tables of 16 values on GR:2,2,2
     R = ring_from_spec("GR:2,2,2")
-    with pytest.raises(BudgetExceeded, match="trace enumeration needs about 192 "):
-        enumerate_trace_maps(R, R, budget=191)
-    assert len(enumerate_trace_maps(R, R, budget=192)) == len(R.units())
-    monkeypatch.setenv("HOMRING_BUDGET", "191")
+    with pytest.raises(BudgetExceeded, match="trace enumeration needs about 3072 "):
+        enumerate_trace_maps(R, R, budget=3071)
+    assert len(enumerate_trace_maps(R, R, budget=3072)) == len(R.units())
+    monkeypatch.setenv("HOMRING_BUDGET", "3071")
     with pytest.raises(BudgetExceeded):
         enumerate_trace_maps(R, R)
     monkeypatch.setenv("HOMRING_BUDGET", "zero")
