@@ -79,7 +79,7 @@ def run_job(job: Job) -> dict:
     table = (hamming_table(sub, 1) if job.weight == "hamming"
              else hom_weight(sub, 1))
     enum = weight_enumerator(code, table)
-    lam = code_spectrum(code)
+    lam = code_spectrum(code, enum)
     out = {
         "job": job.label,
         "size": code.size,

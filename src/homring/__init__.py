@@ -7,9 +7,9 @@ table, checked against the axiomatic solve when it is built; transform
 values are derived from it.
 """
 
-from .codes import (Code, CodeFunction, SpectrumSet, WeightEnumerator,
-                    build_code, closed_form_enumerator, closed_form_spectrum,
-                    code_spectrum, frank_map, function_from_spec, power_map,
+from .codes import (Code, CodeFunction, WeightEnumerator, build_code,
+                    closed_form_enumerator, closed_form_spectrum, code_spectrum,
+                    frank_map, function_from_spec, power_map,
                     sigma_quadratic_map, weight_enumerator)
 from .errors import (BadPermutation, BudgetExceeded, HomringError,
                      InternalInvariantViolation, InvalidParameter, InvalidRing,
@@ -35,9 +35,9 @@ __all__ = [
     "CodeGraph", "GaloisRing", "HomringError", "IntegerModRing",
     "InternalInvariantViolation", "InvalidParameter", "InvalidRing",
     "NotGenerating", "NotLocal", "NotRational", "NotTwoWeight", "OutOfRange",
-    "ParseError", "Ring", "SRGFailure", "SRGParams",
-    "SpectrumSet", "TableRing", "TraceMap", "TraceReport", "UnknownPreset",
-    "ValidationFailed", "WeightEnumerator", "WeightTable", "WrongRingFamily",
+    "ParseError", "Ring", "SRGFailure", "SRGParams", "TableRing", "TraceMap",
+    "TraceReport", "UnknownPreset", "ValidationFailed", "WeightEnumerator",
+    "WeightTable", "WrongRingFamily",
     "build_code", "canonical_character", "closed_form_enumerator",
     "closed_form_spectrum", "code_spectrum", "connected_components",
     "enumerate_trace_maps", "frank_map", "function_columns",

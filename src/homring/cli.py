@@ -261,10 +261,6 @@ def run_graph(cfg: JobConfig) -> dict:
     return report
 
 
-def verify_paper(only=None) -> dict:
-    return verify_mod.run(only=only)
-
-
 def _to_csv(rows, header) -> str:
     import csv
 
@@ -348,7 +344,7 @@ def main(argv=None) -> int:
                     only = [int(tok) for tok in args.only.split(",") if tok]
                 except ValueError:
                     raise ParseError(f"bad --only list {args.only!r}") from None
-            report = verify_paper(only=only)
+            report = verify_mod.run(only=only)
             exit_code = 0 if report["passed"] else 1
         else:
             cfg = JobConfig()

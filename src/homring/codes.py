@@ -535,44 +535,19 @@ def code_kernel(ring: Ring, trace: TraceMap, f: CodeFunction) -> tuple:
     return tuple(kernel)
 
 
-class SpectrumSet:
-    """The set of transform values of a code, sorted descending."""
-
-    def __init__(self, values):
-        self.values = tuple(sorted({Fraction(v) for v in values}, reverse=True))
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __contains__(self, v):
-        return Fraction(v) in set(self.values)
-
-    def __eq__(self, other):
-        if isinstance(other, SpectrumSet):
-            return self.values == other.values
-        try:
-            return set(self.values) == {Fraction(v) for v in other}
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __hash__(self):
-        return hash(self.values)
-
-    def __repr__(self):
-        return "{" + ", ".join(rational_str(v) for v in self.values) + "}"
+def _spectrum(enum: WeightEnumerator, order: int) -> tuple:
+    """W = |R| - w over the weights of a gamma = 1 homogeneous enumerator,
+    |R| = ``order``: a tuple of Fractions, descending as the weights ascend."""
+    return tuple(order - w for w, _ in enum)
 
 
-def code_spectrum(code: Code,
-                  enum: WeightEnumerator | None = None) -> SpectrumSet:
-    """W = |R| - w over the weights of the code's gamma = 1 homogeneous
-    enumerator.  A caller that already holds that enumerator passes it as
-    ``enum``; any other enumerator is ignored and the right one computed."""
+def code_spectrum(code: Code, enum: WeightEnumerator | None = None) -> tuple:
+    """The code's spectrum, read off its gamma = 1 homogeneous enumerator.
+    A caller that already holds that enumerator passes it as ``enum``; any
+    other enumerator is ignored and the right one computed."""
     if enum is None or enum.kind != "homogeneous" or enum.gamma != 1:
         enum = weight_enumerator(code, hom_weight(code.sub, 1))
-    return SpectrumSet(code.ring.order - w for w, _ in enum)
+    return _spectrum(enum, code.ring.order)
 
 
 class WeightEnumerator:
@@ -597,11 +572,12 @@ class WeightEnumerator:
 
     def __eq__(self, other):
         if isinstance(other, WeightEnumerator):
-            return self.items == other.items
+            return (self.items, self.gamma, self.kind) == (other.items, other.gamma,
+                                                           other.kind)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.items)
+        return hash((self.items, self.gamma, self.kind))
 
     def poly_str(self) -> str:
         """Render as 1 + c1 X^w1 + ... with ascending weights; fractional
@@ -681,13 +657,6 @@ def frank_subring_enumerator(q: int, k: int) -> WeightEnumerator:
     return WeightEnumerator(counts)
 
 
-def frank_subring_spectrum(q: int, k: int) -> SpectrumSet:
-    _require(_is_prime(q), f"q = {q} must be prime")
-    _require(k >= 2, f"k = {k} must be >= 2")
-    qk = q ** k
-    return SpectrumSet([q ** (2 * k), qk, -Fraction(qk, q - 1), 0])
-
-
 def frank_self_enumerator(p: int, r: int) -> WeightEnumerator:
     """Frank code on R = GR(p^2, r) traced onto itself, r >= 2, gamma = 1."""
     _require(_is_prime(p), f"p = {p} must be prime")
@@ -698,12 +667,6 @@ def frank_self_enumerator(p: int, r: int) -> WeightEnumerator:
         Fraction(p ** (2 * r)): p ** (3 * r) - p ** (2 * r) + p ** r - 1,
     }
     return WeightEnumerator(counts)
-
-
-def frank_self_spectrum(p: int, r: int) -> SpectrumSet:
-    _require(_is_prime(p), f"p = {p} must be prime")
-    _require(r >= 2, f"r = {r} must be >= 2")
-    return SpectrumSet([p ** (2 * r), p ** r, 0])
 
 
 def zp_power_enumerator(p: int, d: int) -> WeightEnumerator:
@@ -732,13 +695,6 @@ def z2p_power_enumerator(p: int, d: int) -> WeightEnumerator:
         Fraction(2 * p): 2 * p * p - c1 - 1,
     }
     return WeightEnumerator(counts)
-
-
-def z2p_power_spectrum(p: int, d: int) -> SpectrumSet:
-    _require(_is_prime(p) and p % 2 == 1, f"p = {p} must be an odd prime")
-    _require(2 <= d <= p - 1, f"d = {d} outside 2..{p - 1}")
-    ell = gcd(d - 1, p - 1)
-    return SpectrumSet([2 * p, Fraction(2 * p * ell, p - 1), 0])
 
 
 def sigma_quadratic_enumerator(ring: Ring) -> WeightEnumerator:
@@ -773,43 +729,53 @@ def sigma_quadratic_enumerator(ring: Ring) -> WeightEnumerator:
     return WeightEnumerator(counts)
 
 
-def sigma_quadratic_spectrum(ring: Ring) -> SpectrumSet:
-    """W = |R| - w over the weights the enumerator attains (on a field no
-    codeword has weight |R| - |M|)."""
-    return SpectrumSet(ring.order - w for w, _ in sigma_quadratic_enumerator(ring))
-
-
-_ENUM_FAMILIES = {
-    "frank-subring": frank_subring_enumerator,
-    "frank-self": frank_self_enumerator,
-    "zp-power": zp_power_enumerator,
-    "z2p-power": z2p_power_enumerator,
+# each family's closed-form enumerator and the order |R| of its ring, as
+# functions of the family's parameters
+_FAMILIES = {
+    "frank-subring": (frank_subring_enumerator, lambda q, k: q ** (2 * k)),
+    "frank-self": (frank_self_enumerator, lambda p, r: p ** (2 * r)),
+    "zp-power": (zp_power_enumerator, lambda p, d: p),
+    "z2p-power": (z2p_power_enumerator, lambda p, d: 2 * p),
+    "sigma-quadratic": (sigma_quadratic_enumerator, lambda ring: ring.order),
 }
 
-_SPECTRUM_FAMILIES = {
-    "frank-subring": frank_subring_spectrum,
-    "frank-self": frank_self_spectrum,
-    "z2p-power": z2p_power_spectrum,
-}
+
+def _closed_form(family: str, params) -> tuple:
+    """A family's closed-form enumerator and |R|; the sigma-quadratic
+    family takes its ring as ``params``."""
+    if family not in _FAMILIES:
+        raise UnknownPreset(f"unknown closed-form family {family!r}")
+    if isinstance(params, Ring):
+        params = (params,)
+    enumerator, order = _FAMILIES[family]
+    return enumerator(*params), order(*params)
 
 
 def closed_form_enumerator(family: str, params) -> WeightEnumerator:
-    if family == "sigma-quadratic":
-        ring = params if isinstance(params, Ring) else params[0]
-        return sigma_quadratic_enumerator(ring)
-    fn = _ENUM_FAMILIES.get(family)
-    if fn is None:
-        raise UnknownPreset(f"unknown closed-form family {family!r}")
-    return fn(*params)
+    return _closed_form(family, params)[0]
 
 
-def closed_form_spectrum(family: str, params) -> SpectrumSet:
-    if family == "sigma-quadratic":
-        ring = params if isinstance(params, Ring) else params[0]
-        return sigma_quadratic_spectrum(ring)
-    if family == "zp-power":
-        raise InvalidParameter("zp-power has no closed-form spectrum here")
-    fn = _SPECTRUM_FAMILIES.get(family)
-    if fn is None:
-        raise UnknownPreset(f"unknown closed-form family {family!r}")
-    return fn(*params)
+def closed_form_spectrum(family: str, params) -> tuple:
+    """The spectrum read off a family's closed form, which must be a gamma = 1
+    homogeneous enumerator."""
+    enum, order = _closed_form(family, params)
+    if enum.kind != "homogeneous" or enum.gamma != 1:
+        raise InvalidParameter(f"{family} has no closed-form spectrum here")
+    return _spectrum(enum, order)
+
+
+def frank_subring_spectrum(q: int, k: int) -> tuple:
+    return closed_form_spectrum("frank-subring", (q, k))
+
+
+def frank_self_spectrum(p: int, r: int) -> tuple:
+    return closed_form_spectrum("frank-self", (p, r))
+
+
+def z2p_power_spectrum(p: int, d: int) -> tuple:
+    return closed_form_spectrum("z2p-power", (p, d))
+
+
+def sigma_quadratic_spectrum(ring: Ring) -> tuple:
+    """On a field no codeword has weight |R| - |M|, so W = |M| is not listed."""
+    return closed_form_spectrum("sigma-quadratic", ring)

@@ -91,7 +91,8 @@ class SubringEmbedding:
 
 
 def subring_embedding(sub: Ring, ring: Ring) -> SubringEmbedding:
-    """The canonical embedding of S into R.
+    """The canonical embedding of S into R, built once per pair and kept in
+    R's cache under S itself (an id could pass to a later ring).
 
     Supported: S = R (identity); S = Z_c with c the characteristic of R
     (c -> c*1); Galois subrings GR(p^n, s) of GR(p^n, r) with s | r, where
@@ -99,6 +100,13 @@ def subring_embedding(sub: Ring, ring: Ring) -> SubringEmbedding:
     p^s - 1, that is a root of S's modulus; eta = xi^((p^r-1)/(p^s-1))
     generates the Teichmueller group of that subring.
     """
+    key = ("embedding", sub)
+    if key not in ring._cache:
+        ring._cache[key] = _embedding(sub, ring)
+    return ring._cache[key]
+
+
+def _embedding(sub: Ring, ring: Ring) -> SubringEmbedding:
     if sub is ring:
         return SubringEmbedding(sub, ring, range(ring.order), kind="identity")
     gens, _, steps = sub._additive_span()

@@ -6,9 +6,14 @@ equals its recorded expected value with exact (rational) arithmetic.  Records
 and why that table is wrong.
 """
 
+from pathlib import Path
+
 import pytest
 
+from homring.cli import main
+
 RECORD_IDS = list(range(1, 16))
+REPORT = Path(__file__).resolve().parent / "verify_paper_report.json"
 
 
 def _line(rec) -> str:
@@ -33,3 +38,9 @@ def test_criterion(rid, verify_report):
 def test_every_record_is_reported(verify_report):
     assert [r["id"] for r in verify_report["records"]] == RECORD_IDS
     assert verify_report["total"] == 15
+
+
+def test_the_verify_paper_report_is_pinned(capsys):
+    # every record's expected and computed text, byte for byte
+    assert main(["verify", "paper"]) == 0
+    assert capsys.readouterr().out.encode() == REPORT.read_bytes()

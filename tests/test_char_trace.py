@@ -12,8 +12,8 @@ from homring.cyclotomic import Cyclotomic, cyclotomic_polynomial
 from homring.errors import (BudgetExceeded, InternalInvariantViolation,
                             InvalidParameter, NotGenerating, ParseError,
                             UnknownPreset, ValidationFailed)
-from homring.rings import (GaloisRing, TableRing, make_integer_ring,
-                           named_automorphism, ring_from_spec)
+from homring.rings import (GaloisRing, TableRing, make_galois_ring,
+                           make_integer_ring, named_automorphism, ring_from_spec)
 from homring.traces import (SubringEmbedding, TraceMap, TraceReport,
                             canonical_character, char_fixed_by,
                             enumerate_trace_maps, fxy_sum_trace, galois_trace,
@@ -118,6 +118,36 @@ def test_galois_subring_embedding():
     S = ring_from_spec("Zm:2")
     emb = subring_embedding(S, R)
     assert len(set(emb.table)) == 2
+
+
+def test_each_embedding_is_built_once_per_pair(monkeypatch):
+    # R keeps the embedding of S under S itself: enumerating the traces and
+    # building the named trace share one, and another copy of S gets its own
+    built = []
+    init = SubringEmbedding.__init__
+
+    def counted(self, sub, ring, *args, **kwargs):
+        built.append((sub, ring))
+        init(self, sub, ring, *args, **kwargs)
+
+    monkeypatch.setattr(SubringEmbedding, "__init__", counted)
+    R, S = make_galois_ring.__wrapped__(2, 1, 4), make_integer_ring(2)
+    maps = enumerate_trace_maps(R, S)
+    emb = maps[0].embedding
+    assert all(t.embedding is emb for t in maps)
+    assert trace_from_spec(R, S, "galois").embedding is emb
+    assert built == [(S, R)]
+    other = make_integer_ring(2)
+    assert subring_embedding(other, R) is not emb
+    assert built == [(S, R), (other, R)]
+
+
+def test_a_pair_with_no_embedding_is_refused_before_the_enumeration_budget():
+    R, S = ring_from_spec("GR:2,2,2"), ring_from_spec("Zm:2")
+    for _ in range(2):   # a refusal is not kept
+        with pytest.raises(InvalidParameter, match="does not embed"):
+            enumerate_trace_maps(R, S, budget=1)
+    assert ("embedding", S) not in R._cache
 
 
 # ---------------------------------------------------------------------------

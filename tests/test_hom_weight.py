@@ -147,7 +147,7 @@ def test_record_14_fails_when_a_multiple_of_x_does_not_weigh_r(mutate, monkeypat
     # record 14 checks pow:1 with S = R once: |C| = |R| and every nonzero
     # codeword x -> gamma*x at weight |R|, so W(alpha, 0) = 0 for alpha != 0;
     # a weight or a trace value changed at 3 on Zm:9 must fail it
-    ring = verify._ring("Zm:9")
+    ring = ring_from_spec("Zm:9")
     if mutate == "weight":
         honest = verify.hom_weight
 
