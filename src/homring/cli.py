@@ -23,8 +23,7 @@ from .errors import HomringError, InvalidParameter, ParseError, ValidationFailed
 from .graphs import (SRGParams, connected_components, function_columns,
                      is_modular, srg_check, two_weight_graph)
 from .rings import ring_from_spec
-from .traces import (enumerate_trace_maps, read_two_column_table,
-                     subring_embedding, trace_from_spec, validate_trace)
+from .traces import enumerate_trace_maps, trace_from_spec
 from .weights import cyclic_submodules, hamming_table, hom_weight, parse_gamma
 
 CONFIG_KEYS = ("ring", "subring", "trace", "f", "gamma", "weight", "format",
@@ -183,17 +182,11 @@ def run_trace_check(cfg: JobConfig) -> dict:
     if not cfg.trace:
         raise InvalidParameter("trace check needs a trace spec")
     spec = cfg.trace.strip()
-    if spec.startswith("table:"):
-        values = read_two_column_table(spec[6:], ring.order, "trace table")
-        for v in values:
-            if not 0 <= v < sub.order:
-                raise InvalidParameter(f"trace value {v} out of range for {sub.name}")
-        report = validate_trace(ring, sub, subring_embedding(sub, ring), values)
-        body = report.to_dict()
-    else:
-        trace_from_spec(ring, sub, spec)
-        body = {"valid": True, "failures": []}
-    return {"ring": ring.name, "subring": sub.name, "trace": spec, **body}
+    try:
+        report = trace_from_spec(ring, sub, spec).report
+    except ValidationFailed as exc:
+        report = exc.report
+    return {"ring": ring.name, "subring": sub.name, "trace": spec, **report.to_dict()}
 
 
 def run_weight_table(cfg: JobConfig) -> dict:

@@ -12,15 +12,17 @@ Three families are provided:
   satisfies xi^(p^r - 1) = 1.  The unit xi then generates the Teichmueller
   group, and the Frobenius map, which acts digit-wise on p-adic
   coordinates, is the ring automorphism with xi -> xi^p.
-* explicit operation tables (``TableRing``), with two presets:
-  ``FXY:<p>`` = F_p[x,y]/(x^2, y^2) on the basis (1, x, y, xy), encoded in
-  base p, and ``Z4X`` = Z_4[x]/(x^2 + 2) on the basis (1, t), encoded in
-  base 4 (t denotes the class of x, with t^2 = 2).
+* explicit operation tables (``TableRing``), with two presets built from
+  their basis products: ``FXY:<p>`` = F_p[x,y]/(x^2, y^2) on the basis
+  (1, x, y, xy), encoded in base p, from x*y = xy, and ``Z4X`` =
+  Z_4[x]/(x^2 + 2) on the basis (1, t), encoded in base 4, from t^2 = 2
+  (t denotes the class of x).
 
 Every ring exposes integer-encoded arithmetic plus cached structural data:
 units, radical (the nilpotents), socle (annihilator of the radical), locality,
 and for local rings the Teichmueller coordinate system.  Rings are immutable
-after construction; construction by spec string is memoized.
+after construction, and each constructor is memoized, so one spec or one
+modulus gives one ring object.
 """
 
 from __future__ import annotations
@@ -49,6 +51,24 @@ def _is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _digits(a: int, m: int, k: int) -> tuple:
+    """The k base-m digits of a, least significant first."""
+    out = []
+    for _ in range(k):
+        a, c = divmod(a, m)
+        out.append(c)
+    return tuple(out)
+
+
+def _from_digits(digits, m: int) -> int:
+    """sum c_i * m^i over the digits c_i, least significant first, each
+    reduced mod m."""
+    out = 0
+    for c in reversed(list(digits)):
+        out = out * m + c % m
+    return out
 
 
 def _table_pow(mot, one: int, a: int, k: int) -> int:
@@ -506,6 +526,7 @@ class IntegerModRing(Ring):
         return self._cache["units"]
 
 
+@lru_cache(maxsize=None)
 def make_integer_ring(m: int) -> IntegerModRing:
     return IntegerModRing(m)
 
@@ -550,17 +571,10 @@ class GaloisRing(Ring):
     # -- encoding ----------------------------------------------------------
 
     def encode(self, coeffs) -> int:
-        out = 0
-        for c in reversed(list(coeffs)):
-            out = out * self.pn + (c % self.pn)
-        return out
+        return _from_digits(coeffs, self.pn)
 
     def decode(self, a: int) -> tuple:
-        cs = []
-        for _ in range(self.r):
-            a, c = divmod(a, self.pn)
-            cs.append(c)
-        return tuple(cs)
+        return _digits(a, self.pn, self.r)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -860,14 +874,6 @@ def _verify_tables(add_t, mul_t, n: int, name: str) -> tuple:
     return span
 
 
-def _preset_tables(n: int, add, mul) -> tuple:
-    """A preset's add and mul tables from its coordinate formulas, built
-    from the additive generators; TableRing checks them in full."""
-    span = _additive_span(n, lambda g: [add(g, v) for v in range(n)])
-    add_t = _add_rows(n, span)
-    return add_t, _mul_rows(add_t, span, mul)
-
-
 def _find_identity(mul_t, n: int, name: str) -> int:
     ones = [e for e in range(n) if all(mul_t[e][a] == a for a in range(n))]
     if len(ones) != 1:
@@ -875,7 +881,38 @@ def _find_identity(mul_t, n: int, name: str) -> int:
     return ones[0]
 
 
-_FXY_SYMS = ("1", "x", "y", "x*y")
+def _preset_ring(name: str, m: int, symbols: tuple, products: dict,
+                 preset: str) -> TableRing:
+    """The ring spanned over Z_m by the basis ``symbols`` (the first is 1),
+    sum c_i b_i encoded in base m as sum c_i m^i, from the digits of each
+    basis product b_i * b_j that is not 0, keyed by its two symbols.
+
+    + is digit-wise mod m.  The greedy additive generators are the basis
+    elements m^i, and only they are multiplied to build the mul table, so
+    mul reads the products; TableRing checks every axiom.  An element
+    renders as its nonzero terms c*b, with c*1 as c and 1*b as b."""
+    n = m ** len(symbols)
+    digits = [_digits(a, m, len(symbols)) for a in range(n)]
+    basis = {m**i: sym for i, sym in enumerate(symbols)}
+
+    def add(a, b):
+        return _from_digits(map(int.__add__, digits[a], digits[b]), m)
+
+    def mul(g, h):
+        if g == 1 or h == 1:
+            return g * h
+        key = (basis[g], basis[h])
+        return _from_digits(products.get(key) or products.get(key[::-1], ()), m)
+
+    def render(a):
+        terms = [str(c) if sym == "1" else sym if c == 1 else f"{c}*{sym}"
+                 for c, sym in zip(digits[a], symbols) if c]
+        return "+".join(terms) or "0"
+
+    span = _additive_span(n, lambda g: [add(g, v) for v in range(n)])
+    add_t = _add_rows(n, span)
+    return TableRing(add_t, _mul_rows(add_t, span, mul), name, char_expected=m,
+                     render_fn=render, preset=preset)
 
 
 @lru_cache(maxsize=None)
@@ -883,83 +920,14 @@ def fxy_ring(p: int) -> TableRing:
     """F_p[x,y]/(x^2, y^2): order p^4 on the basis (1, x, y, xy)."""
     if not _is_prime(p):
         raise InvalidParameter(f"FXY needs a prime p, got {p}")
-    n = p**4
-
-    def dec(a):
-        return (a % p, (a // p) % p, (a // p**2) % p, a // p**3)
-
-    def enc(c):
-        return c[0] + c[1] * p + c[2] * p**2 + c[3] * p**3
-
-    def add(a, b):
-        a1, ax, ay, axy = dec(a)
-        b1, bx, by, bxy = dec(b)
-        return enc(((a1 + b1) % p, (ax + bx) % p, (ay + by) % p, (axy + bxy) % p))
-
-    def mul(a, b):
-        a1, ax, ay, axy = dec(a)
-        b1, bx, by, bxy = dec(b)
-        return enc((
-            (a1 * b1) % p,
-            (a1 * bx + ax * b1) % p,
-            (a1 * by + ay * b1) % p,
-            (a1 * bxy + axy * b1 + ax * by + ay * bx) % p,
-        ))
-
-    add_t, mul_t = _preset_tables(n, add, mul)
-
-    def render(a):
-        terms = []
-        for c, sym in zip(dec(a), _FXY_SYMS):
-            if c:
-                if sym == "1":
-                    terms.append(str(c))
-                elif c == 1:
-                    terms.append(sym)
-                else:
-                    terms.append(f"{c}*{sym}")
-        return "+".join(terms) if terms else "0"
-
-    return TableRing(add_t, mul_t, f"FXY:{p}", char_expected=p,
-                     render_fn=render, preset="fxy")
+    return _preset_ring(f"FXY:{p}", p, ("1", "x", "y", "x*y"),
+                        {("x", "y"): (0, 0, 0, 1)}, "fxy")
 
 
 @lru_cache(maxsize=None)
 def z4x_ring() -> TableRing:
     """Z_4[x]/(x^2 + 2): order 16 on the basis (1, t) with t^2 = 2."""
-    n = 16
-
-    def dec(a):
-        return (a % 4, a // 4)
-
-    def enc(c):
-        return c[0] + 4 * c[1]
-
-    def add(a, b):
-        a0, a1 = dec(a)
-        b0, b1 = dec(b)
-        return enc(((a0 + b0) % 4, (a1 + b1) % 4))
-
-    def mul(a, b):
-        a0, a1 = dec(a)
-        b0, b1 = dec(b)
-        return enc(((a0 * b0 + 2 * a1 * b1) % 4, (a0 * b1 + a1 * b0) % 4))
-
-    add_t, mul_t = _preset_tables(n, add, mul)
-
-    def render(a):
-        r0, r1 = dec(a)
-        terms = []
-        if r0:
-            terms.append(str(r0))
-        if r1 == 1:
-            terms.append("t")
-        elif r1:
-            terms.append(f"{r1}*t")
-        return "+".join(terms) if terms else "0"
-
-    return TableRing(add_t, mul_t, "Z4X", char_expected=4,
-                     render_fn=render, preset="z4x")
+    return _preset_ring("Z4X", 4, ("1", "t"), {("t", "t"): (2,)}, "z4x")
 
 
 # ---------------------------------------------------------------------------
@@ -996,6 +964,10 @@ def parse_ring_spec_parts(spec: str):
     raise UnknownPreset(f"unknown ring family {head!r} in spec {spec!r}")
 
 
+_BUILDERS = {"zm": make_integer_ring, "galois": make_galois_ring,
+             "fxy": fxy_ring, "z4x": z4x_ring}
+
+
 def ring_from_spec(spec: str, budget: int | None = None) -> Ring:
     """Build (and memoize) a ring from its spec string, once the budget
     admits its set-up.  The presets build their tables as they are made,
@@ -1003,7 +975,7 @@ def ring_from_spec(spec: str, budget: int | None = None) -> Ring:
     family, params = parse_ring_spec_parts(spec)
     if family == "fxy" and _is_prime(params[0]):
         _check_setup(params[0] ** 4, budget)
-    ring = _ring_from_parts(family, params)
+    ring = _BUILDERS[family](*params)
     _check_setup(ring.order, budget)
     return ring
 
@@ -1012,17 +984,6 @@ def _check_setup(order: int, budget: int | None) -> None:
     """Ring set-up builds |R|^2 cells in each of the add, mul and sub tables
     and the cyclic submodules, at two lookups a cell."""
     check_budget("ring set-up", 8 * order * order, budget)
-
-
-@lru_cache(maxsize=None)
-def _ring_from_parts(family: str, params: tuple) -> Ring:
-    if family == "zm":
-        return make_integer_ring(*params)
-    if family == "galois":
-        return make_galois_ring(*params)
-    if family == "fxy":
-        return fxy_ring(*params)
-    return z4x_ring()
 
 
 def permutation_of_teichmuller(ring: Ring, perm) -> tuple:

@@ -249,8 +249,9 @@ class TraceMap:
                 raise InvalidParameter(
                     f"trace table has {len(values)} entries, expected {ring.order}"
                 )
-            if any(not (0 <= v < sub.order) for v in values):
-                raise InvalidParameter("trace table value out of range for S")
+            bad = next((v for v in values if not 0 <= v < sub.order), None)
+            if bad is not None:
+                raise InvalidParameter(f"trace value {bad} out of range for {sub.name}")
             report = validate_trace(ring, sub, embedding, values)
         if not report.ok:
             raise ValidationFailed(
@@ -544,9 +545,7 @@ def _absolute_exponents(ring: Ring):
     if "abs_exps" in ring._cache:
         return ring._cache["abs_exps"]
     m = ring.characteristic()
-    # Z_m is its own Z_char: a second copy would build |R|^2 tables again
-    base = ring if isinstance(ring, IntegerModRing) else make_integer_ring(m)
-    exps = _named_trace(ring, base).values
+    exps = _named_trace(ring, make_integer_ring(m)).values
     ring._cache["abs_exps"] = (m, exps)
     return m, exps
 

@@ -33,6 +33,7 @@ from .codes import (
     WeightEnumerator,
 )
 from .cyclotomic import rational_str
+from .errors import ParseError
 from .graphs import (
     SRGParams,
     connected_components,
@@ -357,17 +358,18 @@ _CRITERIA = {
 
 def run(only=None) -> dict:
     """Run the suite (optionally a subset of record ids) and build the report."""
-    ids = sorted(set(only)) if only else list(range(1, 16))
+    known = range(1, 16)
+    ids = sorted(set(only)) if only else list(known)
+    bad = next((rid for rid in ids if rid not in known), None)
+    if bad is not None:
+        raise ParseError(f"unknown record id {bad}")
     records = []
     for rid in ids:
         if rid in (1, 2, 3):
             if not any(r["id"] == rid for r in records):
                 records.extend(r for r in _criterion_1_2_3() if r["id"] in ids)
             continue
-        fn = _CRITERIA.get(rid)
-        if fn is None:
-            raise ValueError(f"unknown record id {rid}")
-        records.append(fn())
+        records.append(_CRITERIA[rid]())
     records.sort(key=lambda r: r["id"])
     hard = [r for r in records if not r.get("informational")]
     failed = [r["id"] for r in hard if not r["pass"]]

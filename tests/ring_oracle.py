@@ -6,6 +6,9 @@ library's generator checks and its Frobenius are compared against.
   sum p^i a_i -> sum p^i a_i^p is a route independent of x -> x^p.
 * The full pair scans that ``_verify_automorphism`` and ``Character`` made
   before they checked on generators or not at all: O(|R|^2) cells each.
+* The coordinate formulas of the presets FXY:p and Z4X, which the library
+  now builds from their basis products: every cell of the add and mul
+  tables, and the render of every element.
 * The per-element routes of the maps that the library now extends from its
   images of the additive generators: every cell of the mul table through
   ``mul``, swap-xy and the fxy-sum and z4x traces from coordinate digits,
@@ -118,6 +121,48 @@ def character_scan(R, conductor: int, exps):
 
 def mul_table_by_cells(R) -> list:
     return [[R.mul(a, b) for b in range(R.order)] for a in range(R.order)]
+
+
+def _terms(pairs) -> str:
+    """c*sym for each nonzero c, c alone for sym 1, sym alone for c 1."""
+    terms = []
+    for c, sym in pairs:
+        if c:
+            if sym == "1":
+                terms.append(str(c))
+            elif c == 1:
+                terms.append(sym)
+            else:
+                terms.append(f"{c}*{sym}")
+    return "+".join(terms) if terms else "0"
+
+
+def fxy_by_coordinates(p: int) -> tuple:
+    """The add table, mul table and renders of F_p[x,y]/(x^2, y^2) from its
+    coordinates (c_1, c_x, c_y, c_xy), encoded c_1 + c_x p + c_y p^2 +
+    c_xy p^3."""
+    n = p**4
+    dec = [(a % p, (a // p) % p, (a // p**2) % p, a // p**3) for a in range(n)]
+
+    def enc(c1, cx, cy, cxy):
+        return c1 % p + (cx % p) * p + (cy % p) * p**2 + (cxy % p) * p**3
+
+    add = [[enc(a1 + b1, ax + bx, ay + by, axy + bxy) for b1, bx, by, bxy in dec]
+           for a1, ax, ay, axy in dec]
+    mul = [[enc(a1 * b1, a1 * bx + ax * b1, a1 * by + ay * b1,
+                a1 * bxy + axy * b1 + ax * by + ay * bx) for b1, bx, by, bxy in dec]
+           for a1, ax, ay, axy in dec]
+    return add, mul, [_terms(zip(c, ("1", "x", "y", "x*y"))) for c in dec]
+
+
+def z4x_by_coordinates() -> tuple:
+    """The add table, mul table and renders of Z_4[x]/(x^2 + 2) from its
+    coordinates (r_0, r_1) of r_0 + r_1 t, t^2 = 2, encoded r_0 + 4 r_1."""
+    dec = [(a % 4, a // 4) for a in range(16)]
+    add = [[(a0 + b0) % 4 + 4 * ((a1 + b1) % 4) for b0, b1 in dec] for a0, a1 in dec]
+    mul = [[(a0 * b0 + 2 * a1 * b1) % 4 + 4 * ((a0 * b1 + a1 * b0) % 4)
+            for b0, b1 in dec] for a0, a1 in dec]
+    return add, mul, [_terms(zip(c, ("1", "t"))) for c in dec]
 
 
 def _fxy_digits(R, a: int) -> tuple:

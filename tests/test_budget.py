@@ -86,9 +86,9 @@ def _assert_bounded(stages, names):
 def _fresh_ring(spec):
     """A ring built anew, outside the constructors' caches."""
     family, params = parse_ring_spec_parts(spec)
-    build = {"zm": make_integer_ring, "galois": make_galois_ring.__wrapped__,
-             "fxy": fxy_ring.__wrapped__, "z4x": z4x_ring.__wrapped__}[family]
-    return build(*params)
+    build = {"zm": make_integer_ring, "galois": make_galois_ring,
+             "fxy": fxy_ring, "z4x": z4x_ring}[family]
+    return build.__wrapped__(*params)
 
 
 @pytest.mark.parametrize("spec", ["Zm:2", "Zm:12", "Zm:64", "Zm:101",

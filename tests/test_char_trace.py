@@ -1,6 +1,9 @@
 """Characters, subring embeddings, trace validation and enumeration."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,15 +134,47 @@ def test_each_embedding_is_built_once_per_pair(monkeypatch):
         init(self, sub, ring, *args, **kwargs)
 
     monkeypatch.setattr(SubringEmbedding, "__init__", counted)
-    R, S = make_galois_ring.__wrapped__(2, 1, 4), make_integer_ring(2)
+    R, S = make_galois_ring.__wrapped__(2, 1, 4), make_integer_ring.__wrapped__(2)
     maps = enumerate_trace_maps(R, S)
     emb = maps[0].embedding
     assert all(t.embedding is emb for t in maps)
     assert trace_from_spec(R, S, "galois").embedding is emb
     assert built == [(S, R)]
-    other = make_integer_ring(2)
+    other = make_integer_ring.__wrapped__(2)
     assert subring_embedding(other, R) is not emb
     assert built == [(S, R), (other, R)]
+
+
+# counts every Z_m and every embedding that a fresh verify paper builds; a
+# fresh interpreter, since the tests before this one fill the rings' caches
+_VERIFY_BUILDS = """
+from collections import Counter
+from homring import rings, traces, verify
+moduli, pairs = Counter(), []
+make_zm, embed = rings.IntegerModRing.__init__, traces.SubringEmbedding.__init__
+
+def counted_zm(self, m):
+    moduli[m] += 1
+    make_zm(self, m)
+
+def counted_embedding(self, sub, ring, *args, **kwargs):
+    pairs.append((sub.name, ring.name))
+    embed(self, sub, ring, *args, **kwargs)
+
+rings.IntegerModRing.__init__ = counted_zm
+traces.SubringEmbedding.__init__ = counted_embedding
+assert verify.run()["passed"]
+print(set(moduli.values()), len(pairs), len(set(pairs)))
+"""
+
+
+def test_verify_paper_builds_one_z_m_per_modulus_and_one_embedding_per_pair():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", _VERIFY_BUILDS],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "{1} 25 25\n"
 
 
 def test_a_pair_with_no_embedding_is_refused_before_the_enumeration_budget():
@@ -289,7 +324,7 @@ def test_a_trace_table_without_a_report_is_checked_for_length_and_range():
     R, S = ring_from_spec("GR:2,2,2"), ring_from_spec("Zm:4")
     emb = subring_embedding(S, R)
     good = galois_trace(R, S).values
-    with pytest.raises(InvalidParameter, match="out of range for S"):
+    with pytest.raises(InvalidParameter, match="trace value 4 out of range for Zm:4"):
         TraceMap(R, S, emb, good[:-1] + (4,))
     with pytest.raises(InvalidParameter, match="15 entries, expected 16"):
         TraceMap(R, S, emb, good[:-1])

@@ -176,6 +176,33 @@ def test_trace_check_invalid_prints_report_and_exits_5(tmp_path, capsys):
     assert codes == ["KernelContainsIdeal", "NotSurjective"]
 
 
+def test_trace_check_reports_a_named_map_as_it_reports_its_table(tmp_path, capsys):
+    # z4x:0,2, T(r0 + t*r1) = 2*r1, kills the ideal (2) and misses 1 and 3:
+    # one report either way
+    table = tmp_path / "z4x.txt"
+    table.write_text("".join(f"{a} {2 * (a // 4) % 4}\n" for a in range(16)))
+    reports = []
+    for spec in ("z4x:0,2", f"table:{table}"):
+        code, out, err = run(capsys, ["trace", "check", "--ring", "Z4X",
+                                      "--subring", "Zm:4", "--trace", spec])
+        assert (code, err) == (5, "")
+        report = json.loads(out)
+        assert report.pop("trace") == spec
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["failures"] == [
+        {"code": "KernelContainsIdeal", "witness": {"ideal_generator": 2}},
+        {"code": "NotSurjective", "witness": {"missing": 1}}]
+
+
+def test_a_trace_value_out_of_range_has_one_refusal(tmp_path, capsys):
+    table = tmp_path / "t.txt"
+    table.write_text("".join(f"{a} {a + 2}\n" for a in range(4)))
+    for argv in (["trace", "check"], ["code", "analyze", "--f", "pow:3"]):
+        assert run(capsys, argv + ["--ring", "Zm:4", "--trace", f"table:{table}"]) == (
+            2, "", "error: trace value 4 out of range for Zm:4\n")
+
+
 # ---------------------------------------------------------------------------
 # verification suite
 
@@ -186,6 +213,12 @@ def test_verify_subset_passes(capsys):
     report = json.loads(out)
     assert report["passed"] is True
     assert [r["id"] for r in report["records"]] == [1, 3, 5]
+
+
+@pytest.mark.parametrize("only,rid", [("99", 99), ("0", 0), ("1,99", 99)])
+def test_verify_refuses_an_unknown_record_id_as_a_parse_error(capsys, only, rid):
+    assert run(capsys, ["verify", "paper", "--only", only]) == (
+        13, "", f"error: unknown record id {rid}\n")
 
 
 def test_verify_full_run_reports_known_failures(capsys, verify_report,

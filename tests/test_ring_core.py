@@ -11,8 +11,8 @@ from homring.errors import (BadPermutation, InternalInvariantViolation,
                             InvalidParameter, InvalidRing, NotLocal,
                             ParseError, UnknownPreset)
 from homring.rings import (Automorphism, GaloisRing, Ideal, IntegerModRing,
-                           TableRing, _verify_tables, frobenius, fxy_ring,
-                           make_galois_ring, make_integer_ring,
+                           TableRing, _preset_ring, _verify_tables, frobenius,
+                           fxy_ring, make_galois_ring, make_integer_ring,
                            named_automorphism, permutation_of_teichmuller,
                            ring_from_spec, swap_xy, z4x_ring)
 from homring.traces import (canonical_character, char_fixed_by,
@@ -21,8 +21,9 @@ from homring.traces import (canonical_character, char_fixed_by,
 
 from ring_oracle import (SETUP_GRID, automorphism_scan, element_from_int,
                          embedding_by_elements, frobenius_by_digits,
-                         from_padic_digits, fxy_sum_by_digits,
-                         mul_table_by_cells, padic_digits, swap_xy_by_digits,
+                         from_padic_digits, fxy_by_coordinates,
+                         fxy_sum_by_digits, mul_table_by_cells, padic_digits,
+                         swap_xy_by_digits, z4x_by_coordinates,
                          z4x_trace_by_digits)
 
 ALL_SPECS = [
@@ -482,42 +483,29 @@ def test_code_functions_equal_the_slow_operations(spec):
         assert sigma_quadratic_map(R, sigma).table == tuple(slow)
 
 
-def _coordinate_tables(n, add, mul):
-    return ([[add(a, b) for b in range(n)] for a in range(n)],
-            [[mul(a, b) for b in range(n)] for a in range(n)])
+def _tables_and_renders(R):
+    return R.add_table(), R.mul_table(), [R.render(a) for a in range(R.order)]
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_fxy_tables_equal_the_coordinate_formulas(p):
-    def dec(a):
-        return (a % p, (a // p) % p, (a // p**2) % p, a // p**3)
-
-    def enc(c):
-        return sum(ci % p * p**i for i, ci in enumerate(c))
-
-    def add(a, b):
-        return enc([x + y for x, y in zip(dec(a), dec(b))])
-
-    def mul(a, b):
-        a1, ax, ay, axy = dec(a)
-        b1, bx, by, bxy = dec(b)
-        return enc((a1 * b1, a1 * bx + ax * b1, a1 * by + ay * b1,
-                    a1 * bxy + axy * b1 + ax * by + ay * bx))
-
-    R = fxy_ring(p)
-    assert (R.add_table(), R.mul_table()) == _coordinate_tables(R.order, add, mul)
+    assert _tables_and_renders(fxy_ring(p)) == fxy_by_coordinates(p)
 
 
 def test_z4x_tables_equal_the_coordinate_formulas():
-    def add(a, b):
-        return (a % 4 + b % 4) % 4 + 4 * ((a // 4 + b // 4) % 4)
+    assert _tables_and_renders(z4x_ring()) == z4x_by_coordinates()
 
-    def mul(a, b):
-        a0, a1, b0, b1 = a % 4, a // 4, b % 4, b // 4
-        return (a0 * b0 + 2 * a1 * b1) % 4 + 4 * ((a0 * b1 + a1 * b0) % 4)
 
-    R = z4x_ring()
-    assert (R.add_table(), R.mul_table()) == _coordinate_tables(16, add, mul)
+@pytest.mark.parametrize("name,m,symbols,oracle", [
+    ("FXY:2", 2, ("1", "x", "y", "x*y"), lambda: fxy_by_coordinates(2)),
+    ("Z4X", 4, ("1", "t"), z4x_by_coordinates),
+])
+def test_a_wrong_basis_product_differs_from_the_coordinate_formulas(
+        name, m, symbols, oracle):
+    # x*y = 0 (then xy spans a third square-zero direction) and t^2 = 0
+    # both give rings that pass every axiom, so only the oracle tells
+    R = _preset_ring(name, m, symbols, {}, "wrong")
+    assert _tables_and_renders(R) != oracle()
 
 
 def test_tables_call_the_slow_operations_on_generator_rows_only():
