@@ -20,11 +20,10 @@ from .graphs import (CodeGraph, SRGFailure, SRGParams, connected_components,
                      function_columns, is_modular, srg_check, two_weight_graph)
 from .rings import (GaloisRing, IntegerModRing, Ring, TableRing, fxy_ring,
                     make_galois_ring, make_integer_ring, ring_from_spec,
-                    z4x_ring)
+                    subring_embedding, z4x_ring)
 from .traces import (Character, TraceMap, TraceReport, canonical_character,
                      enumerate_trace_maps, galois_trace, generating_character,
-                     identity_trace, subring_embedding, trace_from_spec,
-                     validate_trace)
+                     identity_trace, trace_from_spec, validate_trace)
 from .weights import (WeightTable, hamming_table, hom_weight,
                       hom_weight_axiomatic, parse_gamma, validate_weight)
 

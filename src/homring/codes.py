@@ -44,8 +44,9 @@ from .rings import (
     Ring,
     _is_prime,
     _table_pow,
-    named_automorphism,
+    frobenius,
     permutation_of_teichmuller,
+    swap_xy,
 )
 from .traces import (
     TraceMap,
@@ -130,7 +131,7 @@ def sigma_quadratic_map(ring: Ring, sigma, tag: str | None = None) -> CodeFuncti
     subtracts the Teichmueller part of a."""
     if not ring.is_local():
         raise NotLocal(f"sigma-quadratic functions need a local ring; {ring.name} is not")
-    if sigma.ring is not ring:
+    if sigma.sub is not ring or sigma.ring is not ring:
         raise InvalidParameter("automorphism acts on a different ring")
     nu = ring.teichmuller().nu
     mot, sot = ring.mul_table(), ring.sub_table()
@@ -184,11 +185,9 @@ def function_from_spec(ring: Ring, spec: str, seed: int | None = None) -> CodeFu
             raise ParseError(f"bad frank permutation {body!r}") from None
         return frank_map(ring, perm, tag=spec)
     if spec == "sigmaquad:frobenius":
-        return sigma_quadratic_map(ring, named_automorphism(ring, "frobenius"),
-                                   tag=spec)
+        return sigma_quadratic_map(ring, frobenius(ring), tag=spec)
     if spec == "sigmaquad:swapxy":
-        return sigma_quadratic_map(ring, named_automorphism(ring, "swap-xy"),
-                                   tag=spec)
+        return sigma_quadratic_map(ring, swap_xy(ring), tag=spec)
     if spec.startswith("sigmaquad:"):
         raise UnknownPreset(f"unknown automorphism preset {spec[10:]!r}")
     if spec.startswith("table:"):

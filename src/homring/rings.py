@@ -22,7 +22,8 @@ Every ring exposes integer-encoded arithmetic plus cached structural data:
 units, radical (the nilpotents), socle (annihilator of the radical), locality,
 and for local rings the Teichmueller coordinate system.  Rings are immutable
 after construction, and each constructor is memoized, so one spec or one
-modulus gives one ring object.
+modulus gives one ring object.  Every ring map, an automorphism (Frobenius,
+swap-xy) or the canonical embedding of a subring, is a ``SubringEmbedding``.
 """
 
 from __future__ import annotations
@@ -242,46 +243,52 @@ class Ideal:
         return f"Ideal({self.ring.name}, {list(self.members)})"
 
 
-class Automorphism:
-    """A ring automorphism stored as a permutation of canonical indices."""
+class SubringEmbedding:
+    """An injective unital ring homomorphism S -> R as an index table: the
+    embedding of a subring S, or with S = R an automorphism.
 
-    def __init__(self, ring: "Ring", perm, tag: str = "custom"):
-        perm = tuple(perm)
-        _verify_automorphism(ring, perm)
+    The table is checked here, and a refusal raises InvalidParameter: its
+    length, its values in R, injectivity, 0 -> 0 and 1 -> 1, then + and *
+    on the additive generators of S; when those fail, a scan of every pair
+    names the first failing one."""
+
+    def __init__(self, sub: "Ring", ring: "Ring", table, tag: str = "table"):
+        table = tuple(table)
+        if len(table) != sub.order:
+            raise InvalidParameter("embedding table must cover all of S")
+        bad = next((v for v in table if not 0 <= v < ring.order), None)
+        if bad is not None:
+            raise InvalidParameter(f"embedding value {bad} out of range for {ring.name}")
+        if len(set(table)) != sub.order:
+            raise InvalidParameter("embedding is not injective")
+        if table[0] != 0 or table[sub.one] != ring.one:
+            raise InvalidParameter("embedding must send 0 to 0 and 1 to 1")
+        aot, mot = ring.add_table(), ring.mul_table()
+        if _homomorphism_failure(sub, table, aot, mot) is not None:
+            # the failing generator pair is among the pairs, so the scan raises
+            aos, mos = sub.add_table(), sub.mul_table()
+            for a in range(sub.order):
+                sadd, smul = aos[a], mos[a]
+                radd, rmul = aot[table[a]], mot[table[a]]
+                for b in range(sub.order):
+                    if table[sadd[b]] != radd[table[b]]:
+                        op = "additive"
+                    elif table[smul[b]] != rmul[table[b]]:
+                        op = "multiplicative"
+                    else:
+                        continue
+                    raise InvalidParameter(
+                        f"embedding not {op} at ({sub.render(a)},{sub.render(b)})")
+        self.sub = sub
         self.ring = ring
-        self.perm = perm
+        self.table = table
         self.tag = tag
 
-    def __call__(self, a: int) -> int:
-        return self.perm[a]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Automorphism)
-            and self.ring is other.ring
-            and self.perm == other.perm
-        )
-
-    def __hash__(self):
-        return hash(self.perm)
+    def __call__(self, s: int) -> int:
+        return self.table[s]
 
     def __repr__(self):
-        return f"Automorphism({self.ring.name}, tag={self.tag!r})"
-
-
-def _verify_automorphism(ring: "Ring", perm: tuple) -> None:
-    """Check a ring automorphism: a bijection fixing 0 and 1 that preserves
-    + and *, checked on the additive generators."""
-    n = ring.order
-    if len(perm) != n or sorted(perm) != list(range(n)):
-        raise InternalInvariantViolation("automorphism table is not a bijection")
-    if perm[0] != 0 or perm[ring.one] != ring.one:
-        raise InternalInvariantViolation("automorphism must fix 0 and 1")
-    failure = _homomorphism_failure(ring, perm, ring.add_table(), ring.mul_table())
-    if failure is not None:
-        op, u, v = failure
-        raise InternalInvariantViolation(
-            f"automorphism does not preserve {op} at ({u},{v})")
+        return f"SubringEmbedding({self.sub.name} -> {self.ring.name}, {self.tag})"
 
 
 class TeichmullerData:
@@ -315,7 +322,6 @@ class Ring:
             raise InvalidParameter("ring order must be >= 2")
         self.order = order
         self.one = one
-        self.zero = 0
         self.name = name
         self._cache: dict = {}
 
@@ -721,7 +727,12 @@ def make_galois_ring(p: int, n: int, r: int) -> GaloisRing:
     return ring
 
 
-def frobenius(ring: GaloisRing) -> Automorphism:
+# ---------------------------------------------------------------------------
+# ring maps: automorphisms and subring embeddings
+# ---------------------------------------------------------------------------
+
+
+def frobenius(ring: GaloisRing) -> SubringEmbedding:
     """The Frobenius automorphism sum p^i a_i -> sum p^i a_i^p on digits
     a_i in the Teichmueller set, which holds the class x of the variable:
     so sigma(x) = x^p and sigma(sum c_k x^k) = sum c_k x^(pk)."""
@@ -730,16 +741,16 @@ def frobenius(ring: GaloisRing) -> Automorphism:
     key = "frobenius"
     if key not in ring._cache:
         # sigma is additive: compute it on the additive generators and
-        # extend along the span; the Automorphism check covers the rest
+        # extend along the span; the SubringEmbedding check covers the rest
         xp = _table_pow(ring.mul_table(), ring.one, ring.xbar, ring.p)
         gens, _, steps = ring._additive_span()
         images = [ring._evaluate(ring.decode(g), xp) for g in gens]
-        perm = _extend(ring.add_table(), steps, images)
-        ring._cache[key] = Automorphism(ring, perm, tag="frobenius-1")
+        table = _extend(ring.add_table(), steps, images)
+        ring._cache[key] = SubringEmbedding(ring, ring, table, tag="frobenius-1")
     return ring._cache[key]
 
 
-def swap_xy(ring: "TableRing") -> Automorphism:
+def swap_xy(ring: "TableRing") -> SubringEmbedding:
     """The coefficient-swap automorphism of FXY:p (x <-> y)."""
     if getattr(ring, "preset", None) != "fxy":
         raise UnknownPreset(f"swap-xy automorphism needs an FXY ring, got {ring.name}")
@@ -748,19 +759,59 @@ def swap_xy(ring: "TableRing") -> Automorphism:
         # the greedy additive generators of FXY:p are 1, x, y, xy, encoded
         # 1, p, p^2, p^3; their images are 1, y, x, xy
         p = ring.char_expected
-        perm = _extend(ring.add_table(), ring._additive_span()[2],
-                       [1, p * p, p, p**3])
-        ring._cache[key] = Automorphism(ring, perm, tag="swap-xy")
+        table = _extend(ring.add_table(), ring._additive_span()[2],
+                        [1, p * p, p, p**3])
+        ring._cache[key] = SubringEmbedding(ring, ring, table, tag="swap-xy")
     return ring._cache[key]
 
 
-def named_automorphism(ring: Ring, tag: str) -> Automorphism:
-    tag = tag.replace("_", "-")
-    if tag in ("frobenius", "frobenius-1"):
-        return frobenius(ring)
-    if tag in ("swap-xy", "swapxy"):
-        return swap_xy(ring)
-    raise UnknownPreset(f"unknown automorphism preset {tag!r}")
+def subring_embedding(sub: Ring, ring: Ring) -> SubringEmbedding:
+    """The canonical embedding of S into R, built once per pair and kept in
+    R's cache under S itself (an id could pass to a later ring).
+
+    Supported: S = R (identity); S = Z_c with c the characteristic of R
+    (c -> c*1); Galois subrings GR(p^n, s) of GR(p^n, r) with s | r, where
+    the canonical generator of S maps to the first power eta^m, m prime to
+    p^s - 1, that is a root of S's modulus; eta = xi^((p^r-1)/(p^s-1))
+    generates the Teichmueller group of that subring.
+    """
+    key = ("embedding", sub)
+    if key not in ring._cache:
+        ring._cache[key] = _embedding(sub, ring)
+    return ring._cache[key]
+
+
+def _embedding(sub: Ring, ring: Ring) -> SubringEmbedding:
+    if sub is ring:
+        return SubringEmbedding(sub, ring, range(ring.order), tag="identity")
+    gens, _, steps = sub._additive_span()
+    if isinstance(sub, IntegerModRing):
+        if sub.m != ring.characteristic():
+            raise InvalidParameter(
+                f"{sub.name} does not embed in {ring.name}: "
+                f"characteristic is {ring.characteristic()}"
+            )
+        # Z_c is spanned by 1
+        table = _extend(ring.add_table(), steps, [ring.one])
+        return SubringEmbedding(sub, ring, table, tag="characteristic")
+    if isinstance(sub, GaloisRing) and isinstance(ring, GaloisRing):
+        if sub.p != ring.p or sub.n != ring.n or ring.r % sub.r != 0:
+            raise InvalidParameter(
+                f"{sub.name} is not a Galois subring of {ring.name}"
+            )
+        eta = ring.pow(ring.teichmuller().generator, (ring.q - 1) // (sub.q - 1))
+        # S's modulus x^s - sum red_k x^k, with coefficients encoding c_k*1
+        modulus = [-c % sub.pn for c in sub.reduction] + [1]
+        powers = (ring.pow(eta, m) for m in range(1, sub.q) if gcd(m, sub.q - 1) == 1)
+        root = next((y for y in powers if ring._evaluate(modulus, y) == 0), None)
+        if root is None:
+            raise InternalInvariantViolation(
+                f"no root of the modulus of {sub.name} in {ring.name}")
+        # a generator sum c_k x^k of S goes to sum c_k root^k in R
+        images = [ring._evaluate(sub.decode(g), root) for g in gens]
+        table = _extend(ring.add_table(), steps, images)
+        return SubringEmbedding(sub, ring, table, tag="teichmuller-power")
+    raise InvalidParameter(f"no canonical embedding of {sub.name} into {ring.name}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Trace maps R -> S and the additive characters they induce.
 
 A trace map is an S-linear surjection whose kernel contains no nonzero ideal
-of R; S sits inside R through an explicit embedding.  Every map built here
-from a table or a formula is validated against those three conditions, and
-a failed build raises ``ValidationFailed`` carrying a report that names the
-first violated property (checked in the order NotLinear,
+of R; S sits inside R through its canonical embedding, the checked
+``rings.SubringEmbedding`` that ``rings.subring_embedding`` builds.  Every
+map built here from a table or a formula is validated against those three
+conditions, and a failed build raises ``ValidationFailed`` carrying a report
+that names the first violated property (checked in the order NotLinear,
 KernelContainsIdeal, NotSurjective) together with a witness.  The identity
 trace (onto R, or onto Z_m from R = Z_m) holds by construction and is not
 checked.
@@ -20,7 +21,6 @@ unit sums are reduced exactly in a cyclotomic field, never through floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .budget import check_budget
 from .cyclotomic import Cyclotomic
@@ -37,107 +37,14 @@ from .rings import (
     GaloisRing,
     IntegerModRing,
     Ring,
+    SubringEmbedding,
     TableRing,
     _extend,
     _homomorphism_failure,
     frobenius,
     make_integer_ring,
+    subring_embedding,
 )
-
-# ---------------------------------------------------------------------------
-# subring embeddings
-# ---------------------------------------------------------------------------
-
-
-class SubringEmbedding:
-    """An injective unital ring homomorphism S -> R as an index table."""
-
-    def __init__(self, sub: Ring, ring: Ring, table, kind: str = "table"):
-        table = tuple(table)
-        if len(table) != sub.order:
-            raise InvalidParameter("embedding table must cover all of S")
-        if len(set(table)) != sub.order:
-            raise InvalidParameter("embedding is not injective")
-        if table[0] != 0 or table[sub.one] != ring.one:
-            raise InvalidParameter("embedding must send 0 to 0 and 1 to 1")
-        aot, mot = ring.add_table(), ring.mul_table()
-        if _homomorphism_failure(sub, table, aot, mot) is not None:
-            # name the first failing pair (a, b) of a scan of every pair;
-            # the failing generator pair is among them, so the scan raises
-            aos, mos = sub.add_table(), sub.mul_table()
-            for a in range(sub.order):
-                sadd, smul = aos[a], mos[a]
-                radd, rmul = aot[table[a]], mot[table[a]]
-                for b in range(sub.order):
-                    if table[sadd[b]] != radd[table[b]]:
-                        op = "additive"
-                    elif table[smul[b]] != rmul[table[b]]:
-                        op = "multiplicative"
-                    else:
-                        continue
-                    raise InvalidParameter(
-                        f"embedding not {op} at ({sub.render(a)},{sub.render(b)})")
-        self.sub = sub
-        self.ring = ring
-        self.table = table
-        self.kind = kind
-        self.section = {r: s for s, r in enumerate(table)}
-
-    def __call__(self, s: int) -> int:
-        return self.table[s]
-
-    def __repr__(self):
-        return f"SubringEmbedding({self.sub.name} -> {self.ring.name}, {self.kind})"
-
-
-def subring_embedding(sub: Ring, ring: Ring) -> SubringEmbedding:
-    """The canonical embedding of S into R, built once per pair and kept in
-    R's cache under S itself (an id could pass to a later ring).
-
-    Supported: S = R (identity); S = Z_c with c the characteristic of R
-    (c -> c*1); Galois subrings GR(p^n, s) of GR(p^n, r) with s | r, where
-    the canonical generator of S maps to the first power eta^m, m prime to
-    p^s - 1, that is a root of S's modulus; eta = xi^((p^r-1)/(p^s-1))
-    generates the Teichmueller group of that subring.
-    """
-    key = ("embedding", sub)
-    if key not in ring._cache:
-        ring._cache[key] = _embedding(sub, ring)
-    return ring._cache[key]
-
-
-def _embedding(sub: Ring, ring: Ring) -> SubringEmbedding:
-    if sub is ring:
-        return SubringEmbedding(sub, ring, range(ring.order), kind="identity")
-    gens, _, steps = sub._additive_span()
-    if isinstance(sub, IntegerModRing):
-        if sub.m != ring.characteristic():
-            raise InvalidParameter(
-                f"{sub.name} does not embed in {ring.name}: "
-                f"characteristic is {ring.characteristic()}"
-            )
-        # Z_c is spanned by 1
-        table = _extend(ring.add_table(), steps, [ring.one])
-        return SubringEmbedding(sub, ring, table, kind="characteristic")
-    if isinstance(sub, GaloisRing) and isinstance(ring, GaloisRing):
-        if sub.p != ring.p or sub.n != ring.n or ring.r % sub.r != 0:
-            raise InvalidParameter(
-                f"{sub.name} is not a Galois subring of {ring.name}"
-            )
-        eta = ring.pow(ring.teichmuller().generator, (ring.q - 1) // (sub.q - 1))
-        # S's modulus x^s - sum red_k x^k, with coefficients encoding c_k*1
-        modulus = [-c % sub.pn for c in sub.reduction] + [1]
-        powers = (ring.pow(eta, m) for m in range(1, sub.q) if gcd(m, sub.q - 1) == 1)
-        root = next((y for y in powers if ring._evaluate(modulus, y) == 0), None)
-        if root is None:
-            raise InternalInvariantViolation(
-                f"no root of the modulus of {sub.name} in {ring.name}")
-        # a generator sum c_k x^k of S goes to sum c_k root^k in R
-        images = [ring._evaluate(sub.decode(g), root) for g in gens]
-        table = _extend(ring.add_table(), steps, images)
-        return SubringEmbedding(sub, ring, table, kind="teichmuller-power")
-    raise InvalidParameter(f"no canonical embedding of {sub.name} into {ring.name}")
-
 
 # ---------------------------------------------------------------------------
 # trace maps
@@ -307,7 +214,7 @@ def galois_trace(ring: GaloisRing, sub: Ring = None) -> TraceMap:
         raise InvalidParameter(f"galois trace does not target {sub.name}")
     # T is additive: sum the r/sdeg conjugates tau^i(g) = sigma^(i*sdeg)(g)
     # of each additive generator g only, and extend the sums in S
-    sigma = frobenius(ring).perm
+    sigma = frobenius(ring).table
     aot = ring.add_table()
     gens, _, steps = ring._additive_span()
     images = []
@@ -318,8 +225,9 @@ def galois_trace(ring: GaloisRing, sub: Ring = None) -> TraceMap:
             for _ in range(sdeg):
                 cur = sigma[cur]
         images.append(acc)
+    section = {r: s for s, r in enumerate(emb.table)}
     try:
-        images = [emb.section[v] for v in images]
+        images = [section[v] for v in images]
     except KeyError:
         raise InternalInvariantViolation("galois trace image escapes the subring")
     values = _extend(sub.add_table(), steps, images)
@@ -502,9 +410,6 @@ class Character:
         self.tag = tag
         self._unit_hists = None
         self._unit_sums = {}
-
-    def exponent(self, a: int) -> int:
-        return self.exps[a]
 
     def unit_exponent_histograms(self) -> list:
         """For each a: a length-m integer vector counting exponents of

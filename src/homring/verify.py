@@ -33,7 +33,7 @@ from .codes import (
     WeightEnumerator,
 )
 from .cyclotomic import rational_str
-from .errors import ParseError
+from .errors import ParseError, ValidationFailed
 from .graphs import (
     SRGParams,
     connected_components,
@@ -261,7 +261,7 @@ def _criterion_12():
         for l1 in range(4):
             try:
                 t = z4x_trace(ring, sub, l0, l1)
-            except Exception:
+            except ValidationFailed:
                 continue
             lam_maps[(l0, l1)] = t.values
     unit_lams = sorted(lam for lam in lam_maps if lam[1] in (1, 3))

@@ -1,7 +1,7 @@
 import pytest
 
 from homring import verify
-from homring.rings import Automorphism, z4x_ring
+from homring.rings import SubringEmbedding, z4x_ring
 
 
 @pytest.fixture(scope="session")
@@ -14,4 +14,5 @@ def verify_report():
 def z4x_conjugation():
     """The automorphism t -> -t of Z4X."""
     Z = z4x_ring()
-    return Automorphism(Z, [(a % 4) + 4 * ((-(a // 4)) % 4) for a in range(Z.order)])
+    table = [(a % 4) + 4 * ((-(a // 4)) % 4) for a in range(Z.order)]
+    return SubringEmbedding(Z, Z, table, tag="z4x-conjugation")

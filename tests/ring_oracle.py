@@ -4,8 +4,9 @@ library's generator checks and its Frobenius are compared against.
 * Teichmueller digits: a = sum p^i a_i on GR(p^n, r), computed through the
   ring's own ``sub``, ``mul`` and ``add``, so that Frobenius as the digit map
   sum p^i a_i -> sum p^i a_i^p is a route independent of x -> x^p.
-* The full pair scans that ``_verify_automorphism`` and ``Character`` made
-  before they checked on generators or not at all: O(|R|^2) cells each.
+* The full pair scans of a ring map through the rings' own ``add`` and
+  ``mul``, and of a character, which the library checks on generators or
+  not at all: O(|R|^2) cells each.
 * The coordinate formulas of the presets FXY:p and Z4X, which the library
   now builds from their basis products: every cell of the add and mul
   tables, and the render of every element.
@@ -23,8 +24,8 @@ from itertools import product
 from math import gcd
 
 from homring.errors import InternalInvariantViolation
-from homring.traces import (_ideal_in_kernel, _is_linear, _missing_value,
-                            subring_embedding)
+from homring.rings import subring_embedding
+from homring.traces import _ideal_in_kernel, _is_linear, _missing_value
 
 # the 55 rings whose set-up is compared with the slow operations
 SETUP_GRID = (
@@ -88,20 +89,17 @@ def frobenius_by_digits(R) -> list:
             for a in range(R.order)]
 
 
-def automorphism_scan(R, perm) -> set:
-    """Which of + ("+") and * ("*") the bijection perm fails to preserve on
-    some pair (a, b), by a scan of every pair."""
-    aot, mot = R.add_table(), R.mul_table()
-    failed = set()
-    for a in range(R.order):
-        arow, mrow = aot[a], mot[a]
-        parow, pmrow = aot[perm[a]], mot[perm[a]]
-        for b in range(R.order):
-            if perm[arow[b]] != parow[perm[b]]:
-                failed.add("+")
-            if perm[mrow[b]] != pmrow[perm[b]]:
-                failed.add("*")
-    return failed
+def embedding_refusal_by_scan(sub, ring, table):
+    """The ring-map checks pair by pair through the rings' own add and mul:
+    the message of the first refusal, or None."""
+    for a in range(sub.order):
+        for b in range(sub.order):
+            at = f"({sub.render(a)},{sub.render(b)})"
+            if table[sub.add(a, b)] != ring.add(table[a], table[b]):
+                return f"embedding not additive at {at}"
+            if table[sub.mul(a, b)] != ring.mul(table[a], table[b]):
+                return f"embedding not multiplicative at {at}"
+    return None
 
 
 def character_scan(R, conductor: int, exps):

@@ -20,9 +20,9 @@ from homring.errors import BudgetExceeded, InvalidParameter
 from homring.graphs import (connected_components, function_columns, is_modular,
                             srg_check, two_weight_graph)
 from homring.rings import (fxy_ring, make_galois_ring, make_integer_ring,
-                           parse_ring_spec_parts, ring_from_spec, z4x_ring)
-from homring.traces import (enumerate_trace_maps, galois_trace,
-                            subring_embedding, trace_from_spec)
+                           parse_ring_spec_parts, ring_from_spec,
+                           subring_embedding, z4x_ring)
+from homring.traces import enumerate_trace_maps, galois_trace, trace_from_spec
 from homring.weights import cyclic_submodules, hamming_table, hom_weight
 
 from ring_oracle import EMBEDDING_GRID

@@ -15,17 +15,18 @@ from homring.cyclotomic import Cyclotomic, cyclotomic_polynomial
 from homring.errors import (BudgetExceeded, InternalInvariantViolation,
                             InvalidParameter, NotGenerating, ParseError,
                             UnknownPreset, ValidationFailed)
-from homring.rings import (GaloisRing, TableRing, make_galois_ring,
-                           make_integer_ring, named_automorphism, ring_from_spec)
-from homring.traces import (SubringEmbedding, TraceMap, TraceReport,
-                            canonical_character, char_fixed_by,
-                            enumerate_trace_maps, fxy_sum_trace, galois_trace,
-                            generating_character, identity_trace,
-                            subring_embedding, table_trace, trace_from_spec,
-                            validate_trace, z4x_trace)
+from homring.rings import (GaloisRing, SubringEmbedding, TableRing, frobenius,
+                           make_galois_ring, make_integer_ring, ring_from_spec,
+                           subring_embedding, swap_xy)
+from homring.traces import (TraceMap, TraceReport, canonical_character,
+                            char_fixed_by, enumerate_trace_maps, fxy_sum_trace,
+                            galois_trace, generating_character, identity_trace,
+                            table_trace, trace_from_spec, validate_trace,
+                            z4x_trace)
 
 from ring_oracle import (EMBEDDING_GRID, SETUP_GRID, character_scan,
-                         element_from_int, traces_by_search)
+                         element_from_int, embedding_refusal_by_scan,
+                         traces_by_search)
 
 # ---------------------------------------------------------------------------
 # cyclotomic reduction used by the character layer
@@ -67,26 +68,22 @@ def test_characteristic_embedding_is_a_ring_hom():
             assert t[(a * b) % 9] == R.mul(t[a], t[b])
 
 
-def _first_embedding_refusal(sub, ring, table):
-    """The embedding checks pair by pair through the rings' own add and mul:
-    the message of the first refusal, or None."""
-    for a in range(sub.order):
-        for b in range(sub.order):
-            at = f"({sub.render(a)},{sub.render(b)})"
-            if table[sub.add(a, b)] != ring.add(table[a], table[b]):
-                return f"embedding not additive at {at}"
-            if table[sub.mul(a, b)] != ring.mul(table[a], table[b]):
-                return f"embedding not multiplicative at {at}"
-    return None
-
-
 def test_embedding_refuses_a_table_that_is_not_additive():
     R = ring_from_spec("Zm:5")
     table = (0, 1, 3, 2, 4)
-    assert _first_embedding_refusal(R, R, table) == "embedding not additive at (1,1)"
+    assert embedding_refusal_by_scan(R, R, table) == "embedding not additive at (1,1)"
     with pytest.raises(InvalidParameter) as err:
         SubringEmbedding(R, R, table)
     assert str(err.value) == "embedding not additive at (1,1)"
+
+
+@pytest.mark.parametrize("bad", [7, 5, -1])
+def test_embedding_refuses_a_value_outside_the_ring(bad):
+    # -1 would read index -1 of a row and name a false witness
+    R = ring_from_spec("Zm:5")
+    with pytest.raises(InvalidParameter) as err:
+        SubringEmbedding(R, R, (0, 1, 2, 3, bad))
+    assert str(err.value) == f"embedding value {bad} out of range for Zm:5"
 
 
 @settings(max_examples=30, deadline=None)
@@ -107,7 +104,7 @@ def test_embedding_refusals_match_the_ring_operations(data, spec, additive):
                                           if x not in (0, R.one)]))
         it = iter(rest)
         table = tuple(x if x in (0, R.one) else next(it) for x in range(R.order))
-    want = _first_embedding_refusal(R, R, table)
+    want = embedding_refusal_by_scan(R, R, table)
     if want is None:
         assert SubringEmbedding(R, R, table).table == table
     else:
@@ -125,13 +122,14 @@ def test_galois_subring_embedding():
 
 def test_each_embedding_is_built_once_per_pair(monkeypatch):
     # R keeps the embedding of S under S itself: enumerating the traces and
-    # building the named trace share one, and another copy of S gets its own
+    # building the named trace share one, and another copy of S gets its own;
+    # the galois trace also builds R's Frobenius, once, as a map R -> R
     built = []
     init = SubringEmbedding.__init__
 
-    def counted(self, sub, ring, *args, **kwargs):
-        built.append((sub, ring))
-        init(self, sub, ring, *args, **kwargs)
+    def counted(self, sub, ring, table, tag="table"):
+        built.append((sub, ring, tag))
+        init(self, sub, ring, table, tag)
 
     monkeypatch.setattr(SubringEmbedding, "__init__", counted)
     R, S = make_galois_ring.__wrapped__(2, 1, 4), make_integer_ring.__wrapped__(2)
@@ -139,32 +137,37 @@ def test_each_embedding_is_built_once_per_pair(monkeypatch):
     emb = maps[0].embedding
     assert all(t.embedding is emb for t in maps)
     assert trace_from_spec(R, S, "galois").embedding is emb
-    assert built == [(S, R)]
+    first = [(S, R, "characteristic"), (R, R, "frobenius-1")]
+    assert built == first
     other = make_integer_ring.__wrapped__(2)
     assert subring_embedding(other, R) is not emb
-    assert built == [(S, R), (other, R)]
+    assert built == first + [(other, R, "characteristic")]
 
 
-# counts every Z_m and every embedding that a fresh verify paper builds; a
-# fresh interpreter, since the tests before this one fill the rings' caches
+# counts every Z_m and every ring map, keyed (S, R, tag), that a fresh
+# verify paper builds: 25 embeddings and 7 automorphisms, Frobenius of
+# GR:2,2,2, GR:3,2,2, GR:2,3,2, GR:2,1,2 and GR:2,1,3 and swap-xy of FXY:2
+# and FXY:3; a fresh interpreter, since the tests before this one fill the
+# rings' caches
 _VERIFY_BUILDS = """
 from collections import Counter
-from homring import rings, traces, verify
-moduli, pairs = Counter(), []
-make_zm, embed = rings.IntegerModRing.__init__, traces.SubringEmbedding.__init__
+from homring import rings, verify
+moduli, maps = Counter(), []
+make_zm, embed = rings.IntegerModRing.__init__, rings.SubringEmbedding.__init__
 
 def counted_zm(self, m):
     moduli[m] += 1
     make_zm(self, m)
 
-def counted_embedding(self, sub, ring, *args, **kwargs):
-    pairs.append((sub.name, ring.name))
-    embed(self, sub, ring, *args, **kwargs)
+def counted_map(self, sub, ring, table, tag="table"):
+    maps.append((sub.name, ring.name, tag))
+    embed(self, sub, ring, table, tag)
 
 rings.IntegerModRing.__init__ = counted_zm
-traces.SubringEmbedding.__init__ = counted_embedding
+rings.SubringEmbedding.__init__ = counted_map
 assert verify.run()["passed"]
-print(set(moduli.values()), len(pairs), len(set(pairs)))
+autos = sorted(m[1] for m in maps if m[2] in ("frobenius-1", "swap-xy"))
+print(set(moduli.values()), len(maps), len(set(maps)), autos)
 """
 
 
@@ -174,7 +177,8 @@ def test_verify_paper_builds_one_z_m_per_modulus_and_one_embedding_per_pair():
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "{1} 25 25\n"
+    assert done.stdout == ("{1} 32 32 ['FXY:2', 'FXY:3', 'GR:2,1,2', 'GR:2,1,3', "
+                           "'GR:2,2,2', 'GR:2,3,2', 'GR:3,2,2']\n")
 
 
 def test_a_pair_with_no_embedding_is_refused_before_the_enumeration_budget():
@@ -245,7 +249,7 @@ def _validate_trace_by_scan(ring, sub, embedding, values):
 
 
 def _frobenius_of(ring):
-    return named_automorphism(ring, "frobenius").perm
+    return frobenius(ring).table
 
 
 # (R, S, table): traces, and additive maps that are not S-linear
@@ -259,7 +263,7 @@ TRACE_BASES = [
     ("Zm:12", "Zm:12", lambda R, S: tuple(range(12))),
     ("GR:2,1,3", "GR:2,1,3", lambda R, S: _frobenius_of(R)),
     ("GR:2,2,2", "GR:2,2,2", lambda R, S: _frobenius_of(R)),
-    ("FXY:2", "FXY:2", lambda R, S: named_automorphism(R, "swap-xy").perm),
+    ("FXY:2", "FXY:2", lambda R, S: swap_xy(R).table),
     ("GR:2,1,4", "GR:2,1,2",
      lambda R, S: tuple(_frobenius_of(S)[v] for v in galois_trace(R, S).values)),
 ]
@@ -591,7 +595,7 @@ def test_equal_unit_histograms_are_one_tuple(spec):
 
 def test_char_fixed_by(z4x_conjugation):
     R = ring_from_spec("GR:2,2,2")
-    frob = named_automorphism(R, "frobenius")
+    frob = frobenius(R)
     S = ring_from_spec("Zm:4")
     chi = generating_character(galois_trace(R, S))
     assert char_fixed_by(chi, frob)

@@ -21,7 +21,7 @@ from homring.cyclotomic import Cyclotomic
 from homring.errors import (InternalInvariantViolation, InvalidParameter,
                             OutOfRange, ParseError, UnknownPreset,
                             ValidationFailed, WrongRingFamily)
-from homring.rings import named_automorphism, ring_from_spec
+from homring.rings import frobenius, ring_from_spec, subring_embedding, swap_xy
 from homring.traces import (canonical_character, fxy_sum_trace,
                             identity_trace, table_trace, trace_from_spec)
 from homring.weights import WeightTable, hamming_table, hom_weight
@@ -330,11 +330,21 @@ def test_sigma_check_rejects_unfixed_characters(z4x_conjugation):
     base = fxy_sum_trace(R, S)
     twisted = table_trace(R, S, [base.values[R.mul(3, a)] for a in range(16)],
                           tag="twisted")
-    sq = sigma_quadratic_map(R, named_automorphism(R, "swap-xy"))
+    sq = sigma_quadratic_map(R, swap_xy(R))
     with pytest.raises(ValidationFailed):
         build_code(R, S, twisted, sq)
     # while the symmetric coefficient-sum trace is accepted
     assert build_code(R, S, base, sq).size == 32
+
+
+def test_sigma_quadratic_map_needs_an_automorphism_of_its_ring():
+    # a ring map is an automorphism of R only when it maps R onto R: the
+    # embedding of Z_2 into GR:2,1,2 also lands in R, but is no sigma on R
+    R = ring_from_spec("GR:2,1,2")
+    for sigma in (subring_embedding(ring_from_spec("Zm:2"), R),
+                  frobenius(ring_from_spec("GR:2,1,3"))):
+        with pytest.raises(InvalidParameter, match="acts on a different ring"):
+            sigma_quadratic_map(R, sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from homring import verify, weights
 from homring.errors import InternalInvariantViolation, NotLocal, ParseError
-from homring.rings import IntegerModRing, ring_from_spec
-from homring.traces import TraceMap, TraceReport, subring_embedding
+from homring.rings import IntegerModRing, ring_from_spec, subring_embedding
+from homring.traces import TraceMap, TraceReport
 from homring.weights import (WeightTable, hamming_table, hom_weight,
                              hom_weight_axiomatic, parse_gamma,
                              validate_weight)
@@ -175,6 +175,21 @@ def test_record_14_fails_when_a_multiple_of_x_does_not_weigh_r(mutate, monkeypat
         verify._code.cache_clear()
     assert not rec["pass"]
     assert "Zm:9: linear code |C|=" in rec["computed"]
+
+
+def test_record_12_lets_an_internal_fault_through(monkeypatch):
+    # only a refused trace (ValidationFailed) counts as a map that is not
+    # one; any other error is a fault and must stop the run
+    honest = verify.z4x_trace
+
+    def faulty(ring, sub, l0, l1):
+        if (l0, l1) == (0, 1):
+            raise InternalInvariantViolation("planted fault")
+        return honest(ring, sub, l0, l1)
+
+    monkeypatch.setattr(verify, "z4x_trace", faulty)
+    with pytest.raises(InternalInvariantViolation, match="planted fault"):
+        verify.run(only=[12])
 
 
 def test_units_share_one_weight_on_local_rings():

@@ -48,7 +48,7 @@ def _summed_out_enumerator(ring_spec, sub_spec, trace_spec, f_spec):
               for e in range(m)]
     exps = chi.exps
     add, mul = R.add_table(), R.mul_table()
-    sig = sigma.perm
+    sig = sigma.table
     sig_inv = [0] * R.order
     for a, b in enumerate(sig):
         sig_inv[b] = a
