@@ -1,7 +1,7 @@
 """Exact trace codes over finite commutative rings.
 
-Everything is integer / rational arithmetic: character sums are reduced
-exactly in cyclotomic fields, and weights and transform values are
+Everything is integer / rational arithmetic: character sums are exact
+rationals read off Ramanujan sums, and weights and transform values are
 ``fractions.Fraction``.  Each ring has one gamma = 1 homogeneous-weight
 table, checked against the axiomatic solve when it is built; transform
 values are derived from it.
@@ -13,7 +13,7 @@ from .codes import (Code, CodeFunction, WeightEnumerator, build_code,
                     sigma_quadratic_map, weight_enumerator)
 from .errors import (BadPermutation, BudgetExceeded, HomringError,
                      InternalInvariantViolation, InvalidParameter, InvalidRing,
-                     NotGenerating, NotLocal, NotRational, NotTwoWeight,
+                     NotGenerating, NotLocal, NotTwoWeight,
                      OutOfRange, ParseError, UnknownPreset,
                      ValidationFailed, WrongRingFamily)
 from .graphs import (CodeGraph, SRGFailure, SRGParams, connected_components,
@@ -33,7 +33,7 @@ __all__ = [
     "BadPermutation", "BudgetExceeded", "Character", "Code", "CodeFunction",
     "CodeGraph", "GaloisRing", "HomringError", "IntegerModRing",
     "InternalInvariantViolation", "InvalidParameter", "InvalidRing",
-    "NotGenerating", "NotLocal", "NotRational", "NotTwoWeight", "OutOfRange",
+    "NotGenerating", "NotLocal", "NotTwoWeight", "OutOfRange",
     "ParseError", "Ring", "SRGFailure", "SRGParams", "TableRing", "TraceMap",
     "TraceReport", "UnknownPreset", "ValidationFailed", "WeightEnumerator",
     "WeightTable", "WrongRingFamily",

@@ -1,133 +1,69 @@
-"""Exact sums of roots of unity, reduced in the cyclotomic field Q(w_m).
+"""Exact rational sums of m-th roots of unity, by Ramanujan sums.
 
-A value is stored as its coefficient vector over the power basis
-1, w, ..., w^(phi(m)-1) of Q(w_m), where w = w_m is a primitive m-th root of
-unity and phi is Euler's totient.  All coefficients are exact rationals
-(`fractions.Fraction`), and every representation is kept reduced modulo the
-m-th cyclotomic polynomial, so equality of vectors is equality of values.
+A character sum over a finite ring is assembled as an exponent histogram h:
+h[e] counts the terms w^e, w a primitive m-th root of unity.  When h is
+constant on each class {e : gcd(e, m) = g}, the sum is fixed by every
+automorphism w -> w^j of Q(w), j prime to m, so it is rational and equals
+its own Galois average.  The average of w^e is the Ramanujan sum
+c_m(e)/phi(m) = mu(m/g)/phi(m/g), with g = gcd(e, m) and mu, phi the Moebius
+and totient functions, so
 
-The module provides no field arithmetic.  It does one job: a character sum
-over a finite ring is assembled as an exponent histogram, reduced once modulo
-Phi_m, and converted to a plain rational when all non-constant coefficients
-vanish.  No floating point is involved.
+    sum_e h[e] w^e = sum_e h[e] mu(m/g)/phi(m/g).
+
+Only int and ``fractions.Fraction`` arithmetic is involved.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-
-from .errors import InvalidParameter, NotRational
-
-
-def _divisors(m: int) -> list[int]:
-    out = [d for d in range(1, m + 1) if m % d == 0]
-    return out
+from math import gcd, lcm
+from operator import mul
 
 
-def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Divide integer polynomials (constant term first); remainder must be 0."""
-    num = list(num)
-    dn = len(den) - 1
-    assert den[-1] == 1, "divisor must be monic"
-    out = [0] * (len(num) - dn)
-    for k in range(len(num) - 1, dn - 1, -1):
-        c = num[k]
-        out[k - dn] = c
-        if c:
-            for i, d in enumerate(den):
-                num[k - dn + i] -= c * d
-    if any(num):
-        raise InvalidParameter("non-exact polynomial division")
-    return out
+def _mobius_totient(q: int) -> tuple[int, int]:
+    """(mu(q), phi(q)) by trial division."""
+    mu, phi, rest, p = 1, q, q, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            rest //= p
+            mu = 0 if rest % p == 0 else -mu
+            phi -= phi // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        mu, phi = -mu, phi - phi // rest
+    return mu, phi
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Coefficients of the m-th cyclotomic polynomial, constant term first.
-
-    Computed by exact division of x^m - 1 by the cyclotomic polynomials of all
-    proper divisors of m.  The result is monic with integer coefficients.
-    """
-    if m < 1:
-        raise InvalidParameter(f"cyclotomic polynomial needs m >= 1, got {m}")
-    poly = [-1] + [0] * (m - 1) + [1]
-    for d in _divisors(m):
-        if d < m:
-            poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
-
-
-@lru_cache(maxsize=None)
-def _basis_reduction(m: int) -> tuple[tuple[int, ...], ...]:
-    """Reduction of x^e modulo Phi_m for e = 0..m-1, as integer vectors."""
-    phi = cyclotomic_polynomial(m)
-    deg = len(phi) - 1
-    rows: list[tuple[int, ...]] = []
-    # x^deg == -(phi minus leading term), used to fold shift overflow back in
-    top = [-c for c in phi[:-1]]
-    cur = [0] * deg
-    for e in range(m):
-        if e < deg:
-            row = [0] * deg
-            row[e] = 1
-            rows.append(tuple(row))
-            cur = row
-        else:
-            overflow = cur[-1]
-            nxt = [0] + list(cur[:-1])
-            if overflow:
-                nxt = [a + overflow * t for a, t in zip(nxt, top)]
-            rows.append(tuple(nxt))
-            cur = nxt
-    return tuple(rows)
+def _galois_weights(m: int) -> tuple[int, tuple[int, ...]]:
+    """(L, weights) with weights[e] = L * mu(m/g)/phi(m/g), g = gcd(e, m),
+    for e < m, and L the least common multiple of the phi(m/g)."""
+    average = {g: _mobius_totient(m // g) for g in range(1, m + 1) if m % g == 0}
+    den = lcm(*(phi for _, phi in average.values()))
+    return den, tuple(mu * (den // phi)
+                      for mu, phi in (average[gcd(e, m)] for e in range(m)))
 
 
 class Cyclotomic:
-    """An element of Q(w_m), reduced modulo Phi_m."""
+    """The Galois average of a sum of m-th roots of unity: its value, when
+    the sum is fixed by every automorphism of Q(w_m)."""
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("value",)
 
-    def __init__(self, conductor: int, coeffs):
-        if conductor < 1:
-            raise InvalidParameter("conductor must be >= 1")
-        deg = len(cyclotomic_polynomial(conductor)) - 1
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) != deg:
-            raise InvalidParameter(
-                f"conductor {conductor} needs {deg} coefficients, got {len(cs)}"
-            )
-        self.conductor = conductor
-        self.coeffs = tuple(cs)
+    def __init__(self, value: Fraction):
+        self.value = value
 
     @staticmethod
     def from_exponent_counts(m: int, counts) -> "Cyclotomic":
-        """sum over e of counts[e] * w_m^e, where counts is either a
-        sequence indexed by exponent or a mapping exponent -> count."""
-        rows = _basis_reduction(m)
-        deg = len(rows[0])
-        acc = [0] * deg
-        pairs = counts.items() if hasattr(counts, "items") else enumerate(counts)
-        for e, c in pairs:
-            if c:
-                row = rows[e % m]
-                for i in range(deg):
-                    acc[i] += c * row[i]
-        return Cyclotomic(m, acc)
-
-    # -- predicates and conversion ----------------------------------------
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        """sum over e < m of counts[e] * w_m^e, averaged over Gal(Q(w_m)/Q)."""
+        den, weights = _galois_weights(m)
+        return Cyclotomic(Fraction(sum(map(mul, counts, weights)), den))
 
     def to_rational(self) -> Fraction:
-        """Exact rational value; raises NotRational if root terms remain."""
-        if not self.is_rational():
-            raise NotRational(self.coeffs, self.conductor)
-        return self.coeffs[0]
-
-    def __repr__(self):
-        return f"Cyclotomic(m={self.conductor}, {list(self.coeffs)})"
+        return self.value
 
 
 def rational_str(value) -> str:

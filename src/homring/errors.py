@@ -4,8 +4,10 @@ Every error the package raises on a user-triggerable path derives from
 :class:`HomringError` and carries a distinct ``exit_code`` so shell scripts can
 branch on the failure class.  ``InternalInvariantViolation`` is reserved for
 cross-checks that can only fail on a bug in this package itself.  Exit
-code 15 is retired: the orbit-sum system it reported (SingularSystem) always
-has a unique solution, so nothing raised it.
+codes 7 and 15 are retired, since nothing raised them: a unit sum of a
+character is fixed by the Galois group of its cyclotomic field, so it is
+always rational (NotRational), and the orbit-sum system of the axiomatic
+weight always has a unique solution (SingularSystem).
 """
 
 from __future__ import annotations
@@ -55,20 +57,6 @@ class NotGenerating(HomringError):
     """A character (or the ring itself) fails the generating criterion."""
 
     exit_code = 6
-
-
-class NotRational(HomringError):
-    """A cyclotomic value expected to be rational has nonzero root terms."""
-
-    exit_code = 7
-
-    def __init__(self, coeffs, conductor: int):
-        self.coeffs = tuple(coeffs)
-        self.conductor = conductor
-        super().__init__(
-            f"cyclotomic value with conductor {conductor} is not rational: "
-            f"coefficients {self.coeffs}"
-        )
 
 
 class BudgetExceeded(HomringError):

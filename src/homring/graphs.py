@@ -205,21 +205,25 @@ def function_columns(ring: Ring, f: CodeFunction) -> list:
 
 def is_modular(ring: Ring, columns) -> tuple:
     """Whether a single rational r satisfies
-    |{i : y_i R = y_j R}| = r * |y_j R^x| over all (nonzero) columns y_j."""
+    |{i : y_i R = y_j R}| = r * |y_j R^x| over all (nonzero) columns y_j.
+
+    In a finite commutative ring yR = zR exactly when z = u*y for a unit u,
+    so both counts are read off unit orbits: with
+    M(y) = #{(i, u) : u*y_i = y}, r_j = M(y_j)/|R^x|.  M is counted one
+    unit u at a time, over the images u*y_i that are columns."""
     cols = [tuple(c) for c in columns if any(c)]
     if not cols:
         return (True, None)
     mul = ring.mul_table()
-    modules = [frozenset(tuple(mul[s][c] for c in y) for s in range(ring.order))
-               for y in cols]
-    counts = Counter(modules)
     units = ring.units()
-    r = None
-    for y, module in zip(cols, modules):
-        ucount = len({tuple(mul[u][c] for c in y) for u in units})
-        rj = Fraction(counts[module], ucount)
-        if r is None:
-            r = rj
-        elif rj != r:
-            return (False, None)
-    return (True, r)
+    coords = list(zip(*cols))
+    present = set(cols)
+    hits = Counter()
+    for u in units:
+        at = mul[u].__getitem__
+        hits.update(filter(present.__contains__,
+                           zip(*[map(at, coord) for coord in coords])))
+    first = hits[cols[0]]
+    if any(hits[y] != first for y in cols):
+        return (False, None)
+    return (True, Fraction(first, len(units)))

@@ -15,7 +15,7 @@ x -> T0(u*x) of the one trace T0 that the ring family names; T0 is
 validated, and the orbit is a trace by duality, not by a check per map.
 
 Characters are stored as exponent maps into Z_m (m the characteristic); their
-unit sums are reduced exactly in a cyclotomic field, never through floats.
+unit sums are exact rationals, read off Ramanujan sums, never through floats.
 """
 
 from __future__ import annotations
@@ -432,8 +432,14 @@ class Character:
         return self._unit_hists
 
     def unit_sum(self, a: int) -> Fraction:
-        """Sum of chi(u*a) over units u, as an exact rational.  The histogram
-        is constant on unit orbits, so each distinct one is reduced once."""
+        """Sum of chi(u*a) over units u, as an exact rational.
+
+        Each j prime to m is a unit j*1 of R, and u -> j*u permutes R^x, so
+        the histogram h of a has h[j*e] = h[e]: the sum is fixed by every
+        automorphism w -> w^j of Q(w_m), and its Galois average, the sum of
+        h[e] * mu(m/g)/phi(m/g) over e with g = gcd(e, m), is its value
+        (``Cyclotomic.from_exponent_counts``).  The histogram is constant on
+        unit orbits, so each distinct one is averaged once."""
         h = self.unit_exponent_histograms()[a]
         if h not in self._unit_sums:
             self._unit_sums[h] = Cyclotomic.from_exponent_counts(

@@ -1,12 +1,13 @@
 """Homogeneous weights: one table per ring, checked once when it is built.
 
 The character route evaluates w(x) = gamma * (1 - S_x / |R^x|) with S_x the
-exact cyclotomic sum of chi over the unit multiples of x.  The axiomatic
-route solves the triangular system over the poset of cyclic submodules:
-summing w over a cyclic submodule N must give gamma*|N|, so the weight of
-the generator class of N is determined once all smaller cyclic submodules
-are solved.  ``hom_weight`` builds the gamma = 1 table by the character
-route and compares it entry by entry with the axiomatic route, raising
+sum of chi over the unit multiples of x, an exact rational read off Ramanujan
+sums (``Character.unit_sum``).  The axiomatic route solves the triangular
+system over the poset of cyclic submodules: summing w over a cyclic
+submodule N must give gamma*|N|, so the weight of the generator class of N
+is determined once all smaller cyclic submodules are solved.
+``hom_weight`` builds the gamma = 1 table by the character route and
+compares it entry by entry with the axiomatic route, raising
 ``InternalInvariantViolation`` on a mismatch.  Other values of gamma scale
 the checked table, and every transform value is derived from it.
 """

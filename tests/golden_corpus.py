@@ -1,0 +1,107 @@
+"""The golden corpus of CLI outputs: what it holds, how a job is run, and
+how the corpus is rewritten.
+
+Each record in ``tests/golden/`` is one ``homring`` job: its argv, exit
+code, stderr and stdout.  Stdout over ``RAW_LIMIT`` bytes is stored as its
+SHA-256 and length instead.  ``tests/test_golden.py`` replays every record.
+
+The jobs are the distinct jobs of the benchmark's four workloads at seeds
+1-3, ``weight table`` and ``ring info`` on fourteen rings, and one refusal
+for each exit code that a CLI job can reach.  Exit 1 needs a failing
+``verify paper`` record, and 3, 6 and 70 a table ring or a fault that no
+CLI spec makes.
+
+Rewriting the corpus records what the code in ``src/`` prints now, so run
+it only on a tree whose outputs are known to be right, and name every
+record it changes, with the reason, in CHANGES.md:
+
+    PYTHONPATH=src python3 tests/golden_corpus.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import re
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden"
+RAW_LIMIT = 64 * 1024
+
+RINGS = ("Zm:12", "Zm:36", "Zm:60", "Zm:97", "Zm:2000", "GR:2,2,2", "GR:3,2,2",
+         "GR:2,3,2", "GR:2,1,7", "GR:5,2,1", "GR:3,1,3", "GR:2,2,3", "FXY:3",
+         "Z4X")
+
+# one job for each exit code a CLI job can reach, by code
+REFUSALS = {
+    2: ("code", "analyze", "--ring", "Zm:5"),
+    4: ("code", "analyze", "--ring", "Zm:6", "--f", "pow:2",
+        "--gamma", "hamming-normalized"),
+    5: ("trace", "check", "--ring", "Z4X", "--subring", "Zm:4",
+        "--trace", "z4x:0,2"),
+    8: ("code", "analyze", "--ring", "Zm:2048", "--f", "pow:3"),
+    9: ("code", "analyze", "--ring", "GR:2,2,2", "--subring", "Zm:4",
+        "--trace", "galois", "--f", "frank:0,2,1"),
+    10: ("code", "analyze", "--ring", "Zm:4", "--f", "frank:id"),
+    11: ("code", "analyze", "--ring", "Zm:5", "--f", "pow:0"),
+    12: ("code", "graph", "--ring", "GR:2,2,2", "--subring", "Zm:4",
+         "--trace", "galois", "--f", "frank:id"),
+    13: ("code", "analyze", "--ring", "Zm:5", "--f", "pow:2", "--gamma", "x"),
+    14: ("code", "analyze", "--ring", "Qm:4", "--f", "pow:2"),
+}
+
+
+def run_job(argv) -> dict:
+    """Run one job in process through ``cli.main``; its record."""
+    from homring import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    record = {"argv": list(argv), "exit": code, "stderr": err.getvalue()}
+    stdout = out.getvalue().encode("utf-8")
+    if len(stdout) > RAW_LIMIT:
+        record["stdout_sha256"] = hashlib.sha256(stdout).hexdigest()
+        record["stdout_length"] = len(stdout)
+    else:
+        record["stdout"] = out.getvalue()
+    return record
+
+
+def record_name(argv) -> str:
+    return re.sub(r"[^A-Za-z0-9.,-]+", "_", "_".join(argv)).strip("_") + ".json"
+
+
+def jobs() -> list:
+    """Every job of the corpus, workloads first, without repeats."""
+    sys.path.insert(0, str(HERE.parent / "bench"))
+    import workloads
+
+    argvs = [job.argv for name in workloads.WORKLOADS for seed in (1, 2, 3)
+             for job in workloads.build(name, seed)]
+    argvs += [(*command, "--ring", ring) for ring in RINGS
+              for command in (("weight", "table"), ("ring", "info"))]
+    argvs += list(REFUSALS.values())
+    return list(dict.fromkeys(argvs))
+
+
+def main() -> int:
+    os.environ.pop("HOMRING_BUDGET", None)  # the default budget only
+    GOLDEN.mkdir(exist_ok=True)
+    for old in GOLDEN.glob("*.json"):
+        old.unlink()
+    for argv in jobs():
+        record = run_job(argv)
+        path = GOLDEN / record_name(argv)
+        path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+        print(f"{record['exit']:3d}  {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,6 +3,9 @@
 its span or count silently reads 0."""
 
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -37,3 +40,21 @@ def test_every_span_and_count_resolves_after_the_cli_import(monkeypatch):
                 else:
                     # a count may read a method the class inherits
                     assert callable(getattr(holder, attr, None)), (metric, qualname)
+
+
+def test_every_span_and_count_reads_above_zero_on_verify_paper(monkeypatch, tmp_path):
+    """A pinned name that stays defined but is no longer called would read 0
+    in every run; on ``verify paper`` each metric reads above 0 today."""
+    probe = _load_probe(monkeypatch)
+    src = Path(homring.cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    env.pop("HOMRING_BUDGET", None)
+    spans = tmp_path / "spans.json"
+    done = subprocess.run([sys.executable, "-B", str(PROBE), "traced", str(spans),
+                           "0", "verify", "paper"],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    metrics = json.loads(spans.read_text(encoding="utf-8"))["metrics"]
+    for metric in (*probe.SPANS, *probe.COUNTS):
+        assert metrics[metric] > 0, metric

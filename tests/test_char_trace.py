@@ -4,32 +4,40 @@ import importlib.util
 import os
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homring import traces
-from homring.cyclotomic import Cyclotomic, cyclotomic_polynomial
+from homring import cyclotomic, traces
+from homring.cyclotomic import Cyclotomic
 from homring.errors import (BudgetExceeded, InternalInvariantViolation,
                             InvalidParameter, NotGenerating, ParseError,
                             UnknownPreset, ValidationFailed)
-from homring.rings import (GaloisRing, SubringEmbedding, TableRing, frobenius,
-                           make_galois_ring, make_integer_ring, ring_from_spec,
+from homring.rings import (_BUILDERS, GaloisRing, SubringEmbedding, TableRing,
+                           frobenius, make_galois_ring, make_integer_ring,
+                           parse_ring_spec_parts, ring_from_spec,
                            subring_embedding, swap_xy)
 from homring.traces import (TraceMap, TraceReport, canonical_character,
                             char_fixed_by, enumerate_trace_maps, fxy_sum_trace,
                             galois_trace, generating_character, identity_trace,
                             table_trace, trace_from_spec, validate_trace,
                             z4x_trace)
+from homring.weights import hom_weight
 
+from cyclotomic_oracle import CyclotomicVector, cyclotomic_polynomial
 from ring_oracle import (EMBEDDING_GRID, SETUP_GRID, character_scan,
                          element_from_int, embedding_refusal_by_scan,
                          traces_by_search)
 
 # ---------------------------------------------------------------------------
-# cyclotomic reduction used by the character layer
+# unit sums by Ramanujan sums, against the field reduction of the oracle
+
+UNIT_SUM_RINGS = ("Zm:12", "Zm:36", "Zm:60", "Zm:97", "Zm:2000", "GR:2,2,2",
+                  "GR:3,2,2", "GR:2,3,2", "GR:2,1,7", "GR:5,2,1", "GR:3,1,3",
+                  "GR:2,2,3", "FXY:3", "Z4X")
 
 
 def test_cyclotomic_polynomials_match_sympy():
@@ -44,6 +52,38 @@ def test_cyclotomic_polynomials_match_sympy():
 def test_full_exponent_sum_vanishes(m):
     total = Cyclotomic.from_exponent_counts(m, [1] * m)
     assert total.to_rational() == 0
+
+
+@pytest.mark.parametrize("spec", UNIT_SUM_RINGS)
+def test_unit_sums_equal_the_field_reduction(spec):
+    chi = canonical_character(ring_from_spec(spec))
+    for h in set(chi.unit_exponent_histograms()):
+        want = CyclotomicVector.from_exponent_counts(chi.conductor, h).to_rational()
+        assert Cyclotomic.from_exponent_counts(chi.conductor, h).to_rational() == want
+
+
+def _fresh_ring(spec):
+    """A ring built anew, not the memoized one, so nothing it caches under
+    a mutation leaks into other tests."""
+    family, params = parse_ring_spec_parts(spec)
+    return _BUILDERS[family].__wrapped__(*params)
+
+
+@pytest.mark.parametrize("spec", ["Zm:12", "Zm:97", "GR:2,2,2", "GR:3,1,3", "Z4X"])
+def test_a_flipped_moebius_sign_fails_the_weight_routes(spec, monkeypatch):
+    """Negating mu(m/g) on one class {e : gcd(e, m) = g} makes the character
+    route disagree with the axiomatic one, for every class with mu != 0."""
+    m = ring_from_spec(spec).characteristic()
+    den, weights = cyclotomic._galois_weights(m)
+    for g in (g for g in range(1, m + 1) if m % g == 0 and weights[g % m]):
+        flipped = tuple(-w if gcd(e, m) == g else w for e, w in enumerate(weights))
+        monkeypatch.setattr(cyclotomic, "_galois_weights",
+                            lambda n, flipped=flipped: (den, flipped))
+        with pytest.raises(InternalInvariantViolation):
+            hom_weight(_fresh_ring(spec))
+    monkeypatch.undo()
+    assert hom_weight(_fresh_ring(spec)).values == \
+        hom_weight(ring_from_spec(spec)).values
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +559,7 @@ def test_canonical_character_is_generating(spec):
     counts = [0] * chi.conductor
     for a in range(R.order):
         counts[chi.exps[a]] += 1
-    assert Cyclotomic.from_exponent_counts(chi.conductor, counts).to_rational() == 0
+    assert CyclotomicVector.from_exponent_counts(chi.conductor, counts).to_rational() == 0
     # ... and is nontrivial on every nonzero principal ideal
     mot = R.mul_table()
     for y in range(1, R.order):

@@ -17,7 +17,6 @@ from homring.codes import (PairOrbits, WeightEnumerator, _is_monomial,
                            random_teich_permutation, sigma_quadratic_map,
                            table_map, weight_enumerator,
                            zp_power_enumerator)
-from homring.cyclotomic import Cyclotomic
 from homring.errors import (InternalInvariantViolation, InvalidParameter,
                             OutOfRange, ParseError, UnknownPreset,
                             ValidationFailed, WrongRingFamily)
@@ -27,6 +26,7 @@ from homring.traces import (canonical_character, fxy_sum_trace,
 from homring.weights import WeightTable, hamming_table, hom_weight
 
 from codeword_oracle import least_pairs, pair_codewords, sorted_codewords
+from cyclotomic_oracle import CyclotomicVector
 from ring_oracle import element_from_int, padic_digits
 
 F = Fraction
@@ -219,7 +219,8 @@ def test_transform_and_weights_are_two_views_of_one_thing(
 
 def test_the_spectrum_is_the_character_sum_over_each_codeword():
     # oracle: W of each codeword as the unit-averaged character sum over it,
-    # reduced in the cyclotomic field, never through weight tables
+    # reduced in the cyclotomic field (tests/cyclotomic_oracle.py), never
+    # through weight tables or Ramanujan sums
     for ring_spec, sub_spec, trace_spec, f_spec in (
             ("GR:2,2,2", "Zm:4", "galois", "frank:id"),
             ("FXY:2", "FXY:2", "identity", "sigmaquad:swapxy"),
@@ -236,7 +237,7 @@ def test_the_spectrum_is_the_character_sum_over_each_codeword():
             for s in cw:
                 for e, c in enumerate(histos[s]):
                     counts[e] += c
-            char_sum = Cyclotomic.from_exponent_counts(chi.conductor, counts)
+            char_sum = CyclotomicVector.from_exponent_counts(chi.conductor, counts)
             transform[char_sum.to_rational() / nunits] += 1
         enum = weight_enumerator(code, hom_weight(S, 1))
         assert transform == Counter({code.ring.order - w: c for w, c in enum}), ring_spec
