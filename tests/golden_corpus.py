@@ -6,10 +6,16 @@ code, stderr and stdout.  Stdout over ``RAW_LIMIT`` bytes is stored as its
 SHA-256 and length instead.  ``tests/test_golden.py`` replays every record.
 
 The jobs are the distinct jobs of the benchmark's four workloads at seeds
-1-3, ``weight table`` and ``ring info`` on fourteen rings, and one refusal
-for each exit code that a CLI job can reach.  Exit 1 needs a failing
-``verify paper`` record, and 3, 6 and 70 a table ring or a fault that no
-CLI spec makes.
+1-3, ``weight table`` and ``ring info`` on fourteen rings, one refusal for
+each exit code that a CLI job can reach, and the CLI surface: output
+formats and their refusals, ``verify paper --only``, seeded maps, config
+files, and the sigma-quadratic, named-trace and Galois-pair jobs.  Exit 1
+needs a failing ``verify paper`` record, and 3, 6 and 70 a table ring or a
+fault that no CLI spec makes.
+
+Every job runs with ``tests/golden/`` as its working directory, so a
+config file (``*.cfg`` there) is named by its bare file name and no record
+depends on where the checkout lives.
 
 Rewriting the corpus records what the code in ``src/`` prints now, so run
 it only on a tree whose outputs are known to be right, and name every
@@ -55,13 +61,61 @@ REFUSALS = {
     14: ("code", "analyze", "--ring", "Qm:4", "--f", "pow:2"),
 }
 
+GALOIS = ("--trace", "galois")
+
+# the CLI surface: formats, --only, a seeded map, config files, and the
+# sigma-quadratic, named-trace and Galois-pair jobs
+SURFACE = (
+    ("weight", "table", "--ring", "Zm:12", "--format", "json"),
+    ("code", "analyze", "--ring", "GR:2,2,2", "--subring", "Zm:4", *GALOIS,
+     "--f", "frank:id", "--format", "csv"),
+    ("ring", "info", "--ring", "Zm:6", "--format", "csv"),
+    ("trace", "list", "--ring", "Z4X", "--subring", "Zm:4", "--format", "csv"),
+    ("trace", "check", "--ring", "GR:2,2,2", "--subring", "Zm:4", *GALOIS,
+     "--format", "csv"),
+    ("code", "graph", "--ring", "Zm:5", "--f", "pow:3", "--format", "csv"),
+    ("verify", "paper", "--only", "1,13"),
+    ("verify", "paper", "--only", "99"),
+    ("code", "analyze", "--ring", "GR:2,2,2", "--subring", "Zm:4", *GALOIS,
+     "--f", "frank:rand", "--seed", "11"),
+    ("code", "analyze", "--config", "analyze.cfg"),
+    ("code", "analyze", "--config", "analyze.cfg", "--f", "pow:2",
+     "--format", "json"),
+    ("code", "analyze", "--ring", "FXY:2", "--f", "sigmaquad:swapxy"),
+    ("code", "analyze", "--ring", "FXY:2", "--subring", "Zm:2",
+     "--trace", "fxy-sum", "--f", "sigmaquad:swapxy", "--gamma", "1/2"),
+    ("code", "analyze", "--ring", "GR:2,3,2", "--subring", "Zm:8", *GALOIS,
+     "--f", "sigmaquad:frobenius"),
+    ("code", "analyze", "--ring", "FXY:2", "--f", "sigmaquad:frobenius"),
+    ("code", "analyze", "--ring", "GR:2,2,2", "--f", "sigmaquad:swapxy"),
+    ("code", "analyze", "--ring", "Z4X", "--f", "sigmaquad:swapxy"),
+    ("code", "analyze", "--ring", "Zm:5", "--f", "sigmaquad:frobenius"),
+    ("code", "analyze", "--ring", "FXY:2", "--f", "sigmaquad:foo"),
+    ("code", "analyze", "--ring", "GR:2,2,2", "--subring", "Zm:2", *GALOIS,
+     "--f", "frank:id"),
+    ("trace", "check", "--ring", "GR:2,2,2", "--subring", "Zm:4", *GALOIS),
+    ("code", "analyze", "--ring", "GR:2,1,4", "--subring", "Zm:2", *GALOIS,
+     "--f", "pow:3"),
+    ("code", "analyze", "--ring", "GR:2,1,4", "--subring", "GR:2,1,2",
+     *GALOIS, "--f", "pow:3"),
+    ("code", "analyze", "--ring", "GR:2,1,6", "--subring", "GR:2,1,3",
+     *GALOIS, "--f", "pow:3"),
+    ("code", "analyze", "--ring", "GR:3,2,2", "--subring", "Zm:9", *GALOIS,
+     "--f", "frank:id"),
+    ("trace", "list", "--ring", "GR:2,1,4", "--subring", "GR:2,1,2"),
+    ("trace", "list", "--ring", "GR:2,2,2", "--subring", "Zm:4"),
+    ("trace", "list", "--ring", "FXY:2", "--subring", "Zm:2"),
+    ("trace", "list", "--ring", "GR:2,1,6", "--subring", "GR:2,1,3"),
+)
+
 
 def run_job(argv) -> dict:
     """Run one job in process through ``cli.main``; its record."""
     from homring import cli
 
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.chdir(GOLDEN), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
     record = {"argv": list(argv), "exit": code, "stderr": err.getvalue()}
     stdout = out.getvalue().encode("utf-8")
@@ -87,6 +141,7 @@ def jobs() -> list:
     argvs += [(*command, "--ring", ring) for ring in RINGS
               for command in (("weight", "table"), ("ring", "info"))]
     argvs += list(REFUSALS.values())
+    argvs += SURFACE
     return list(dict.fromkeys(argvs))
 
 
