@@ -1,10 +1,12 @@
 """Command-line front-end.
 
 Subcommands: ``ring info``, ``trace list``, ``trace check``, ``weight table``,
-``code analyze``, ``code graph``, ``verify paper``.  All reports are
-deterministic: rationals are rendered as ``num/den`` and key order is fixed,
-so identical configs produce byte-identical output.  Wall-clock timing is
-opt-in via ``--timing`` because it would break that guarantee.
+``code analyze``, ``code graph``, ``verify paper``.  ``JOBS`` lists them
+once: the parser, the dispatch in ``main`` and the CSV columns of
+``_render`` all read it.  All reports are deterministic: rationals are
+rendered as ``num/den`` and key order is fixed, so identical configs
+produce byte-identical output.  Wall-clock timing is opt-in via
+``--timing`` because it would break that guarantee.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import io
 import json
 import sys
 import time
+from collections import namedtuple
+from types import SimpleNamespace
 
 from . import verify as verify_mod
 from .codes import (build_code, check_code_budget, code_spectrum,
@@ -26,39 +30,21 @@ from .rings import ring_from_spec
 from .traces import enumerate_trace_maps, trace_from_spec
 from .weights import cyclic_submodules, hamming_table, hom_weight, parse_gamma
 
-CONFIG_KEYS = ("ring", "subring", "trace", "f", "gamma", "weight", "format",
-               "budget", "seed")
 
-
-class JobConfig:
+def JobConfig(ring=None, subring=None, trace=None, f=None, gamma="1",
+              weight="homogeneous", format=None, budget=None, seed=None):
     """The settings of one job, one attribute per name in CONFIG_KEYS."""
-
-    def __init__(self, ring: str | None = None, subring: str | None = None,
-                 trace: str | None = None, f: str | None = None,
-                 gamma: str = "1", weight: str = "homogeneous",
-                 format: str | None = None, budget: int | None = None,
-                 seed: int | None = None):
-        self.ring = ring
-        self.subring = subring
-        self.trace = trace
-        self.f = f
-        self.gamma = gamma
-        self.weight = weight
-        self.format = format
-        self.budget = budget
-        self.seed = seed
-
-    def __eq__(self, other):
-        if not isinstance(other, JobConfig):
-            return NotImplemented
-        return all(getattr(self, k) == getattr(other, k) for k in CONFIG_KEYS)
-
-    def __repr__(self):
-        return "JobConfig(" + ", ".join(f"{k}={getattr(self, k)!r}"
-                                        for k in CONFIG_KEYS) + ")"
+    return SimpleNamespace(**locals())
 
 
-def parse_config(text: str) -> JobConfig:
+CONFIG_KEYS = tuple(vars(JobConfig()))
+# the keys whose values are integers, and those with a fixed set of values;
+# a config file and the flags both take them from here
+_INT_KEYS = ("budget", "seed")
+_CHOICES = {"weight": ("homogeneous", "hamming"), "format": ("json", "csv")}
+
+
+def parse_config(text: str) -> SimpleNamespace:
     """Parse whitespace-separated key=value tokens (later keys win)."""
     cfg = JobConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -74,7 +60,7 @@ def parse_config(text: str) -> JobConfig:
                 raise ParseError(f"unknown config key {key!r}", line=lineno, col=col)
             if not value:
                 raise ParseError(f"empty value for {key!r}", line=lineno, col=col)
-            if key in ("budget", "seed"):
+            if key in _INT_KEYS:
                 try:
                     value = int(value)
                 except ValueError:
@@ -84,70 +70,52 @@ def parse_config(text: str) -> JobConfig:
                     raise ParseError("budget must be positive", line=lineno, col=col)
             setattr(cfg, key, value)
             col += len(token)
-    if cfg.weight not in ("homogeneous", "hamming"):
-        raise ParseError(f"weight must be homogeneous or hamming, got {cfg.weight!r}")
+    for key, allowed in _CHOICES.items():
+        value = getattr(cfg, key)
+        if value is not None and value not in allowed:
+            raise ParseError(f"{key} must be {' or '.join(allowed)}, got {value!r}")
     return cfg
 
 
-def _merge_flags(cfg: JobConfig, args) -> JobConfig:
-    for key in CONFIG_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
+def _settings(args) -> SimpleNamespace:
+    """A job's settings: JobConfig's defaults, then its config file's, then
+    every flag given.  Flags that are not config keys (``--only``,
+    ``--timing``) are copied as they are."""
+    cfg = JobConfig()
+    if getattr(args, "config", None):
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                cfg = parse_config(fh.read())
+        except OSError as exc:
+            raise InvalidParameter(f"cannot read config: {exc}") from None
+    for key, val in vars(args).items():
+        if val is not None or not hasattr(cfg, key):
             setattr(cfg, key, val)
-    # argparse choices and parse_config refuse a bad weight, and
+    # argparse choices and parse_config refuse a bad weight or format, and
     # parse_config a bad budget; a --budget flag is checked here
     if cfg.budget is not None and cfg.budget <= 0:
         raise ParseError("budget must be positive")
     return cfg
 
 
-def _require_ring(cfg: JobConfig):
+def _require_ring(cfg):
     if not cfg.ring:
         raise InvalidParameter("a ring spec is required (ring=... or --ring)")
     return ring_from_spec(cfg.ring, cfg.budget)
 
 
-def _subring(cfg: JobConfig, ring):
+def _subring(cfg, ring):
     return ring_from_spec(cfg.subring, cfg.budget) if cfg.subring else ring
 
 
-def _resolve_pair(cfg: JobConfig):
-    """The rings, the trace and its spec of a code job.  The code's budget
-    is checked once the rings are parsed, before the trace or any table is
-    built."""
-    ring = _require_ring(cfg)
-    sub = _subring(cfg, ring)
-    check_code_budget(ring, cfg.budget)
-    trace_spec = cfg.trace
-    if trace_spec is None:
-        if sub is ring:
-            trace_spec = "identity"
-        else:
-            raise InvalidParameter(
-                "an explicit trace spec is required when subring differs from ring")
-    trace = trace_from_spec(ring, sub, trace_spec)
-    return ring, sub, trace, trace_spec
-
-
-def _weight_table(cfg: JobConfig, sub):
+def _weight_table(cfg, sub):
     gamma = parse_gamma(cfg.gamma, sub)
     if cfg.weight == "hamming":
         return hamming_table(sub, gamma)
     return hom_weight(sub, gamma)
 
 
-def _names(ring, sub, trace_spec, cfg: JobConfig) -> dict:
-    return {
-        "ring": ring.name,
-        "subring": sub.name,
-        "trace": trace_spec,
-        "f": cfg.f,
-        "gamma": rational_str(parse_gamma(cfg.gamma, sub)),
-        "weight": cfg.weight,
-    }
-
-
-def run_ring_info(cfg: JobConfig) -> dict:
+def run_ring_info(cfg) -> dict:
     ring = _require_ring(cfg)
     local = ring.is_local()
     return {
@@ -164,7 +132,7 @@ def run_ring_info(cfg: JobConfig) -> dict:
     }
 
 
-def run_trace_list(cfg: JobConfig) -> dict:
+def run_trace_list(cfg) -> dict:
     ring = _require_ring(cfg)
     sub = _subring(cfg, ring)
     maps = enumerate_trace_maps(ring, sub, budget=cfg.budget)
@@ -176,7 +144,7 @@ def run_trace_list(cfg: JobConfig) -> dict:
     }
 
 
-def run_trace_check(cfg: JobConfig) -> dict:
+def run_trace_check(cfg) -> dict:
     ring = _require_ring(cfg)
     sub = _subring(cfg, ring)
     if not cfg.trace:
@@ -189,7 +157,7 @@ def run_trace_check(cfg: JobConfig) -> dict:
     return {"ring": ring.name, "subring": sub.name, "trace": spec, **report.to_dict()}
 
 
-def run_weight_table(cfg: JobConfig) -> dict:
+def run_weight_table(cfg) -> dict:
     ring = _require_ring(cfg)
     wt = _weight_table(cfg, ring)
     # each element's orbit is named by the least generator of its module xR
@@ -205,39 +173,48 @@ def run_weight_table(cfg: JobConfig) -> dict:
     }
 
 
-def run_analyze(cfg: JobConfig) -> dict:
-    ring, sub, trace, trace_spec = _resolve_pair(cfg)
+def _code_job(cfg):
+    """The code, its function and weight table, and the report's names, of
+    a code job.  The code's budget is checked once the rings are parsed,
+    before the trace or any table is built."""
+    ring = _require_ring(cfg)
+    sub = _subring(cfg, ring)
+    check_code_budget(ring, cfg.budget)
+    trace_spec = cfg.trace
+    if trace_spec is None:
+        if sub is not ring:
+            raise InvalidParameter(
+                "an explicit trace spec is required when subring differs from ring")
+        trace_spec = "identity"
+    trace = trace_from_spec(ring, sub, trace_spec)
     if not cfg.f:
         raise InvalidParameter("a function spec is required (f=... or --f)")
     f = function_from_spec(ring, cfg.f, seed=cfg.seed)
     code = build_code(ring, sub, trace, f, budget=cfg.budget)
     wt = _weight_table(cfg, sub)
-    enum = weight_enumerator(code, wt)
-    spectrum = code_spectrum(code, enum)
-    report = _names(ring, sub, trace_spec, cfg)
-    report["f"] = f.tag
+    report = {"ring": ring.name, "subring": sub.name, "trace": trace_spec,
+              "f": f.tag, "gamma": rational_str(wt.gamma), "weight": cfg.weight}
+    return code, f, wt, report
+
+
+def run_analyze(cfg) -> dict:
+    code, f, wt, report = _code_job(cfg)
     if f.seed is not None:
         report["seed"] = f.seed
+    enum = weight_enumerator(code, wt)
     report.update({
         "size": code.size,
-        "spectrum": [rational_str(v) for v in spectrum],
+        "spectrum": [rational_str(v) for v in code_spectrum(code, enum)],
         "enumerator": enum.to_records(),
     })
     return report
 
 
-def run_graph(cfg: JobConfig) -> dict:
-    ring, sub, trace, trace_spec = _resolve_pair(cfg)
-    if not cfg.f:
-        raise InvalidParameter("a function spec is required (f=... or --f)")
-    f = function_from_spec(ring, cfg.f, seed=cfg.seed)
-    code = build_code(ring, sub, trace, f, budget=cfg.budget)
-    wt = _weight_table(cfg, sub)
+def run_graph(cfg) -> dict:
+    code, f, wt, report = _code_job(cfg)
     graph = two_weight_graph(code, wt)
     srg = srg_check(graph)
-    modular, r = is_modular(ring, function_columns(ring, f))
-    report = _names(ring, sub, trace_spec, cfg)
-    report["f"] = f.tag
+    modular, r = is_modular(code.ring, function_columns(code.ring, f))
     report.update({
         "vertices": graph.order,
         "w1": rational_str(graph.w1),
@@ -254,121 +231,122 @@ def run_graph(cfg: JobConfig) -> dict:
     return report
 
 
-def _to_csv(rows, header) -> str:
+def run_verify_paper(cfg) -> dict:
+    only = None
+    if cfg.only:
+        try:
+            only = [int(tok) for tok in cfg.only.split(",") if tok]
+        except ValueError:
+            raise ParseError(f"bad --only list {cfg.only!r}") from None
+    return verify_mod.run(only=only)
+
+
+def _job_flags(parser):
+    """A config file and every config key, typed and checked as in a file."""
+    parser.add_argument("--config", help="path to a key=value config file")
+    for key in CONFIG_KEYS:
+        parser.add_argument(f"--{key}", type=int if key in _INT_KEYS else None,
+                            choices=_CHOICES.get(key))
+    parser.add_argument("--timing", action="store_true")
+
+
+def _paper_flags(parser):
+    parser.add_argument("--only", help="comma-separated record ids")
+    parser.add_argument("--timing", action="store_true")
+
+
+# run: the report of the job's settings; flags: adds the leaf's flags;
+# csv: the report's list and the columns it prints as CSV; verdict: the
+# report key that is false on a failed job, and the exit code it then
+# takes; listed: name the leaf in its group's help (help=None does that)
+_Job = namedtuple("_Job", "run flags format csv verdict listed",
+                  defaults=(_job_flags, "json", None, None, False))
+
+# one row per leaf, in help order
+JOBS = {
+    ("ring", "info"): _Job(run_ring_info),
+    ("trace", "list"): _Job(run_trace_list),
+    ("trace", "check"): _Job(run_trace_check,
+                             verdict=("valid", ValidationFailed.exit_code)),
+    ("weight", "table"): _Job(run_weight_table, format="csv",
+                              csv=("rows", ("element", "orbit", "weight")),
+                              listed=True),
+    ("code", "analyze"): _Job(run_analyze, csv=("enumerator", ("weight", "count"))),
+    ("code", "graph"): _Job(run_graph),
+    ("verify", "paper"): _Job(run_verify_paper, _paper_flags, verdict=("passed", 1)),
+}
+
+
+def _json(value, pad: str) -> str:
+    """``json.dumps(value, indent=2)`` nested at ``pad`` (a newline and its
+    spaces).  A list of ints is one join; the indenting encoder would walk
+    it in Python.  Scalars and keys go through ``json.dumps``, so escapes
+    and a non-str key read as in ``json``."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (json.dumps(k if isinstance(k, str) else json.dumps(k))
+                 + ": " + _json(v, inner) for k, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(v) is int for v in value):
+            items = map(str, value)
+        else:
+            items = (_json(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(value)
+
+
+def _render(report: dict, job: tuple, fmt: str) -> str:
+    """The report of the (command, action) job as indented JSON, or as CSV
+    of the list and columns that its row names."""
+    if fmt == "json":
+        return _json(report, "\n") + "\n"
+    if JOBS[job].csv is None:
+        raise InvalidParameter(f"csv output is not supported for {'-'.join(job)}")
     import csv
 
+    rows, columns = JOBS[job].csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerow(columns)
+    writer.writerows([row[c] for c in columns] for row in report[rows])
     return buf.getvalue()
-
-
-def _render(report: dict, command: str, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
-    if fmt == "csv":
-        if command == "weight-table":
-            return _to_csv(
-                [(r["element"], r["orbit"], r["weight"]) for r in report["rows"]],
-                ("element", "orbit", "weight"))
-        if command == "analyze":
-            return _to_csv(
-                [(r["weight"], r["count"]) for r in report["enumerator"]],
-                ("weight", "count"))
-        raise InvalidParameter(f"csv output is not supported for {command}")
-    raise ParseError(f"unknown format {fmt!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="homring")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # the flags every job leaf takes, added once and shared as a parent
-    job = argparse.ArgumentParser(add_help=False)
-    job.add_argument("--config", help="path to a key=value config file")
-    job.add_argument("--ring")
-    job.add_argument("--subring")
-    job.add_argument("--trace")
-    job.add_argument("--f", dest="f")
-    job.add_argument("--gamma")
-    job.add_argument("--weight", choices=("homogeneous", "hamming"))
-    job.add_argument("--format", choices=("json", "csv"))
-    job.add_argument("--budget", type=int)
-    job.add_argument("--seed", type=int)
-    job.add_argument("--timing", action="store_true")
-    job.set_defaults(default_format="json")
-    jobs = [job]
-
-    ring_p = sub.add_parser("ring").add_subparsers(dest="action", required=True)
-    ring_p.add_parser("info", parents=jobs)
-
-    trace_p = sub.add_parser("trace").add_subparsers(dest="action", required=True)
-    trace_p.add_parser("list", parents=jobs)
-    trace_p.add_parser("check", parents=jobs)
-
-    weight_p = sub.add_parser("weight").add_subparsers(dest="action", required=True)
-    weight_p.add_parser("table", help=None, parents=jobs).set_defaults(
-        default_format="csv")
-
-    code_p = sub.add_parser("code").add_subparsers(dest="action", required=True)
-    code_p.add_parser("analyze", parents=jobs)
-    code_p.add_parser("graph", parents=jobs)
-
-    verify_p = sub.add_parser("verify").add_subparsers(dest="action", required=True)
-    vp = verify_p.add_parser("paper")
-    vp.add_argument("--only", help="comma-separated record ids")
-    vp.add_argument("--timing", action="store_true")
-    vp.set_defaults(default_format="json")
+    commands = parser.add_subparsers(dest="command", required=True)
+    groups, parents = {}, {}
+    for (command, action), job in JOBS.items():
+        if command not in groups:
+            groups[command] = commands.add_parser(command).add_subparsers(
+                dest="action", required=True)
+        if job.flags not in parents:
+            parents[job.flags] = argparse.ArgumentParser(add_help=False)
+            job.flags(parents[job.flags])
+        groups[command].add_parser(action, parents=[parents[job.flags]],
+                                   **({"help": None} if job.listed else {}))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     started = time.perf_counter()
+    job = JOBS[args.command, args.action]
     try:
-        command = f"{args.command}-{args.action}"
-        if command == "verify-paper":
-            only = None
-            if args.only:
-                try:
-                    only = [int(tok) for tok in args.only.split(",") if tok]
-                except ValueError:
-                    raise ParseError(f"bad --only list {args.only!r}") from None
-            report = verify_mod.run(only=only)
-            exit_code = 0 if report["passed"] else 1
-        else:
-            cfg = JobConfig()
-            if args.config:
-                try:
-                    with open(args.config, "r", encoding="utf-8") as fh:
-                        cfg = parse_config(fh.read())
-                except OSError as exc:
-                    raise InvalidParameter(f"cannot read config: {exc}") from None
-            cfg = _merge_flags(cfg, args)
-            exit_code = 0
-            if command == "ring-info":
-                report = run_ring_info(cfg)
-            elif command == "trace-list":
-                report = run_trace_list(cfg)
-            elif command == "trace-check":
-                report = run_trace_check(cfg)
-                if not report["valid"]:
-                    exit_code = ValidationFailed.exit_code
-            elif command == "weight-table":
-                report = run_weight_table(cfg)
-            elif command == "code-analyze":
-                report = run_analyze(cfg)
-                command = "analyze"
-            else:  # argparse leaves only code graph
-                report = run_graph(cfg)
-        if args.timing:
+        cfg = _settings(args)
+        report = job.run(cfg)
+        if cfg.timing:
             report["timing_seconds"] = f"{time.perf_counter() - started:.3f}"
-        fmt = getattr(args, "format", None) or args.default_format
-        sys.stdout.write(_render(report, command, fmt))
-        return exit_code
+        fmt = cfg.format or job.format
+        sys.stdout.write(_render(report, (args.command, args.action), fmt))
+        if job.verdict and not report[job.verdict[0]]:
+            return job.verdict[1]
+        return 0
     except HomringError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.exit_code
