@@ -16,7 +16,6 @@ import io
 import json
 import sys
 import time
-from collections import namedtuple
 from types import SimpleNamespace
 
 from . import verify as verify_mod
@@ -255,25 +254,28 @@ def _paper_flags(parser):
     parser.add_argument("--timing", action="store_true")
 
 
-# run: the report of the job's settings; flags: adds the leaf's flags;
-# csv: the report's list and the columns it prints as CSV; verdict: the
-# report key that is false on a failed job, and the exit code it then
-# takes; listed: name the leaf in its group's help (help=None does that)
-_Job = namedtuple("_Job", "run flags format csv verdict listed",
-                  defaults=(_job_flags, "json", None, None, False))
+def _job(run, flags=_job_flags, format="json", csv=None, verdict=None,
+         listed=False):
+    """One row of JOBS.  run: the report of the job's settings; flags: adds
+    the leaf's flags; csv: the report's list and the columns it prints as
+    CSV; verdict: the report key that is false on a failed job, and the
+    exit code it then takes; listed: name the leaf in its group's help
+    (``help=None`` does that)."""
+    return SimpleNamespace(**locals())
+
 
 # one row per leaf, in help order
 JOBS = {
-    ("ring", "info"): _Job(run_ring_info),
-    ("trace", "list"): _Job(run_trace_list),
-    ("trace", "check"): _Job(run_trace_check,
+    ("ring", "info"): _job(run_ring_info),
+    ("trace", "list"): _job(run_trace_list),
+    ("trace", "check"): _job(run_trace_check,
                              verdict=("valid", ValidationFailed.exit_code)),
-    ("weight", "table"): _Job(run_weight_table, format="csv",
+    ("weight", "table"): _job(run_weight_table, format="csv",
                               csv=("rows", ("element", "orbit", "weight")),
                               listed=True),
-    ("code", "analyze"): _Job(run_analyze, csv=("enumerator", ("weight", "count"))),
-    ("code", "graph"): _Job(run_graph),
-    ("verify", "paper"): _Job(run_verify_paper, _paper_flags, verdict=("passed", 1)),
+    ("code", "analyze"): _job(run_analyze, csv=("enumerator", ("weight", "count"))),
+    ("code", "graph"): _job(run_graph),
+    ("verify", "paper"): _job(run_verify_paper, _paper_flags, verdict=("passed", 1)),
 }
 
 
@@ -307,7 +309,7 @@ def _render(report: dict, job: tuple, fmt: str) -> str:
         return _json(report, "\n") + "\n"
     if JOBS[job].csv is None:
         raise InvalidParameter(f"csv output is not supported for {'-'.join(job)}")
-    import csv
+    import csv  # only CSV output needs it
 
     rows, columns = JOBS[job].csv
     buf = io.StringIO()
@@ -336,14 +338,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
-    job = JOBS[args.command, args.action]
+    key = (args.command, args.action)
+    job = JOBS[key]
     try:
         cfg = _settings(args)
         report = job.run(cfg)
         if cfg.timing:
             report["timing_seconds"] = f"{time.perf_counter() - started:.3f}"
-        fmt = cfg.format or job.format
-        sys.stdout.write(_render(report, (args.command, args.action), fmt))
+        sys.stdout.write(_render(report, key, cfg.format or job.format))
         if job.verdict and not report[job.verdict[0]]:
             return job.verdict[1]
         return 0
