@@ -279,34 +279,11 @@ JOBS = {
 }
 
 
-def _json(value, pad: str) -> str:
-    """``json.dumps(value, indent=2)`` nested at ``pad`` (a newline and its
-    spaces).  A list of ints is one join; the indenting encoder would walk
-    it in Python.  Scalars and keys go through ``json.dumps``, so escapes
-    and a non-str key read as in ``json``."""
-    inner = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (json.dumps(k if isinstance(k, str) else json.dumps(k))
-                 + ": " + _json(v, inner) for k, v in value.items())
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if all(type(v) is int for v in value):
-            items = map(str, value)
-        else:
-            items = (_json(v, inner) for v in value)
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    return json.dumps(value)
-
-
 def _render(report: dict, job: tuple, fmt: str) -> str:
     """The report of the (command, action) job as indented JSON, or as CSV
     of the list and columns that its row names."""
     if fmt == "json":
-        return _json(report, "\n") + "\n"
+        return json.dumps(report, indent=2) + "\n"
     if JOBS[job].csv is None:
         raise InvalidParameter(f"csv output is not supported for {'-'.join(job)}")
     import csv  # only CSV output needs it

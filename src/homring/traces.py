@@ -409,29 +409,26 @@ class Character:
         self.exps = exps
         self.tag = tag
         self._unit_hists = None
-        self._hist_index = None
         self._unit_sums = {}
 
     def unit_exponent_histograms(self) -> list:
         """For each a: a length-m integer vector counting exponents of
         chi(u*a) over the units u.  The workhorse for unit-averaged sums.
         The vector is constant on unit orbits, so the elements of one orbit
-        share one tuple and only the distinct vectors are stored; each
-        element also keeps the index of its vector among them."""
+        share one tuple and only the distinct vectors are stored."""
         if self._unit_hists is None:
             m, exps = self.conductor, self.exps
             mot = self.ring.mul_table()
             units = self.ring.units()
-            index, distinct = [], {}
+            hists, distinct = [], {}
             for a in range(self.ring.order):
                 row = mot[a]
                 h = [0] * m
                 for u in units:
                     h[exps[row[u]]] += 1
-                index.append(distinct.setdefault(tuple(h), len(distinct)))
-            first = list(distinct)
-            self._unit_hists = [first[i] for i in index]
-            self._hist_index = index
+                h = tuple(h)
+                hists.append(distinct.setdefault(h, h))
+            self._unit_hists = hists
         return self._unit_hists
 
     def unit_sum(self, a: int) -> Fraction:
@@ -442,14 +439,12 @@ class Character:
         automorphism w -> w^j of Q(w_m), and its Galois average, the sum of
         h[e] * mu(m/g)/phi(m/g) over e with g = gcd(e, m), is its value
         (``Cyclotomic.from_exponent_counts``).  The histogram is constant on
-        unit orbits, so each distinct one is averaged once, and cached
-        under its index."""
+        unit orbits, so each distinct one is averaged once."""
         h = self.unit_exponent_histograms()[a]
-        i = self._hist_index[a]
-        if i not in self._unit_sums:
-            self._unit_sums[i] = Cyclotomic.from_exponent_counts(
+        if h not in self._unit_sums:
+            self._unit_sums[h] = Cyclotomic.from_exponent_counts(
                 self.conductor, h).to_rational()
-        return self._unit_sums[i]
+        return self._unit_sums[h]
 
     def __repr__(self):
         return f"Character({self.ring.name}, conductor={self.conductor}, {self.tag})"

@@ -114,9 +114,13 @@ def run_job(argv) -> dict:
     from homring import cli
 
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.chdir(GOLDEN), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+    finally:
+        os.chdir(cwd)
     record = {"argv": list(argv), "exit": code, "stderr": err.getvalue()}
     stdout = out.getvalue().encode("utf-8")
     if len(stdout) > RAW_LIMIT:

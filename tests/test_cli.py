@@ -7,10 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from homring import cli, codes, verify
+from homring import codes, verify
 from homring.cli import JobConfig, main, parse_config
 from homring.errors import ParseError
 
@@ -409,87 +407,6 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_csv():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
-
-
-# ---------------------------------------------------------------------------
-# rendering: the same bytes as json.dumps(indent=2)
-
-
-def _reports(monkeypatch, capsys, argv):
-    """The reports that ``main`` renders for ``argv``, with its exit code."""
-    seen = []
-    render = cli._render
-
-    def keep(report, job, fmt):
-        seen.append(report)
-        return render(report, job, fmt)
-
-    monkeypatch.setattr(cli, "_render", keep)
-    code, _, _ = run(capsys, argv)
-    return code, seen
-
-
-@pytest.mark.parametrize("argv,exit_code", [
-    (["ring", "info", "--ring", "Zm:6"], 0),
-    (["ring", "info", "--ring", "GR:2,2,2"], 0),
-    (["trace", "list", "--ring", "Z4X", "--subring", "Zm:4"], 0),
-    (["trace", "check", "--ring", "GR:2,2,2", "--subring", "Zm:4",
-      "--trace", "galois"], 0),
-    (["trace", "check", "--ring", "Z4X", "--subring", "Zm:4",
-      "--trace", "z4x:0,2"], 5),
-    (["weight", "table", "--ring", "FXY:2", "--gamma", "1/2"], 0),
-    (ANALYZE + ["--timing"], 0),
-    (["code", "analyze", "--ring", "GR:2,2,2", "--subring", "Zm:4",
-      "--trace", "galois", "--f", "frank:rand", "--seed", "11"], 0),
-    (["code", "graph", "--ring", "Zm:5", "--f", "pow:3", "--weight", "hamming"], 0),
-    (["verify", "paper", "--only", "1,13"], 0),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
-def test_every_report_renders_as_json_dumps(monkeypatch, capsys, argv, exit_code):
-    code, reports = _reports(monkeypatch, capsys, argv)
-    assert (code, len(reports)) == (exit_code, 1)
-    report = reports[0]
-    assert cli._render(report, tuple(argv[:2]), "json") == (
-        json.dumps(report, indent=2) + "\n")
-
-
-def test_a_graph_failure_and_a_failed_record_render_as_json_dumps(monkeypatch, capsys):
-    _, (graph,) = _reports(monkeypatch, capsys, ["code", "graph", "--ring", "Zm:26",
-                                                  "--f", "pow:3"])
-    assert isinstance(graph["srg_failure"]["witness"]["pair"], tuple)
-    monkeypatch.setitem(verify._CRITERIA, 9, lambda: verify._record(
-        9, "forced failure", "expected", "computed", False))
-    code, (paper,) = _reports(monkeypatch, capsys, ["verify", "paper", "--only", "9"])
-    assert code == 1
-    for report, job in ((graph, ("code", "graph")), (paper, ("verify", "paper"))):
-        assert cli._render(report, job, "json") == json.dumps(report, indent=2) + "\n"
-
-
-_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.none(),
-                  st.floats(allow_nan=False))
-_VALUES = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(), st.text(),
-              st.floats(allow_nan=False)),
-    lambda inner: st.one_of(st.lists(inner, max_size=4),
-                            st.lists(inner, max_size=4).map(tuple),
-                            st.lists(st.integers(), max_size=6),
-                            st.dictionaries(_KEYS, inner, max_size=4)),
-    max_leaves=20)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_VALUES)
-def test_the_renderer_equals_json_dumps(value):
-    # int and None keys, tuples, empty containers, non-ASCII text
-    assert cli._json(value, "\n") == json.dumps(value, indent=2)
-
-
-@pytest.mark.parametrize("value", [
-    {}, [], (), {"a": {}, "b": [], "c": ()},
-    {1: "one", None: [1, (2, "\u00e9")], True: -0.5, "\u2203": "caf\u00e9"},
-    [True, 1, False, 0], [[1, 2], [], [3]],
-])
-def test_the_renderer_on_edge_shapes(value):
-    assert cli._json(value, "\n") == json.dumps(value, indent=2)
 
 
 # ---------------------------------------------------------------------------
