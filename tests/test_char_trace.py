@@ -633,26 +633,6 @@ def test_equal_unit_histograms_are_one_tuple(spec):
     assert len({id(h) for h in hists}) == len(set(hists)) < len(hists)
 
 
-@pytest.mark.parametrize("spec", ["Zm:60", "GR:2,2,2", "Z4X"])
-def test_each_distinct_unit_histogram_is_averaged_once(monkeypatch, spec):
-    chi = canonical_character(_fresh_ring(spec))
-    average = Cyclotomic.from_exponent_counts
-    seen = []
-
-    def counted(m, counts):
-        seen.append(tuple(counts))
-        return average(m, counts)
-
-    monkeypatch.setattr(Cyclotomic, "from_exponent_counts", staticmethod(counted))
-    order = chi.ring.order
-    first = [chi.unit_sum(a) for a in range(order)]
-    assert [chi.unit_sum(a) for a in range(order)] == first
-    hists = chi.unit_exponent_histograms()
-    assert sorted(seen) == sorted(set(hists))
-    assert all(first[a] == average(chi.conductor, hists[a]).to_rational()
-               for a in range(order))
-
-
 def test_char_fixed_by(z4x_conjugation):
     R = ring_from_spec("GR:2,2,2")
     frob = frobenius(R)
