@@ -12,9 +12,8 @@ from .codes import (Code, CodeFunction, WeightEnumerator, build_code,
                     frank_map, function_from_spec, power_map,
                     sigma_quadratic_map, weight_enumerator)
 from .errors import (BadPermutation, BudgetExceeded, HomringError,
-                     InternalInvariantViolation, InvalidParameter, InvalidRing,
-                     NotGenerating, NotLocal, NotTwoWeight,
-                     OutOfRange, ParseError, UnknownPreset,
+                     InternalInvariantViolation, InvalidParameter, NotLocal,
+                     NotTwoWeight, OutOfRange, ParseError, UnknownPreset,
                      ValidationFailed, WrongRingFamily)
 from .graphs import (CodeGraph, SRGFailure, SRGParams, connected_components,
                      function_columns, is_modular, srg_check, two_weight_graph)
@@ -32,8 +31,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BadPermutation", "BudgetExceeded", "Character", "Code", "CodeFunction",
     "CodeGraph", "GaloisRing", "HomringError", "IntegerModRing",
-    "InternalInvariantViolation", "InvalidParameter", "InvalidRing",
-    "NotGenerating", "NotLocal", "NotTwoWeight", "OutOfRange",
+    "InternalInvariantViolation", "InvalidParameter", "NotLocal",
+    "NotTwoWeight", "OutOfRange",
     "ParseError", "Ring", "SRGFailure", "SRGParams", "TableRing", "TraceMap",
     "TraceReport", "UnknownPreset", "ValidationFailed", "WeightEnumerator",
     "WeightTable", "WrongRingFamily",

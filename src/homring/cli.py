@@ -281,11 +281,10 @@ JOBS = {
 
 def _render(report: dict, job: tuple, fmt: str) -> str:
     """The report of the (command, action) job as indented JSON, or as CSV
-    of the list and columns that its row names."""
+    of the list and columns that its row names (``main`` refuses CSV for a
+    row that names none)."""
     if fmt == "json":
         return json.dumps(report, indent=2) + "\n"
-    if JOBS[job].csv is None:
-        raise InvalidParameter(f"csv output is not supported for {'-'.join(job)}")
     import csv  # only CSV output needs it
 
     rows, columns = JOBS[job].csv
@@ -299,16 +298,13 @@ def _render(report: dict, job: tuple, fmt: str) -> str:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="homring")
     commands = parser.add_subparsers(dest="command", required=True)
-    groups, parents = {}, {}
+    groups = {}
     for (command, action), job in JOBS.items():
         if command not in groups:
             groups[command] = commands.add_parser(command).add_subparsers(
                 dest="action", required=True)
-        if job.flags not in parents:
-            parents[job.flags] = argparse.ArgumentParser(add_help=False)
-            job.flags(parents[job.flags])
-        groups[command].add_parser(action, parents=[parents[job.flags]],
-                                   **({"help": None} if job.listed else {}))
+        job.flags(groups[command].add_parser(
+            action, **({"help": None} if job.listed else {})))
     return parser
 
 
@@ -319,10 +315,13 @@ def main(argv=None) -> int:
     job = JOBS[key]
     try:
         cfg = _settings(args)
+        fmt = cfg.format or job.format
+        if fmt == "csv" and job.csv is None:
+            raise InvalidParameter(f"csv output is not supported for {'-'.join(key)}")
         report = job.run(cfg)
         if cfg.timing:
             report["timing_seconds"] = f"{time.perf_counter() - started:.3f}"
-        sys.stdout.write(_render(report, key, cfg.format or job.format))
+        sys.stdout.write(_render(report, key, fmt))
         if job.verdict and not report[job.verdict[0]]:
             return job.verdict[1]
         return 0

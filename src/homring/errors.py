@@ -4,10 +4,13 @@ Every error the package raises on a user-triggerable path derives from
 :class:`HomringError` and carries a distinct ``exit_code`` so shell scripts can
 branch on the failure class.  ``InternalInvariantViolation`` is reserved for
 cross-checks that can only fail on a bug in this package itself.  Exit
-codes 7 and 15 are retired, since nothing raised them: a unit sum of a
-character is fixed by the Galois group of its cyclotomic field, so it is
-always rational (NotRational), and the orbit-sum system of the axiomatic
-weight always has a unique solution (SingularSystem).
+codes 3, 6, 7 and 15 are retired, since nothing raised them: every ring is
+a ring by construction, the presets too (InvalidRing); every ring's family
+names a trace onto Z_char, so a generating character is always known
+(NotGenerating); a unit sum of a character is fixed by the Galois group of
+its cyclotomic field, so it is always rational (NotRational); and the
+orbit-sum system of the axiomatic weight always has a unique solution
+(SingularSystem).
 """
 
 from __future__ import annotations
@@ -23,12 +26,6 @@ class InvalidParameter(HomringError):
     """A numeric or structural argument is outside its documented domain."""
 
     exit_code = 2
-
-
-class InvalidRing(HomringError):
-    """Explicit operation tables do not describe a commutative unital ring."""
-
-    exit_code = 3
 
 
 class NotLocal(HomringError):
@@ -51,12 +48,6 @@ class ValidationFailed(HomringError):
         self.primary = primary
         self.report = report
         super().__init__(message or f"validation failed: {primary}")
-
-
-class NotGenerating(HomringError):
-    """A character (or the ring itself) fails the generating criterion."""
-
-    exit_code = 6
 
 
 class BudgetExceeded(HomringError):

@@ -27,7 +27,6 @@ from .cyclotomic import Cyclotomic
 from .errors import (
     InternalInvariantViolation,
     InvalidParameter,
-    NotGenerating,
     ParseError,
     UnknownPreset,
     ValidationFailed,
@@ -333,8 +332,7 @@ def trace_from_spec(ring: Ring, sub: Ring, spec: str) -> TraceMap:
 
 def _named_trace(ring: Ring, sub: Ring) -> TraceMap:
     """The trace R -> S that the ring family names: the identity when S is
-    R or R is Z_m, else the galois, fxy-sum or z4x:0,1 trace.  A table
-    ring that is no preset names none onto a proper subring.  The identity
+    R or R is Z_m, else the galois, fxy-sum or z4x:0,1 trace.  The identity
     is S-linear, with kernel {0}, onto S by construction, so it is not
     checked."""
     if sub is ring or isinstance(ring, IntegerModRing):
@@ -342,15 +340,9 @@ def _named_trace(ring: Ring, sub: Ring) -> TraceMap:
                         tag="identity", report=TraceReport(True, []))
     if isinstance(ring, GaloisRing):
         return galois_trace(ring, sub)
-    preset = getattr(ring, "preset", None)
-    if preset == "fxy":
+    if ring.preset == "fxy":
         return fxy_sum_trace(ring, sub)
-    if preset == "z4x":
-        return z4x_trace(ring, sub, 0, 1)
-    raise NotGenerating(
-        f"{ring.name} names no trace map onto {sub.name}; "
-        "no generating character is known"
-    )
+    return z4x_trace(ring, sub, 0, 1)
 
 
 # lookups charged for each value of an enumerated table: a value, with its

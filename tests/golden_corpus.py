@@ -10,8 +10,8 @@ The jobs are the distinct jobs of the benchmark's four workloads at seeds
 each exit code that a CLI job can reach, and the CLI surface: output
 formats and their refusals, ``verify paper --only``, seeded maps, config
 files, and the sigma-quadratic, named-trace and Galois-pair jobs.  Exit 1
-needs a failing ``verify paper`` record, and 3, 6 and 70 a table ring or a
-fault that no CLI spec makes.
+needs a failing ``verify paper`` record, and 70 a fault that no CLI spec
+makes.
 
 Every job runs with ``tests/golden/`` as its working directory, so a
 config file (``*.cfg`` there) is named by its bare file name and no record
@@ -74,6 +74,7 @@ SURFACE = (
     ("trace", "check", "--ring", "GR:2,2,2", "--subring", "Zm:4", *GALOIS,
      "--format", "csv"),
     ("code", "graph", "--ring", "Zm:5", "--f", "pow:3", "--format", "csv"),
+    ("code", "graph", "--ring", "Qm:4", "--format", "csv"),
     ("verify", "paper", "--only", "1,13"),
     ("verify", "paper", "--only", "99"),
     ("code", "analyze", "--ring", "GR:2,2,2", "--subring", "Zm:4", *GALOIS,

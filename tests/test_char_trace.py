@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from homring import cyclotomic, traces
 from homring.cyclotomic import Cyclotomic
 from homring.errors import (BudgetExceeded, InternalInvariantViolation,
-                            InvalidParameter, NotGenerating, ParseError,
-                            UnknownPreset, ValidationFailed)
-from homring.rings import (_BUILDERS, GaloisRing, SubringEmbedding, TableRing,
-                           frobenius, make_galois_ring, make_integer_ring,
+                            InvalidParameter, ParseError, UnknownPreset,
+                            ValidationFailed)
+from homring.rings import (_BUILDERS, GaloisRing, SubringEmbedding, frobenius,
+                           make_galois_ring, make_integer_ring,
                            parse_ring_spec_parts, ring_from_spec,
                            subring_embedding, swap_xy)
 from homring.traces import (TraceMap, TraceReport, canonical_character,
@@ -521,16 +521,6 @@ def test_a_named_trace_with_an_ideal_in_its_kernel_trips_the_count_check(
     with pytest.raises(InternalInvariantViolation,
                        match=r"has 3 tables, not one per unit \(12\)"):
         enumerate_trace_maps(R, S)
-
-
-def test_a_table_ring_that_is_no_preset_names_no_trace_onto_z_char():
-    Z = ring_from_spec("Zm:4")
-    R = TableRing(Z.add_table(), Z.mul_table(), "T4")
-    with pytest.raises(NotGenerating):
-        enumerate_trace_maps(R, make_integer_ring(4))
-    with pytest.raises(NotGenerating):
-        canonical_character(R)
-    assert [t.values for t in enumerate_trace_maps(R, R)] == traces_by_search(R, R)
 
 
 def test_enumeration_budget(monkeypatch):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from homring import codes, verify
-from homring.cli import JobConfig, main, parse_config
+from homring.cli import JOBS, JobConfig, main, parse_config
 from homring.errors import ParseError
 
 ANALYZE = ["code", "analyze", "--ring", "GR:2,2,2", "--subring", "Zm:4",
@@ -174,6 +174,22 @@ def test_analyze_csv(capsys):
     assert code == 0
     assert out.splitlines() == ["weight,count", "0/1,1", "12/1,18",
                                 "16/1,39", "20/1,6"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["code", "graph", "--ring", "Zm:251", "--f", "pow:3", "--weight", "hamming"],
+    ["code", "graph", "--ring", "Qm:4"],
+    ["trace", "list", "--ring", "Z4X", "--subring", "Zm:4"],
+])
+def test_csv_is_refused_before_the_job_runs(capsys, monkeypatch, argv):
+    def ran(cfg):
+        raise AssertionError("the job ran")
+
+    for job in JOBS.values():
+        monkeypatch.setattr(job, "run", ran)
+    code, out, err = run(capsys, argv + ["--format", "csv"])
+    assert (code, out) == (2, "")
+    assert err == f"error: csv output is not supported for {argv[0]}-{argv[1]}\n"
 
 
 # ---------------------------------------------------------------------------

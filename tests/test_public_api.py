@@ -5,12 +5,16 @@ of a class among them is used somewhere other than the tests.
 A name counts as used when ``src/homring`` refers to it outside its own
 definition and the package's ``__init__``, or when a file in ``scripts/`` or
 ``bench/`` refers to it, as code or as a string (the benchmark pins the
-functions it wraps by name).  Docstrings and comments do not count."""
+functions it wraps by name).  Docstrings and comments do not count.
+
+README's exit-code table lists every error class under its exit code, and
+no retired code has a class."""
 
 import ast
 from pathlib import Path
 
 import homring
+from homring import errors
 from homring.errors import HomringError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,3 +94,26 @@ def test_every_public_method_of_a_public_class_is_used_outside_the_tests():
                    and (callable(getattr(cls, attr)) or isinstance(member, property))]
         unused += [f"{name}.{attr}" for attr in _unused(methods, src, users)]
     assert unused == []
+
+
+def _exit_code_table() -> dict:
+    """README's exit-code table: each code and what it names, read off the
+    table's rows, two codes a row."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = text.split("Every error class has its own exit code:", 1)[1].split("\n\n")[1]
+    table = {}
+    for row in rows.splitlines()[2:]:
+        cells = [c.strip() for c in row.strip().strip("|").split("|")]
+        table.update(zip(map(int, cells[::2]), cells[1::2]))
+    return table
+
+
+def test_readme_lists_every_error_class_under_its_exit_code():
+    table = _exit_code_table()
+    classes = {cls.exit_code: cls.__name__ for cls in vars(errors).values()
+               if _is_error(cls) and cls is not HomringError}
+    retired = {code for code, name in table.items() if name == "(retired)"}
+    assert table[HomringError.exit_code] == "generic failure"
+    assert not retired & set(classes), "a retired exit code has a class"
+    assert classes == {code: name for code, name in table.items()
+                       if code != HomringError.exit_code and code not in retired}
