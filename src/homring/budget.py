@@ -6,8 +6,9 @@ budget.  The unit is one cell of the orbit-weighing loop, about 0.15 us in
 CPython 3.11; a stage whose cells cost more time or memory charges a
 measured multiple of it.  The estimates and where they are checked:
 
-* ring set-up (``rings.ring_from_spec``): |R|^2 cells for each of the add,
-  mul and sub tables and the cyclic submodules, two lookups a cell;
+* ring set-up (``rings.ring_from_spec``, from the spec, before the ring
+  is built): |R|^2 cells for each of the add, mul and sub tables and the
+  cyclic submodules, two lookups a cell;
 * trace enumeration (``traces.enumerate_trace_maps``): 16 |R^x| * |R|,
   16 for each value of the |R^x| tables of |R| values, about 100 bytes each
   in process with a trace list report, before the named trace is built;
@@ -51,6 +52,10 @@ def check_budget(stage: str, estimate: int, budget: int | None = None) -> None:
             if budget <= 0:
                 raise InvalidParameter("HOMRING_BUDGET must be positive")
     if estimate > budget:
+        # str() refuses an int of over 4300 digits (about 14280 bits), so a
+        # longer estimate is named by its power of two
+        bits = estimate.bit_length()
+        about = estimate if bits <= 14000 else f"2^{bits - 1}"
         raise BudgetExceeded(
-            f"{stage} needs about {estimate} table lookups, over the budget "
+            f"{stage} needs about {about} table lookups, over the budget "
             f"of {budget}; raise it with --budget or HOMRING_BUDGET")

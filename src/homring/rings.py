@@ -1,22 +1,26 @@
 """Finite commutative rings with canonical integer element encodings.
 
-Three families are provided:
+Every ring is free over Z_m on a basis b_0 = 1, b_1, ..., b_{k-1}: the
+element sum c_i b_i, 0 <= c_i < m, is encoded in base m as sum c_i m^i.
+One arithmetic serves every family (``Ring``): + and - are digit-wise mod
+m, and * is bilinear from the basis products b_i * b_j, which each family
+gives.  Three families are provided:
 
-* ``Zm:<m>`` -- integer residue rings Z_m, element i encodes the residue i;
+* ``Zm:<m>`` -- integer residue rings Z_m, the rank-1 case: element i
+  encodes the residue i;
 * ``GR:<p>,<n>,<r>`` -- Galois rings GR(p^n, r) = Z_{p^n}[x]/(h) with h a
-  monic basic irreducible of degree r.  Elements are coefficient vectors
-  (c_0, ..., c_{r-1}) over Z_{p^n}, encoded in base p^n as
-  i = sum c_j * (p^n)^j.  The modulus h is chosen deterministically: the
-  lexicographically smallest monic polynomial over F_p whose root generates
-  the multiplicative group of F_{p^r} is lifted so that the class xi of x
-  satisfies xi^(p^r - 1) = 1.  The unit xi then generates the Teichmueller
-  group, and the Frobenius map, which acts digit-wise on p-adic
-  coordinates, is the ring automorphism with xi -> xi^p.
-* two presets spanned over Z_m by a basis (``TableRing``), with + digit-wise
-  and * bilinear from the basis products: ``FXY:<p>`` =
-  F_p[x,y]/(x^2, y^2) on the basis (1, x, y, xy), encoded in base p, from
-  x*y = xy, and ``Z4X`` = Z_4[x]/(x^2 + 2) on the basis (1, t), encoded in
-  base 4, from t^2 = 2 (t denotes the class of x).
+  monic basic irreducible of degree r, on the basis 1, x, ..., x^(r-1) over
+  Z_{p^n}: x^i * x^j = x^(i+j), reduced by h.  The modulus h is chosen
+  deterministically: the lexicographically smallest monic polynomial over
+  F_p whose root generates the multiplicative group of F_{p^r} is lifted so
+  that the class xi of x satisfies xi^(p^r - 1) = 1.  The unit xi then
+  generates the Teichmueller group, and the Frobenius map, which acts
+  digit-wise on p-adic coordinates, is the ring automorphism with
+  xi -> xi^p.
+* two presets (``TableRing``) with their basis products keyed by symbol:
+  ``FXY:<p>`` = F_p[x,y]/(x^2, y^2) on the basis (1, x, y, xy) over Z_p,
+  from x*y = xy, and ``Z4X`` = Z_4[x]/(x^2 + 2) on the basis (1, t) over
+  Z_4, from t^2 = 2 (t denotes the class of x).
 
 All three families are rings by construction, so no axiom is checked.
 Every ring exposes integer-encoded arithmetic plus cached structural data:
@@ -83,54 +87,9 @@ def _table_pow(mot, one: int, a: int, k: int) -> int:
     return out
 
 
-def _additive_span(n: int, row_of) -> tuple:
-    """Greedy generators of an additive group on 0..n-1, and how it is
-    spanned from 0.
-
-    Each generator g is the smallest element not yet spanned, and
-    ``row_of(g)`` is its add row y -> g + y.  Returns the generators, their
-    rows and the steps (y, x, j), y = x + (the j-th generator), in the
-    order the elements are first reached; each x is 0 or an earlier y.
-    Every generator at least halves the number of cosets of the span, so
-    there are at most log2(n) of them.
-    """
-    gens, rows, steps = [], [], []
-    seen = bytearray(n)
-    seen[0] = 1
-    reached = [0]
-    cand = 1
-    while len(reached) < n:
-        while seen[cand]:
-            cand += 1
-        gens.append(cand)
-        rows.append(row_of(cand))
-        i = 0
-        while i < len(reached):
-            x = reached[i]
-            for j, row in enumerate(rows):
-                y = row[x]
-                if not seen[y]:
-                    seen[y] = 1
-                    reached.append(y)
-                    steps.append((y, x, j))
-            i += 1
-    return gens, rows, steps
-
-
-def _add_rows(n: int, span) -> list:
-    """The add table from the span: row y = x + g is g's row read at row x,
-    since (x + g) + v = g + (x + v)."""
-    _, rows, steps = span
-    aot = [None] * n
-    aot[0] = list(range(n))
-    for y, x, j in steps:
-        aot[y] = list(map(rows[j].__getitem__, aot[x]))
-    return aot
-
-
 def _extend(aot, steps, images) -> list:
-    """The additive map with images[j] at the j-th generator, along the
-    steps (y, x, j), y = x + (the j-th generator), from ``_additive_span``,
+    """The additive map with images[j] at the j-th basis element m^j, along
+    the steps (y, x, j), y = x + m^j, of ``Ring._additive_span``,
     on the add table ``aot`` of the target: out[y] = images[j] + out[x],
     read on the row of images[j], so only len(images) rows are touched.
     The map is not checked here."""
@@ -139,16 +98,6 @@ def _extend(aot, steps, images) -> list:
     for y, x, j in steps:
         out[y] = rows[j][out[x]]
     return out
-
-
-def _mul_rows(aot, span, mul) -> list:
-    """The mul table from the add table: only generator pairs call mul.
-    Row y is the additive map b -> y*b, extended from its images
-    y*g = g*y of the generators, read off the generator rows."""
-    gens, _, steps = span
-    gen_rows = [_extend(aot, steps, [mul(g, h) for h in gens]) for g in gens]
-    return [_extend(aot, steps, [row[y] for row in gen_rows])
-            for y in range(len(aot))]
 
 
 def _homomorphism_failure(src: "Ring", table, add, mul=None):
@@ -313,28 +262,45 @@ class TeichmullerData:
 
 
 class Ring:
-    """Common structure for all ring families (never instantiated directly)."""
+    """A finite commutative ring, free over Z_m on a basis b_0 = 1, ...,
+    b_{k-1}; sum c_i b_i is encoded in base m as sum c_i m^i, so b_i is
+    m^i.  + and - are digit-wise mod m, and * is bilinear from
+    ``products[i][j]``, the base-m digits of b_i * b_j, least significant
+    first (a missing digit is 0).  The families give the products."""
 
     family = "abstract"
 
-    def __init__(self, order: int, one: int, name: str):
-        if order < 2:
-            raise InvalidParameter("ring order must be >= 2")
-        self.order = order
-        self.one = one
+    def __init__(self, name: str, m: int, k: int, products):
         self.name = name
+        self.m = m
+        self.k = k
+        self.order = m**k
+        self.one = 1
+        self._products = products
         self._cache: dict = {}
 
-    # arithmetic: subclasses implement add / neg / mul on canonical indices.
+    def encode(self, digits) -> int:
+        return _from_digits(digits, self.m)
+
+    def decode(self, a: int) -> tuple:
+        return _digits(a, self.m, self.k)
 
     def add(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        return self.encode(map(int.__add__, self.decode(a), self.decode(b)))
 
     def neg(self, a: int) -> int:
-        raise NotImplementedError
+        return self.encode(map(int.__neg__, self.decode(a)))
 
     def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        out = [0] * self.k
+        db = self.decode(b)
+        for x, row in zip(self.decode(a), self._products):
+            if x:
+                for y, prod in zip(db, row):
+                    if y:
+                        for i, c in enumerate(prod):
+                            out[i] += x * y * c
+        return self.encode(out)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -354,15 +320,8 @@ class Ring:
     # ----- cached structural data ----------------------------------------
 
     def characteristic(self) -> int:
-        if "char" not in self._cache:
-            # the additive order of 1, at most |R| since + is a group
-            step = self.add_table()[self.one]  # a -> 1 + a
-            c, acc = 1, self.one
-            while acc != 0:
-                acc = step[acc]
-                c += 1
-            self._cache["char"] = c
-        return self._cache["char"]
+        """The additive order of 1, whose one digit is taken mod m."""
+        return self.m
 
     def units(self) -> tuple:
         if "units" not in self._cache:
@@ -431,7 +390,7 @@ class Ring:
             cur = self.one
             for _ in range(q - 1):
                 elements.append(cur)
-                cur = self.mul(cur, gen)
+                cur = mot[cur][gen]
             if cur != self.one or len(set(elements)) != q:
                 raise InternalInvariantViolation("Teichmueller generator order wrong")
             # a - t lies in M exactly when a lies in the coset t + M
@@ -463,28 +422,54 @@ class Ring:
 
     # ----- dense tables for hot loops ------------------------------------
     #
-    # Only the rows of the g greedy additive generators call add, g * |R|
-    # calls, and only generator pairs call mul, g^2 calls (g <= log2 |R|);
-    # every other cell is a lookup.
+    # The add rows of the k basis elements are read off the encoding, and
+    # only basis pairs call mul, k^2 calls; every other cell is a lookup.
 
     def _additive_span(self) -> tuple:
+        """The basis m^j as additive generators, their add rows
+        v -> m^j + v, and the steps (y, y - m^j, j), j the lowest nonzero
+        digit of y, for y = 1 .. |R|-1: each y - m^j is 0 or an earlier y,
+        and every element is reached once."""
         if "span" not in self._cache:
-            n, add = self.order, self.add
-            self._cache["span"] = _additive_span(
-                n, lambda g: [add(g, v) for v in range(n)]
-            )
+            m, n = self.m, self.order
+            gens = [m**j for j in range(self.k)]
+            steps = []
+            for y in range(1, n):
+                j, g = 0, 1
+                while y // g % m == 0:
+                    j, g = j + 1, g * m
+                steps.append((y, y - g, j))
+            rows = []
+            for g in gens:  # + m^j turns each block of m^(j+1) by m^j
+                row = []
+                for b in range(0, n, g * m):
+                    row += range(b + g, b + g * m)
+                    row += range(b, b + g)
+                rows.append(row)
+            self._cache["span"] = gens, rows, steps
         return self._cache["span"]
 
     def add_table(self) -> list:
+        """Row y = x + m^j is m^j's row read at row x, since
+        (x + g) + v = g + (x + v)."""
         if "add_table" not in self._cache:
-            self._cache["add_table"] = _add_rows(self.order, self._additive_span())
+            _, rows, steps = self._additive_span()
+            aot = [list(range(self.order))] + [None] * (self.order - 1)
+            for y, x, j in steps:
+                aot[y] = list(map(rows[j].__getitem__, aot[x]))
+            self._cache["add_table"] = aot
         return self._cache["add_table"]
 
     def mul_table(self) -> list:
+        """Row y is the additive map b -> y*b, extended from its images
+        y*m^j = m^j*y, read off the basis rows."""
         if "mul_table" not in self._cache:
-            self._cache["mul_table"] = _mul_rows(
-                self.add_table(), self._additive_span(), self.mul
-            )
+            aot, (gens, _, steps) = self.add_table(), self._additive_span()
+            basis_rows = [_extend(aot, steps, [self.mul(g, h) for h in gens])
+                          for g in gens]
+            self._cache["mul_table"] = [
+                _extend(aot, steps, [row[y] for row in basis_rows])
+                for y in range(self.order)]
         return self._cache["mul_table"]
 
     def sub_table(self) -> list:
@@ -509,22 +494,14 @@ class Ring:
 
 
 class IntegerModRing(Ring):
+    """Z_m, the rank-1 case: 1 * 1 = 1."""
+
     family = "integer-modular"
 
     def __init__(self, m: int):
         if m < 2:
             raise InvalidParameter(f"Zm needs modulus >= 2, got {m}")
-        super().__init__(m, 1, f"Zm:{m}")
-        self.m = m
-
-    def add(self, a, b):
-        return (a + b) % self.m
-
-    def neg(self, a):
-        return (-a) % self.m
-
-    def mul(self, a, b):
-        return (a * b) % self.m
+        super().__init__(f"Zm:{m}", m, 1, [[(1,)]])
 
     def units(self):
         if "units" not in self._cache:
@@ -543,86 +520,32 @@ def make_integer_ring(m: int) -> IntegerModRing:
 
 
 class GaloisRing(Ring):
-    """GR(p^n, r) as Z_{p^n}[x] / (h), elements encoded base p^n.
+    """GR(p^n, r) as Z_{p^n}[x] / (h) on the basis 1, x, ..., x^(r-1),
+    elements encoded base p^n.
 
     ``reduction`` gives x^r = sum reduction[i] * x^i with coefficients in
-    Z_{p^n}; it encodes the monic modulus h.
+    Z_{p^n}; it encodes the monic modulus h.  The basis product
+    x^i * x^j is x^(i+j), reduced by it.
     """
 
     family = "galois"
 
     def __init__(self, p: int, n: int, r: int, reduction):
-        self.p, self.n, self.r = p, n, r
-        self.pn = p**n
-        self.q = p**r
-        self.reduction = tuple(c % self.pn for c in reduction)
+        m = p**n
+        self.p, self.n, self.r, self.q = p, n, r, p**r
+        self.reduction = tuple(c % m for c in reduction)
         if len(self.reduction) != r:
             raise InvalidParameter("reduction vector must have length r")
-        super().__init__(self.pn**r, 1, f"GR:{p},{n},{r}")
-        # x^(r+j) reduced, for j = 0 .. r-2
-        xpow = [list(self.reduction)]
-        for _ in range(r - 2):
-            prev = xpow[-1]
-            overflow = prev[-1]
-            nxt = [0] + prev[:-1]
-            if overflow:
-                nxt = [
-                    (c + overflow * t) % self.pn
-                    for c, t in zip(nxt, self.reduction)
-                ]
-            xpow.append(nxt)
-        self._xpow = [tuple(v) for v in xpow]
-        self.xbar = self.reduction[0] if r == 1 else self.pn  # class of x
-
-    # -- encoding ----------------------------------------------------------
-
-    def encode(self, coeffs) -> int:
-        return _from_digits(coeffs, self.pn)
-
-    def decode(self, a: int) -> tuple:
-        return _digits(a, self.pn, self.r)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def add(self, a, b):
-        pn = self.pn
-        out = 0
-        shift = 1
-        for _ in range(self.r):
-            a, ca = divmod(a, pn)
-            b, cb = divmod(b, pn)
-            out += ((ca + cb) % pn) * shift
-            shift *= pn
-        return out
-
-    def neg(self, a):
-        pn = self.pn
-        out = 0
-        shift = 1
-        for _ in range(self.r):
-            a, ca = divmod(a, pn)
-            out += ((-ca) % pn) * shift
-            shift *= pn
-        return out
-
-    def mul(self, a, b):
-        r, pn = self.r, self.pn
-        ca = self.decode(a)
-        cb = self.decode(b)
-        prod = [0] * (2 * r - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    if y:
-                        prod[i + j] += x * y
-        for k in range(2 * r - 2, r - 1, -1):
-            c = prod[k]
-            if c:
-                row = self._xpow[k - r]
-                for i in range(r):
-                    prod[i] += c * row[i]
-                prod[k] = 0
-        return self.encode(c % pn for c in prod[:r])
+        # x^t for t = 0 .. 2r-2: x^(t-1) shifted up a digit, its x^r reduced
+        power = [1] + [0] * (r - 1)
+        powers = [tuple(power)]
+        for _ in range(2 * r - 2):
+            top = power[-1]
+            power = [(c + top * t) % m for c, t in zip([0] + power[:-1], self.reduction)]
+            powers.append(tuple(power))
+        super().__init__(f"GR:{p},{n},{r}", m, r,
+                         [[powers[i + j] for j in range(r)] for i in range(r)])
+        self.xbar = self.reduction[0] if r == 1 else m  # class of x
 
     def _teichmuller_generator(self, group, order):
         # the class of x is Teichmueller by construction; pin it as the
@@ -709,8 +632,7 @@ def make_galois_ring(p: int, n: int, r: int) -> GaloisRing:
     if n == 1:
         ring = GaloisRing(p, 1, r, reduction_p)
     else:
-        pn = p**n
-        rough = GaloisRing(p, n, r, tuple((-c) % pn for c in base))
+        rough = GaloisRing(p, n, r, tuple(-c for c in base))
         # Teichmueller lift of the class of x inside the rough quotient
         xi = rough.pow(rough.xbar, (p**r) ** (n - 1))
         cols = []
@@ -718,7 +640,7 @@ def make_galois_ring(p: int, n: int, r: int) -> GaloisRing:
         for _ in range(r):
             cols.append(rough.decode(power))
             power = rough.mul(power, xi)
-        reduction = _solve_linear_mod(cols, rough.decode(power), pn, p)
+        reduction = _solve_linear_mod(cols, rough.decode(power), rough.m, p)
         ring = GaloisRing(p, n, r, tuple(reduction))
     if ring.pow(ring.xbar, p**r - 1) != ring.one:
         raise InternalInvariantViolation("class of x is not a Teichmueller unit")
@@ -756,9 +678,9 @@ def swap_xy(ring: "TableRing") -> SubringEmbedding:
         raise UnknownPreset(f"swap-xy automorphism needs an FXY ring, got {ring.name}")
     key = "swapxy"
     if key not in ring._cache:
-        # the greedy additive generators of FXY:p are 1, x, y, xy, encoded
-        # 1, p, p^2, p^3; their images are 1, y, x, xy
-        p = ring.char_expected
+        # the basis 1, x, y, xy of FXY:p, encoded 1, p, p^2, p^3, goes to
+        # 1, y, x, xy
+        p = ring.m
         table = _extend(ring.add_table(), ring._additive_span()[2],
                         [1, p * p, p, p**3])
         ring._cache[key] = SubringEmbedding(ring, ring, table, tag="swap-xy")
@@ -801,7 +723,7 @@ def _embedding(sub: Ring, ring: Ring) -> SubringEmbedding:
             )
         eta = ring.pow(ring.teichmuller().generator, (ring.q - 1) // (sub.q - 1))
         # S's modulus x^s - sum red_k x^k, with coefficients encoding c_k*1
-        modulus = [-c % sub.pn for c in sub.reduction] + [1]
+        modulus = [-c % sub.m for c in sub.reduction] + [1]
         powers = (ring.pow(eta, m) for m in range(1, sub.q) if gcd(m, sub.q - 1) == 1)
         root = next((y for y in powers if ring._evaluate(modulus, y) == 0), None)
         if root is None:
@@ -820,17 +742,11 @@ def _embedding(sub: Ring, ring: Ring) -> SubringEmbedding:
 
 
 class TableRing(Ring):
-    """The ring spanned over Z_m by the basis ``symbols`` (the first is 1):
-    sum c_i b_i is encoded in base m as sum c_i m^i.  ``products`` holds the
-    digits of each basis product b_i * b_j that is not 0, keyed by its two
-    symbols, in either order.
-
-    + is digit-wise mod m and * is bilinear from the basis products.  The
-    products of FXY:p and Z4X are those of their quotient rings, so both are
-    rings by construction and no axiom is checked.  The tables come from
-    the generic builders, whose greedy additive generators are the basis
-    elements m^i.  An element renders as its nonzero terms c*b, with c*1
-    as c and 1*b as b.
+    """A preset ring on the basis ``symbols`` over Z_m, the first symbol 1.
+    ``products`` holds the digits of each basis product b_i * b_j that is
+    not 0, keyed by its two symbols, in either order; 1 * b = b.  The
+    products of FXY:p and Z4X are those of their quotient rings.  An
+    element renders as its nonzero terms c*b, with c*1 as c and 1*b as b.
     """
 
     family = "table"
@@ -838,10 +754,6 @@ class TableRing(Ring):
     def __init__(self, name: str, m: int, symbols: tuple, products: dict,
                  preset: str):
         k = len(symbols)
-        super().__init__(m**k, 1, name)
-        self.char_expected = m
-        self.symbols = symbols
-        self.preset = preset
 
         def product(i, j):
             if i == 0 or j == 0:
@@ -849,32 +761,13 @@ class TableRing(Ring):
             key = (symbols[i], symbols[j])
             return products.get(key) or products.get(key[::-1], ())
 
-        self._products = [[product(i, j) for j in range(k)] for i in range(k)]
-
-    def _coords(self, a: int) -> tuple:
-        return _digits(a, self.char_expected, len(self.symbols))
-
-    def add(self, a, b):
-        return _from_digits(map(int.__add__, self._coords(a), self._coords(b)),
-                            self.char_expected)
-
-    def neg(self, a):
-        return _from_digits(map(int.__neg__, self._coords(a)), self.char_expected)
-
-    def mul(self, a, b):
-        out = [0] * len(self.symbols)
-        db = self._coords(b)
-        for x, row in zip(self._coords(a), self._products):
-            if x:
-                for y, prod in zip(db, row):
-                    if y:
-                        for i, c in enumerate(prod):
-                            out[i] += x * y * c
-        return _from_digits(out, self.char_expected)
+        super().__init__(name, m, k, [[product(i, j) for j in range(k)] for i in range(k)])
+        self.symbols = symbols
+        self.preset = preset
 
     def render(self, a):
         terms = [str(c) if sym == "1" else sym if c == 1 else f"{c}*{sym}"
-                 for c, sym in zip(self._coords(a), self.symbols) if c]
+                 for c, sym in zip(self.decode(a), self.symbols) if c]
         return "+".join(terms) or "0"
 
 
@@ -930,21 +823,23 @@ def parse_ring_spec_parts(spec: str):
 _BUILDERS = {"zm": make_integer_ring, "galois": make_galois_ring,
              "fxy": fxy_ring, "z4x": z4x_ring}
 
+# each family's base modulus m and rank k, |R| = m^k, from its parameters
+_BASES = {"zm": lambda m: (m, 1), "galois": lambda p, n, r: (p**n, r),
+          "fxy": lambda p: (p, 4), "z4x": lambda: (4, 2)}
+
 
 def ring_from_spec(spec: str, budget: int | None = None) -> Ring:
-    """Build (and memoize) a ring from its spec string, and check that the
-    budget admits its set-up: a ring builds its tables only when first
-    asked, so the charge comes before any of them."""
+    """Build (and memoize) a ring from its spec string once the budget
+    admits its set-up: |R|^2 cells in each of the add, mul and sub tables
+    and the cyclic submodules, at two lookups a cell.  The charge is read
+    off the spec before the ring is built, since a Galois ring searches
+    for its modulus when it is built; parameters that are not positive are
+    left to the builder to refuse."""
     family, params = parse_ring_spec_parts(spec)
-    ring = _BUILDERS[family](*params)
-    _check_setup(ring.order, budget)
-    return ring
-
-
-def _check_setup(order: int, budget: int | None) -> None:
-    """Ring set-up builds |R|^2 cells in each of the add, mul and sub tables
-    and the cyclic submodules, at two lookups a cell."""
-    check_budget("ring set-up", 8 * order * order, budget)
+    if all(v > 0 for v in params):
+        m, k = _BASES[family](*params)
+        check_budget("ring set-up", 8 * (m**k) ** 2, budget)
+    return _BUILDERS[family](*params)
 
 
 def permutation_of_teichmuller(ring: Ring, perm) -> tuple:

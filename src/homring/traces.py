@@ -237,11 +237,11 @@ def fxy_sum_trace(ring: TableRing, sub: Ring) -> TraceMap:
     """Coefficient-sum trace of F_p[x,y]/(x^2,y^2) onto Z_p."""
     if getattr(ring, "preset", None) != "fxy":
         raise UnknownPreset(f"fxy-sum trace needs an FXY ring, got {ring.name}")
-    p = ring.char_expected
+    p = ring.m
     if not isinstance(sub, IntegerModRing) or sub.m != p:
         raise InvalidParameter(f"fxy-sum maps onto Zm:{p}; got subring {sub.name}")
     emb = subring_embedding(sub, ring)
-    # the additive generators of FXY:p are 1, x, y, xy (see swap_xy)
+    # T is additive, and sends each basis element 1, x, y, xy to 1
     values = _extend(sub.add_table(), ring._additive_span()[2], [1, 1, 1, 1])
     return TraceMap(ring, sub, emb, values, tag="fxy-sum")
 
@@ -254,7 +254,7 @@ def z4x_trace(ring: TableRing, sub: Ring, l0: int, l1: int) -> TraceMap:
     if not isinstance(sub, IntegerModRing) or sub.m != 4:
         raise InvalidParameter(f"z4x trace maps onto Zm:4; got subring {sub.name}")
     emb = subring_embedding(sub, ring)
-    # the additive generators of Z4X are 1 and t
+    # T is additive, and sends the basis elements 1 and t to l0 and l1
     values = _extend(sub.add_table(), ring._additive_span()[2], [l0 % 4, l1 % 4])
     return TraceMap(ring, sub, emb, values, tag=f"z4x:{l0 % 4},{l1 % 4}")
 

@@ -9,9 +9,9 @@ The jobs are the distinct jobs of the benchmark's four workloads at seeds
 1-3, ``weight table`` and ``ring info`` on fourteen rings, one refusal for
 each exit code that a CLI job can reach, and the CLI surface: output
 formats and their refusals, ``verify paper --only``, seeded maps, config
-files, and the sigma-quadratic, named-trace and Galois-pair jobs.  Exit 1
-needs a failing ``verify paper`` record, and 70 a fault that no CLI spec
-makes.
+files, the sigma-quadratic, named-trace and Galois-pair jobs, and a Galois
+ring refused from its spec before it is built.  Exit 1 needs a failing
+``verify paper`` record, and 70 a fault that no CLI spec makes.
 
 Every job runs with ``tests/golden/`` as its working directory, so a
 config file (``*.cfg`` there) is named by its bare file name and no record
@@ -63,8 +63,9 @@ REFUSALS = {
 
 GALOIS = ("--trace", "galois")
 
-# the CLI surface: formats, --only, a seeded map, config files, and the
-# sigma-quadratic, named-trace and Galois-pair jobs
+# the CLI surface: formats, --only, a seeded map, config files, the
+# sigma-quadratic, named-trace and Galois-pair jobs, and a Galois ring over
+# the budget
 SURFACE = (
     ("weight", "table", "--ring", "Zm:12", "--format", "json"),
     ("code", "analyze", "--ring", "GR:2,2,2", "--subring", "Zm:4", *GALOIS,
@@ -107,6 +108,7 @@ SURFACE = (
     ("trace", "list", "--ring", "GR:2,2,2", "--subring", "Zm:4"),
     ("trace", "list", "--ring", "FXY:2", "--subring", "Zm:2"),
     ("trace", "list", "--ring", "GR:2,1,6", "--subring", "GR:2,1,3"),
+    ("ring", "info", "--ring", "GR:2,1,100"),
 )
 
 

@@ -18,6 +18,8 @@ library's generator checks and its Frobenius are compared against.
 * The brute search for trace maps that the unit orbit of the named trace
   replaced: every S-linear candidate on a greedy S-module generating set,
   kept when it passes the trace checks.
+* The greedy search for additive generators that the basis m^j replaced:
+  each generator the smallest element not yet spanned, through ``add``.
 """
 
 from itertools import product
@@ -117,6 +119,27 @@ def character_scan(R, conductor: int, exps):
     return None
 
 
+def greedy_generators(R) -> list:
+    """The additive generators that a greedy search picks through R's own
+    ``add``: each is the smallest element that the earlier ones do not
+    span."""
+    gens, seen, reached = [], {0}, [0]
+    while len(reached) < R.order:
+        gens.append(min(set(range(R.order)) - seen))
+        i, before = 0, len(reached)
+        while i < len(reached):
+            for g in gens:
+                y = R.add(reached[i], g)
+                if y not in seen:
+                    seen.add(y)
+                    reached.append(y)
+            i += 1
+        if len(reached) == before:
+            raise InternalInvariantViolation(
+                f"the span of {R.name} misses its generator {gens[-1]}")
+    return gens
+
+
 def mul_table_by_cells(R) -> list:
     return [[R.mul(a, b) for b in range(R.order)] for a in range(R.order)]
 
@@ -165,12 +188,12 @@ def z4x_by_coordinates() -> tuple:
 
 def _fxy_digits(R, a: int) -> tuple:
     """(c_1, c_x, c_y, c_xy) of an element of FXY:p."""
-    p = R.char_expected
+    p = R.m
     return a % p, (a // p) % p, (a // p**2) % p, a // p**3
 
 
 def swap_xy_by_digits(R) -> list:
-    p = R.char_expected
+    p = R.m
     out = []
     for a in range(R.order):
         c1, cx, cy, cxy = _fxy_digits(R, a)
@@ -179,7 +202,7 @@ def swap_xy_by_digits(R) -> list:
 
 
 def fxy_sum_by_digits(R) -> list:
-    return [sum(_fxy_digits(R, a)) % R.char_expected for a in range(R.order)]
+    return [sum(_fxy_digits(R, a)) % R.m for a in range(R.order)]
 
 
 def z4x_trace_by_digits(l0: int, l1: int) -> list:
@@ -194,7 +217,7 @@ def embedding_by_elements(sub, R) -> list:
     x^s - sum red_k x^k vanishes, eta = xi^((q_R - 1)/(q_S - 1))."""
     if sub is R:
         return list(range(R.order))
-    if not hasattr(sub, "decode"):
+    if not hasattr(sub, "reduction"):
         return [element_from_int(R, c) for c in range(sub.order)]
     eta = R.pow(R.teichmuller().generator, (R.q - 1) // (sub.q - 1))
 
@@ -231,7 +254,7 @@ def traces_by_search(R, S) -> list:
     reached = [0]
     while len(reached) < R.order:
         gens.append(seen.index(False))
-        i = 0
+        i, before = 0, len(reached)
         while i < len(reached):
             x = reached[i]
             for j, g in enumerate(gens):
@@ -242,6 +265,9 @@ def traces_by_search(R, S) -> list:
                         reached.append(y)
                         steps.append((y, x, j, s))
             i += 1
+        if len(reached) == before:  # else the next pass picks gens[-1] again
+            raise InternalInvariantViolation(
+                f"the S-module span of {R.name} misses its generator {gens[-1]}")
     found = set()
     for v in product(range(S.order), repeat=len(gens)):
         table = [0] * R.order

@@ -232,6 +232,41 @@ def test_ring_info_on_a_large_ring_is_refused_before_its_tables(capsys):
     assert "add_table" not in ring_from_spec("Zm:100000", 10**11)._cache
 
 
+def test_an_over_budget_galois_ring_is_refused_before_its_modulus_search(
+        capsys, monkeypatch):
+    # the charge is read off the spec: GR:2,1,100 searched for its modulus
+    # for about 37 s when it was charged on the built ring
+    def no_search(p, r):
+        raise AssertionError("the modulus search ran")
+
+    monkeypatch.setattr(rings, "_smallest_generator_poly", no_search)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["ring", "info", "--ring", "GR:2,1,100"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (8, "")
+    assert err == (f"error: ring set-up needs about {8 * 2**200} table lookups, "
+                   f"over the budget of {DEFAULT_BUDGET}; raise it with "
+                   "--budget or HOMRING_BUDGET\n")
+
+
+@pytest.mark.parametrize("spec,code,message", [
+    # over the budget: refused before the builder checks the parameters
+    ("GR:4,1,100", 8, "ring set-up needs about"),
+    ("FXY:8", 8, "ring set-up needs about 134217728 "),
+    ("GR:2,1,8000", 8, "ring set-up needs about 2^16003 "),
+    # within it, or not positive: the builder refuses
+    ("GR:4,1,2", 2, "GR needs a prime p, got 4"),
+    ("FXY:4", 2, "FXY needs a prime p, got 4"),
+    ("GR:2,0,3", 2, "GR needs n >= 1 and r >= 1"),
+    ("GR:2,-1,3", 2, "GR needs n >= 1 and r >= 1"),
+    ("Zm:0", 2, "Zm needs modulus >= 2"),
+])
+def test_the_set_up_charge_comes_before_the_builder(spec, code, message, capsys):
+    got, out, err = _run(capsys, ["ring", "info", "--ring", spec])
+    assert (got, out) == (code, "")
+    assert err.startswith(f"error: {message}"), err
+
+
 @pytest.mark.parametrize("command", ["analyze", "graph"])
 def test_a_code_job_over_budget_is_refused_before_any_table(
         command, capsys, monkeypatch):

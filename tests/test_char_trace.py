@@ -17,7 +17,7 @@ from homring.errors import (BudgetExceeded, InternalInvariantViolation,
                             InvalidParameter, ParseError, UnknownPreset,
                             ValidationFailed)
 from homring.rings import (_BUILDERS, GaloisRing, SubringEmbedding, frobenius,
-                           make_galois_ring, make_integer_ring,
+                           fxy_ring, make_galois_ring, make_integer_ring,
                            parse_ring_spec_parts, ring_from_spec,
                            subring_embedding, swap_xy)
 from homring.traces import (TraceMap, TraceReport, canonical_character,
@@ -507,6 +507,17 @@ def test_an_orbit_over_all_of_r_is_not_the_search(monkeypatch):
     maps = enumerate_trace_maps(R, S)
     assert len(maps) == R.order
     assert [t.values for t in maps] != traces_by_search(R, S)
+
+
+def test_the_search_names_a_generator_that_its_span_misses():
+    # with 1*x = 0 in the cached mul table, x never enters the S-module
+    # span: the search names x instead of picking it again for ever
+    R, S = fxy_ring.__wrapped__(2), ring_from_spec("Zm:2")   # R outside the cache
+    R._cache["mul_table"] = [list(row) for row in R.mul_table()]
+    R._cache["mul_table"][1][2] = 0
+    with pytest.raises(InternalInvariantViolation,
+                       match="span of FXY:2 misses its generator 2"):
+        traces_by_search(R, S)
 
 
 def test_a_named_trace_with_an_ideal_in_its_kernel_trips_the_count_check(

@@ -20,7 +20,8 @@ from homring.traces import (canonical_character, char_fixed_by,
 from ring_oracle import (SETUP_GRID, element_from_int, embedding_by_elements,
                          embedding_refusal_by_scan, frobenius_by_digits,
                          from_padic_digits, fxy_by_coordinates,
-                         fxy_sum_by_digits, mul_table_by_cells, padic_digits,
+                         fxy_sum_by_digits, greedy_generators,
+                         mul_table_by_cells, padic_digits,
                          swap_xy_by_digits, z4x_by_coordinates,
                          z4x_trace_by_digits)
 
@@ -120,9 +121,22 @@ def test_galois_mul_matches_sympy_polynomial_arithmetic(spec):
     for a in range(R.order):
         for b in range(R.order):
             rem = (polys[a] * polys[b]).rem(h).all_coeffs()[::-1]
-            coeffs = [int(c) % R.pn for c in rem] + [0] * (R.r - len(rem))
+            coeffs = [int(c) % R.m for c in rem] + [0] * (R.r - len(rem))
             assert R.mul(a, b) == R.encode(coeffs), (a, b)
             assert R.mul_table()[a][b] == R.encode(coeffs), (a, b)
+
+
+@pytest.mark.parametrize("spec", ["GR:2,1,7", "GR:3,1,4", "GR:2,2,5"])
+def test_galois_basis_products_match_sympy(spec):
+    sympy = pytest.importorskip("sympy")
+    R = ring_from_spec(spec)
+    x = sympy.Symbol("x")
+    h = sympy.Poly([1, *(-c for c in reversed(R.reduction))], x, domain="ZZ")
+    for i in range(R.r):
+        for j in range(R.r):
+            rem = sympy.Poly(x ** (i + j), x, domain="ZZ").rem(h).all_coeffs()[::-1]
+            coeffs = [int(c) % R.m for c in rem] + [0] * (R.r - len(rem))
+            assert R.mul(R.m**i, R.m**j) == R.encode(coeffs), (i, j)
 
 
 def test_teichmuller_set_and_digits():
@@ -351,6 +365,22 @@ def test_tables_units_and_digits_equal_the_slow_operations(spec):
             assert hits == [t.nu[a]], a
 
 
+@pytest.mark.parametrize("spec", SETUP_GRID)
+def test_the_additive_span_is_the_basis_that_the_greedy_search_picks(spec):
+    R = ring_from_spec(spec)
+    gens, rows, steps = R._additive_span()
+    assert gens == greedy_generators(R)
+    assert rows == [[R.add(g, v) for v in range(R.order)] for g in gens]
+    reached = [0]
+    for y, x, j in steps:
+        # x is reached before y, and y - x is the basis element of y's
+        # lowest nonzero digit
+        assert x < y and x in reached and y == R.add(x, gens[j]), (y, x, j)
+        assert j == next(i for i, c in enumerate(R.decode(y)) if c), (y, j)
+        reached.append(y)
+    assert sorted(reached) == list(range(R.order))
+
+
 def _canonical_subrings(R):
     """Zm:c for the characteristic c and, in GR(p^n, r), each GR(p^n, s)
     with s | r (S = R among them)."""
@@ -379,7 +409,7 @@ def test_maps_from_generator_images_equal_the_per_element_routes(spec, monkeypat
     for S in _canonical_subrings(R):
         assert rings._embedding(S, R) == embedding_by_elements(S, R), S.name
     if getattr(R, "preset", None) == "fxy":
-        S = make_integer_ring(R.char_expected)
+        S = make_integer_ring(R.m)
         assert fxy_sum_trace(R, S) == fxy_sum_by_digits(R)
     if getattr(R, "preset", None) == "z4x":
         for l0 in range(-4, 8):
@@ -399,7 +429,7 @@ def test_frobenius_and_galois_trace_equal_the_digit_route(spec):
         for _ in range(R.r):
             acc, cur = R.add(acc, cur), sigma[cur]
         trace.append(acc)
-    S = make_integer_ring(R.pn)
+    S = make_integer_ring(R.m)
     emb = galois_trace(R, S).embedding
     assert [emb(v) for v in galois_trace(R, S).values] == trace
 
@@ -510,9 +540,9 @@ def test_tables_call_the_slow_operations_on_generator_rows_only():
 
     R.add, R.mul = counted("add"), counted("mul")
     assert R.mul_table() == base.mul_table()
-    # GR(4, 3) = Z_4^3 additively: three generators, one add row each, and
-    # one mul call per generator pair
-    assert calls == {"add": 3 * R.order, "mul": 3 * 3}
+    # GR(4, 3) = Z_4^3 additively: the add rows of the three basis elements
+    # are read off the encoding, and mul is called once per basis pair
+    assert calls == {"add": 0, "mul": 3 * 3}
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +558,7 @@ def test_table_ring_operations_equal_its_tables_on_every_cell(spec):
     assert [aot[a][R.neg(a)] for a in cells] == [0] * R.order
 
 
-# FXY:2 is spanned by the greedy generators 1, x, y, xy = indices 1, 2, 4, 8.
+# FXY:2 is spanned additively by its basis 1, x, y, xy = indices 1, 2, 4, 8.
 def test_fxy2_generators_are_the_basis():
     assert fxy_ring(2)._additive_span()[0] == [1, 2, 4, 8]
 
