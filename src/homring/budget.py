@@ -7,8 +7,8 @@ CPython 3.11; a stage whose cells cost more time or memory charges a
 measured multiple of it.  The estimates and where they are checked:
 
 * ring set-up (``rings.ring_from_spec``, from the spec, before the ring
-  is built): |R|^2 cells for each of the add, mul and sub tables and the
-  cyclic submodules, two lookups a cell;
+  is built): |R|^2 cells for each of the add, mul and sub tables, and up
+  to |R|^2 for the cyclic submodules (orbits * |R|), two lookups a cell;
 * trace enumeration (``traces.enumerate_trace_maps``): 16 |R^x| * |R|,
   16 for each value of the |R^x| tables of |R| values, about 100 bytes each
   in process with a trace list report, before the named trace is built;
@@ -37,25 +37,31 @@ from .errors import BudgetExceeded, InvalidParameter
 DEFAULT_BUDGET = 2 ** 25
 
 
+def _limit(budget: int | None) -> int:
+    if budget is not None:
+        return budget
+    env = os.environ.get("HOMRING_BUDGET", str(DEFAULT_BUDGET))
+    try:
+        budget = int(env)
+    except ValueError:
+        raise InvalidParameter(
+            f"HOMRING_BUDGET must be an integer, got {env!r}") from None
+    if budget <= 0:
+        raise InvalidParameter("HOMRING_BUDGET must be positive")
+    return budget
+
+
+def _refuse(stage: str, about: str, limit: int):
+    raise BudgetExceeded(f"{stage} needs {about} table lookups, over the budget "
+                         f"of {limit}; raise it with --budget or HOMRING_BUDGET")
+
+
 def check_budget(stage: str, estimate: int, budget: int | None = None) -> None:
     """Refuse ``stage`` when its estimate is over the budget."""
-    if budget is None:
-        env = os.environ.get("HOMRING_BUDGET")
-        if env is None:
-            budget = DEFAULT_BUDGET
-        else:
-            try:
-                budget = int(env)
-            except ValueError:
-                raise InvalidParameter(
-                    f"HOMRING_BUDGET must be an integer, got {env!r}") from None
-            if budget <= 0:
-                raise InvalidParameter("HOMRING_BUDGET must be positive")
-    if estimate > budget:
+    limit = _limit(budget)
+    if estimate > limit:
         # str() refuses an int of over 4300 digits (about 14280 bits), so a
         # longer estimate is named by its power of two
         bits = estimate.bit_length()
-        about = estimate if bits <= 14000 else f"2^{bits - 1}"
-        raise BudgetExceeded(
-            f"{stage} needs about {about} table lookups, over the budget "
-            f"of {budget}; raise it with --budget or HOMRING_BUDGET")
+        _refuse(stage, f"about {estimate if bits <= 14000 else f'2^{bits - 1}'}",
+                limit)

@@ -27,7 +27,7 @@ from .graphs import (SRGParams, connected_components, function_columns,
                      is_modular, srg_check, two_weight_graph)
 from .rings import ring_from_spec
 from .traces import enumerate_trace_maps, trace_from_spec
-from .weights import cyclic_submodules, hamming_table, hom_weight, parse_gamma
+from .weights import hamming_table, hom_weight, parse_gamma
 
 
 def JobConfig(ring=None, subring=None, trace=None, f=None, gamma="1",
@@ -159,11 +159,10 @@ def run_trace_check(cfg) -> dict:
 def run_weight_table(cfg) -> dict:
     ring = _require_ring(cfg)
     wt = _weight_table(cfg, ring)
-    # each element's orbit is named by the least generator of its module xR
-    classes, cls_of = cyclic_submodules(ring)
-    rows = [{"element": x, "orbit": classes[n][0],
-             "weight": rational_str(wt.values[x])}
-            for x, n in enumerate(cls_of)]
+    # each element's unit orbit, which generates its module xR, by least member
+    orbit_of, orbits = ring.unit_orbits()
+    rows = [{"element": x, "orbit": orbits[i][0], "weight": rational_str(wt.values[x])}
+            for x, i in enumerate(orbit_of)]
     return {
         "ring": ring.name,
         "gamma": rational_str(wt.gamma),

@@ -12,8 +12,8 @@ is read off orbits on the code, one point per codeword (one per K-coset of
 pairs).  A unit s of S maps the codeword of (alpha, beta) to s times it, the
 codeword of (s*alpha, s*beta); a unit u of R with f(u*x) = lam*f(x) for all
 x permutes its coordinates, as the codeword of (alpha*u, beta*lam).  Neither
-changes a weight the table keeps under units of S, so each orbit is weighed
-once, through the composed table w o T.  At
+changes the weight under a table constant on S's unit orbits, the only tables
+weighed (``orbit_weights``), so one group per code serves every table.  At
 gamma = 1 the transform value of a codeword is W = |R| - w, w its homogeneous
 weight, so the spectrum is read off the gamma = 1 enumerator.  Everything is
 exact, in Fractions.  The weight table is checked against the axiomatic
@@ -200,10 +200,10 @@ class Code:
     """A trace code, given by its kernel K: the pairs whose codeword is zero.
 
     ``points`` holds the least pair of each codeword, in sorted codeword
-    order, found on first access.  ``orbits(table)`` gives the orbits on the
-    codewords under the symmetries that keep the table's weights, found once
-    per group.  ``budget`` bounds the stages that read the code (see
-    ``budget.check_budget``)."""
+    order, found on first access.  ``orbits`` gives the orbits on the
+    codewords under the scalars of S^x and the monomial symmetries of f,
+    found once per code.  ``budget`` bounds the stages that read the code
+    (see ``budget.check_budget``)."""
 
     def __init__(self, ring: Ring, sub: Ring, trace: TraceMap, func: CodeFunction,
                  kernel, budget: int | None = None):
@@ -214,7 +214,6 @@ class Code:
         self.kernel = tuple(kernel)
         self.budget = budget
         self.size = ring.order ** 2 // len(self.kernel)
-        self._orbits = {}
 
     @cached_property
     def points(self) -> tuple:
@@ -245,28 +244,16 @@ class Code:
                                                    for xrow, frow in pivots]))
 
     @cached_property
-    def _generators(self) -> tuple:
-        return _scalar_generators(self.sub), monomial_symmetries(self.func)
+    def _pair_generators(self) -> tuple:
+        """(s, s) for the scalar generators s of S^x, and (u, lam) for the
+        monomial symmetries of f."""
+        sub, emb = self.sub, self.trace.embedding.table
+        scalars = _unit_generators(sub.units(), sub.one, sub.mul_table(), lambda s: s)
+        return tuple([(emb[s], emb[s]) for s in scalars] + monomial_symmetries(self.func))
 
-    def _pair_generators(self, table: WeightTable) -> tuple:
-        """The unit multiplier pairs the orbits for this table act by: (s, s)
-        for the scalar generators s of S with w(s*y) = w(y) for every y in S,
-        and (u, lam) for the monomial symmetries of f."""
-        all_scalars, monomials = self._generators
-        _, scaled = table.scaled()
-        mos = self.sub.mul_table()
-        emb = self.trace.embedding.table
-        return tuple([(emb[s], emb[s]) for s in all_scalars
-                      if all(scaled[v] == scaled[y] for y, v in enumerate(mos[s]))]
-                     + monomials)
-
-    def orbits(self, table: WeightTable) -> PairOrbits:
-        """Orbits on the codewords under the pair generators for this table,
-        found once per group."""
-        gens = self._pair_generators(table)
-        if gens not in self._orbits:
-            self._orbits[gens] = PairOrbits(self.ring, self.kernel, gens)
-        return self._orbits[gens]
+    @cached_property
+    def orbits(self) -> PairOrbits:
+        return PairOrbits(self.ring, self.kernel, self._pair_generators)
 
     def __len__(self):
         return self.size
@@ -280,9 +267,9 @@ class PairOrbits:
     """Orbits on the code C = R^2/K of a group acting on pair space.  Each
     generator is a pair (a, b) of units of R that maps K into K, acting as
     (alpha, beta) -> (alpha*a, beta*b); the group's elements are such pairs
-    too, multiplied entrywise.  The caller vouches for K: the pairs (s, s)
-    keep it because T is S-linear (``validate_trace``), and the pairs
-    (u, lam) because f(u*x) = lam*f(x) on all of R (``_is_monomial``).
+    too, multiplied entrywise.  The caller (``Code.orbits``) vouches for K:
+    the pairs (s, s) keep it because T is S-linear (``validate_trace``), and
+    the pairs (u, lam) because f(u*x) = lam*f(x) on all of R (``_is_monomial``).
 
     A codeword is named by the least pair of its K-coset.  Let K_a be the
     alphas of the pairs in K and K_0 the betas b with (0, b) in K.  The least
@@ -431,11 +418,6 @@ def _unit_generators(units, one: int, mul, accept) -> list:
                     span.add(y)
                     stack.append(y)
     return kept
-
-
-def _scalar_generators(sub: Ring) -> list:
-    """A small generating set of the units of S."""
-    return _unit_generators(sub.units(), sub.one, sub.mul_table(), lambda s: s)
 
 
 def _is_monomial(f: CodeFunction, u: int, lam: int) -> bool:
@@ -601,13 +583,20 @@ class WeightEnumerator:
 
 
 def orbit_weights(code: Code, table: WeightTable):
-    """(orbits, D, weights): the orbits on the code for this table and the
-    weight of each orbit's codeword times the table's common denominator D,
-    one codeword per orbit, read through the composed table w o T, at |R|
-    lookups each, charged to the code's budget once the orbits are known."""
-    if table.ring is not code.sub:
+    """(orbits, D, weights): the orbits on the code and the weight of each
+    orbit's codeword times the table's common denominator D, read through
+    w o T at |R| lookups an orbit, charged to the code's budget.  A unit s
+    of S puts c and s*c in one orbit, so a table not constant on S's unit
+    orbits (homogeneous and Hamming ones are) raises InvalidParameter."""
+    sub, w = code.sub, table.values
+    if table.ring is not sub:
         raise InvalidParameter("weight table is for a different ring than S")
-    orbits = code.orbits(table)
+    orbit_of, sub_orbits = sub.unit_orbits()
+    y = next((y for y, i in enumerate(orbit_of) if w[y] != w[sub_orbits[i][0]]), None)
+    if y is not None:
+        raise InvalidParameter(f"weight table on {sub.name} is not constant on the "
+                               f"unit orbit of {sub.render(y)}")
+    orbits = code.orbits
     check_budget("orbit weighing", len(orbits.reps) * code.ring.order, code.budget)
     den, scaled = table.scaled()
     wt = [scaled[v] for v in code.trace.values]

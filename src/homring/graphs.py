@@ -61,13 +61,7 @@ def two_weight_graph(code: Code, table: WeightTable) -> CodeGraph:
                  if w == w1_scaled)
     check_budget("graph", code.size * (code.size.bit_length() + 32)
                  + code.ring.order ** 2 + len(orbits.reps) * degree, code.budget)
-    _, scaled = table.scaled()
-    # c' - c in D is the pair's distance w(c - c') = w1 only if w(-x) = w(x),
-    # checked once on S; it also makes D = -D, so the graph is undirected
-    neg = code.sub.sub_table()[0]
-    if any(scaled[neg[s]] != scaled[s] for s in range(code.sub.order)):
-        raise InternalInvariantViolation(
-            f"weight table on {code.sub.name} has w(-x) != w(x)")
+    # -1 is a unit of S, so w(c' - c) = w(c - c') (``orbit_weights``) and D = -D
     points = code.points[1:]
     labels = [orbits.label(a, b) for a, b in points]
     connection = [p for p, label in zip(points, labels)

@@ -36,7 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .budget import check_budget
+from .budget import _limit, _refuse, check_budget
 from .errors import (
     BadPermutation,
     InternalInvariantViolation,
@@ -335,6 +335,21 @@ class Ring:
             us = set(self.units())
             self._cache["nonunits"] = tuple(a for a in range(self.order) if a not in us)
         return self._cache["nonunits"]
+
+    def unit_orbits(self) -> tuple:
+        """(orbit_of, orbits): each element's orbit {u*x : u in R^x}, and each
+        orbit's members in ascending order, numbered by least member; the
+        walk x = 0, 1, ... starts one at each x not yet in one."""
+        if "unit_orbits" not in self._cache:
+            mot, orbit_of, orbits = self.mul_table(), [-1] * self.order, []
+            for x in range(self.order):
+                if orbit_of[x] < 0:
+                    orbit = sorted({mot[x][u] for u in self.units()})
+                    for y in orbit:
+                        orbit_of[y] = len(orbits)
+                    orbits.append(tuple(orbit))
+            self._cache["unit_orbits"] = orbit_of, tuple(orbits)
+        return self._cache["unit_orbits"]
 
     def radical(self) -> Ideal:
         """The set of nilpotent elements (= Jacobson radical here)."""
@@ -831,13 +846,17 @@ _BASES = {"zm": lambda m: (m, 1), "galois": lambda p, n, r: (p**n, r),
 def ring_from_spec(spec: str, budget: int | None = None) -> Ring:
     """Build (and memoize) a ring from its spec string once the budget
     admits its set-up: |R|^2 cells in each of the add, mul and sub tables
-    and the cyclic submodules, at two lookups a cell.  The charge is read
-    off the spec before the ring is built, since a Galois ring searches
-    for its modulus when it is built; parameters that are not positive are
-    left to the builder to refuse."""
+    and up to |R|^2 in the cyclic submodules, at two lookups a cell.  The
+    charge is read off the spec before the ring is built, since a Galois
+    ring searches for its modulus when it is built; parameters that are
+    not positive are left to the builder to refuse."""
     family, params = parse_ring_spec_parts(spec)
     if all(v > 0 for v in params):
         m, k = _BASES[family](*params)
+        low = 2 * k * (m.bit_length() - 1) + 3   # 8 m^(2k) >= 2^low, = if m is 2^e
+        if low > 14000 and _limit(budget).bit_length() <= low:   # left unbuilt
+            _refuse("ring set-up", f"{'at least' if m & (m - 1) else 'about'} 2^{low}",
+                    _limit(budget))
         check_budget("ring set-up", 8 * (m**k) ** 2, budget)
     return _BUILDERS[family](*params)
 

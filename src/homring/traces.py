@@ -390,7 +390,8 @@ class Character:
     The map is not checked here: every character built in this module is
     Phi o T with T a validated trace (additive, with no nonzero ideal in its
     kernel) and Phi the canonical character of S, so it is additive and
-    generating."""
+    generating.  u -> u*v permutes R^x for each unit v, so its unit data
+    are read once per unit orbit (``Ring.unit_orbits``), at the least member."""
 
     def __init__(self, ring: Ring, conductor: int, exps, tag: str = ""):
         exps = tuple(e % conductor for e in exps)
@@ -401,26 +402,22 @@ class Character:
         self.exps = exps
         self.tag = tag
         self._unit_hists = None
-        self._unit_sums = {}
+        self._unit_sums = None
 
     def unit_exponent_histograms(self) -> list:
         """For each a: a length-m integer vector counting exponents of
-        chi(u*a) over the units u.  The workhorse for unit-averaged sums.
-        The vector is constant on unit orbits, so the elements of one orbit
-        share one tuple and only the distinct vectors are stored."""
+        chi(u*a) over the units u, one tuple shared by each unit orbit.
+        The workhorse for unit-averaged sums."""
         if self._unit_hists is None:
-            m, exps = self.conductor, self.exps
-            mot = self.ring.mul_table()
-            units = self.ring.units()
-            hists, distinct = [], {}
-            for a in range(self.ring.order):
-                row = mot[a]
-                h = [0] * m
-                for u in units:
+            m, exps, mot = self.conductor, self.exps, self.ring.mul_table()
+            orbit_of, orbits = self.ring.unit_orbits()
+            hists = []
+            for orbit in orbits:
+                h, row = [0] * m, mot[orbit[0]]
+                for u in self.ring.units():
                     h[exps[row[u]]] += 1
-                h = tuple(h)
-                hists.append(distinct.setdefault(h, h))
-            self._unit_hists = hists
+                hists.append(tuple(h))
+            self._unit_hists = [hists[i] for i in orbit_of]
         return self._unit_hists
 
     def unit_sum(self, a: int) -> Fraction:
@@ -430,13 +427,13 @@ class Character:
         the histogram h of a has h[j*e] = h[e]: the sum is fixed by every
         automorphism w -> w^j of Q(w_m), and its Galois average, the sum of
         h[e] * mu(m/g)/phi(m/g) over e with g = gcd(e, m), is its value
-        (``Cyclotomic.from_exponent_counts``).  The histogram is constant on
-        unit orbits, so each distinct one is averaged once."""
-        h = self.unit_exponent_histograms()[a]
-        if h not in self._unit_sums:
-            self._unit_sums[h] = Cyclotomic.from_exponent_counts(
-                self.conductor, h).to_rational()
-        return self._unit_sums[h]
+        (``Cyclotomic.from_exponent_counts``), averaged once per unit orbit."""
+        orbit_of, orbits = self.ring.unit_orbits()
+        if self._unit_sums is None:
+            hists = self.unit_exponent_histograms()
+            self._unit_sums = [Cyclotomic.from_exponent_counts(
+                self.conductor, hists[orbit[0]]).to_rational() for orbit in orbits]
+        return self._unit_sums[orbit_of[a]]
 
     def __repr__(self):
         return f"Character({self.ring.name}, conductor={self.conductor}, {self.tag})"

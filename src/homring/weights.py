@@ -2,10 +2,11 @@
 
 The character route evaluates w(x) = gamma * (1 - S_x / |R^x|) with S_x the
 sum of chi over the unit multiples of x, an exact rational read off Ramanujan
-sums (``Character.unit_sum``).  The axiomatic route solves the triangular
-system over the poset of cyclic submodules: summing w over a cyclic
-submodule N must give gamma*|N|, so the weight of the generator class of N
-is determined once all smaller cyclic submodules are solved.
+sums (``Character.unit_sum``), one per unit orbit.  The axiomatic route
+solves the triangular system over the poset of cyclic submodules, one set
+xR per unit orbit: summing w over a cyclic submodule N must give gamma*|N|,
+so the weight of the generator class of N is determined once all smaller
+cyclic submodules are solved.
 ``hom_weight`` builds the gamma = 1 table by the character route and
 compares it entry by entry with the axiomatic route, raising
 ``InternalInvariantViolation`` on a mismatch.  Other values of gamma scale
@@ -95,15 +96,15 @@ def hom_weight(ring: Ring, gamma=1) -> WeightTable:
 def cyclic_submodules(ring: Ring):
     """Map frozenset(xR) -> its generators in increasing order, plus each
     element's module; xR is the row mul[x], since the rings are
-    commutative.  Built once per ring; the elements of one module share
-    one set, so only the distinct modules are stored."""
+    commutative.  u*x generates xR for each unit u, so one set is built per
+    unit orbit, and orbits with equal sets are joined: orbits * |R| cells."""
     if "cyclic" not in ring._cache:
-        distinct = {}
-        cls_of = [distinct.setdefault(n, n) for n in map(frozenset, ring.mul_table())]
+        mot, (orbit_of, orbits) = ring.mul_table(), ring.unit_orbits()
+        modules = [frozenset(mot[orbit[0]]) for orbit in orbits]
         classes = {}
-        for x, n in enumerate(cls_of):
-            classes.setdefault(n, []).append(x)
-        ring._cache["cyclic"] = classes, cls_of
+        for n, orbit in zip(modules, orbits):
+            classes[n] = sorted([*classes.get(n, ()), *orbit])
+        ring._cache["cyclic"] = classes, [modules[i] for i in orbit_of]
     return ring._cache["cyclic"]
 
 
@@ -140,20 +141,14 @@ def validate_weight(wt: WeightTable) -> dict:
         base = wt.values[gens[0]]
         for y in gens[1:]:
             if wt.values[y] != base:
-                violations.append({
-                    "axiom": "orbit-constant", "x": gens[0], "y": y,
-                    "wx": str(base), "wy": str(wt.values[y]),
-                })
+                violations.append({"axiom": "orbit-constant", "x": gens[0], "y": y,
+                                   "wx": str(base), "wy": str(wt.values[y])})
     totals = {n: sum((wt.values[y] for y in n), Fraction(0)) for n in classes}
     for x in range(1, ring.order):
-        n = cls_of[x]
-        total = totals[n]
-        expected = wt.gamma * len(n)
+        total, expected = totals[cls_of[x]], wt.gamma * len(cls_of[x])
         if total != expected:
-            violations.append({
-                "axiom": "orbit-sum", "x": x,
-                "sum": str(total), "expected": str(expected),
-            })
+            violations.append({"axiom": "orbit-sum", "x": x,
+                               "sum": str(total), "expected": str(expected)})
     return {"valid": not violations, "violations": violations}
 
 

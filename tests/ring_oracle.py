@@ -20,6 +20,9 @@ library's generator checks and its Frobenius are compared against.
   kept when it passes the trace checks.
 * The greedy search for additive generators that the basis m^j replaced:
   each generator the smallest element not yet spanned, through ``add``.
+* The per-element routes that the unit orbits replaced: one frozenset xR
+  for every element, and one unit histogram of a character for every
+  element.
 """
 
 from itertools import product
@@ -279,3 +282,27 @@ def traces_by_search(R, S) -> list:
                 and _missing_value(S, table) is None):
             found.add(table)
     return sorted(found)
+
+
+def cyclic_submodules_by_elements(R):
+    """frozenset(xR) for every element x, deduplicated, and each module's
+    generators in increasing order: (classes, cls_of) as
+    ``weights.cyclic_submodules`` returns them."""
+    distinct = {}
+    cls_of = [distinct.setdefault(n, n) for n in map(frozenset, R.mul_table())]
+    classes = {}
+    for x, n in enumerate(cls_of):
+        classes.setdefault(n, []).append(x)
+    return classes, cls_of
+
+
+def unit_histograms_by_elements(chi) -> list:
+    """For each a, the exponents of chi(u*a) counted over the units u."""
+    mot, units = chi.ring.mul_table(), chi.ring.units()
+    hists = []
+    for a in range(chi.ring.order):
+        h = [0] * chi.conductor
+        for u in units:
+            h[chi.exps[mot[a][u]]] += 1
+        hists.append(tuple(h))
+    return hists

@@ -232,6 +232,34 @@ def test_ring_info_on_a_large_ring_is_refused_before_its_tables(capsys):
     assert "add_table" not in ring_from_spec("Zm:100000", 10**11)._cache
 
 
+def test_a_huge_spec_is_refused_before_its_estimate_is_built(capsys):
+    # 8 * 3^(2 * 10^7), about 3.2 * 10^7 bits, took 8 s to build; its floor
+    # 2^(2 * 10^7 + 3) is over the budget already
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["ring", "info", "--ring", "GR:3,1,10000000"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (8, "")
+    assert err == ("error: ring set-up needs at least 2^20000003 table lookups, "
+                   f"over the budget of {DEFAULT_BUDGET}; raise it with "
+                   "--budget or HOMRING_BUDGET\n")
+
+
+@pytest.mark.parametrize("spec,budget_bits,about", [
+    # 8 * m^(2k) >= 2^(2k * (bit_length(m) - 1) + 3), equal for m = 2^e
+    ("GR:2,1,10000000000", None, "about 2^20000000003"),
+    ("GR:3,1,7000", None, "at least 2^14003"),
+    # under 14000 bits of floor, or a budget over it, the estimate is built
+    ("GR:3,1,6998", None, f"about 2^{(8 * 3**13996).bit_length() - 1}"),
+    ("GR:3,1,7000", 14100, f"about 2^{(8 * 3**14000).bit_length() - 1}"),
+])
+def test_a_set_up_estimate_past_14000_bits_is_named_by_a_power_of_two(
+        spec, budget_bits, about):
+    budget = None if budget_bits is None else 2**budget_bits
+    with pytest.raises(BudgetExceeded) as err:
+        ring_from_spec(spec, budget)
+    assert str(err.value).startswith(f"ring set-up needs {about} table lookups")
+
+
 def test_an_over_budget_galois_ring_is_refused_before_its_modulus_search(
         capsys, monkeypatch):
     # the charge is read off the spec: GR:2,1,100 searched for its modulus

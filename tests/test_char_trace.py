@@ -30,7 +30,7 @@ from homring.weights import hom_weight
 from cyclotomic_oracle import CyclotomicVector, cyclotomic_polynomial
 from ring_oracle import (EMBEDDING_GRID, SETUP_GRID, character_scan,
                          element_from_int, embedding_refusal_by_scan,
-                         traces_by_search)
+                         traces_by_search, unit_histograms_by_elements)
 
 # ---------------------------------------------------------------------------
 # unit sums by Ramanujan sums, against the field reduction of the oracle
@@ -626,6 +626,18 @@ def test_generating_character_factors_through_the_trace():
     phi = canonical_character(S)
     assert chi.conductor == phi.conductor == 4
     assert all(chi.exps[a] == phi.exps[tr(a)] for a in range(R.order))
+
+
+@pytest.mark.parametrize("spec", SETUP_GRID)
+def test_unit_histograms_and_sums_are_found_per_orbit(spec):
+    R = ring_from_spec(spec)
+    for chi in [canonical_character(R)] + [generating_character(tr)
+                                           for tr in _named_traces(R)]:
+        hists = chi.unit_exponent_histograms()
+        assert hists == unit_histograms_by_elements(chi), chi.tag
+        for a, h in enumerate(hists):
+            want = CyclotomicVector.from_exponent_counts(chi.conductor, h)
+            assert chi.unit_sum(a) == want.to_rational(), (chi.tag, a)
 
 
 @pytest.mark.parametrize("spec", ["Zm:12", "GR:2,2,2"])

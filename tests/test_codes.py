@@ -412,12 +412,14 @@ def test_orbit_enumerator_equals_codeword_sum(code, hamming, gamma):
         assert sum(scaled[s] for s in cw) == weights[orbits.label(alpha, beta)]
 
 
-def _depth_first_orbits(code, gens):
+def _depth_first_orbits(code):
     """Oracle for ``PairOrbits``: a depth-first walk that labels every one
-    of the |C| codewords, each generator given as permutation rows of R.
-    Returns the reps, the sizes and a label function on pairs."""
+    of the |C| codewords under the code's one generator list, each
+    generator given as permutation rows of R.  Returns the reps, the sizes
+    and a label function on pairs."""
     mot, add = code.ring.mul_table(), code.ring.add_table()
-    rows = [([row[a] for row in mot], [row[b] for row in mot]) for a, b in gens]
+    rows = [([row[a] for row in mot], [row[b] for row in mot])
+            for a, b in code._pair_generators]
     n = len(add)
     neg_kb = {}
     for ka, kb in code.kernel:
@@ -479,12 +481,11 @@ def _filter_kernel(code):
 
 
 @settings(max_examples=60, deadline=None)
-@given(code=_orbit_codes(), hamming=st.booleans())
-def test_orbits_and_kernel_equal_the_depth_first_and_filter_oracles(code, hamming):
+@given(code=_orbit_codes())
+def test_orbits_and_kernel_equal_the_depth_first_and_filter_oracles(code):
     assert code.kernel == _filter_kernel(code)
-    table = hamming_table(code.sub, 1) if hamming else hom_weight(code.sub, 1)
-    orbits = code.orbits(table)
-    reps, sizes, label = _depth_first_orbits(code, code._pair_generators(table))
+    orbits = code.orbits
+    reps, sizes, label = _depth_first_orbits(code)
     assert orbits.reps == reps
     assert orbits.sizes == sizes
     n = code.ring.order
@@ -498,25 +499,24 @@ def test_orbits_label_each_codeword_by_the_least_pair_of_its_coset(case):
     pairs_of = {}
     for alpha, beta, cw in pair_codewords(code.ring, code.trace, code.func):
         pairs_of.setdefault(cw, []).append((alpha, beta))
-    for table in (hom_weight(code.sub, 1), hamming_table(code.sub, 1)):
-        orbits = code.orbits(table)
-        points = set(code.points)
-        assert sum(orbits.sizes) == code.size
-        # label is constant on every K-coset, the pairs of one codeword
-        label_of = {}
-        for cw, pairs in pairs_of.items():
-            labels = {orbits.label(*pair) for pair in pairs}
-            assert len(labels) == 1, (cw, labels)
-            label_of[cw] = labels.pop()
-        # the labels are 0..len(sizes) - 1, each on as many codewords as its size
-        assert Counter(label_of.values()) == Counter(dict(enumerate(orbits.sizes)))
-        # each rep is the least pair of its coset and of its orbit
-        for label, rep in enumerate(orbits.reps):
-            cw = next(cw for cw, pairs in pairs_of.items() if rep in pairs)
-            assert rep == min(pairs_of[cw])
-            assert rep in points
-            assert rep == min(min(pairs) for c, pairs in pairs_of.items()
-                              if label_of[c] == label)
+    orbits = code.orbits
+    points = set(code.points)
+    assert sum(orbits.sizes) == code.size
+    # label is constant on every K-coset, the pairs of one codeword
+    label_of = {}
+    for cw, pairs in pairs_of.items():
+        labels = {orbits.label(*pair) for pair in pairs}
+        assert len(labels) == 1, (cw, labels)
+        label_of[cw] = labels.pop()
+    # the labels are 0..len(sizes) - 1, each on as many codewords as its size
+    assert Counter(label_of.values()) == Counter(dict(enumerate(orbits.sizes)))
+    # each rep is the least pair of its coset and of its orbit
+    for label, rep in enumerate(orbits.reps):
+        cw = next(cw for cw, pairs in pairs_of.items() if rep in pairs)
+        assert rep == min(pairs_of[cw])
+        assert rep in points
+        assert rep == min(min(pairs) for c, pairs in pairs_of.items()
+                          if label_of[c] == label)
 
 
 def test_pair_orbits_refuse_a_symmetry_or_kernel_that_does_not_fit():
@@ -530,15 +530,14 @@ def test_pair_orbits_refuse_a_symmetry_or_kernel_that_does_not_fit():
 
 
 @settings(max_examples=60, deadline=None)
-@given(code=_orbit_codes(), hamming=st.booleans())
-def test_every_pair_generator_keeps_the_kernel(code, hamming):
+@given(code=_orbit_codes())
+def test_every_pair_generator_keeps_the_kernel(code):
     # (s, s) keeps K because T is S-linear, (u, lam) because f(u*x) =
     # lam*f(x) on all of R; on Zm:12 with pow:1, K = {(alpha, -alpha)} and
     # the pair (1, 5) would map (1, 11) to (1, 7), outside K
-    table = hamming_table(code.sub, 1) if hamming else hom_weight(code.sub, 1)
     mul = code.ring.mul_table()
     kernel = set(code.kernel)
-    for a, b in code._pair_generators(table):
+    for a, b in code._pair_generators:
         assert {(mul[ka][a], mul[kb][b]) for ka, kb in kernel} == kernel, (a, b)
 
 
@@ -644,25 +643,58 @@ def test_monomial_generators_are_few_and_generate_the_units():
     assert len(span) == 250
 
 
-def test_scalars_that_change_the_weights_are_not_used():
+def test_a_table_that_changes_under_scalars_is_refused():
     # on Z_4, w = (0, 1, 1, 3) has w(3y) != w(y): the codewords of (0, 1)
-    # and (0, 3), x^2 and 3x^2, weigh 2 and 6, so 3 must not join the group
+    # and (0, 3), x^2 and 3x^2, weigh 2 and 6 but share an orbit, so the
+    # table is refused before any orbit is weighed
     code = _code("Zm:4", "Zm:4", "identity", "pow:2")
-    table = WeightTable(code.sub, 1, (0, 1, 1, 3))
-    orbits = code.orbits(table)
-    assert orbits.label(0, 1) != orbits.label(0, 3)
-    assert weight_enumerator(code, table) == _codeword_sum_enumerator(code, table)
-    # the homogeneous weight keeps the scalars, and both share one code
+    assert code.orbits.label(0, 1) == code.orbits.label(0, 3)
+    with pytest.raises(InvalidParameter, match="weight table on Zm:4 is not "
+                       "constant on the unit orbit of 3"):
+        weight_enumerator(code, WeightTable(code.sub, 1, (0, 1, 1, 3)))
+    # the homogeneous weight keeps the scalars
     hom = hom_weight(code.sub, 1)
-    assert code.orbits(hom).label(0, 1) == code.orbits(hom).label(0, 3)
     assert weight_enumerator(code, hom) == _codeword_sum_enumerator(code, hom)
 
 
-def test_orbits_are_found_once_per_group():
+def _unit_invariant(S, values) -> bool:
+    """Whether w(s*y) = w(y) for every unit s and every y, through S's own
+    ``mul``."""
+    return all(values[S.mul(s, y)] == values[y]
+               for s in S.units() for y in range(S.order))
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=_orbit_codes(), data=st.data())
+def test_orbit_weights_refuse_exactly_the_tables_that_are_not_unit_invariant(
+        code, data):
+    # a table drawn per element, and one drawn per orbit of the oracle's
+    # unit action, which every code weighs as its codewords sum
+    S = code.sub
+    values = data.draw(st.lists(st.integers(0, 3), min_size=S.order,
+                                max_size=S.order))
+    orbit_value = {}
+    for y in range(S.order):
+        key = min(S.mul(s, y) for s in S.units())
+        orbit_value.setdefault(key, data.draw(st.integers(0, 3)))
+    invariant = [orbit_value[min(S.mul(s, y) for s in S.units())]
+                 for y in range(S.order)]
+    for table in (values, invariant):
+        table = WeightTable(S, 1, table)
+        if _unit_invariant(S, table.values):
+            assert (weight_enumerator(code, table)
+                    == _codeword_sum_enumerator(code, table))
+        else:
+            with pytest.raises(InvalidParameter, match="not constant on the unit orbit"):
+                orbit_weights(code, table)
+    assert _unit_invariant(S, invariant)
+
+
+def test_orbits_are_found_once_per_code():
     code = _code("Zm:13", "Zm:13", "identity", "pow:3")
-    hom, ham = hom_weight(code.sub, 1), hamming_table(code.sub, 1)
-    assert code.orbits(hom) is code.orbits(ham)
-    assert code.orbits(hom_weight(code.sub, F(1, 2))) is code.orbits(hom)
+    for table in (hom_weight(code.sub, 1), hamming_table(code.sub, 1),
+                  hom_weight(code.sub, F(1, 2))):
+        assert orbit_weights(code, table)[0] is code.orbits
 
 
 def test_zp_power_closed_form_on_z509():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from homring import codes
 from homring.cli import main
 from homring.codes import build_code, function_from_spec
-from homring.errors import InternalInvariantViolation, NotTwoWeight
+from homring.errors import InvalidParameter, NotTwoWeight
 from homring.graphs import (SRGFailure, SRGParams, connected_components,
                             function_columns, is_modular, srg_check,
                             two_weight_graph)
@@ -238,9 +238,10 @@ def test_three_weight_code_is_rejected():
 
 def test_asymmetric_weight_table_is_refused():
     # on Z_4, w = (0, 1, 1, 3) has w(-1) = 3 != w(1), so w(c - c') is not a
-    # distance; the code {c*x} still has two weights, 2 and 5
+    # distance; -1 is a unit, so the table is not constant on unit orbits
+    # and is refused before the graph is built
     code = _code("Zm:4", "pow:1")
-    with pytest.raises(InternalInvariantViolation):
+    with pytest.raises(InvalidParameter, match="not constant on the unit orbit of 3"):
         two_weight_graph(code, WeightTable(code.sub, 1, (0, 1, 1, 3)))
 
 

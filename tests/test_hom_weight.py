@@ -146,7 +146,9 @@ def test_hom_weight_refuses_a_table_the_axiomatic_route_contradicts(monkeypatch)
 def test_record_14_fails_when_a_multiple_of_x_does_not_weigh_r(mutate, monkeypatch):
     # record 14 checks pow:1 with S = R once: |C| = |R| and every nonzero
     # codeword x -> gamma*x at weight |R|, so W(alpha, 0) = 0 for alpha != 0;
-    # a weight or a trace value changed at 3 on Zm:9 must fail it
+    # a weight changed on the unit orbit {3, 6} of Zm:9 (a table must stay
+    # constant on unit orbits to be weighed), or a trace value changed at 3,
+    # must fail it
     ring = ring_from_spec("Zm:9")
     if mutate == "weight":
         honest = verify.hom_weight
@@ -157,6 +159,7 @@ def test_record_14_fails_when_a_multiple_of_x_does_not_weigh_r(mutate, monkeypat
                 return table
             values = list(table.values)
             values[3] += 1
+            values[6] += 1
             return WeightTable(r, gamma, values)
 
         monkeypatch.setattr(verify, "hom_weight", tampered)

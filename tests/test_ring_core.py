@@ -17,7 +17,10 @@ from homring.traces import (canonical_character, char_fixed_by,
                             enumerate_trace_maps, fxy_sum_trace, galois_trace,
                             generating_character, z4x_trace)
 
-from ring_oracle import (SETUP_GRID, element_from_int, embedding_by_elements,
+from homring.weights import cyclic_submodules
+
+from ring_oracle import (SETUP_GRID, cyclic_submodules_by_elements,
+                         element_from_int, embedding_by_elements,
                          embedding_refusal_by_scan, frobenius_by_digits,
                          from_padic_digits, fxy_by_coordinates,
                          fxy_sum_by_digits, greedy_generators,
@@ -379,6 +382,22 @@ def test_the_additive_span_is_the_basis_that_the_greedy_search_picks(spec):
         assert j == next(i for i, c in enumerate(R.decode(y)) if c), (y, j)
         reached.append(y)
     assert sorted(reached) == list(range(R.order))
+
+
+@pytest.mark.parametrize("spec", SETUP_GRID)
+def test_unit_orbits_partition_the_ring_in_order_of_least_members(spec):
+    R = ring_from_spec(spec)
+    orbit_of, orbits = R.unit_orbits()
+    assert sorted(y for orbit in orbits for y in orbit) == list(range(R.order))
+    for i, orbit in enumerate(orbits):
+        assert list(orbit) == sorted({R.mul(u, orbit[0]) for u in R.units()})
+        assert all(orbit_of[y] == i for y in orbit)
+    assert [orbit[0] for orbit in orbits] == sorted(orbit[0] for orbit in orbits)
+    assert orbits[0] == (0,) and orbits[1][0] == R.one
+    # the modules built per orbit are those built per element
+    classes, cls_of = cyclic_submodules(R)
+    assert (classes, cls_of) == cyclic_submodules_by_elements(R)
+    assert list(classes) == list(cyclic_submodules_by_elements(R)[0])
 
 
 def _canonical_subrings(R):
