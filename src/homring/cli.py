@@ -2,8 +2,10 @@
 
 Subcommands: ``ring info``, ``trace list``, ``trace check``, ``weight table``,
 ``code analyze``, ``code graph``, ``verify paper``.  ``JOBS`` lists them
-once: the parser, the dispatch in ``main`` and the CSV columns of
-``_render`` all read it.  All reports are deterministic: rationals are
+once, with their flags as data: both parsers, the dispatch in ``main`` and
+the CSV columns of ``_render`` all read it.  A well-formed job is parsed
+off the table (``_job_args``); argparse is imported only for help, usage
+errors and any other argv.  All reports are deterministic: rationals are
 rendered as ``num/den`` and key order is fixed, so identical configs
 produce byte-identical output.  Wall-clock timing is opt-in via
 ``--timing`` because it would break that guarantee.
@@ -11,14 +13,12 @@ produce byte-identical output.  Wall-clock timing is opt-in via
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import sys
 import time
 from types import SimpleNamespace
 
-from . import verify as verify_mod
 from .codes import (build_code, check_code_budget, code_spectrum,
                     function_from_spec, weight_enumerator)
 from .cyclotomic import rational_str
@@ -76,21 +76,21 @@ def parse_config(text: str) -> SimpleNamespace:
     return cfg
 
 
-def _settings(args) -> SimpleNamespace:
+def _settings(args: dict) -> SimpleNamespace:
     """A job's settings: JobConfig's defaults, then its config file's, then
     every flag given.  Flags that are not config keys (``--only``,
     ``--timing``) are copied as they are."""
     cfg = JobConfig()
-    if getattr(args, "config", None):
+    if args.get("config"):
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
+            with open(args["config"], "r", encoding="utf-8") as fh:
                 cfg = parse_config(fh.read())
         except OSError as exc:
             raise InvalidParameter(f"cannot read config: {exc}") from None
-    for key, val in vars(args).items():
+    for key, val in args.items():
         if val is not None or not hasattr(cfg, key):
             setattr(cfg, key, val)
-    # argparse choices and parse_config refuse a bad weight or format, and
+    # the flags' choices and parse_config refuse a bad weight or format, and
     # parse_config a bad budget; a --budget flag is checked here
     if cfg.budget is not None and cfg.budget <= 0:
         raise ParseError("budget must be positive")
@@ -230,36 +230,35 @@ def run_graph(cfg) -> dict:
 
 
 def run_verify_paper(cfg) -> dict:
+    from . import verify  # only this job reads the records
+
     only = None
-    if cfg.only:
+    if cfg.only is not None:
         try:
             only = [int(tok) for tok in cfg.only.split(",") if tok]
         except ValueError:
-            raise ParseError(f"bad --only list {cfg.only!r}") from None
-    return verify_mod.run(only=only)
+            only = []
+        if not only:
+            raise ParseError(f"bad --only list {cfg.only!r}")
+    return verify.run(only=only)
 
 
-def _job_flags(parser):
-    """A config file and every config key, typed and checked as in a file."""
-    parser.add_argument("--config", help="path to a key=value config file")
-    for key in CONFIG_KEYS:
-        parser.add_argument(f"--{key}", type=int if key in _INT_KEYS else None,
-                            choices=_CHOICES.get(key))
-    parser.add_argument("--timing", action="store_true")
+# a leaf's flags, each (name, int or not, choices, help), in help order;
+# every leaf also takes --timing.  A job's flags are a config file and every
+# config key, typed and checked as in a file.
+_JOB_FLAGS = (("config", False, None, "path to a key=value config file"),
+              *((key, key in _INT_KEYS, _CHOICES.get(key), None)
+                for key in CONFIG_KEYS))
+_PAPER_FLAGS = (("only", False, None, "comma-separated record ids"),)
 
 
-def _paper_flags(parser):
-    parser.add_argument("--only", help="comma-separated record ids")
-    parser.add_argument("--timing", action="store_true")
-
-
-def _job(run, flags=_job_flags, format="json", csv=None, verdict=None,
+def _job(run, flags=_JOB_FLAGS, format="json", csv=None, verdict=None,
          listed=False):
-    """One row of JOBS.  run: the report of the job's settings; flags: adds
-    the leaf's flags; csv: the report's list and the columns it prints as
-    CSV; verdict: the report key that is false on a failed job, and the
-    exit code it then takes; listed: name the leaf in its group's help
-    (``help=None`` does that)."""
+    """One row of JOBS.  run: the report of the job's settings; flags: the
+    leaf's flags besides --timing; csv: the report's list and the columns
+    it prints as CSV; verdict: the report key that is false on a failed
+    job, and the exit code it then takes; listed: name the leaf in its
+    group's help (``help=None`` does that)."""
     return SimpleNamespace(**locals())
 
 
@@ -274,7 +273,7 @@ JOBS = {
                               listed=True),
     ("code", "analyze"): _job(run_analyze, csv=("enumerator", ("weight", "count"))),
     ("code", "graph"): _job(run_graph),
-    ("verify", "paper"): _job(run_verify_paper, _paper_flags, verdict=("passed", 1)),
+    ("verify", "paper"): _job(run_verify_paper, _PAPER_FLAGS, verdict=("passed", 1)),
 }
 
 
@@ -294,7 +293,10 @@ def _render(report: dict, job: tuple, fmt: str) -> str:
     return buf.getvalue()
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The argparse parser of JOBS, for the argv that ``_job_args`` leaves."""
+    import argparse  # only help, usage errors and irregular argv need it
+
     parser = argparse.ArgumentParser(prog="homring")
     commands = parser.add_subparsers(dest="command", required=True)
     groups = {}
@@ -302,15 +304,63 @@ def _build_parser() -> argparse.ArgumentParser:
         if command not in groups:
             groups[command] = commands.add_parser(command).add_subparsers(
                 dest="action", required=True)
-        job.flags(groups[command].add_parser(
-            action, **({"help": None} if job.listed else {})))
+        leaf = groups[command].add_parser(
+            action, **({"help": None} if job.listed else {}))
+        for name, is_int, choices, text in job.flags:
+            leaf.add_argument(f"--{name}", type=int if is_int else None,
+                              choices=choices, help=text)
+        leaf.add_argument("--timing", action="store_true")
     return parser
 
 
+def _job_args(argv) -> dict | None:
+    """What ``_build_parser().parse_args(argv)`` sets, read off JOBS, for
+    argv of the form ``<command> <action>`` then ``--timing`` and
+    ``--name value`` pairs: each name one of the leaf's flags in full, no
+    value starting with '-', an int flag's value one that ``int`` takes and
+    a value with choices one of them.  A repeated flag keeps its last value.
+    None for any other argv: help, abbreviations, ``--name=value``, missing
+    or bad values and strays are argparse's."""
+    job = JOBS.get(tuple(argv[:2]))
+    if job is None:
+        return None
+    args = {"command": argv[0], "action": argv[1]}
+    flags = {}
+    for flag in job.flags:
+        args[flag[0]] = None
+        flags[f"--{flag[0]}"] = flag
+    args["timing"] = False
+    i = 2
+    while i < len(argv):
+        if argv[i] == "--timing":
+            args["timing"] = True
+            i += 1
+            continue
+        flag = flags.get(argv[i])
+        if flag is None or i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        name, is_int, choices, _ = flag
+        value = argv[i + 1]
+        if is_int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        args[name] = value
+        i += 2
+    return args
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _job_args(argv)
+    if args is None:
+        args = vars(_build_parser().parse_args(argv))
     started = time.perf_counter()
-    key = (args.command, args.action)
+    key = (args["command"], args["action"])
     job = JOBS[key]
     try:
         cfg = _settings(args)

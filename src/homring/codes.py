@@ -611,11 +611,35 @@ def orbit_weights(code: Code, table: WeightTable):
 
 
 def weight_enumerator(code: Code, table: WeightTable) -> WeightEnumerator:
-    """Count the codewords of each weight, orbit by orbit."""
+    """Count the codewords of each weight, orbit by orbit, and check their
+    first power moment, the sum of w*A_w.
+
+    Coordinate x maps C onto a submodule N_x of S, nonzero exactly when
+    (x, f(x)) != (0, 0), since ker T holds no nonzero ideal; it takes each
+    value of N_x |C|/|N_x| times.  S's homogeneous weight averages gamma
+    over every nonzero ideal, so its moment is gamma*|C|*L, L the number of
+    such x.  A Hamming table's values ignore gamma and average 1 - 1/|N_x|,
+    which is 1 - 1/|S| when S is a field.  Hamming tables off fields, and
+    tables that are neither, are not checked.  A miss raises
+    InternalInvariantViolation."""
     orbits, den, weights = orbit_weights(code, table)
     counts = Counter()
     for w, size in zip(weights, orbits.sizes):
         counts[w] += size
+    sub = code.sub
+    if table.kind == "hamming":
+        field = len(sub.units()) == sub.order - 1
+        mean = 1 - Fraction(1, sub.order) if field else None
+    else:
+        mean = table.gamma if table == hom_weight(sub, table.gamma) else None
+    if mean is not None:
+        # (x, f(x)) = (0, 0) only at x = 0, and there only when f(0) = 0
+        expected = mean * code.size * (code.ring.order - (code.func.table[0] == 0))
+        moment = Fraction(sum(t * c for t, c in counts.items()), den)
+        if moment != expected:
+            raise InternalInvariantViolation(
+                f"{table.kind} weights of {code.func.tag} on {code.ring.name} "
+                f"over {sub.name} sum to {moment}, not {expected}")
     return WeightEnumerator({Fraction(t, den): c for t, c in counts.items()},
                             gamma=table.gamma, kind=table.kind)
 

@@ -51,8 +51,11 @@ def two_weight_graph(code: Code, table: WeightTable) -> CodeGraph:
     label them, |R|^2 for the membership table, and the orbits times |D|
     for the common-neighbour counts of ``srg_check``."""
     orbits, den, orbit_weight = orbit_weights(code, table)
-    # orbit 0 is the zero codeword alone; the others weigh the nonzero ones
+    # orbit 0 is the zero codeword alone; the others weigh the nonzero ones,
+    # which have no weight when every codeword weighs 0, as at gamma = 0
     weights = sorted(set(orbit_weight[1:]))
+    if weights == [0]:
+        weights = []
     if len(weights) != 2:
         raise NotTwoWeight(len(weights), tuple(Fraction(t, den) for t in weights))
     w1_scaled = weights[0]

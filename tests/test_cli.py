@@ -7,10 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homring import codes, verify
-from homring.cli import JOBS, JobConfig, main, parse_config
+from homring.cli import JOBS, JobConfig, _build_parser, _job_args, main, parse_config
 from homring.errors import ParseError
+
+from golden_corpus import GOLDEN
 
 ANALYZE = ["code", "analyze", "--ring", "GR:2,2,2", "--subring", "Zm:4",
            "--trace", "galois", "--f", "frank:id"]
@@ -260,6 +264,12 @@ def test_verify_refuses_an_unknown_record_id_as_a_parse_error(capsys, only, rid)
         13, "", f"error: unknown record id {rid}\n")
 
 
+@pytest.mark.parametrize("only", [",", ""])
+def test_an_only_list_that_names_no_record_is_a_parse_error(capsys, only):
+    assert run(capsys, ["verify", "paper", "--only", only]) == (
+        13, "", f"error: bad --only list {only!r}\n")
+
+
 def test_verify_full_run_reports_known_failures(capsys, verify_report,
                                                 monkeypatch):
     code, out, _ = run(capsys, ["verify", "paper"])
@@ -305,6 +315,12 @@ def test_exit_codes(capsys, argv, expected):
     code, out, err = run(capsys, argv)
     assert code == expected
     assert err.startswith("error: ")
+
+
+def test_a_graph_at_gamma_0_has_no_nonzero_weights(capsys):
+    assert run(capsys, ["code", "graph", "--ring", "Zm:5", "--f", "pow:3",
+                        "--gamma", "0"]) == (
+        12, "", "error: code has 0 distinct nonzero weights, need exactly 2\n")
 
 
 def test_an_unreadable_table_is_named_by_what_it_holds(capsys, tmp_path):
@@ -413,16 +429,25 @@ def test_a_non_positive_budget_flag_is_refused_like_a_config_value(
     assert str(err.value) == "budget must be positive (line 1, col 1)"
 
 
-def test_cli_import_leaves_out_dataclasses_inspect_and_csv():
+_COLD_JOB = """\
+import io, sys
+import homring.cli as cli
+print(sorted({"dataclasses", "inspect", "csv"} & set(sys.modules)))
+sys.stdout = io.StringIO()
+code = cli.main(["code", "analyze", "--ring", "Zm:5", "--f", "pow:3"])
+sys.stdout = sys.__stdout__
+print(code, sorted({"argparse", "gettext", "homring.verify"} & set(sys.modules)))
+"""
+
+
+def test_cli_import_and_a_well_formed_job_leave_out_argparse_and_verify():
     # -S keeps site's own imports out of sys.modules
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = ("import sys, homring.cli; "
-             "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-S", "-c", probe],
+    done = subprocess.run([sys.executable, "-S", "-c", _COLD_JOB],
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert done.stdout == "[]\n0 []\n"
 
 
 # ---------------------------------------------------------------------------
@@ -524,3 +549,114 @@ def test_help_text_is_pinned(capsys, monkeypatch, argv):
 def test_argparse_errors_are_pinned(capsys, monkeypatch, argv, err):
     monkeypatch.setenv("COLUMNS", "80")
     assert _exit_of(capsys, argv) == (2, "", err)
+
+
+# ---------------------------------------------------------------------------
+# the fast parse: JOBS' flags read without argparse, and what it leaves to
+# argparse
+
+_FLAGS = sorted({f"--{name}" for job in JOBS.values() for name, *_ in job.flags}
+                | {"--timing"})
+_WORDS = ["Zm:5", "pow:3", "GR:2,2,2", "", " 5", "0", "7", "-3", "ten", "1/2",
+          "homogeneous", "hamming", "euclidean", "json", "csv", "1,3", ",",
+          "-h", "--help", "--", "-", "code", "analyze", "paper"]
+_value = st.one_of(st.sampled_from(_WORDS), st.text(max_size=3))
+_token = st.one_of(
+    st.sampled_from(_FLAGS + _WORDS),
+    # abbreviations, ambiguous ones too (--s: --subring, --seed)
+    st.sampled_from(_FLAGS).flatmap(
+        lambda f: st.integers(3, len(f)).map(lambda k: f[:k])),
+    st.tuples(st.sampled_from(_FLAGS), _value).map("=".join),
+    _value)
+
+
+def _pair(flag):
+    """--name and a value: one of its type and choices, or any value."""
+    name, is_int, choices, _ = flag
+    good = (st.sampled_from(choices) if choices
+            else st.integers(-2, 99).map(str) if is_int
+            else st.sampled_from(["Zm:5", "pow:3", "", " 5", "1,3"]))
+    dashed = st.sampled_from(["-h", "--help", "--ring", "--", "-x", "-3", "-"])
+    return st.tuples(st.just(f"--{name}"),
+                     st.one_of(*[good] * 3, _value, dashed)).map(list)
+
+
+def _leaf_argv(leaf):
+    """The leaf's command and action, then mostly its own flags."""
+    pair = st.sampled_from(JOBS[leaf].flags).flatmap(_pair)
+    part = st.one_of(*[pair] * 6, st.just(["--timing"]), _token.map(lambda t: [t]))
+    return st.lists(part, max_size=5).map(
+        lambda parts: [*leaf, *(tok for p in parts for tok in p)])
+
+
+_argv = st.one_of(
+    *[st.sampled_from(list(JOBS)).flatmap(_leaf_argv)] * 3,
+    st.lists(st.one_of(st.sampled_from(["code", "analyze", "verify", "paper",
+                                        "ring", "info", "-h", "x"]), _token),
+             max_size=6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_argv)
+def test_the_fast_parse_sets_what_argparse_sets(argv):
+    args = _job_args(argv)
+    if args is not None:
+        assert args == vars(_build_parser().parse_args(argv))
+
+
+def test_the_fast_parse_takes_every_benchmark_and_golden_job(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # nothing under bench/
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    argvs = [job.argv for name in workloads.WORKLOADS for seed in (1, 2, 3)
+             for job in workloads.build(name, seed)]
+    # the golden jobs all spell their flags in full, as --name value
+    argvs += [json.loads(path.read_text(encoding="utf-8"))["argv"]
+              for path in sorted(GOLDEN.glob("*.json"))]
+    parser = _build_parser()
+    for argv in argvs:
+        assert _job_args(argv) == vars(parser.parse_args(argv)), argv
+
+
+def test_a_repeated_flag_keeps_its_last_value():
+    args = _job_args(["ring", "info", "--ring", "Zm:5", "--timing", "--ring",
+                      "Zm:7", "--budget", "9", "--budget", "10"])
+    assert (args["ring"], args["budget"], args["timing"]) == ("Zm:7", 10, True)
+
+
+_ZM5_POW3 = json.dumps({
+    "ring": "Zm:5", "subring": "Zm:5", "trace": "identity", "f": "pow:3",
+    "gamma": "1/1", "weight": "homogeneous", "size": 25,
+    "spectrum": ["5/1", "5/2", "0/1"],
+    "enumerator": [{"weight": "0/1", "count": 1}, {"weight": "5/2", "count": 8},
+                   {"weight": "5/1", "count": 16}]}, indent=2) + "\n"
+
+
+# each is argparse's, recorded before the fast parse was added
+@pytest.mark.parametrize("argv,done", [
+    (["code", "analyze", "--rin", "Zm:5", "--f", "pow:3"], (0, _ZM5_POW3, "")),
+    (["code", "analyze", "--ring=Zm:5", "--f", "pow:3"], (0, _ZM5_POW3, "")),
+    (["code", "analyze", "--f", "pow:3", "--ring"], (
+        2, "", _CODE_ANALYZE_USAGE + "homring code analyze: error: argument "
+        "--ring: expected one argument\n")),
+    (["code", "analyze", "--ring", "Zm:5", "--foo", "x"], (
+        2, "", "usage: homring [-h] {ring,trace,weight,code,verify} ...\n"
+        "homring: error: unrecognized arguments: --foo x\n")),
+    (["code", "analyze", "--ring", "Zm:5", "--f", "pow:3", "-h"], (
+        0, _CODE_ANALYZE_USAGE + _JOB_OPTIONS, "")),
+    (["code"], (2, "", "usage: homring code [-h] {analyze,graph} ...\n"
+                "homring code: error: the following arguments are required: "
+                "action\n")),
+], ids=["abbreviation", "equals", "no-value", "unknown-flag", "late-help",
+        "no-action"])
+def test_argv_the_fast_parse_defers_keeps_its_argparse_bytes(
+        capsys, monkeypatch, argv, done):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _job_args(argv) is None
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == done

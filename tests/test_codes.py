@@ -3,6 +3,7 @@
 from fractions import Fraction
 from collections import Counter
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -695,6 +696,94 @@ def test_orbits_are_found_once_per_code():
     for table in (hom_weight(code.sub, 1), hamming_table(code.sub, 1),
                   hom_weight(code.sub, F(1, 2))):
         assert orbit_weights(code, table)[0] is code.orbits
+
+
+MOMENT_CODES = [
+    ("Zm:10", "Zm:10", "identity", "pow:3"),
+    ("Zm:58", "Zm:58", "identity", "pow:27"),
+    ("Zm:12", "Zm:12", "identity", "pow:5"),
+    ("GR:3,2,2", "Zm:9", "galois", "frank:rand:7"),
+    ("GR:2,2,2", "GR:2,2,2", "identity", "frank:id"),
+    ("FXY:3", "FXY:3", "identity", "sigmaquad:swapxy"),
+    ("FXY:2", "Zm:2", "fxy-sum", "sigmaquad:swapxy"),
+    ("GR:2,3,2", "Zm:8", "galois", "sigmaquad:frobenius"),
+    ("GR:2,1,6", "GR:2,1,3", "galois", "pow:3"),
+    ("Z4X", "Zm:4", "z4x:0,1", "pow:2"),
+]
+
+
+def _first_moment(enum):
+    return sum(w * c for w, c in enum)
+
+
+@pytest.mark.parametrize("case", MOMENT_CODES, ids=" ".join)
+@pytest.mark.parametrize("gamma", [F(1), F(1, 2)], ids=str)
+def test_weight_enumerators_meet_their_first_moment(case, gamma):
+    # every x != 0 is a coordinate onto a nonzero ideal of S (f(0) = 0 here)
+    code = _code(*case)
+    live = code.ring.order - 1
+    hom = weight_enumerator(code, hom_weight(code.sub, gamma))
+    assert _first_moment(hom) == gamma * code.size * live
+    S = code.sub
+    ham = weight_enumerator(code, hamming_table(S, gamma))
+    if len(S.units()) == S.order - 1:
+        assert _first_moment(ham) == (1 - F(1, S.order)) * code.size * live
+
+
+def test_the_first_moment_counts_x_0_when_f_0_is_not_0():
+    R = ring_from_spec("Zm:5")
+    f = table_map(R, [1, 3, 0, 2, 2])
+    code = build_code(R, R, identity_trace(R), f)
+    for table in (hom_weight(R, 1), hom_weight(R, F(1, 2)), hamming_table(R, 1)):
+        enum = weight_enumerator(code, table)
+        assert enum == _codeword_sum_enumerator(code, table)
+    assert _first_moment(weight_enumerator(code, hom_weight(R, 1))) == code.size * 5
+
+
+def _weigh_through_r(code, table):
+    """The orbits' weights read through R's own Hamming weight w, not
+    through S's w o T."""
+    orbits = code.orbits
+    den, scaled = hamming_table(code.ring, table.gamma).scaled()
+    mot, aot, ft = code.ring.mul_table(), code.ring.add_table(), code.func.table
+    weights = [sum(scaled[aot[a][mot[beta][v]]] for a, v in zip(mot[alpha], ft))
+               for alpha, beta in orbits.reps]
+    return orbits, den, weights
+
+
+def _size_off_by_one(code, table):
+    orbits, den, weights = orbit_weights(code, table)
+    sizes = list(orbits.sizes)
+    sizes[-1] += 1
+    return SimpleNamespace(sizes=sizes), den, weights
+
+
+def _orbit_dropped(code, table):
+    orbits, den, weights = orbit_weights(code, table)
+    return SimpleNamespace(sizes=orbits.sizes[:-1]), den, weights[:-1]
+
+
+_FRANK = (("GR:3,2,2", "Zm:9", "galois", "frank:rand:7"), hom_weight)
+_GALOIS = (("GR:2,1,6", "GR:2,1,3", "galois", "pow:3"), hom_weight)
+_FXY_HAMMING = (("FXY:2", "Zm:2", "fxy-sum", "sigmaquad:swapxy"), hamming_table)
+_GALOIS_HAMMING = (_GALOIS[0], hamming_table)
+
+
+# R's homogeneous weight also averages gamma over every ideal, so a
+# homogeneous table read through it meets the same moment: that mutant is
+# seen on Hamming tables over a field S
+@pytest.mark.parametrize("mutant,case,weight", [
+    *((m, *c) for m in (_size_off_by_one, _orbit_dropped)
+      for c in (_FRANK, _GALOIS, _FXY_HAMMING)),
+    (_weigh_through_r, *_FXY_HAMMING),
+    (_weigh_through_r, *_GALOIS_HAMMING),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v.__name__)
+def test_the_first_moment_refuses_a_wrong_orbit_route(monkeypatch, mutant,
+                                                      case, weight):
+    code = _code(*case)
+    monkeypatch.setattr(codes, "orbit_weights", mutant)
+    with pytest.raises(InternalInvariantViolation, match="weights of .* sum to"):
+        weight_enumerator(code, weight(code.sub, 1))
 
 
 def test_zp_power_closed_form_on_z509():

@@ -236,6 +236,17 @@ def test_three_weight_code_is_rejected():
     assert err.value.exit_code == 12
 
 
+def test_a_code_weighed_at_gamma_0_has_no_nonzero_weights():
+    # every codeword weighs 0; a table that weighs some nonzero codewords 0
+    # and others not still counts 0 as a weight, as in
+    # test_nonzero_codewords_of_weight_zero_join_without_loops
+    code = _code("Zm:5", "pow:3")
+    with pytest.raises(NotTwoWeight) as err:
+        two_weight_graph(code, hom_weight(code.sub, 0))
+    assert (err.value.count, err.value.weights) == (0, ())
+    assert str(err.value) == "code has 0 distinct nonzero weights, need exactly 2"
+
+
 def test_asymmetric_weight_table_is_refused():
     # on Z_4, w = (0, 1, 1, 3) has w(-1) = 3 != w(1), so w(c - c') is not a
     # distance; -1 is a unit, so the table is not constant on unit orbits
