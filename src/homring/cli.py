@@ -8,13 +8,17 @@ off the table (``_job_args``); argparse is imported only for help, usage
 errors and any other argv.  All reports are deterministic: rationals are
 rendered as ``num/den`` and key order is fixed, so identical configs
 produce byte-identical output.  Wall-clock timing is opt-in via
-``--timing`` because it would break that guarantee.
+``--timing`` because it would break that guarantee.  ``entry``, the
+process's entry point, ends the process through ``os._exit`` once a job's
+output is flushed; ``main`` returns the exit code, and only argparse's help
+and usage errors exit from inside it.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
 import sys
 import time
 from types import SimpleNamespace
@@ -110,7 +114,11 @@ def _subring(cfg, ring):
 def _weight_table(cfg, sub):
     gamma = parse_gamma(cfg.gamma, sub)
     if cfg.weight == "hamming":
-        return hamming_table(sub, gamma)
+        if gamma != 1:
+            raise InvalidParameter(
+                "--weight hamming has gamma 1 (its weights are 0 and 1), "
+                f"got --gamma {cfg.gamma}")
+        return hamming_table(sub)
     return hom_weight(sub, gamma)
 
 
@@ -379,5 +387,20 @@ def main(argv=None) -> int:
         return exc.exit_code
 
 
+def entry():
+    """The ``homring`` command: ``main`` on sys.argv, then the exit.  Once
+    its output is flushed the process ends through ``os._exit``, skipping
+    interpreter teardown (atexit handlers, module teardown, ResourceWarnings
+    at shutdown).  If a flush fails, ``sys.exit`` lets the interpreter
+    report it as it always has."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    entry()

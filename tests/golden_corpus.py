@@ -3,15 +3,17 @@ how the corpus is rewritten.
 
 Each record in ``tests/golden/`` is one ``homring`` job: its argv, exit
 code, stderr and stdout.  Stdout over ``RAW_LIMIT`` bytes is stored as its
-SHA-256 and length instead.  ``tests/test_golden.py`` replays every record.
+SHA-256 and length instead.  ``tests/test_golden.py`` replays every record
+in process (``run_job``) and a subset of them as processes (``run_process``).
 
 The jobs are the distinct jobs of the benchmark's four workloads at seeds
 1-3, ``weight table`` and ``ring info`` on fourteen rings, one refusal for
 each exit code that a CLI job can reach, and the CLI surface: output
 formats and their refusals, ``verify paper --only``, seeded maps, config
-files, the sigma-quadratic, named-trace and Galois-pair jobs, and a Galois
-ring refused from its spec before it is built.  Exit 1 needs a failing
-``verify paper`` record, and 70 a fault that no CLI spec makes.
+files, the sigma-quadratic, named-trace and Galois-pair jobs, a Galois
+ring refused from its spec before it is built, and a Hamming weight refused
+a gamma other than 1.  Exit 1 needs a failing ``verify paper`` record, and
+70 a fault that no CLI spec makes.
 
 Every job runs with ``tests/golden/`` as its working directory, so a
 config file (``*.cfg`` there) is named by its bare file name and no record
@@ -32,6 +34,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -64,8 +67,8 @@ REFUSALS = {
 GALOIS = ("--trace", "galois")
 
 # the CLI surface: formats, --only, a seeded map, config files, the
-# sigma-quadratic, named-trace and Galois-pair jobs, and a Galois ring over
-# the budget
+# sigma-quadratic, named-trace and Galois-pair jobs, a Galois ring over the
+# budget, and a Hamming weight refused a gamma other than 1
 SURFACE = (
     ("weight", "table", "--ring", "Zm:12", "--format", "json"),
     ("code", "analyze", "--ring", "GR:2,2,2", "--subring", "Zm:4", *GALOIS,
@@ -109,7 +112,19 @@ SURFACE = (
     ("trace", "list", "--ring", "FXY:2", "--subring", "Zm:2"),
     ("trace", "list", "--ring", "GR:2,1,6", "--subring", "GR:2,1,3"),
     ("ring", "info", "--ring", "GR:2,1,100"),
+    ("code", "analyze", "--ring", "Zm:5", "--f", "pow:3", "--weight", "hamming",
+     "--gamma", "7"),
 )
+
+
+def _record(argv, code, stderr: str, stdout: bytes) -> dict:
+    record = {"argv": list(argv), "exit": code, "stderr": stderr}
+    if len(stdout) > RAW_LIMIT:
+        record["stdout_sha256"] = hashlib.sha256(stdout).hexdigest()
+        record["stdout_length"] = len(stdout)
+    else:
+        record["stdout"] = stdout.decode("utf-8")
+    return record
 
 
 def run_job(argv) -> dict:
@@ -124,14 +139,26 @@ def run_job(argv) -> dict:
             code = cli.main(list(argv))
     finally:
         os.chdir(cwd)
-    record = {"argv": list(argv), "exit": code, "stderr": err.getvalue()}
-    stdout = out.getvalue().encode("utf-8")
-    if len(stdout) > RAW_LIMIT:
-        record["stdout_sha256"] = hashlib.sha256(stdout).hexdigest()
-        record["stdout_length"] = len(stdout)
-    else:
-        record["stdout"] = out.getvalue()
-    return record
+    return _record(argv, code, err.getvalue(), out.getvalue().encode("utf-8"))
+
+
+def process_env() -> dict:
+    """The environment of a job run as a process: ``src/`` on the path, the
+    default budget, and no other ``PYTHON*`` setting (``PYTHONUNBUFFERED``
+    would flush every write before the process exits)."""
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("PYTHON") and key != "HOMRING_BUDGET"}
+    env["PYTHONPATH"] = str(HERE.parent / "src")
+    return env
+
+
+def run_process(argv) -> dict:
+    """Run one job as ``python -m homring.cli`` in a fresh interpreter; its
+    record."""
+    done = subprocess.run([sys.executable, "-m", "homring.cli", *argv],
+                          cwd=GOLDEN, env=process_env(), capture_output=True,
+                          timeout=120)
+    return _record(argv, done.returncode, done.stderr.decode("utf-8"), done.stdout)
 
 
 def record_name(argv) -> str:

@@ -14,7 +14,7 @@ from homring import codes, verify
 from homring.cli import JOBS, JobConfig, _build_parser, _job_args, main, parse_config
 from homring.errors import ParseError
 
-from golden_corpus import GOLDEN
+from golden_corpus import GOLDEN, process_env
 
 ANALYZE = ["code", "analyze", "--ring", "GR:2,2,2", "--subring", "Zm:4",
            "--trace", "galois", "--f", "frank:id"]
@@ -310,11 +310,30 @@ def test_verify_full_run_reports_known_failures(capsys, verify_report,
     (["code", "analyze", "--config", "/nonexistent/path.cfg"], 2),
     (["code", "analyze", "--ring", "Zm:5", "--f", "pow:3", "--gamma", "-1"], 13),
     (["weight", "table", "--ring", "Zm:4", "--gamma=-1/2"], 13),
+    (["code", "analyze", "--ring", "Zm:5", "--f", "pow:3", "--weight", "hamming",
+      "--gamma", "7"], 2),
+    (["code", "graph", "--ring", "Zm:5", "--f", "pow:3", "--weight", "hamming",
+      "--gamma", "0"], 2),
+    (["weight", "table", "--ring", "Zm:5", "--weight", "hamming",
+      "--gamma", "hamming-normalized"], 2),
 ])
 def test_exit_codes(capsys, argv, expected):
     code, out, err = run(capsys, argv)
     assert code == expected
     assert err.startswith("error: ")
+
+
+def test_hamming_takes_gamma_1_only(capsys, tmp_path):
+    argv = ["code", "analyze", "--ring", "Zm:5", "--f", "pow:3", "--weight", "hamming"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    for gamma in ("1", "2/2"):
+        assert run(capsys, argv + ["--gamma", gamma]) == (0, out, "")
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("ring=Zm:5 f=pow:3 weight=hamming gamma=1/2\n")
+    assert run(capsys, ["code", "analyze", "--config", str(cfg)]) == (
+        2, "", "error: --weight hamming has gamma 1 (its weights are 0 and 1), "
+               "got --gamma 1/2\n")
 
 
 def test_a_graph_at_gamma_0_has_no_nonzero_weights(capsys):
@@ -448,6 +467,83 @@ def test_cli_import_and_a_well_formed_job_leave_out_argparse_and_verify():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n0 []\n"
+
+
+# ---------------------------------------------------------------------------
+# the process exit: cli.entry flushes and ends through os._exit; whatever
+# does not reach that exit ends as ``sys.exit(cli.main(argv))`` always has
+
+_ENTRY = ["-m", "homring.cli"]
+_SYS_EXIT = ["-c", "import sys; from homring import cli; "
+             "sys.exit(cli.main(sys.argv[1:]))"]
+
+
+def _process(how, argv, stdout=subprocess.PIPE):
+    done = subprocess.run([sys.executable, *how, *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=process_env(),
+                          timeout=120)
+    return done.returncode, done.stdout, done.stderr.decode("utf-8")
+
+
+def _to_a_closed_pipe(how, argv):
+    """Exit code and stderr of a job whose stdout's reader is gone before
+    the process starts."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        code, _, err = _process(how, argv, stdout=write)
+    finally:
+        os.close(write)
+    return code, err
+
+
+def test_a_small_report_to_a_closed_pipe_exits_as_before():
+    # the report fits stdout's buffer, so the entry's flush is what fails
+    argv = ["code", "analyze", "--ring", "Zm:5", "--f", "pow:3"]
+    code, err = _to_a_closed_pipe(_ENTRY, argv)
+    assert (code, err) == _to_a_closed_pipe(_SYS_EXIT, argv)
+    assert code == 120
+    assert err.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    assert err.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+def test_a_large_report_to_a_closed_pipe_exits_as_before():
+    # the write inside main fails; the traceback's frames above main differ
+    # (runpy and entry against -c), from main's frame on they are the same
+    argv = ["trace", "list", "--ring", "GR:2,1,6", "--subring", "Zm:2"]
+    code, err = _to_a_closed_pipe(_ENTRY, argv)
+    ref_code, ref_err = _to_a_closed_pipe(_SYS_EXIT, argv)
+    assert code == ref_code == 1
+    assert err.startswith("Traceback (most recent call last):\n")
+    tail = err[err.rindex("  File "):]
+    assert tail == ref_err[ref_err.rindex("  File "):]
+    assert ", in main\n" in tail
+    assert tail.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["code", "analyze", "--help"], 0),
+    (["code", "analyze", "--ring"], 2),
+])
+def test_help_and_usage_errors_exit_as_before(argv, expected):
+    done = _process(_ENTRY, argv)
+    assert done == _process(_SYS_EXIT, argv)
+    assert done[0] == expected
+
+
+_ATEXIT_JOB = """\
+import atexit, sys
+from homring import cli
+atexit.register(sys.stderr.write, "teardown\\n")
+sys.argv[1:] = ["code", "analyze", "--ring", "Zm:5", "--f", "pow:3"]
+cli.entry()
+"""
+
+
+def test_a_finished_job_skips_interpreter_teardown():
+    code, out, err = _process(["-c", _ATEXIT_JOB], [])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ring"] == "Zm:5"
 
 
 # ---------------------------------------------------------------------------
