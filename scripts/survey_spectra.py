@@ -20,12 +20,10 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from homring.codes import (build_code, closed_form_enumerator, code_spectrum,
-                           function_from_spec, weight_enumerator)
+from homring.codes import (closed_form_enumerator, code_from_specs, code_spectrum,
+                           weight_enumerator)
 from homring.cyclotomic import rational_str
 from homring.errors import HomringError
-from homring.rings import ring_from_spec
-from homring.traces import trace_from_spec
 from homring.weights import hamming_table, hom_weight
 
 
@@ -71,13 +69,9 @@ DEFAULT_GRID = [
 
 
 def run_job(job: Job) -> dict:
-    ring = ring_from_spec(job.ring)
-    sub = ring_from_spec(job.sub) if job.sub else ring
-    trace = trace_from_spec(ring, sub, job.trace)
-    f = function_from_spec(ring, job.f)
-    code = build_code(ring, sub, trace, f)
-    table = (hamming_table(sub, 1) if job.weight == "hamming"
-             else hom_weight(sub, 1))
+    code = code_from_specs(job.ring, job.sub, job.trace, job.f)
+    table = (hamming_table(code.sub) if job.weight == "hamming"
+             else hom_weight(code.sub, 1))
     enum = weight_enumerator(code, table)
     lam = code_spectrum(code, enum)
     out = {
@@ -89,7 +83,7 @@ def run_job(job: Job) -> dict:
     if job.closed is not None:
         family, params = job.closed
         if params == "ring":
-            params = ring
+            params = code.ring
         predicted = closed_form_enumerator(family, params)
         out["closed_form"] = predicted.poly_str()
         out["matches_closed_form"] = predicted == enum

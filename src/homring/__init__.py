@@ -8,8 +8,8 @@ values are derived from it.
 """
 
 from .codes import (Code, CodeFunction, WeightEnumerator, build_code,
-                    closed_form_enumerator, closed_form_spectrum, code_spectrum,
-                    frank_map, function_from_spec, power_map,
+                    closed_form_enumerator, closed_form_spectrum, code_from_specs,
+                    code_spectrum, frank_map, function_from_spec, power_map,
                     sigma_quadratic_map, weight_enumerator)
 from .errors import (BadPermutation, BudgetExceeded, HomringError,
                      InternalInvariantViolation, InvalidParameter, NotLocal,
@@ -37,7 +37,8 @@ __all__ = [
     "TraceReport", "UnknownPreset", "ValidationFailed", "WeightEnumerator",
     "WeightTable", "WrongRingFamily",
     "build_code", "canonical_character", "closed_form_enumerator",
-    "closed_form_spectrum", "code_spectrum", "connected_components",
+    "closed_form_spectrum", "code_from_specs", "code_spectrum",
+    "connected_components",
     "enumerate_trace_maps", "frank_map", "function_columns",
     "function_from_spec", "fxy_ring", "galois_trace", "generating_character",
     "hamming_table", "hom_weight", "hom_weight_axiomatic", "identity_trace",

@@ -23,8 +23,7 @@ import sys
 import time
 from types import SimpleNamespace
 
-from .codes import (build_code, check_code_budget, code_spectrum,
-                    function_from_spec, weight_enumerator)
+from .codes import code_from_specs, code_spectrum, weight_enumerator
 from .cyclotomic import rational_str
 from .errors import HomringError, InvalidParameter, ParseError, ValidationFailed
 from .graphs import (SRGParams, connected_components, function_columns,
@@ -101,10 +100,14 @@ def _settings(args: dict) -> SimpleNamespace:
     return cfg
 
 
-def _require_ring(cfg):
+def _ring_spec(cfg):
     if not cfg.ring:
         raise InvalidParameter("a ring spec is required (ring=... or --ring)")
-    return ring_from_spec(cfg.ring, cfg.budget)
+    return cfg.ring
+
+
+def _require_ring(cfg):
+    return ring_from_spec(_ring_spec(cfg), cfg.budget)
 
 
 def _subring(cfg, ring):
@@ -180,33 +183,20 @@ def run_weight_table(cfg) -> dict:
 
 
 def _code_job(cfg):
-    """The code, its function and weight table, and the report's names, of
-    a code job.  The code's budget is checked once the rings are parsed,
-    before the trace or any table is built."""
-    ring = _require_ring(cfg)
-    sub = _subring(cfg, ring)
-    check_code_budget(ring, cfg.budget)
-    trace_spec = cfg.trace
-    if trace_spec is None:
-        if sub is not ring:
-            raise InvalidParameter(
-                "an explicit trace spec is required when subring differs from ring")
-        trace_spec = "identity"
-    trace = trace_from_spec(ring, sub, trace_spec)
-    if not cfg.f:
-        raise InvalidParameter("a function spec is required (f=... or --f)")
-    f = function_from_spec(ring, cfg.f, seed=cfg.seed)
-    code = build_code(ring, sub, trace, f, budget=cfg.budget)
-    wt = _weight_table(cfg, sub)
-    report = {"ring": ring.name, "subring": sub.name, "trace": trace_spec,
-              "f": f.tag, "gamma": rational_str(wt.gamma), "weight": cfg.weight}
-    return code, f, wt, report
+    """The code and weight table of a code job, and the report's names."""
+    code = code_from_specs(_ring_spec(cfg), cfg.subring, cfg.trace, cfg.f,
+                           seed=cfg.seed, budget=cfg.budget)
+    wt = _weight_table(cfg, code.sub)
+    report = {"ring": code.ring.name, "subring": code.sub.name,
+              "trace": cfg.trace or "identity", "f": code.func.tag,
+              "gamma": rational_str(wt.gamma), "weight": cfg.weight}
+    return code, wt, report
 
 
 def run_analyze(cfg) -> dict:
-    code, f, wt, report = _code_job(cfg)
-    if f.seed is not None:
-        report["seed"] = f.seed
+    code, wt, report = _code_job(cfg)
+    if code.func.seed is not None:
+        report["seed"] = code.func.seed
     enum = weight_enumerator(code, wt)
     report.update({
         "size": code.size,
@@ -217,10 +207,10 @@ def run_analyze(cfg) -> dict:
 
 
 def run_graph(cfg) -> dict:
-    code, f, wt, report = _code_job(cfg)
+    code, wt, report = _code_job(cfg)
     graph = two_weight_graph(code, wt)
     srg = srg_check(graph)
-    modular, r = is_modular(code.ring, function_columns(code.ring, f))
+    modular, r = is_modular(code.ring, function_columns(code.ring, code.func))
     report.update({
         "vertices": graph.order,
         "w1": rational_str(graph.w1),

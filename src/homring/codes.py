@@ -5,7 +5,8 @@ all pairs (alpha, beta).  The pair map is additive, so the code is fixed by
 its kernel K, the pairs whose codeword is zero: |C| = |R|^2/|K|.  Each
 codeword is named by the least pair of its K-coset, and no codeword tuple is
 built: a graph asks only for these pairs in sorted codeword order, which the
-codewords' values on a few pivot coordinates fix.
+codewords' values on a few pivot coordinates fix.  Every caller that starts
+from spec strings builds its code through ``code_from_specs``.
 
 A code's weight data has one representation, its weight enumerator, and it
 is read off orbits on the code, one point per codeword (one per K-coset of
@@ -13,7 +14,9 @@ pairs).  A unit s of S maps the codeword of (alpha, beta) to s times it, the
 codeword of (s*alpha, s*beta); a unit u of R with f(u*x) = lam*f(x) for all
 x permutes its coordinates, as the codeword of (alpha*u, beta*lam).  Neither
 changes the weight under a table constant on S's unit orbits, the only tables
-weighed (``orbit_weights``), so one group per code serves every table.  At
+weighed (``orbit_weights``), so one group per code serves every table.
+Every weighing, an enumerator's or a graph's, reads ``orbit_weights``, which
+checks the weights' first power moment.  At
 gamma = 1 the transform value of a codeword is W = |R| - w, w its homogeneous
 weight, so the spectrum is read off the gamma = 1 enumerator.  Everything is
 exact, in Fractions.  The weight table is checked against the axiomatic
@@ -46,6 +49,7 @@ from .rings import (
     _table_pow,
     frobenius,
     permutation_of_teichmuller,
+    ring_from_spec,
     swap_xy,
 )
 from .traces import (
@@ -53,6 +57,7 @@ from .traces import (
     char_fixed_by,
     generating_character,
     read_two_column_table,
+    trace_from_spec,
 )
 from .weights import WeightTable, hom_weight
 
@@ -484,6 +489,29 @@ def build_code(ring: Ring, sub: Ring, trace: TraceMap, f: CodeFunction,
     return Code(ring, sub, trace, f, code_kernel(ring, trace, f), budget)
 
 
+def code_from_specs(ring_spec: str, sub_spec: str | None, trace_spec: str | None,
+                    f_spec: str | None, seed: int | None = None,
+                    budget: int | None = None) -> Code:
+    """The code of spec strings, built and checked in this order, so that a
+    job's first fault is the one reported: the rings R and S (S = R when
+    ``sub_spec`` is empty), each under the budget; ``check_code_budget``,
+    before any trace or table; the trace, the identity when no spec is given
+    and S = R; the function, with its seed; then ``build_code``."""
+    ring = ring_from_spec(ring_spec, budget)
+    sub = ring_from_spec(sub_spec, budget) if sub_spec else ring
+    check_code_budget(ring, budget)
+    if trace_spec is None:
+        if sub is not ring:
+            raise InvalidParameter(
+                "an explicit trace spec is required when subring differs from ring")
+        trace_spec = "identity"
+    trace = trace_from_spec(ring, sub, trace_spec)
+    if not f_spec:
+        raise InvalidParameter("a function spec is required (f=... or --f)")
+    f = function_from_spec(ring, f_spec, seed=seed)
+    return build_code(ring, sub, trace, f, budget=budget)
+
+
 def code_kernel(ring: Ring, trace: TraceMap, f: CodeFunction) -> tuple:
     """The pairs (alpha, beta) whose codeword is zero, beta-major.
 
@@ -587,7 +615,17 @@ def orbit_weights(code: Code, table: WeightTable):
     orbit's codeword times the table's common denominator D, read through
     w o T at |R| lookups an orbit, charged to the code's budget.  A unit s
     of S puts c and s*c in one orbit, so a table not constant on S's unit
-    orbits (homogeneous and Hamming ones are) raises InvalidParameter."""
+    orbits (homogeneous and Hamming ones are) raises InvalidParameter.
+
+    The weights are checked against their first power moment, the sum of
+    w*A_w.  Coordinate x maps C onto a submodule N_x of S, nonzero exactly
+    when (x, f(x)) != (0, 0), since ker T holds no nonzero ideal; it takes
+    each value of N_x |C|/|N_x| times.  S's homogeneous weight averages
+    gamma over every nonzero ideal, so its moment is gamma*|C|*L, L the
+    number of such x.  A Hamming table averages 1 - 1/|N_x|, which is
+    1 - 1/|S| when S is a field.  Hamming tables off fields, and tables
+    that are neither, are not checked.  A miss raises
+    InternalInvariantViolation."""
     sub, w = code.sub, table.values
     if table.ring is not sub:
         raise InvalidParameter("weight table is for a different ring than S")
@@ -607,26 +645,6 @@ def orbit_weights(code: Code, table: WeightTable):
     for alpha, beta in orbits.reps:
         brow = mot[beta]
         weights.append(sum([wt[aot[a][brow[v]]] for a, v in zip(mot[alpha], ft)]))
-    return orbits, den, weights
-
-
-def weight_enumerator(code: Code, table: WeightTable) -> WeightEnumerator:
-    """Count the codewords of each weight, orbit by orbit, and check their
-    first power moment, the sum of w*A_w.
-
-    Coordinate x maps C onto a submodule N_x of S, nonzero exactly when
-    (x, f(x)) != (0, 0), since ker T holds no nonzero ideal; it takes each
-    value of N_x |C|/|N_x| times.  S's homogeneous weight averages gamma
-    over every nonzero ideal, so its moment is gamma*|C|*L, L the number of
-    such x.  A Hamming table's values ignore gamma and average 1 - 1/|N_x|,
-    which is 1 - 1/|S| when S is a field.  Hamming tables off fields, and
-    tables that are neither, are not checked.  A miss raises
-    InternalInvariantViolation."""
-    orbits, den, weights = orbit_weights(code, table)
-    counts = Counter()
-    for w, size in zip(weights, orbits.sizes):
-        counts[w] += size
-    sub = code.sub
     if table.kind == "hamming":
         field = len(sub.units()) == sub.order - 1
         mean = 1 - Fraction(1, sub.order) if field else None
@@ -634,12 +652,22 @@ def weight_enumerator(code: Code, table: WeightTable) -> WeightEnumerator:
         mean = table.gamma if table == hom_weight(sub, table.gamma) else None
     if mean is not None:
         # (x, f(x)) = (0, 0) only at x = 0, and there only when f(0) = 0
-        expected = mean * code.size * (code.ring.order - (code.func.table[0] == 0))
-        moment = Fraction(sum(t * c for t, c in counts.items()), den)
+        expected = mean * code.size * (code.ring.order - (ft[0] == 0))
+        moment = Fraction(sum(t * n for t, n in zip(weights, orbits.sizes)), den)
         if moment != expected:
             raise InternalInvariantViolation(
                 f"{table.kind} weights of {code.func.tag} on {code.ring.name} "
                 f"over {sub.name} sum to {moment}, not {expected}")
+    return orbits, den, weights
+
+
+def weight_enumerator(code: Code, table: WeightTable) -> WeightEnumerator:
+    """Count the codewords of each weight, orbit by orbit, off the checked
+    ``orbit_weights``."""
+    orbits, den, weights = orbit_weights(code, table)
+    counts = Counter()
+    for w, size in zip(weights, orbits.sizes):
+        counts[w] += size
     return WeightEnumerator({Fraction(t, den): c for t, c in counts.items()},
                             gamma=table.gamma, kind=table.kind)
 

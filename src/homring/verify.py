@@ -15,16 +15,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .codes import (
-    build_code,
+    code_from_specs,
     code_spectrum,
-    frank_map,
     frank_subring_enumerator,
     frank_subring_spectrum,
     frank_self_enumerator,
     frank_self_spectrum,
-    function_from_spec,
-    power_map,
-    random_teich_permutation,
     sigma_quadratic_enumerator,
     weight_enumerator,
     z2p_power_enumerator,
@@ -43,7 +39,7 @@ from .graphs import (
     two_weight_graph,
 )
 from .rings import ring_from_spec
-from .traces import enumerate_trace_maps, trace_from_spec, z4x_trace
+from .traces import enumerate_trace_maps, z4x_trace
 from .weights import hamming_table, hom_weight, validate_weight
 
 RANDOM_PERM_SEEDS = (1, 2, 3, 4, 5)
@@ -55,18 +51,7 @@ PROPERTY_RINGS = (
 )
 
 
-@lru_cache(maxsize=None)
-def _trace(ring_spec: str, sub_spec: str, trace_spec: str):
-    return trace_from_spec(ring_from_spec(ring_spec), ring_from_spec(sub_spec),
-                           trace_spec)
-
-
-@lru_cache(maxsize=None)
-def _code(ring_spec: str, sub_spec: str, trace_spec: str, f_spec: str):
-    ring = ring_from_spec(ring_spec)
-    f = function_from_spec(ring, f_spec)
-    return build_code(ring, ring_from_spec(sub_spec),
-                      _trace(ring_spec, sub_spec, trace_spec), f)
+_code = lru_cache(maxsize=None)(code_from_specs)
 
 
 def _braced(values) -> str:
@@ -99,15 +84,9 @@ def _frank_triplet(seed=None):
         ("GR:2,2,2", "GR:2,2,2", "identity",
          frank_self_enumerator(2, 2), frank_self_spectrum(2, 2), 64),
     ):
-        ring = ring_from_spec(ring_spec)
-        sub = ring_from_spec(sub_spec)
-        if seed is None:
-            code = _code(ring_spec, sub_spec, trace_spec, "frank:id")
-        else:
-            perm = random_teich_permutation(ring, seed)
-            f = frank_map(ring, perm, tag=f"frank:rand:{seed}")
-            code = build_code(ring, sub, _trace(ring_spec, sub_spec, trace_spec), f)
-        enum = weight_enumerator(code, hom_weight(sub, 1))
+        f_spec = "frank:id" if seed is None else f"frank:rand:{seed}"
+        code = _code(ring_spec, sub_spec, trace_spec, f_spec)
+        enum = weight_enumerator(code, hom_weight(code.sub, 1))
         spec = code_spectrum(code, enum)
         ok = code.size == size and enum == closed_enum
         results.append((ring_spec, sub_spec, code, enum, spec, closed_enum,
@@ -149,7 +128,7 @@ def _criterion_5():
     parts, ok = [], True
     for m, d in ((5, 3), (7, 4)):
         code = _code(f"Zm:{m}", f"Zm:{m}", "identity", f"pow:{d}")
-        enum = weight_enumerator(code, hamming_table(ring_from_spec(f"Zm:{m}")))
+        enum = weight_enumerator(code, hamming_table(code.sub))
         closed = zp_power_enumerator(m, d)
         ok = ok and enum == closed
         parts.append(f"Zm:{m} pow:{d} -> {enum.poly_str()}")
@@ -164,7 +143,7 @@ def _criterion_6():
     for p, d in ((5, 3), (7, 4)):
         m = 2 * p
         code = _code(f"Zm:{m}", f"Zm:{m}", "identity", f"pow:{d}")
-        enum = weight_enumerator(code, hom_weight(ring_from_spec(f"Zm:{m}"), 1))
+        enum = weight_enumerator(code, hom_weight(code.sub, 1))
         spec = code_spectrum(code, enum)
         ok = ok and enum == z2p_power_enumerator(p, d)
         parts.append(f"Zm:{m} pow:{d} -> spectrum {_braced(spec)}, {enum.poly_str()}")
@@ -178,7 +157,7 @@ def _criterion_6():
 
 def _criterion_7():
     code = _code("FXY:2", "Zm:2", "fxy-sum", "sigmaquad:swapxy")
-    enum = weight_enumerator(code, hom_weight(ring_from_spec("Zm:2"), Fraction(1, 2)))
+    enum = weight_enumerator(code, hom_weight(code.sub, Fraction(1, 2)))
     spec = code_spectrum(code)
     want_enum = WeightEnumerator({0: 1, 4: 3, 8: 27, 12: 1}, gamma=Fraction(1, 2))
     want_spec = (16, 8, 0, -8)
@@ -189,11 +168,11 @@ def _criterion_7():
 
 
 def _criterion_8():
-    ring = ring_from_spec("FXY:2")
     code = _code("FXY:2", "FXY:2", "identity", "sigmaquad:swapxy")
-    enum = weight_enumerator(code, hom_weight(ring, 1))
+    enum = weight_enumerator(code, hom_weight(code.ring, 1))
     want = WeightEnumerator({0: 1, 8: 14, 16: 113})
-    ok = code.size == 128 and enum == want and enum == sigma_quadratic_enumerator(ring)
+    ok = (code.size == 128 and enum == want
+          and enum == sigma_quadratic_enumerator(code.ring))
     return _record(8, "sigma-quadratic code on FXY:2 with S=R",
                    f"|C|=128; enumerator {want.poly_str()}",
                    _code_report(code, enum), ok)
@@ -210,7 +189,7 @@ def _first_moment_note(transcribed, size, n) -> str:
 
 def _criterion_9():
     code = _code("FXY:3", "FXY:3", "identity", "sigmaquad:swapxy")
-    enum = weight_enumerator(code, hom_weight(ring_from_spec("FXY:3"), 1))
+    enum = weight_enumerator(code, hom_weight(code.sub, 1))
     want = WeightEnumerator({0: 1, Fraction(81, 2): 4, 54: 234, 81: 6322})
     transcribed = WeightEnumerator({0: 1, Fraction(81, 2): 4, 54: 236, 81: 6320})
     ok = code.size == 6561 and enum == want
@@ -221,12 +200,11 @@ def _criterion_9():
 
 
 def _criterion_10():
-    ring = ring_from_spec("GR:2,3,2")
     code = _code("GR:2,3,2", "GR:2,3,2", "identity", "sigmaquad:frobenius")
-    enum = weight_enumerator(code, hom_weight(ring, 1))
+    enum = weight_enumerator(code, hom_weight(code.ring, 1))
     want = WeightEnumerator({0: 1, 48: 240, Fraction(128, 3): 9, 64: 3846})
     transcribed = WeightEnumerator({0: 1, 48: 243, Fraction(128, 3): 9, 64: 3843})
-    closed = sigma_quadratic_enumerator(ring)
+    closed = sigma_quadratic_enumerator(code.ring)
     table_ok = enum == closed
     ok = code.size == 4096 and enum == want and table_ok
     expected = (f"|C|=4096; enumerator {want.poly_str()} "
@@ -240,7 +218,7 @@ def _criterion_10():
 
 def _criterion_11():
     code = _code("GR:2,3,2", "Zm:8", "galois", "sigmaquad:frobenius")
-    enum = weight_enumerator(code, hom_weight(ring_from_spec("Zm:8"), 1))
+    enum = weight_enumerator(code, hom_weight(code.sub, 1))
     weights = [w for w, _ in enum]
     want = (0, 32, 48, 64, 96)
     computed = _braced(weights)
@@ -276,18 +254,16 @@ def _criterion_12():
 
 
 def _criterion_13():
-    z5 = ring_from_spec("Zm:5")
     code5 = _code("Zm:5", "Zm:5", "identity", "pow:3")
-    graph5 = two_weight_graph(code5, hamming_table(z5))
+    graph5 = two_weight_graph(code5, hamming_table(code5.sub))
     srg = srg_check(graph5)   # raises unless k(k-l-1) = (v-k-1)mu
     srg_ok = isinstance(srg, SRGParams) and srg == (25, 8, 3, 2)
-    mod5, r5 = is_modular(z5, function_columns(z5, power_map(z5, 3)))
+    mod5, r5 = is_modular(code5.ring, function_columns(code5.ring, code5.func))
 
-    z10 = ring_from_spec("Zm:10")
     code10 = _code("Zm:10", "Zm:10", "identity", "pow:3")
-    graph10 = two_weight_graph(code10, hom_weight(z10, 1))
+    graph10 = two_weight_graph(code10, hom_weight(code10.sub, 1))
     comps = connected_components(graph10)
-    mod10, _ = is_modular(z10, function_columns(z10, power_map(z10, 3)))
+    mod10, _ = is_modular(code10.ring, function_columns(code10.ring, code10.func))
 
     ok = (srg_ok and mod5 and r5 == Fraction(1, 2)
           and len(comps) > 1 and not mod10)
@@ -308,10 +284,10 @@ def _criterion_14():
     every alpha != 0, and W(0, 0) = |R|."""
     failures = []
     for spec in PROPERTY_RINGS:
-        ring = ring_from_spec(spec)
         code = _code(spec, spec, "identity", "pow:1")
-        enum = weight_enumerator(code, hom_weight(ring, 1))
-        if code.size != ring.order or enum.counts != {0: 1, ring.order: code.size - 1}:
+        n = code.ring.order
+        enum = weight_enumerator(code, hom_weight(code.ring, 1))
+        if code.size != n or enum.counts != {0: 1, n: code.size - 1}:
             failures.append(f"{spec}: linear code |C|={code.size}, "
                             f"enumerator {enum.poly_str()}")
     expected = (f"for all of {len(PROPERTY_RINGS)} rings: axiomatic == character "

@@ -152,10 +152,10 @@ def validate_weight(wt: WeightTable) -> dict:
     return {"valid": not violations, "violations": violations}
 
 
-def hamming_table(ring: Ring, gamma=1) -> WeightTable:
-    """w(0)=0 and w(x)=1 otherwise; homogeneous only over fields."""
+def hamming_table(ring: Ring) -> WeightTable:
+    """w(0)=0 and w(x)=1 otherwise, at gamma 1; homogeneous only over fields."""
     values = [0] + [1] * (ring.order - 1)
-    return WeightTable(ring, Fraction(gamma), values, kind="hamming")
+    return WeightTable(ring, 1, values, kind="hamming")
 
 
 def parse_gamma(spec: str, ring: Ring) -> Fraction:

@@ -175,7 +175,7 @@ def _code_parts(ring_spec, sub_spec, trace_spec, f_spec, weight):
     R, S = ring_from_spec(ring_spec), ring_from_spec(sub_spec)
     f = (_random_table(ring_spec, 5) if f_spec is None
          else function_from_spec(R, f_spec))
-    table = hamming_table(S, 1) if weight == "hamming" else hom_weight(S, 1)
+    table = hamming_table(S) if weight == "hamming" else hom_weight(S, 1)
     return R, S, trace_from_spec(R, S, trace_spec), f, table
 
 

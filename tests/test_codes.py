@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homring import codes
+from homring import cli, codes
 from homring.codes import (PairOrbits, WeightEnumerator, _is_monomial,
                            _unit_generators, build_code, closed_form_enumerator,
-                           closed_form_spectrum, code_spectrum, frank_map,
+                           closed_form_spectrum, code_from_specs, code_spectrum,
+                           frank_map,
                            function_from_spec,
                            monomial_symmetries, orbit_weights, power_map,
                            random_teich_permutation, sigma_quadratic_map,
@@ -34,11 +35,7 @@ F = Fraction
 
 
 def _code(ring_spec, sub_spec, trace_spec, f_spec, seed=None):
-    R = ring_from_spec(ring_spec)
-    S = ring_from_spec(sub_spec)
-    tr = trace_from_spec(R, S, trace_spec)
-    f = function_from_spec(R, f_spec, seed=seed)
-    return build_code(R, S, tr, f)
+    return code_from_specs(ring_spec, sub_spec, trace_spec, f_spec, seed=seed)
 
 
 def _codeword_sum_enumerator(code, table):
@@ -156,6 +153,9 @@ def test_random_teich_permutation_is_seeded():
     assert p1 == random_teich_permutation(R, 9)
     assert p1[0] == 0
     assert sorted(p1) == [0, 1, 2, 3]
+    # the spec frank:rand:<seed> is the Frank map of this permutation
+    f = function_from_spec(R, "frank:rand:9")
+    assert (f.table, f.tag) == (frank_map(R, p1).table, "frank:rand:9")
 
 
 def test_function_spec_grammar(tmp_path):
@@ -404,7 +404,7 @@ def _orbit_codes(draw):
 @given(code=_orbit_codes(), hamming=st.booleans(),
        gamma=st.sampled_from([F(1), F(1, 2)]))
 def test_orbit_enumerator_equals_codeword_sum(code, hamming, gamma):
-    table = hamming_table(code.sub, gamma) if hamming else hom_weight(code.sub, gamma)
+    table = hamming_table(code.sub) if hamming else hom_weight(code.sub, gamma)
     assert weight_enumerator(code, table) == _codeword_sum_enumerator(code, table)
     # and pair by pair: every pair's codeword has the weight of its orbit
     orbits, den, weights = orbit_weights(code, table)
@@ -693,7 +693,7 @@ def test_orbit_weights_refuse_exactly_the_tables_that_are_not_unit_invariant(
 
 def test_orbits_are_found_once_per_code():
     code = _code("Zm:13", "Zm:13", "identity", "pow:3")
-    for table in (hom_weight(code.sub, 1), hamming_table(code.sub, 1),
+    for table in (hom_weight(code.sub, 1), hamming_table(code.sub),
                   hom_weight(code.sub, F(1, 2))):
         assert orbit_weights(code, table)[0] is code.orbits
 
@@ -725,7 +725,7 @@ def test_weight_enumerators_meet_their_first_moment(case, gamma):
     hom = weight_enumerator(code, hom_weight(code.sub, gamma))
     assert _first_moment(hom) == gamma * code.size * live
     S = code.sub
-    ham = weight_enumerator(code, hamming_table(S, gamma))
+    ham = weight_enumerator(code, hamming_table(S))
     if len(S.units()) == S.order - 1:
         assert _first_moment(ham) == (1 - F(1, S.order)) * code.size * live
 
@@ -734,33 +734,26 @@ def test_the_first_moment_counts_x_0_when_f_0_is_not_0():
     R = ring_from_spec("Zm:5")
     f = table_map(R, [1, 3, 0, 2, 2])
     code = build_code(R, R, identity_trace(R), f)
-    for table in (hom_weight(R, 1), hom_weight(R, F(1, 2)), hamming_table(R, 1)):
+    for table in (hom_weight(R, 1), hom_weight(R, F(1, 2)), hamming_table(R)):
         enum = weight_enumerator(code, table)
         assert enum == _codeword_sum_enumerator(code, table)
     assert _first_moment(weight_enumerator(code, hom_weight(R, 1))) == code.size * 5
 
 
-def _weigh_through_r(code, table):
-    """The orbits' weights read through R's own Hamming weight w, not
-    through S's w o T."""
-    orbits = code.orbits
-    den, scaled = hamming_table(code.ring, table.gamma).scaled()
-    mot, aot, ft = code.ring.mul_table(), code.ring.add_table(), code.func.table
-    weights = [sum(scaled[aot[a][mot[beta][v]]] for a, v in zip(mot[alpha], ft))
-               for alpha, beta in orbits.reps]
-    return orbits, den, weights
+def _weigh_through_r(code):
+    """Weigh the orbits through R's own Hamming weight, not through S's
+    w o T: a "trace" onto {0, 1} of S that is 1 exactly off 0."""
+    code.orbits   # found through the true trace
+    code.trace = SimpleNamespace(values=[code.sub.one if v else 0
+                                         for v in range(code.ring.order)])
 
 
-def _size_off_by_one(code, table):
-    orbits, den, weights = orbit_weights(code, table)
-    sizes = list(orbits.sizes)
-    sizes[-1] += 1
-    return SimpleNamespace(sizes=sizes), den, weights
+def _size_off_by_one(code):
+    code.orbits.sizes[-1] += 1
 
 
-def _orbit_dropped(code, table):
-    orbits, den, weights = orbit_weights(code, table)
-    return SimpleNamespace(sizes=orbits.sizes[:-1]), den, weights[:-1]
+def _orbit_dropped(code):
+    del code.orbits.reps[-1], code.orbits.sizes[-1]
 
 
 _FRANK = (("GR:3,2,2", "Zm:9", "galois", "frank:rand:7"), hom_weight)
@@ -778,19 +771,43 @@ _GALOIS_HAMMING = (_GALOIS[0], hamming_table)
     (_weigh_through_r, *_FXY_HAMMING),
     (_weigh_through_r, *_GALOIS_HAMMING),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v.__name__)
-def test_the_first_moment_refuses_a_wrong_orbit_route(monkeypatch, mutant,
-                                                      case, weight):
+def test_the_first_moment_refuses_a_wrong_orbit_route(mutant, case, weight):
     code = _code(*case)
-    monkeypatch.setattr(codes, "orbit_weights", mutant)
+    mutant(code)
     with pytest.raises(InternalInvariantViolation, match="weights of .* sum to"):
-        weight_enumerator(code, weight(code.sub, 1))
+        weight_enumerator(code, weight(code.sub))
+
+
+@pytest.mark.parametrize("mutant", [_size_off_by_one, _orbit_dropped],
+                         ids=lambda m: m.__name__)
+@pytest.mark.parametrize("argv,message", [
+    (["--ring", "Zm:29", "--f", "pow:11", "--weight", "hamming"],
+     "hamming weights of pow:11 on Zm:29 over Zm:29 sum to"),
+    (["--ring", "Zm:34", "--f", "pow:11"],
+     "homogeneous weights of pow:11 on Zm:34 over Zm:34 sum to"),
+], ids=["Zm:29 hamming", "Zm:34 homogeneous"])
+def test_a_graph_job_refuses_a_wrong_orbit_route(capsys, monkeypatch, mutant,
+                                                 argv, message):
+    # the graph reads the same checked orbit weights as the enumerator
+    assert cli.main(["code", "graph", *argv]) == 0
+    capsys.readouterr()
+    honest = cli.code_from_specs
+
+    def corrupted(*args, **kwargs):
+        code = honest(*args, **kwargs)
+        mutant(code)
+        return code
+
+    monkeypatch.setattr(cli, "code_from_specs", corrupted)
+    assert cli.main(["code", "graph", *argv]) == 70
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_zp_power_closed_form_on_z509():
     # by brute force this would be |R|^3 = 1.3e8 lookups and a dict of
     # 259081 codewords; the orbits weigh 5 codewords at |R| lookups each
     code = _code("Zm:509", "Zm:509", "identity", "pow:3")
-    enum = weight_enumerator(code, hamming_table(code.sub, 1))
+    enum = weight_enumerator(code, hamming_table(code.sub))
     assert enum == zp_power_enumerator(509, 3)
 
 
@@ -818,7 +835,7 @@ def test_frank_self_closed_form_matches_brute_force():
 @pytest.mark.parametrize("p,d", [(5, 3), (7, 4), (11, 3), (13, 5)])
 def test_zp_power_closed_form_matches_brute_force(p, d):
     code = _code(f"Zm:{p}", f"Zm:{p}", "identity", f"pow:{d}")
-    brute = _brute_force(code, hamming_table(code.sub, 1))
+    brute = _brute_force(code, hamming_table(code.sub))
     assert brute == closed_form_enumerator("zp-power", (p, d))
     with pytest.raises(InvalidParameter):
         closed_form_spectrum("zp-power", (p, d))

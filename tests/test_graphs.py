@@ -123,7 +123,7 @@ def _outcome(result):
 
 
 def _table(ring, hamming):
-    return hamming_table(ring, 1) if hamming else hom_weight(ring, 1)
+    return hamming_table(ring) if hamming else hom_weight(ring, 1)
 
 
 def _assert_equals_all_pairs_graph(graph, code, table):
@@ -196,7 +196,7 @@ def test_a_graph_job_labels_each_nonzero_codeword_once(capsys, monkeypatch,
 
 def test_z5_cube_graph_is_srg_25_8_3_2():
     code = _code("Zm:5", "pow:3")
-    graph = two_weight_graph(code, hamming_table(code.sub, 1))
+    graph = two_weight_graph(code, hamming_table(code.sub))
     assert graph.order == 25
     assert graph.w1 == 2
     params = srg_check(graph)
@@ -270,7 +270,7 @@ def test_degenerate_matching_graph():
     # the linear code {c*x} over Z_4 in the Hamming metric has weights {2, 3};
     # the w1 = 2 graph is a perfect matching, hence degenerate with mu = 0
     code = _code("Zm:4", "pow:1")
-    graph = two_weight_graph(code, hamming_table(code.sub, 1))
+    graph = two_weight_graph(code, hamming_table(code.sub))
     assert graph.order == 4 and graph.w1 == 2
     params = srg_check(graph)
     assert isinstance(params, SRGParams)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homring import verify, weights
+from homring import codes, verify, weights
 from homring.errors import InternalInvariantViolation, NotLocal, ParseError
 from homring.rings import IntegerModRing, ring_from_spec, subring_embedding
 from homring.traces import TraceMap, TraceReport
@@ -148,8 +148,8 @@ def test_record_14_fails_when_a_multiple_of_x_does_not_weigh_r(mutate, monkeypat
     # codeword x -> gamma*x at weight |R|, so W(alpha, 0) = 0 for alpha != 0;
     # a weight changed on the unit orbit {3, 6} of Zm:9 (a table must stay
     # constant on unit orbits to be weighed), must fail it.  A trace value
-    # changed at 3 leaves T not additive, which the enumerator's first moment
-    # check refuses before the record compares the enumerator
+    # changed at 3 leaves T not additive, which the first moment check of the
+    # orbit weighing refuses before the record compares the enumerator
     ring = ring_from_spec("Zm:9")
     if mutate == "weight":
         honest = verify.hom_weight
@@ -169,9 +169,9 @@ def test_record_14_fails_when_a_multiple_of_x_does_not_weigh_r(mutate, monkeypat
         values[3] = 0
         bad = TraceMap(ring, ring, subring_embedding(ring, ring), values,
                        tag="identity", report=TraceReport(True, []))
-        honest = verify._trace
-        monkeypatch.setattr(verify, "_trace", lambda r, *rest: (
-            bad if r == "Zm:9" else honest(r, *rest)))
+        honest = codes.trace_from_spec
+        monkeypatch.setattr(codes, "trace_from_spec", lambda r, *rest: (
+            bad if r is ring else honest(r, *rest)))
     verify._code.cache_clear()
     try:
         if mutate == "trace":
@@ -210,7 +210,7 @@ def test_units_share_one_weight_on_local_rings():
 
 def test_hamming_table():
     R = ring_from_spec("Zm:5")
-    wt = hamming_table(R, 1)
+    wt = hamming_table(R)
     assert wt.kind == "hamming"
     assert wt.values == (0, 1, 1, 1, 1)
     # over a prime field the Hamming weight is homogeneous of gamma (q-1)/q

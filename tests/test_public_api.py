@@ -117,3 +117,30 @@ def test_readme_lists_every_error_class_under_its_exit_code():
     assert not retired & set(classes), "a retired exit code has a class"
     assert classes == {code: name for code, name in table.items()
                        if code != HomringError.exit_code and code not in retired}
+
+
+def _calls_of(name, tree) -> list:
+    """The function around each call of ``name`` in ``tree`` (None at the
+    top level), whether the call names it bare or as an attribute."""
+    found = []
+    stack = [(tree, None)]
+    while stack:
+        node, around = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            around = node.name
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
+            found.append(around)
+        stack.extend((child, around) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_code_is_built_by_one_builder():
+    # the CLI, verify paper and the scripts build their codes from specs
+    # through codes.code_from_specs, which alone calls build_code
+    calls = {}
+    for path in sorted((ROOT / "src" / "homring").glob("*.py")) + sorted(
+            (ROOT / "scripts").glob("*.py")):
+        for around in _calls_of("build_code", ast.parse(path.read_text(encoding="utf-8"))):
+            calls.setdefault(f"{path.parent.name}/{path.name}", []).append(around)
+    assert calls == {"homring/codes.py": ["code_from_specs"]}
