@@ -10,7 +10,7 @@ measured multiple of it.  The estimates and where they are checked:
   is built): |R|^2 cells for each of the add, mul and sub tables, and up
   to |R|^2 for the cyclic submodules (orbits * |R|), two lookups a cell;
 * trace enumeration (``traces.enumerate_trace_maps``): 16 |R^x| * |R|,
-  16 for each value of the |R^x| tables of |R| values, about 100 bytes each
+  16 for each value of the |R^x| tables of |R| values, about 50 bytes each
   in process with a trace list report, before the named trace is built;
 * the kernel and the orbit labelling (``codes.check_code_budget``, from
   ``codes.build_code`` and, before the trace is built, from the CLI's

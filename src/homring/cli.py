@@ -17,7 +17,6 @@ and usage errors exit from inside it.
 from __future__ import annotations
 
 import io
-import json
 import os
 import sys
 import time
@@ -275,12 +274,73 @@ JOBS = {
 }
 
 
+# json's ensure_ascii escapes of the characters that have a short one
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+            "\b": "\\b", "\f": "\\f"}
+
+
+def _escape(c: str) -> str:
+    """One character of a JSON string as json's ensure_ascii writes it."""
+    if c in _ESCAPES:
+        return _ESCAPES[c]
+    if " " <= c <= "~":
+        return c
+    n = ord(c)
+    if n > 0xFFFF:  # a surrogate pair
+        n -= 0x10000
+        return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+    return f"\\u{n:04x}"
+
+
+def _quote(s: str) -> str:
+    """s as a JSON string, escaped as json's ensure_ascii escapes it."""
+    if not (s.isascii() and s.isprintable()) or '"' in s or "\\" in s:
+        s = "".join(map(_escape, s))
+    return '"' + s + '"'
+
+
+def _to_json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``'s bytes, for the values a report holds:
+    dicts with str keys, lists and tuples, str, int, True, False and None;
+    any other value (a Fraction, a float, a set, a non-str key) is a
+    TypeError.  ``pad`` is the newline and indent before the value's
+    closing bracket.  A list of ints only (not bools) is printed in one
+    call."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            body = repr(list(value))[1:-1].replace(", ", "," + inner)
+        else:
+            body = ("," + inner).join([_to_json(v, inner) for v in value])
+        return "[" + inner + body + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(k, str) for k in value):
+            raise TypeError("report keys must be str")
+        return ("{" + inner + ("," + inner).join(
+            [_quote(k) + ": " + _to_json(v, inner) for k, v in value.items()])
+            + pad + "}")
+    raise TypeError(f"{type(value).__name__} is not a report value")
+
+
 def _render(report: dict, job: tuple, fmt: str) -> str:
-    """The report of the (command, action) job as indented JSON, or as CSV
-    of the list and columns that its row names (``main`` refuses CSV for a
-    row that names none)."""
+    """The report of the (command, action) job as ``json.dumps(report,
+    indent=2)`` prints it (``_to_json``, so no job loads ``json``), or as
+    CSV of the list and columns that its row names (``main`` refuses CSV
+    for a row that names none)."""
     if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
+        return _to_json(report) + "\n"
     import csv  # only CSV output needs it
 
     rows, columns = JOBS[job].csv

@@ -220,6 +220,53 @@ def test_verify_paper_builds_one_z_m_per_modulus_and_one_embedding_per_pair():
                            "'GR:2,2,2', 'GR:2,3,2', 'GR:3,2,2']\n")
 
 
+# counts the galois traces that a fresh verify paper builds and the tables
+# it validates: one build per (R, S) pair, so 5 for its 5 pairs (18 when each
+# code built its own), and 26 validations (39)
+_VERIFY_GALOIS = """
+from homring import traces, verify
+pairs, checked = [], []
+build, check = traces._galois_trace, traces.validate_trace
+
+def counted_build(ring, sub):
+    pairs.append((ring.name, sub.name))
+    return build(ring, sub)
+
+def counted_check(*args):
+    checked.append(args[0].name)
+    return check(*args)
+
+traces._galois_trace, traces.validate_trace = counted_build, counted_check
+assert verify.run()["passed"]
+print(len(pairs), len(set(pairs)), len(checked))
+"""
+
+
+def test_verify_paper_builds_each_galois_trace_once():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", _VERIFY_GALOIS],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "5 5 26\n"
+
+
+def test_a_galois_trace_is_kept_per_pair_and_a_refused_pair_is_not():
+    R = make_galois_ring.__wrapped__(2, 2, 2)
+    S = ring_from_spec("Zm:4")
+    trace = galois_trace(R, S)
+    assert trace_from_spec(R, S, "galois") is trace
+    assert galois_trace(R) is galois_trace(R, R) is not trace
+    other = make_integer_ring.__wrapped__(4)
+    assert galois_trace(R, other) is not trace
+    assert galois_trace(R, other).values == trace.values
+    bad = ring_from_spec("Zm:2")
+    for _ in range(2):
+        with pytest.raises(InvalidParameter, match="does not embed"):
+            galois_trace(R, bad)
+    assert ("galois", bad) not in R._cache
+
+
 def test_a_pair_with_no_embedding_is_refused_before_the_enumeration_budget():
     R, S = ring_from_spec("GR:2,2,2"), ring_from_spec("Zm:2")
     for _ in range(2):   # a refusal is not kept

@@ -4,14 +4,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homring import codes, verify
-from homring.cli import JOBS, JobConfig, _build_parser, _job_args, main, parse_config
+from homring.cli import (JOBS, JobConfig, _build_parser, _job_args, _to_json, main,
+                         parse_config)
 from homring.errors import ParseError
 
 from golden_corpus import GOLDEN, process_env
@@ -81,6 +83,32 @@ def test_reports_are_byte_identical(capsys):
     _, first, _ = run(capsys, ANALYZE)
     _, second, _ = run(capsys, ANALYZE)
     assert first == second
+
+
+# report-shaped values: dicts with str keys, lists and tuples, any text,
+# ints of any sign and size, and int lists with bools among the ints
+_REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(st.characters())
+    | st.lists(st.integers() | st.booleans()),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(st.characters()), inner)),
+    max_leaves=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=_REPORT_VALUES)
+@example(value={"s": "\x7f\x00\u00e9\U0001f600\"\\\n\r\t\b\f",
+                "ints": [1, -2, 3 ** 90], "mixed": [1, True], "tuple": (1, (2,)),
+                "empty": [[], {}, ()]})
+def test_reports_are_written_as_json_dumps_with_indent_2_writes_them(value):
+    assert _to_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, {1}, {1: "one"},
+                                   [1, Fraction(1, 2)], {"a": (1, 0.5)}])
+def test_the_report_writer_refuses_what_a_report_does_not_hold(value):
+    with pytest.raises(TypeError):
+        _to_json(value)
 
 
 def test_timing_is_opt_in(capsys):
@@ -451,15 +479,18 @@ def test_a_non_positive_budget_flag_is_refused_like_a_config_value(
 _COLD_JOB = """\
 import io, sys
 import homring.cli as cli
-print(sorted({"dataclasses", "inspect", "csv"} & set(sys.modules)))
+JSON = {"json", "json.decoder", "_json"}
+print(sorted(({"dataclasses", "inspect", "csv"} | JSON) & set(sys.modules)))
 sys.stdout = io.StringIO()
 code = cli.main(["code", "analyze", "--ring", "Zm:5", "--f", "pow:3"])
 sys.stdout = sys.__stdout__
-print(code, sorted({"argparse", "gettext", "homring.verify"} & set(sys.modules)))
+print(code, sorted(({"argparse", "gettext", "homring.verify"} | JSON)
+                   & set(sys.modules)))
 """
 
 
 def test_cli_import_and_a_well_formed_job_leave_out_argparse_and_verify():
+    # and json: reports are written by cli._to_json
     # -S keeps site's own imports out of sys.modules
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run([sys.executable, "-S", "-c", _COLD_JOB],
