@@ -16,7 +16,7 @@ from .errors import (BadPermutation, BudgetExceeded, HomringError,
                      NotTwoWeight, OutOfRange, ParseError, UnknownPreset,
                      ValidationFailed, WrongRingFamily)
 from .graphs import (CodeGraph, SRGFailure, SRGParams, connected_components,
-                     function_columns, is_modular, srg_check, two_weight_graph)
+                     is_modular, srg_check, two_weight_graph)
 from .rings import (GaloisRing, IntegerModRing, Ring, TableRing, fxy_ring,
                     make_galois_ring, make_integer_ring, ring_from_spec,
                     subring_embedding, z4x_ring)
@@ -39,7 +39,7 @@ __all__ = [
     "build_code", "canonical_character", "closed_form_enumerator",
     "closed_form_spectrum", "code_from_specs", "code_spectrum",
     "connected_components",
-    "enumerate_trace_maps", "frank_map", "function_columns",
+    "enumerate_trace_maps", "frank_map",
     "function_from_spec", "fxy_ring", "galois_trace", "generating_character",
     "hamming_table", "hom_weight", "hom_weight_axiomatic", "identity_trace",
     "is_modular", "make_galois_ring", "make_integer_ring", "parse_gamma",

@@ -13,8 +13,8 @@ measured multiple of it.  The estimates and where they are checked:
   16 for each value of the |R^x| tables of |R| values, about 50 bytes each
   in process with a trace list report, before the named trace is built;
 * the kernel and the orbit labelling (``codes.check_code_budget``, from
-  ``codes.build_code`` and, before the trace is built, from the CLI's
-  ``code analyze`` and ``code graph``): 16 |R|^2;
+  ``codes.build_code`` and, before the trace is built, from
+  ``codes.code_from_specs``): 16 |R|^2;
 * orbit weighing (``codes.orbit_weights``): the orbit representatives times
   |R|, once labelling has counted them;
 * a graph (``graphs.two_weight_graph``): |C| * (log2 |C| + 32) for listing,

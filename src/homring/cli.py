@@ -25,8 +25,8 @@ from types import SimpleNamespace
 from .codes import code_from_specs, code_spectrum, weight_enumerator
 from .cyclotomic import rational_str
 from .errors import HomringError, InvalidParameter, ParseError, ValidationFailed
-from .graphs import (SRGParams, connected_components, function_columns,
-                     is_modular, srg_check, two_weight_graph)
+from .graphs import (SRGParams, connected_components, is_modular, srg_check,
+                     two_weight_graph)
 from .rings import ring_from_spec
 from .traces import enumerate_trace_maps, trace_from_spec
 from .weights import hamming_table, hom_weight, parse_gamma
@@ -209,7 +209,7 @@ def run_graph(cfg) -> dict:
     code, wt, report = _code_job(cfg)
     graph = two_weight_graph(code, wt)
     srg = srg_check(graph)
-    modular, r = is_modular(code.ring, function_columns(code.ring, code.func))
+    modular, r = is_modular(code.ring, enumerate(code.func.table))
     report.update({
         "vertices": graph.order,
         "w1": rational_str(graph.w1),

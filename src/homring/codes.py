@@ -682,8 +682,8 @@ def _require(cond: bool, msg: str):
 
 
 def frank_subring_enumerator(q: int, k: int) -> WeightEnumerator:
-    """Frank code on GR(q^2, k) traced onto the prime field GF(q), q prime,
-    k >= 2, at gamma = 1."""
+    """Frank code on GR(q^2, k) traced onto Z_{q^2}, q prime, k >= 2, at
+    gamma = 1."""
     _require(_is_prime(q), f"q = {q} must be prime")
     _require(k >= 2, f"k = {k} must be >= 2")
     qk = q ** k
@@ -782,11 +782,9 @@ _FAMILIES = {
 
 def _closed_form(family: str, params) -> tuple:
     """A family's closed-form enumerator and |R|; the sigma-quadratic
-    family takes its ring as ``params``."""
+    family takes its ring as ``params = (ring,)``."""
     if family not in _FAMILIES:
         raise UnknownPreset(f"unknown closed-form family {family!r}")
-    if isinstance(params, Ring):
-        params = (params,)
     enumerator, order = _FAMILIES[family]
     return enumerator(*params), order(*params)
 
@@ -818,4 +816,4 @@ def z2p_power_spectrum(p: int, d: int) -> tuple:
 
 def sigma_quadratic_spectrum(ring: Ring) -> tuple:
     """On a field no codeword has weight |R| - |M|, so W = |M| is not listed."""
-    return closed_form_spectrum("sigma-quadratic", ring)
+    return closed_form_spectrum("sigma-quadratic", (ring,))

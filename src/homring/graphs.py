@@ -7,7 +7,7 @@ from fractions import Fraction
 from operator import getitem
 
 from .budget import check_budget
-from .codes import Code, CodeFunction, orbit_weights
+from .codes import Code, orbit_weights
 from .errors import InternalInvariantViolation, NotTwoWeight
 from .rings import Ring
 from .weights import WeightTable
@@ -195,14 +195,10 @@ def connected_components(graph: CodeGraph) -> list:
     return [h] * (graph.order // h)
 
 
-def function_columns(ring: Ring, f: CodeFunction) -> list:
-    """Generator columns (x, f(x)) of C_f, indexed by x in R."""
-    return [(x, f.table[x]) for x in range(ring.order)]
-
-
 def is_modular(ring: Ring, columns) -> tuple:
     """Whether a single rational r satisfies
     |{i : y_i R = y_j R}| = r * |y_j R^x| over all (nonzero) columns y_j.
+    The generator columns (x, f(x)) of C_f are ``enumerate(f.table)``.
 
     In a finite commutative ring yR = zR exactly when z = u*y for a unit u,
     so both counts are read off unit orbits: with

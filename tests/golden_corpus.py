@@ -11,8 +11,9 @@ The jobs are the distinct jobs of the benchmark's four workloads at seeds
 each exit code that a CLI job can reach, and the CLI surface: output
 formats and their refusals, ``verify paper --only``, seeded maps, config
 files, the sigma-quadratic, named-trace and Galois-pair jobs, a Galois
-ring refused from its spec before it is built, and a Hamming weight refused
-a gamma other than 1.  Exit 1 needs a failing ``verify paper`` record, and
+ring refused from its spec before it is built, a Hamming weight refused
+a gamma other than 1, and four small-spectrum codes that neither
+``verify paper`` nor another record pins.  Exit 1 needs a failing ``verify paper`` record, and
 70 a fault that no CLI spec makes.
 
 Every job runs with ``tests/golden/`` as its working directory, so a
@@ -68,7 +69,10 @@ GALOIS = ("--trace", "galois")
 
 # the CLI surface: formats, --only, a seeded map, config files, the
 # sigma-quadratic, named-trace and Galois-pair jobs, a Galois ring over the
-# budget, and a Hamming weight refused a gamma other than 1
+# budget, a Hamming weight refused a gamma other than 1, and four codes
+# with small spectra that nothing else pins: the frank code on GR(9, 2)
+# with S = R, the sigma-quadratic code on FXY:2 traced to Zm:2 at gamma = 1,
+# and two power maps on Z4X under named traces
 SURFACE = (
     ("weight", "table", "--ring", "Zm:12", "--format", "json"),
     ("code", "analyze", "--ring", "GR:2,2,2", "--subring", "Zm:4", *GALOIS,
@@ -114,6 +118,13 @@ SURFACE = (
     ("ring", "info", "--ring", "GR:2,1,100"),
     ("code", "analyze", "--ring", "Zm:5", "--f", "pow:3", "--weight", "hamming",
      "--gamma", "7"),
+    ("code", "analyze", "--ring", "GR:3,2,2", "--f", "frank:id"),
+    ("code", "analyze", "--ring", "FXY:2", "--subring", "Zm:2",
+     "--trace", "fxy-sum", "--f", "sigmaquad:swapxy"),
+    ("code", "analyze", "--ring", "Z4X", "--subring", "Zm:4",
+     "--trace", "z4x:0,1", "--f", "pow:2"),
+    ("code", "analyze", "--ring", "Z4X", "--subring", "Zm:4",
+     "--trace", "z4x:0,3", "--f", "pow:3"),
 )
 
 

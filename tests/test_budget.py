@@ -17,8 +17,8 @@ from homring.budget import DEFAULT_BUDGET, check_budget
 from homring.cli import main
 from homring.codes import build_code, function_from_spec, table_map, weight_enumerator
 from homring.errors import BudgetExceeded, InvalidParameter
-from homring.graphs import (connected_components, function_columns, is_modular,
-                            srg_check, two_weight_graph)
+from homring.graphs import (connected_components, is_modular, srg_check,
+                            two_weight_graph)
 from homring.rings import (fxy_ring, make_galois_ring, make_integer_ring,
                            parse_ring_spec_parts, ring_from_spec,
                            subring_embedding, z4x_ring)
@@ -206,7 +206,7 @@ def test_graph_is_bounded_by_its_estimate(spec, monkeypatch):
     graph = two_weight_graph(build_code(R, S, trace, f), table)
     srg_check(graph)
     connected_components(graph)
-    is_modular(R, function_columns(R, f))
+    is_modular(R, enumerate(f.table))
     _assert_bounded(_stages(checks),
                     ["kernel and orbit labelling", "orbit weighing", "graph"])
 

@@ -286,6 +286,14 @@ def test_verify_subset_passes(capsys):
     assert [r["id"] for r in report["records"]] == [1, 3, 5]
 
 
+def test_verify_runs_share_no_record():
+    # records 1-3 read one cached computation, but no run hands out
+    # another run's record
+    first, again = verify.run(only=[2, 3]), verify.run(only=[2, 3])
+    assert first == again and [r["id"] for r in first["records"]] == [2, 3]
+    assert not any(a is b for a, b in zip(first["records"], again["records"]))
+
+
 @pytest.mark.parametrize("only,rid", [("99", 99), ("0", 0), ("1,99", 99)])
 def test_verify_refuses_an_unknown_record_id_as_a_parse_error(capsys, only, rid):
     assert run(capsys, ["verify", "paper", "--only", only]) == (

@@ -854,7 +854,7 @@ def test_sigma_quadratic_closed_form_over_residue_field_of_two():
     for spec in ("GR:2,2,1", "GR:2,3,1"):
         code = _code(spec, spec, "identity", "sigmaquad:frobenius")
         brute = _brute_force(code, hom_weight(code.sub, 1))
-        assert brute == closed_form_enumerator("sigma-quadratic", code.ring)
+        assert brute == closed_form_enumerator("sigma-quadratic", (code.ring,))
 
 
 def test_sigma_quadratic_closed_form_deviates_for_larger_residue_fields():
@@ -875,7 +875,7 @@ def test_sigma_quadratic_closed_form_deviates_for_larger_residue_fields():
         n, m, k = R.order, len(R.nonunits()), R.residue_size()
         assert k > 2
         brute = _brute_force(code, hom_weight(R, 1))
-        assert brute == closed_form_enumerator("sigma-quadratic", R)
+        assert brute == closed_form_enumerator("sigma-quadratic", (R,))
         transcribed = WeightEnumerator({
             0: 1,
             n - m: k * n - k * k + k - 1,
@@ -887,7 +887,7 @@ def test_sigma_quadratic_closed_form_deviates_for_larger_residue_fields():
         assert brute[top] - transcribed[top] == k - 1
         rest = set(brute.counts) - {low, top}
         assert all(brute[w] == transcribed[w] for w in rest)
-        assert code_spectrum(code) == closed_form_spectrum("sigma-quadratic", R)
+        assert code_spectrum(code) == closed_form_spectrum("sigma-quadratic", (R,))
 
 
 def test_closed_form_counts_and_first_moments_are_identities():
@@ -901,7 +901,7 @@ def test_closed_form_counts_and_first_moments_are_identities():
                  "FXY:2", "FXY:3", "Z4X"):
         R = ring_from_spec(spec)
         n = R.order
-        enum = closed_form_enumerator("sigma-quadratic", R)
+        enum = closed_form_enumerator("sigma-quadratic", (R,))
         size = n * n if R.residue_size() > 2 else n * n // 2
         assert enum.total == size, spec
         assert sum(w * c for w, c in enum) == size * (n - 1), spec

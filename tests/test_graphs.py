@@ -12,8 +12,7 @@ from homring.cli import main
 from homring.codes import build_code, function_from_spec
 from homring.errors import InvalidParameter, NotTwoWeight
 from homring.graphs import (SRGFailure, SRGParams, connected_components,
-                            function_columns, is_modular, srg_check,
-                            two_weight_graph)
+                            is_modular, srg_check, two_weight_graph)
 from homring.rings import ring_from_spec
 from homring.traces import identity_trace, trace_from_spec
 from homring.weights import WeightTable, hamming_table, hom_weight
@@ -205,7 +204,7 @@ def test_z5_cube_graph_is_srg_25_8_3_2():
     assert params == SRGParams(25, 8, 3, 2)
     assert not params.degenerate
     assert connected_components(graph) == [25]
-    columns = function_columns(code.ring, code.func)
+    columns = enumerate(code.func.table)
     assert is_modular(code.ring, columns) == (True, F(1, 2))
 
 
@@ -220,7 +219,7 @@ def test_z10_cube_graph_splits_and_is_not_modular():
     assert failure.reason == "MuVaries"
     assert set(failure.witness) == {"pair", "common", "expected"}
     assert connected_components(graph) == [25, 25]
-    assert is_modular(code.ring, function_columns(code.ring, code.func)) \
+    assert is_modular(code.ring, enumerate(code.func.table)) \
         == (False, None)
 
 
@@ -378,6 +377,6 @@ GRAPH_FUNCTIONS = (
 def test_is_modular_equals_the_pairwise_count():
     for ring_spec, f_spec in GRAPH_FUNCTIONS:
         R = ring_from_spec(ring_spec)
-        columns = function_columns(R, function_from_spec(R, f_spec))
+        columns = list(enumerate(function_from_spec(R, f_spec).table))
         assert is_modular(R, columns) == _pairwise_is_modular(R, columns), \
             (ring_spec, f_spec)

@@ -3,9 +3,9 @@ apart from the error classes of the exit-code table, and every public method
 of a class among them is used somewhere other than the tests.
 
 A name counts as used when ``src/homring`` refers to it outside its own
-definition and the package's ``__init__``, or when a file in ``scripts/`` or
-``bench/`` refers to it, as code or as a string (the benchmark pins the
-functions it wraps by name).  Docstrings and comments do not count.
+definition and the package's ``__init__``, or when a file in ``bench/``
+refers to it, as code or as a string (the benchmark pins the functions it
+wraps by name).  Docstrings and comments do not count.
 
 README's exit-code table lists every error class under its exit code, and
 no retired code has a class."""
@@ -55,13 +55,12 @@ def _parse(path):
 
 def _usage():
     """The parsed modules of ``src/homring`` but its ``__init__``, and the
-    references of ``scripts/`` and ``bench/``."""
+    references of ``bench/``."""
     src = [_parse(p) for p in sorted((ROOT / "src" / "homring").glob("*.py"))
            if p.name != "__init__.py"]
     users = set()
-    for folder in ("scripts", "bench"):
-        for path in sorted((ROOT / folder).glob("*.py")):
-            users |= _references(_parse(path))
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        users |= _references(_parse(path))
     return src, users
 
 
@@ -136,11 +135,10 @@ def _calls_of(name, tree) -> list:
 
 
 def test_every_code_is_built_by_one_builder():
-    # the CLI, verify paper and the scripts build their codes from specs
-    # through codes.code_from_specs, which alone calls build_code
+    # the CLI and verify paper build their codes from specs through
+    # codes.code_from_specs, which alone calls build_code
     calls = {}
-    for path in sorted((ROOT / "src" / "homring").glob("*.py")) + sorted(
-            (ROOT / "scripts").glob("*.py")):
+    for path in sorted((ROOT / "src" / "homring").glob("*.py")):
         for around in _calls_of("build_code", ast.parse(path.read_text(encoding="utf-8"))):
             calls.setdefault(f"{path.parent.name}/{path.name}", []).append(around)
     assert calls == {"homring/codes.py": ["code_from_specs"]}

@@ -88,7 +88,7 @@ def test_summed_out_route_reproduces_records_9_to_11(job, size, counts):
     ring_spec, sub_spec = job[:2]
     if ring_spec == sub_spec:
         assert enum == closed_form_enumerator("sigma-quadratic",
-                                              ring_from_spec(ring_spec))
+                                              (ring_from_spec(ring_spec),))
 
 
 @pytest.mark.parametrize("spec,f_spec", [
@@ -99,6 +99,6 @@ def test_summed_out_route_reproduces_records_9_to_11(job, size, counts):
 ])
 def test_summed_out_route_matches_closed_form_on_small_rings(spec, f_spec):
     enum, size = _summed_out_enumerator(spec, spec, "identity", f_spec)
-    closed = closed_form_enumerator("sigma-quadratic", ring_from_spec(spec))
+    closed = closed_form_enumerator("sigma-quadratic", (ring_from_spec(spec),))
     assert enum == closed
     assert size == closed.total
