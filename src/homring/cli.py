@@ -135,8 +135,8 @@ def run_ring_info(cfg) -> dict:
         "is_local": local,
         "residue_size": ring.residue_size() if local else None,
         "unit_count": len(ring.units()),
-        "radical": list(ring.radical().members),
-        "socle": list(ring.socle().members),
+        "radical": list(ring.radical()),
+        "socle": list(ring.socle()),
         "teichmuller": list(ring.teichmuller().elements) if local else None,
     }
 

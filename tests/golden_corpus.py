@@ -12,13 +12,14 @@ each exit code that a CLI job can reach, and the CLI surface: output
 formats and their refusals, ``verify paper --only``, seeded maps, config
 files, the sigma-quadratic, named-trace and Galois-pair jobs, a Galois
 ring refused from its spec before it is built, a Hamming weight refused
-a gamma other than 1, and four small-spectrum codes that neither
-``verify paper`` nor another record pins.  Exit 1 needs a failing ``verify paper`` record, and
+a gamma other than 1, four small-spectrum codes that neither
+``verify paper`` nor another record pins, and a ``table:`` trace and a
+``table:`` function.  Exit 1 needs a failing ``verify paper`` record, and
 70 a fault that no CLI spec makes.
 
 Every job runs with ``tests/golden/`` as its working directory, so a
-config file (``*.cfg`` there) is named by its bare file name and no record
-depends on where the checkout lives.
+config file (``*.cfg`` there) or a two-column table (``*.tbl``) is named by
+its bare file name and no record depends on where the checkout lives.
 
 Rewriting the corpus records what the code in ``src/`` prints now, so run
 it only on a tree whose outputs are known to be right, and name every
@@ -69,10 +70,11 @@ GALOIS = ("--trace", "galois")
 
 # the CLI surface: formats, --only, a seeded map, config files, the
 # sigma-quadratic, named-trace and Galois-pair jobs, a Galois ring over the
-# budget, a Hamming weight refused a gamma other than 1, and four codes
-# with small spectra that nothing else pins: the frank code on GR(9, 2)
-# with S = R, the sigma-quadratic code on FXY:2 traced to Zm:2 at gamma = 1,
-# and two power maps on Z4X under named traces
+# budget, a Hamming weight refused a gamma other than 1, four codes with
+# small spectra that nothing else pins: the frank code on GR(9, 2) with
+# S = R, the sigma-quadratic code on FXY:2 traced to Zm:2 at gamma = 1, and
+# two power maps on Z4X under named traces; and two jobs on two-column
+# ``table:`` files, a trace that is not additive and a function
 SURFACE = (
     ("weight", "table", "--ring", "Zm:12", "--format", "json"),
     ("code", "analyze", "--ring", "GR:2,2,2", "--subring", "Zm:4", *GALOIS,
@@ -125,6 +127,8 @@ SURFACE = (
      "--trace", "z4x:0,1", "--f", "pow:2"),
     ("code", "analyze", "--ring", "Z4X", "--subring", "Zm:4",
      "--trace", "z4x:0,3", "--f", "pow:3"),
+    ("trace", "check", "--ring", "Zm:5", "--trace", "table:cube_zm5.tbl"),
+    ("code", "analyze", "--ring", "Zm:7", "--f", "table:cube_zm7.tbl"),
 )
 
 

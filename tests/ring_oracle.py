@@ -6,7 +6,9 @@ library's generator checks and its Frobenius are compared against.
   sum p^i a_i -> sum p^i a_i^p is a route independent of x -> x^p.
 * The full pair scans of a ring map through the rings' own ``add`` and
   ``mul``, and of a character, which the library checks on generators or
-  not at all: O(|R|^2) cells each.
+  not at all: O(|R|^2) cells each; and the check that a refused map
+  fails its named operation at its named pair, through the same ``add``
+  and ``mul``.
 * The coordinate formulas of the presets FXY:p and Z4X, which the library
   now builds from their basis products: every cell of the add and mul
   tables, and the render of every element.
@@ -105,6 +107,25 @@ def embedding_refusal_by_scan(sub, ring, table):
             if table[sub.mul(a, b)] != ring.mul(table[a], table[b]):
                 return f"embedding not multiplicative at {at}"
     return None
+
+
+def refusal_names_a_failing_pair(sub, ring, table, message) -> bool:
+    """Whether ``message``, "embedding not <op> at (a,b)" with a and b as S
+    renders them, names a pair at which ``table`` fails <op> through the
+    rings' own add and mul."""
+    renders = {sub.render(a): a for a in range(sub.order)}
+    for op, on_sub, on_ring in (("additive", sub.add, ring.add),
+                                ("multiplicative", sub.mul, ring.mul)):
+        head = f"embedding not {op} at ("
+        if message.startswith(head) and message.endswith(")"):
+            body = message[len(head):-1]
+            # a render may hold commas, so try each split
+            for i in (i for i, c in enumerate(body) if c == ","):
+                a, b = renders.get(body[:i]), renders.get(body[i + 1:])
+                if (a is not None and b is not None
+                        and table[on_sub(a, b)] != on_ring(table[a], table[b])):
+                    return True
+    return False
 
 
 def character_scan(R, conductor: int, exps):

@@ -31,7 +31,7 @@ def _records() -> list:
 def test_every_golden_record_replays_byte_identical(monkeypatch):
     monkeypatch.delenv("HOMRING_BUDGET", raising=False)
     records = _records()
-    assert len(records) == 104
+    assert len(records) == 106
     changed = [path.name for path, want in records if run_job(want["argv"]) != want]
     assert not changed, changed
 

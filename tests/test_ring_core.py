@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from homring import rings, traces
 from homring.codes import (frank_map, power_map, random_teich_permutation,
                            sigma_quadratic_map)
-from homring.errors import (BadPermutation, InvalidParameter, NotLocal,
-                            ParseError, UnknownPreset)
-from homring.rings import (GaloisRing, Ideal, IntegerModRing, SubringEmbedding,
+from homring.errors import (BadPermutation, InternalInvariantViolation,
+                            InvalidParameter, NotLocal, ParseError,
+                            UnknownPreset)
+from homring.rings import (GaloisRing, IntegerModRing, SubringEmbedding,
                            TableRing, frobenius, fxy_ring, make_galois_ring,
                            make_integer_ring, permutation_of_teichmuller,
                            ring_from_spec, swap_xy, z4x_ring)
@@ -25,8 +26,8 @@ from ring_oracle import (SETUP_GRID, cyclic_submodules_by_elements,
                          from_padic_digits, fxy_by_coordinates,
                          fxy_sum_by_digits, greedy_generators,
                          mul_table_by_cells, padic_digits,
-                         swap_xy_by_digits, z4x_by_coordinates,
-                         z4x_trace_by_digits)
+                         refusal_names_a_failing_pair, swap_xy_by_digits,
+                         z4x_by_coordinates, z4x_trace_by_digits)
 
 ALL_SPECS = [
     "Zm:4", "Zm:5", "Zm:6", "Zm:7", "Zm:8", "Zm:9", "Zm:10", "Zm:14",
@@ -157,6 +158,38 @@ def test_teichmuller_set_and_digits():
         assert from_padic_digits(R, digits) == a
 
 
+@pytest.mark.parametrize("spec", ["Zm:5", "Zm:8", "Zm:9", "Zm:25", "Zm:27", "Zm:49",
+                                  "FXY:2", "FXY:3", "Z4X", "GR:2,1,4", "GR:2,2,3",
+                                  "GR:2,3,2", "GR:3,2,2", "GR:5,2,1"])
+def test_teichmuller_generator_is_the_one_the_torsion_search_picks(spec):
+    # the search the walk over the units replaced: the least element of the
+    # sorted (q-1)-torsion of exact order q-1; a Galois ring pins the class
+    # of x instead, which must be such an element
+    R = ring_from_spec(spec)
+    q = R.residue_size()
+    torsion = sorted(u for u in range(R.order) if R.pow(u, q - 1) == R.one)
+    assert len(torsion) == q - 1
+    primes = [d for d in range(2, q)
+              if (q - 1) % d == 0 and all(d % e for e in range(2, d))]
+    exact = [u for u in torsion if all(R.pow(u, (q - 1) // p) != R.one for p in primes)]
+    want = R.xbar if isinstance(R, GaloisRing) else exact[0]
+    assert want in exact
+    t = R.teichmuller()
+    assert t.generator == want
+    assert t.elements == (0, *(R.pow(want, i) for i in range(q - 1)))
+
+
+def test_a_teichmuller_generator_of_the_wrong_order_is_refused(monkeypatch):
+    # x^3 has order 5 in GF(16)^*, not 15, so its powers repeat
+    R = ring_from_spec("GR:2,1,4")
+    monkeypatch.delitem(R._cache, "teich", raising=False)
+    monkeypatch.setattr(GaloisRing, "_teichmuller_generator",
+                        lambda self, order: self.pow(self.xbar, 3))
+    with pytest.raises(InternalInvariantViolation) as err:
+        R.teichmuller()
+    assert str(err.value) == "Teichmueller generator order wrong"
+
+
 @given(st.integers(min_value=0, max_value=4095))
 @settings(max_examples=80)
 def test_digit_round_trip_gr_2_3_2(a):
@@ -236,10 +269,12 @@ def _automorphism_refusal(R, perm):
 @given(data=st.data())
 def test_generator_automorphism_check_refuses_exactly_when_the_full_scan_does(
         data, z4x_conjugation):
-    # the message names the first failing pair of the scan, which may be
-    # multiplicative where + fails too, as on GR:2,1,3 at (0,1,3,2,4,5,6,7)
+    # the message names the pair the generator check finds, which may come
+    # later in the scan than the scan's first failing pair
     R, perm = data.draw(_candidate_automorphisms(z4x_conjugation))
-    assert _automorphism_refusal(R, perm) == embedding_refusal_by_scan(R, R, perm)
+    refusal = _automorphism_refusal(R, perm)
+    assert (refusal is None) == (embedding_refusal_by_scan(R, R, perm) is None)
+    assert refusal is None or refusal_names_a_failing_pair(R, R, perm, refusal)
 
 
 def test_bad_galois_parameters():
@@ -583,40 +618,7 @@ def test_fxy2_generators_are_the_basis():
 
 
 # ---------------------------------------------------------------------------
-# ideals on tables, against the slow operations
-
-
-def _slow_ideal_refusal(ring, members):
-    members = sorted(set(members))
-    mset = set(members)
-    for a in members:
-        if ring.neg(a) not in mset:
-            return f"ideal not closed under negation at {a}"
-        for b in members:
-            if ring.add(a, b) not in mset:
-                return f"ideal not closed under + at ({a},{b})"
-        for r in range(ring.order):
-            if ring.mul(r, a) not in mset:
-                return f"ideal not absorbing at ({r},{a})"
-    return None
-
-
-@given(st.sampled_from(["Zm:12", "Zm:8", "GR:2,2,2", "Z4X", "FXY:2"]),
-       st.sets(st.integers(min_value=1, max_value=15), max_size=6))
-@settings(max_examples=150, deadline=None)
-def test_ideal_refusals_match_the_slow_operations(spec, extra):
-    R = ring_from_spec(spec)
-    members = {0} | {a % R.order for a in extra}
-    want = _slow_ideal_refusal(R, members)
-    if want is None:
-        ideal = Ideal(R, members)
-        assert ideal.members == tuple(sorted(members))
-        assert all(a in ideal for a in members)
-        assert not any(a in ideal for a in range(R.order) if a not in members)
-    else:
-        with pytest.raises(InvalidParameter) as err:
-            Ideal(R, members)
-        assert str(err.value) == want
+# the radical and the socle, against the slow operations
 
 
 @pytest.mark.parametrize("spec", ["GR:2,1,6", "GR:2,2,3", "GR:3,2,2", "FXY:3",
@@ -624,6 +626,12 @@ def test_ideal_refusals_match_the_slow_operations(spec, extra):
 def test_radical_and_socle_equal_the_slow_operations(spec):
     R = ring_from_spec(spec)
     nil = [a for a in range(R.order) if R.pow(a, R.order) == 0]
-    assert R.radical().members == tuple(nil)
+    assert R.radical() == tuple(nil)
     soc = [a for a in range(R.order) if all(R.mul(a, m) == 0 for m in nil)]
-    assert R.socle().members == tuple(soc)
+    assert R.socle() == tuple(soc)
+    # both are ideals because the ring is commutative, so the library does
+    # not check it: closed under + and -, and absorbing every element
+    for members in (set(nil), set(soc)):
+        assert all(R.neg(a) in members for a in members)
+        assert all(R.add(a, b) in members for a in members for b in members)
+        assert all(R.mul(r, a) in members for a in members for r in range(R.order))

@@ -52,7 +52,7 @@ def _summed_out_enumerator(ring_spec, sub_spec, trace_spec, f_spec):
     sig_inv = [0] * R.order
     for a, b in enumerate(sig):
         sig_inv[b] = a
-    soc = set(R.socle().members)
+    soc = set(R.socle())
     units = [tr.embedding(u) for u in S.units()]
     teich = R.teichmuller().elements
     n = R.order
