@@ -4,7 +4,9 @@ Everything is integer / rational arithmetic: character sums are exact
 rationals read off Ramanujan sums, and weights and transform values are
 ``fractions.Fraction``.  Each ring has one gamma = 1 homogeneous-weight
 table, checked against the axiomatic solve when it is built; transform
-values are derived from it.
+values are derived from it.  Only the functions that build a rational import
+``fractions``, so a job that weighs nothing (``trace list``, ``ring info``,
+``trace check``) never loads it.
 """
 
 from .codes import (Code, CodeFunction, WeightEnumerator, build_code,

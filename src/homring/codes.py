@@ -26,7 +26,6 @@ solve when it is built (see ``weights.hom_weight``).
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
@@ -562,7 +561,9 @@ def code_spectrum(code: Code, enum: WeightEnumerator | None = None) -> tuple:
 class WeightEnumerator:
     """Weight -> count map over the codewords of a code, with exact weights."""
 
-    def __init__(self, counts, gamma=Fraction(1), kind: str = "homogeneous"):
+    def __init__(self, counts, gamma=1, kind: str = "homogeneous"):
+        from fractions import Fraction
+
         items = {}
         for w, c in (counts.items() if hasattr(counts, "items") else counts):
             w = Fraction(w)
@@ -574,6 +575,8 @@ class WeightEnumerator:
         self.kind = kind
 
     def __getitem__(self, w) -> int:
+        from fractions import Fraction
+
         return self.counts.get(Fraction(w), 0)
 
     def __iter__(self):
@@ -626,6 +629,8 @@ def orbit_weights(code: Code, table: WeightTable):
     1 - 1/|S| when S is a field.  Hamming tables off fields, and tables
     that are neither, are not checked.  A miss raises
     InternalInvariantViolation."""
+    from fractions import Fraction
+
     sub, w = code.sub, table.values
     if table.ring is not sub:
         raise InvalidParameter("weight table is for a different ring than S")
@@ -664,6 +669,8 @@ def orbit_weights(code: Code, table: WeightTable):
 def weight_enumerator(code: Code, table: WeightTable) -> WeightEnumerator:
     """Count the codewords of each weight, orbit by orbit, off the checked
     ``orbit_weights``."""
+    from fractions import Fraction
+
     orbits, den, weights = orbit_weights(code, table)
     counts = Counter()
     for w, size in zip(weights, orbits.sizes):
@@ -684,14 +691,16 @@ def _require(cond: bool, msg: str):
 def frank_subring_enumerator(q: int, k: int) -> WeightEnumerator:
     """Frank code on GR(q^2, k) traced onto Z_{q^2}, q prime, k >= 2, at
     gamma = 1."""
+    from fractions import Fraction
+
     _require(_is_prime(q), f"q = {q} must be prime")
     _require(k >= 2, f"k = {k} must be >= 2")
     qk = q ** k
     counts = {
-        Fraction(0): 1,
-        Fraction(q ** (2 * k) - qk): (qk - 1) * (q ** (2 * k - 2) - q ** (k - 1) + qk),
-        Fraction(q ** (2 * k)): (qk - 1) * (q ** (2 * k) - q ** (2 * k - 1) + qk + 1),
-        Fraction(q ** (2 * k)) + Fraction(qk, q - 1):
+        0: 1,
+        q ** (2 * k) - qk: (qk - 1) * (q ** (2 * k - 2) - q ** (k - 1) + qk),
+        q ** (2 * k): (qk - 1) * (q ** (2 * k) - q ** (2 * k - 1) + qk + 1),
+        q ** (2 * k) + Fraction(qk, q - 1):
             (qk - 1) * (q ** (2 * k - 1) - qk - q ** (2 * k - 2) + q ** (k - 1)),
     }
     return WeightEnumerator(counts)
@@ -702,9 +711,9 @@ def frank_self_enumerator(p: int, r: int) -> WeightEnumerator:
     _require(_is_prime(p), f"p = {p} must be prime")
     _require(r >= 2, f"r = {r} must be >= 2")
     counts = {
-        Fraction(0): 1,
-        Fraction(p ** (2 * r) - p ** r): p ** (2 * r) - p ** r,
-        Fraction(p ** (2 * r)): p ** (3 * r) - p ** (2 * r) + p ** r - 1,
+        0: 1,
+        p ** (2 * r) - p ** r: p ** (2 * r) - p ** r,
+        p ** (2 * r): p ** (3 * r) - p ** (2 * r) + p ** r - 1,
     }
     return WeightEnumerator(counts)
 
@@ -716,23 +725,25 @@ def zp_power_enumerator(p: int, d: int) -> WeightEnumerator:
     ell = gcd(d - 1, p - 1)
     c1 = (p - 1) ** 2 // ell
     counts = {
-        Fraction(0): 1,
-        Fraction(p - ell - 1): c1,
-        Fraction(p - 1): p * p - 1 - c1,
+        0: 1,
+        p - ell - 1: c1,
+        p - 1: p * p - 1 - c1,
     }
     return WeightEnumerator(counts, kind="hamming")
 
 
 def z2p_power_enumerator(p: int, d: int) -> WeightEnumerator:
     """Homogeneous enumerator (gamma = 1) of the power-map code on Z_2p."""
+    from fractions import Fraction
+
     _require(_is_prime(p) and p % 2 == 1, f"p = {p} must be an odd prime")
     _require(2 <= d <= p - 1, f"d = {d} outside 2..{p - 1}")
     ell = gcd(d - 1, p - 1)
     c1 = (p - 1) ** 2 // ell
     counts = {
-        Fraction(0): 1,
+        0: 1,
         Fraction(2 * p * (p - 1 - ell), p - 1): c1,
-        Fraction(2 * p): 2 * p * p - c1 - 1,
+        2 * p: 2 * p * p - c1 - 1,
     }
     return WeightEnumerator(counts)
 
@@ -747,6 +758,8 @@ def sigma_quadratic_enumerator(ring: Ring) -> WeightEnumerator:
     onto a nonzero ideal, over which the weight averages to gamma, so the
     weights sum to |C| * (|R| - 1).  With |R| = k*|M| the counts and the
     weights sum right on every local ring, as an identity in k and |M|."""
+    from fractions import Fraction
+
     if not ring.is_local():
         raise NotLocal(f"{ring.name} is not local")
     n = ring.order
@@ -755,16 +768,16 @@ def sigma_quadratic_enumerator(ring: Ring) -> WeightEnumerator:
     u = n - m
     if k > 2:
         counts = {
-            Fraction(0): 1,
-            Fraction(n - m): k * (n - k),
+            0: 1,
+            n - m: k * (n - k),
             n - Fraction(n * m, u): (k - 1) ** 2,
-            Fraction(n): n * n - k * n + 2 * (k - 1),
+            n: n * n - k * n + 2 * (k - 1),
         }
     else:
         counts = {
-            Fraction(0): 1,
+            0: 1,
             Fraction(n, 2): n - 2,
-            Fraction(n): n * n // 2 - n + 1,
+            n: n * n // 2 - n + 1,
         }
     return WeightEnumerator(counts)
 

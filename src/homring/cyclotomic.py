@@ -15,7 +15,6 @@ Only int and ``fractions.Fraction`` arithmetic is involved.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
@@ -59,6 +58,8 @@ class Cyclotomic:
     @staticmethod
     def from_exponent_counts(m: int, counts) -> "Cyclotomic":
         """sum over e < m of counts[e] * w_m^e, averaged over Gal(Q(w_m)/Q)."""
+        from fractions import Fraction
+
         den, weights = _galois_weights(m)
         return Cyclotomic(Fraction(sum(map(mul, counts, weights)), den))
 
@@ -67,6 +68,6 @@ class Cyclotomic:
 
 
 def rational_str(value) -> str:
-    """Render a rational as ``num/den`` with the denominator always present."""
-    f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    """Render an int or a Fraction as ``num/den`` with the denominator always
+    present."""
+    return f"{value.numerator}/{value.denominator}"

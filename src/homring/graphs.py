@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from operator import getitem
 
 from .budget import check_budget
@@ -50,6 +49,8 @@ def two_weight_graph(code: Code, table: WeightTable) -> CodeGraph:
     list the points by their pivots (at most log2 |C| of them), sort and
     label them, |R|^2 for the membership table, and the orbits times |D|
     for the common-neighbour counts of ``srg_check``."""
+    from fractions import Fraction
+
     orbits, den, orbit_weight = orbit_weights(code, table)
     # orbit 0 is the zero codeword alone; the others weigh the nonzero ones,
     # which have no weight when every codeword weighs 0, as at gamma = 0
@@ -204,6 +205,8 @@ def is_modular(ring: Ring, columns) -> tuple:
     so both counts are read off unit orbits: with
     M(y) = #{(i, u) : u*y_i = y}, r_j = M(y_j)/|R^x|.  M is counted one
     unit u at a time, over the images u*y_i that are columns."""
+    from fractions import Fraction
+
     cols = [tuple(c) for c in columns if any(c)]
     if not cols:
         return (True, None)

@@ -20,8 +20,6 @@ unit sums are exact rationals, read off Ramanujan sums, never through floats.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .budget import check_budget
 from .cyclotomic import Cyclotomic
 from .errors import (

@@ -15,7 +15,6 @@ the checked table, and every transform value is derived from it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .errors import InternalInvariantViolation, InvalidParameter, NotLocal, ParseError
@@ -27,6 +26,8 @@ class WeightTable:
     """Per-element weight values over a ring, with the gamma they satisfy."""
 
     def __init__(self, ring: Ring, gamma, values, kind: str = "homogeneous"):
+        from fractions import Fraction
+
         self.ring = ring
         self.gamma = Fraction(gamma)
         self.values = tuple(Fraction(v) for v in values)
@@ -71,15 +72,20 @@ def hom_weight(ring: Ring, gamma=1) -> WeightTable:
 
     At gamma = 1, w(x) = 1 - S_x/|R^x| with S_x the unit-averaged sum of the
     canonical generating character.  That table must equal the axiomatic
-    solve entry by entry; any other gamma scales the checked table."""
+    solve entry by entry; any other gamma scales the checked table.  S_x is
+    constant on unit orbits, so the character route is evaluated once per
+    orbit."""
+    from fractions import Fraction
+
     gamma = Fraction(gamma)
     key = ("hom_weight", gamma)
     if key not in ring._cache:
         if gamma == 1:
             char = canonical_character(ring)
             nunits = len(ring.units())
-            table = WeightTable(ring, 1, [1 - char.unit_sum(a) / nunits
-                                          for a in range(ring.order)])
+            orbit_of, orbits = ring.unit_orbits()
+            per_orbit = [1 - char.unit_sum(orbit[0]) / nunits for orbit in orbits]
+            table = WeightTable(ring, 1, [per_orbit[i] for i in orbit_of])
             solved = hom_weight_axiomatic(ring, 1)
             for x, (wc, wa) in enumerate(zip(table.values, solved.values)):
                 if wc != wa:
@@ -112,13 +118,15 @@ def hom_weight_axiomatic(ring: Ring, gamma=1) -> WeightTable:
     """Solve the orbit-sum equations bottom-up over cyclic submodules.  Each
     module xR has x among its generators, so every equation has a unique
     solution, and the solved table meets the axioms as it is built."""
+    from fractions import Fraction
+
     gamma = Fraction(gamma)
     classes, cls_of = cyclic_submodules(ring)
     order = sorted(classes, key=lambda n: (len(n), sorted(n)))
     w = {}
     for n in order:
         if len(n) == 1:
-            w[n] = Fraction(0)
+            w[n] = 0
             continue
         gens = classes[n]
         rest = gamma * len(n)
@@ -143,7 +151,7 @@ def validate_weight(wt: WeightTable) -> dict:
             if wt.values[y] != base:
                 violations.append({"axiom": "orbit-constant", "x": gens[0], "y": y,
                                    "wx": str(base), "wy": str(wt.values[y])})
-    totals = {n: sum((wt.values[y] for y in n), Fraction(0)) for n in classes}
+    totals = {n: sum(wt.values[y] for y in n) for n in classes}
     for x in range(1, ring.order):
         total, expected = totals[cls_of[x]], wt.gamma * len(cls_of[x])
         if total != expected:
@@ -161,6 +169,8 @@ def hamming_table(ring: Ring) -> WeightTable:
 def parse_gamma(spec: str, ring: Ring) -> Fraction:
     """gamma grammar: `<num>/<den>` | integer | `hamming-normalized`
     (= (q-1)/q for the residue field size q of a local ring); gamma >= 0."""
+    from fractions import Fraction
+
     spec = spec.strip()
     if spec == "hamming-normalized":
         if not ring.is_local():

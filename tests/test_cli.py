@@ -497,15 +497,43 @@ print(code, sorted(({"argparse", "gettext", "homring.verify"} | JSON)
 """
 
 
-def test_cli_import_and_a_well_formed_job_leave_out_argparse_and_verify():
-    # and json: reports are written by cli._to_json
-    # -S keeps site's own imports out of sys.modules
+def _fresh_interpreter(script: str) -> str:
+    """stdout of ``script`` run by a fresh interpreter under -S, which keeps
+    site's own imports out of sys.modules."""
     src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run([sys.executable, "-S", "-c", _COLD_JOB],
+    done = subprocess.run([sys.executable, "-S", "-c", script],
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n0 []\n"
+    return done.stdout
+
+
+def test_cli_import_and_a_well_formed_job_leave_out_argparse_and_verify():
+    # and json: reports are written by cli._to_json
+    assert _fresh_interpreter(_COLD_JOB) == "[]\n0 []\n"
+
+
+_WEIGHLESS_JOBS = """\
+import io, sys
+import homring.cli as cli
+RATIONALS = ("fractions", "decimal", "_decimal", "numbers")
+print([m for m in RATIONALS if m in sys.modules])
+for argv in (["trace", "list", "--ring", "GR:2,1,3", "--subring", "Zm:2"],
+             ["ring", "info", "--ring", "Z4X"],
+             ["trace", "check", "--ring", "Zm:5", "--trace", "identity"],
+             ["code", "analyze", "--ring", "Zm:5", "--f", "pow:3"]):
+    sys.stdout = io.StringIO()
+    code = cli.main(argv)
+    sys.stdout = sys.__stdout__
+    print(argv[1], code, [m for m in RATIONALS if m in sys.modules])
+"""
+
+
+def test_jobs_that_weigh_nothing_leave_out_fractions():
+    # the first weighing job loads them, so their absence is not vacuous
+    assert _fresh_interpreter(_WEIGHLESS_JOBS).splitlines() == [
+        "[]", "list 0 []", "info 0 []", "check 0 []",
+        "analyze 0 ['fractions', 'decimal', '_decimal', 'numbers']"]
 
 
 # ---------------------------------------------------------------------------

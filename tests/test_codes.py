@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homring import cli, codes
+from homring import cli, codes, verify
 from homring.codes import (PairOrbits, WeightEnumerator, _is_monomial,
                            _unit_generators, build_code, closed_form_enumerator,
                            closed_form_spectrum, code_from_specs, code_spectrum,
@@ -156,6 +156,29 @@ def test_random_teich_permutation_is_seeded():
     # the spec frank:rand:<seed> is the Frank map of this permutation
     f = function_from_spec(R, "frank:rand:9")
     assert (f.table, f.tag) == (frank_map(R, p1).table, "frank:rand:9")
+
+
+def test_record_4_builds_each_drawn_permutation_once():
+    # the spec verify names each draw by is the map frank:rand:<seed> builds
+    for spec in ("GR:2,2,2", "GR:3,2,2"):
+        R = ring_from_spec(spec)
+        for seed in verify.RANDOM_PERM_SEEDS:
+            named = verify._frank_spec(spec, seed)
+            assert (function_from_spec(R, named).table
+                    == function_from_spec(R, f"frank:rand:{seed}").table), named
+    # on GR:2,2,2 seeds 1-3 draw one pi and seed 5 the identity of records
+    # 1-3, so record 4 builds 2 codes there for each subring and 5 on GR:3,2,2
+    verify._code.cache_clear()
+    verify._frank_triplet.cache_clear()
+    try:
+        verify.run(only=[1, 2, 3])
+        built = verify._code.cache_info().misses
+        (rec,) = verify.run(only=[4])["records"]
+        assert rec["pass"]
+        assert verify._code.cache_info().misses - built == 9
+    finally:
+        verify._code.cache_clear()
+        verify._frank_triplet.cache_clear()
 
 
 def test_function_spec_grammar(tmp_path):
