@@ -1,12 +1,13 @@
 """Exact trace codes over finite commutative rings.
 
-Everything is integer / rational arithmetic: character sums are exact
-rationals read off Ramanujan sums, and weights and transform values are
-``fractions.Fraction``.  Each ring has one gamma = 1 homogeneous-weight
-table, checked against the axiomatic solve when it is built; transform
-values are derived from it.  Only the functions that build a rational import
-``fractions``, so a job that weighs nothing (``trace list``, ``ring info``,
-``trace check``) never loads it.
+Everything is integer arithmetic: character sums over unit multiples are
+integers read off Ramanujan sums, and every weight and transform value is an
+integer numerator over a denominator its table or enumerator carries.  Each
+ring has one gamma = 1 homogeneous-weight table, checked against the
+axiomatic solve when it is built; transform values are derived from it.
+Only ``verify`` (whose expected enumerators are written with Fraction
+weights) and ``parse_gamma`` (for a gamma spelled like ``0.5``) import
+``fractions``, so no other job loads it.
 """
 
 from .codes import (Code, CodeFunction, WeightEnumerator, build_code,

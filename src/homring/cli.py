@@ -116,7 +116,7 @@ def _subring(cfg, ring):
 def _weight_table(cfg, sub):
     gamma = parse_gamma(cfg.gamma, sub)
     if cfg.weight == "hamming":
-        if gamma != 1:
+        if gamma != (1, 1):
             raise InvalidParameter(
                 "--weight hamming has gamma 1 (its weights are 0 and 1), "
                 f"got --gamma {cfg.gamma}")
@@ -171,11 +171,12 @@ def run_weight_table(cfg) -> dict:
     wt = _weight_table(cfg, ring)
     # each element's unit orbit, which generates its module xR, by least member
     orbit_of, orbits = ring.unit_orbits()
-    rows = [{"element": x, "orbit": orbits[i][0], "weight": rational_str(wt.values[x])}
+    rows = [{"element": x, "orbit": orbits[i][0],
+             "weight": rational_str(wt.values[x], wt.den)}
             for x, i in enumerate(orbit_of)]
     return {
         "ring": ring.name,
-        "gamma": rational_str(wt.gamma),
+        "gamma": rational_str(*wt.gamma),
         "kind": wt.kind,
         "rows": rows,
     }
@@ -188,7 +189,7 @@ def _code_job(cfg):
     wt = _weight_table(cfg, code.sub)
     report = {"ring": code.ring.name, "subring": code.sub.name,
               "trace": cfg.trace or "identity", "f": code.func.tag,
-              "gamma": rational_str(wt.gamma), "weight": cfg.weight}
+              "gamma": rational_str(*wt.gamma), "weight": cfg.weight}
     return code, wt, report
 
 
@@ -197,9 +198,10 @@ def run_analyze(cfg) -> dict:
     if code.func.seed is not None:
         report["seed"] = code.func.seed
     enum = weight_enumerator(code, wt)
+    den, spectrum = code_spectrum(code, enum)
     report.update({
         "size": code.size,
-        "spectrum": [rational_str(v) for v in code_spectrum(code, enum)],
+        "spectrum": [rational_str(v, den) for v in spectrum],
         "enumerator": enum.to_records(),
     })
     return report
@@ -212,7 +214,7 @@ def run_graph(cfg) -> dict:
     modular, r = is_modular(code.ring, enumerate(code.func.table))
     report.update({
         "vertices": graph.order,
-        "w1": rational_str(graph.w1),
+        "w1": rational_str(*graph.w1),
         "regular_degree": graph.degree,
         "srg": ({"v": srg.v, "k": srg.k, "lambda": srg.lam, "mu": srg.mu,
                  "degenerate": srg.degenerate}
@@ -221,7 +223,7 @@ def run_graph(cfg) -> dict:
                         else {"reason": srg.reason, "witness": srg.witness}),
         "components": connected_components(graph),
         "modular": {"is_modular": modular,
-                    "r": rational_str(r) if r is not None else None},
+                    "r": rational_str(*r) if r is not None else None},
     })
     return report
 

@@ -19,18 +19,20 @@ Every weighing, an enumerator's or a graph's, reads ``orbit_weights``, which
 checks the weights' first power moment.  At
 gamma = 1 the transform value of a codeword is W = |R| - w, w its homogeneous
 weight, so the spectrum is read off the gamma = 1 enumerator.  Everything is
-exact, in Fractions.  The weight table is checked against the axiomatic
-solve when it is built (see ``weights.hom_weight``).
+exact, in integers: a table's weights are numerators over its denominator,
+and so are a codeword's weight and the enumerator's weights and spectrum.
+The weight table is checked against the axiomatic solve when it is built
+(see ``weights.hom_weight``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 from .budget import check_budget
-from .cyclotomic import rational_str
+from .cyclotomic import ratio, rational_str, reduced
 from .errors import (
     InternalInvariantViolation,
     InvalidParameter,
@@ -545,69 +547,85 @@ def code_kernel(ring: Ring, trace: TraceMap, f: CodeFunction) -> tuple:
 
 def _spectrum(enum: WeightEnumerator, order: int) -> tuple:
     """W = |R| - w over the weights of a gamma = 1 homogeneous enumerator,
-    |R| = ``order``: a tuple of Fractions, descending as the weights ascend."""
-    return tuple(order - w for w, _ in enum)
+    |R| = ``order``: (D, numerators over the enumerator's denominator D),
+    descending as the weights ascend."""
+    den = enum.den
+    return den, tuple(order * den - t for t, _ in enum)
 
 
 def code_spectrum(code: Code, enum: WeightEnumerator | None = None) -> tuple:
-    """The code's spectrum, read off its gamma = 1 homogeneous enumerator.
-    A caller that already holds that enumerator passes it as ``enum``; any
-    other enumerator is ignored and the right one computed."""
-    if enum is None or enum.kind != "homogeneous" or enum.gamma != 1:
+    """The code's spectrum (D, values), read off its gamma = 1 homogeneous
+    enumerator: each W is a value over D.  A caller that already holds that
+    enumerator passes it as ``enum``; any other enumerator is ignored and
+    the right one computed."""
+    if enum is None or enum.kind != "homogeneous" or enum.gamma != (1, 1):
         enum = weight_enumerator(code, hom_weight(code.sub, 1))
     return _spectrum(enum, code.ring.order)
 
 
 class WeightEnumerator:
-    """Weight -> count map over the codewords of a code, with exact weights."""
+    """Weight -> count map over the codewords of a code, with exact weights.
 
-    def __init__(self, counts, gamma=1, kind: str = "homogeneous"):
-        from fractions import Fraction
+    Each weight w of ``counts`` (an int or a Fraction: its ``numerator`` and
+    ``denominator`` are read) stands for w/``den``.  They are kept as
+    integer numerators over one denominator ``den``, the least that makes
+    every weight with a nonzero count an integer, so equal enumerators
+    compare and hash equal however they were built: ``items`` holds the
+    (numerator, count) pairs in ascending order and ``counts`` maps each
+    numerator to its count.  ``gamma`` is a reduced (num, den) pair."""
 
+    def __init__(self, counts, gamma=1, kind: str = "homogeneous", den: int = 1):
         items = {}
         for w, c in (counts.items() if hasattr(counts, "items") else counts):
-            w = Fraction(w)
+            w = ratio(w)
             items[w] = items.get(w, 0) + int(c)
-        self.items = tuple(sorted((w, c) for w, c in items.items() if c))
+        items = [(w, c) for w, c in items.items() if c]
+        common = lcm(*(d for (_, d), _ in items))
+        nums = [n * (common // d) for (n, d), _ in items]
+        g = gcd(common * den, *nums)
+        self.den = common * den // g
+        self.items = tuple(sorted((n // g, c) for n, (_, c) in zip(nums, items)))
         self.counts = dict(self.items)
         self.total = sum(c for _, c in self.items)
-        self.gamma = Fraction(gamma)
+        self.gamma = ratio(gamma)
         self.kind = kind
 
     def __getitem__(self, w) -> int:
-        from fractions import Fraction
-
-        return self.counts.get(Fraction(w), 0)
+        """The count of weight w, an int or a Fraction."""
+        num, den = ratio(w)
+        t, rest = divmod(num * self.den, den)
+        return 0 if rest else self.counts.get(t, 0)
 
     def __iter__(self):
         return iter(self.items)
 
+    def _key(self) -> tuple:
+        return self.den, self.items, self.gamma, self.kind
+
     def __eq__(self, other):
         if isinstance(other, WeightEnumerator):
-            return (self.items, self.gamma, self.kind) == (other.items, other.gamma,
-                                                           other.kind)
+            return self._key() == other._key()
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.items, self.gamma, self.kind))
+        return hash(self._key())
 
     def poly_str(self) -> str:
         """Render as 1 + c1 X^w1 + ... with ascending weights; fractional
         exponents are braced, e.g. X^{128/3}."""
         terms = []
-        for w, c in self.items:
-            if w == 0:
+        for t, c in self.items:
+            if t == 0:
                 terms.append(str(c))
                 continue
-            if w.denominator == 1:
-                e = str(w.numerator)
-            else:
-                e = "{" + f"{w.numerator}/{w.denominator}" + "}"
+            n, d = reduced(t, self.den)
+            e = str(n) if d == 1 else "{" + f"{n}/{d}" + "}"
             terms.append(f"X^{e}" if c == 1 else f"{c}X^{e}")
         return "+".join(terms) if terms else "0"
 
     def to_records(self) -> list:
-        return [{"weight": rational_str(w), "count": c} for w, c in self.items]
+        return [{"weight": rational_str(t, self.den), "count": c}
+                for t, c in self.items]
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"WeightEnumerator({self.poly_str()})"
@@ -629,8 +647,6 @@ def orbit_weights(code: Code, table: WeightTable):
     1 - 1/|S| when S is a field.  Hamming tables off fields, and tables
     that are neither, are not checked.  A miss raises
     InternalInvariantViolation."""
-    from fractions import Fraction
-
     sub, w = code.sub, table.values
     if table.ring is not sub:
         raise InvalidParameter("weight table is for a different ring than S")
@@ -641,8 +657,8 @@ def orbit_weights(code: Code, table: WeightTable):
                                f"unit orbit of {sub.render(y)}")
     orbits = code.orbits
     check_budget("orbit weighing", len(orbits.reps) * code.ring.order, code.budget)
-    den, scaled = table.scaled()
-    wt = [scaled[v] for v in code.trace.values]
+    den = table.den
+    wt = [w[v] for v in code.trace.values]
     mot = code.ring.mul_table()
     aot = code.ring.add_table()
     ft = code.func.table
@@ -652,31 +668,31 @@ def orbit_weights(code: Code, table: WeightTable):
         weights.append(sum([wt[aot[a][brow[v]]] for a, v in zip(mot[alpha], ft)]))
     if table.kind == "hamming":
         field = len(sub.units()) == sub.order - 1
-        mean = 1 - Fraction(1, sub.order) if field else None
+        mean = (sub.order - 1, sub.order) if field else None
     else:
         mean = table.gamma if table == hom_weight(sub, table.gamma) else None
     if mean is not None:
         # (x, f(x)) = (0, 0) only at x = 0, and there only when f(0) = 0
-        expected = mean * code.size * (code.ring.order - (ft[0] == 0))
-        moment = Fraction(sum(t * n for t, n in zip(weights, orbits.sizes)), den)
-        if moment != expected:
+        a, b = mean
+        expected = a * code.size * (code.ring.order - (ft[0] == 0))
+        moment = sum(t * n for t, n in zip(weights, orbits.sizes))
+        # moment/den == expected/b
+        if moment * b != expected * den:
             raise InternalInvariantViolation(
                 f"{table.kind} weights of {code.func.tag} on {code.ring.name} "
-                f"over {sub.name} sum to {moment}, not {expected}")
+                f"over {sub.name} sum to {rational_str(moment, den)}, "
+                f"not {rational_str(expected, b)}")
     return orbits, den, weights
 
 
 def weight_enumerator(code: Code, table: WeightTable) -> WeightEnumerator:
     """Count the codewords of each weight, orbit by orbit, off the checked
     ``orbit_weights``."""
-    from fractions import Fraction
-
     orbits, den, weights = orbit_weights(code, table)
     counts = Counter()
     for w, size in zip(weights, orbits.sizes):
         counts[w] += size
-    return WeightEnumerator({Fraction(t, den): c for t, c in counts.items()},
-                            gamma=table.gamma, kind=table.kind)
+    return WeightEnumerator(counts, gamma=table.gamma, kind=table.kind, den=den)
 
 
 # ---------------------------------------------------------------------------
@@ -690,20 +706,18 @@ def _require(cond: bool, msg: str):
 
 def frank_subring_enumerator(q: int, k: int) -> WeightEnumerator:
     """Frank code on GR(q^2, k) traced onto Z_{q^2}, q prime, k >= 2, at
-    gamma = 1."""
-    from fractions import Fraction
-
+    gamma = 1.  The weights are written over q - 1."""
     _require(_is_prime(q), f"q = {q} must be prime")
     _require(k >= 2, f"k = {k} must be >= 2")
-    qk = q ** k
+    qk, d = q ** k, q - 1
     counts = {
         0: 1,
-        q ** (2 * k) - qk: (qk - 1) * (q ** (2 * k - 2) - q ** (k - 1) + qk),
-        q ** (2 * k): (qk - 1) * (q ** (2 * k) - q ** (2 * k - 1) + qk + 1),
-        q ** (2 * k) + Fraction(qk, q - 1):
+        (q ** (2 * k) - qk) * d: (qk - 1) * (q ** (2 * k - 2) - q ** (k - 1) + qk),
+        q ** (2 * k) * d: (qk - 1) * (q ** (2 * k) - q ** (2 * k - 1) + qk + 1),
+        q ** (2 * k) * d + qk:
             (qk - 1) * (q ** (2 * k - 1) - qk - q ** (2 * k - 2) + q ** (k - 1)),
     }
-    return WeightEnumerator(counts)
+    return WeightEnumerator(counts, den=d)
 
 
 def frank_self_enumerator(p: int, r: int) -> WeightEnumerator:
@@ -733,19 +747,18 @@ def zp_power_enumerator(p: int, d: int) -> WeightEnumerator:
 
 
 def z2p_power_enumerator(p: int, d: int) -> WeightEnumerator:
-    """Homogeneous enumerator (gamma = 1) of the power-map code on Z_2p."""
-    from fractions import Fraction
-
+    """Homogeneous enumerator (gamma = 1) of the power-map code on Z_2p, its
+    weights written over p - 1."""
     _require(_is_prime(p) and p % 2 == 1, f"p = {p} must be an odd prime")
     _require(2 <= d <= p - 1, f"d = {d} outside 2..{p - 1}")
     ell = gcd(d - 1, p - 1)
     c1 = (p - 1) ** 2 // ell
     counts = {
         0: 1,
-        Fraction(2 * p * (p - 1 - ell), p - 1): c1,
-        2 * p: 2 * p * p - c1 - 1,
+        2 * p * (p - 1 - ell): c1,
+        2 * p * (p - 1): 2 * p * p - c1 - 1,
     }
-    return WeightEnumerator(counts)
+    return WeightEnumerator(counts, den=p - 1)
 
 
 def sigma_quadratic_enumerator(ring: Ring) -> WeightEnumerator:
@@ -757,9 +770,9 @@ def sigma_quadratic_enumerator(ring: Ring) -> WeightEnumerator:
     table meets the first moment: every coordinate x != 0 maps the code
     onto a nonzero ideal, over which the weight averages to gamma, so the
     weights sum to |C| * (|R| - 1).  With |R| = k*|M| the counts and the
-    weights sum right on every local ring, as an identity in k and |M|."""
-    from fractions import Fraction
-
+    weights sum right on every local ring, as an identity in k and |M|.
+    The weights are written over |R^x| = |R| - |M| when k > 2, and over 2
+    when k = 2."""
     if not ring.is_local():
         raise NotLocal(f"{ring.name} is not local")
     n = ring.order
@@ -769,17 +782,17 @@ def sigma_quadratic_enumerator(ring: Ring) -> WeightEnumerator:
     if k > 2:
         counts = {
             0: 1,
-            n - m: k * (n - k),
-            n - Fraction(n * m, u): (k - 1) ** 2,
-            n: n * n - k * n + 2 * (k - 1),
+            (n - m) * u: k * (n - k),
+            n * u - n * m: (k - 1) ** 2,
+            n * u: n * n - k * n + 2 * (k - 1),
         }
-    else:
-        counts = {
-            0: 1,
-            Fraction(n, 2): n - 2,
-            n: n * n // 2 - n + 1,
-        }
-    return WeightEnumerator(counts)
+        return WeightEnumerator(counts, den=u)
+    counts = {
+        0: 1,
+        n: n - 2,
+        2 * n: n * n // 2 - n + 1,
+    }
+    return WeightEnumerator(counts, den=2)
 
 
 # each family's closed-form enumerator and the order |R| of its ring, as
@@ -810,7 +823,7 @@ def closed_form_spectrum(family: str, params) -> tuple:
     """The spectrum read off a family's closed form, which must be a gamma = 1
     homogeneous enumerator."""
     enum, order = _closed_form(family, params)
-    if enum.kind != "homogeneous" or enum.gamma != 1:
+    if enum.kind != "homogeneous" or enum.gamma != (1, 1):
         raise InvalidParameter(f"{family} has no closed-form spectrum here")
     return _spectrum(enum, order)
 

@@ -1,4 +1,5 @@
-"""Exact rational sums of m-th roots of unity, by Ramanujan sums.
+"""Exact integer sums of m-th roots of unity, by Ramanujan sums, and the
+integer-over-denominator form every rational here takes.
 
 A character sum over a finite ring is assembled as an exponent histogram h:
 h[e] counts the terms w^e, w a primitive m-th root of unity.  When h is
@@ -10,7 +11,10 @@ and totient functions, so
 
     sum_e h[e] w^e = sum_e h[e] mu(m/g)/phi(m/g).
 
-Only int and ``fractions.Fraction`` arithmetic is involved.
+A rational sum of roots of unity is an algebraic integer, so it is an
+integer.  Only int arithmetic is involved: a single rational is a pair
+(num, den) in lowest terms with den > 0 (``reduced``), and a table of them
+is a tuple of integer numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
+
+from .errors import InternalInvariantViolation
 
 
 def _mobius_totient(q: int) -> tuple[int, int]:
@@ -47,27 +53,48 @@ def _galois_weights(m: int) -> tuple[int, tuple[int, ...]]:
 
 
 class Cyclotomic:
-    """The Galois average of a sum of m-th roots of unity: its value, when
-    the sum is fixed by every automorphism of Q(w_m)."""
+    """The Galois average of a sum of m-th roots of unity: its value, an
+    int, when the sum is fixed by every automorphism of Q(w_m)."""
 
     __slots__ = ("value",)
 
-    def __init__(self, value: Fraction):
+    def __init__(self, value: int):
         self.value = value
 
     @staticmethod
     def from_exponent_counts(m: int, counts) -> "Cyclotomic":
-        """sum over e < m of counts[e] * w_m^e, averaged over Gal(Q(w_m)/Q)."""
-        from fractions import Fraction
-
+        """sum over e < m of counts[e] * w_m^e, averaged over Gal(Q(w_m)/Q).
+        The average of a Galois-invariant sum is the sum, an integer, so a
+        fractional average means the histogram was not invariant and raises
+        InternalInvariantViolation."""
         den, weights = _galois_weights(m)
-        return Cyclotomic(Fraction(sum(map(mul, counts, weights)), den))
+        value, rest = divmod(sum(map(mul, counts, weights)), den)
+        if rest:
+            raise InternalInvariantViolation(
+                f"the sum of {m}-th roots of unity averages to "
+                f"{rational_str(value * den + rest, den)}, not an integer: "
+                "its exponent histogram is not Galois-invariant")
+        return Cyclotomic(value)
 
-    def to_rational(self) -> Fraction:
-        return self.value
+
+def reduced(num: int, den: int = 1) -> tuple[int, int]:
+    """num/den in lowest terms, as (num, den) with den > 0."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
 
 
-def rational_str(value) -> str:
-    """Render an int or a Fraction as ``num/den`` with the denominator always
-    present."""
-    return f"{value.numerator}/{value.denominator}"
+def ratio(value) -> tuple[int, int]:
+    """``reduced`` of a (num, den) pair, or of a number with ``numerator``
+    and ``denominator`` (an int, a Fraction)."""
+    if isinstance(value, tuple):
+        return reduced(*value)
+    return reduced(value.numerator, value.denominator)
+
+
+def rational_str(num: int, den: int = 1) -> str:
+    """num/den rendered as ``num/den`` in lowest terms, with the denominator
+    always present."""
+    num, den = reduced(num, den)
+    return f"{num}/{den}"

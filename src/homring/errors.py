@@ -75,7 +75,9 @@ class OutOfRange(HomringError):
 
 
 class NotTwoWeight(HomringError):
-    """Graph construction requires exactly two distinct nonzero weights."""
+    """Graph construction requires exactly two distinct nonzero weights.
+    ``weights`` holds the code's distinct nonzero weights, ascending, as
+    reduced (num, den) pairs."""
 
     exit_code = 12
 

@@ -7,6 +7,7 @@ from operator import getitem
 
 from .budget import check_budget
 from .codes import Code, orbit_weights
+from .cyclotomic import reduced
 from .errors import InternalInvariantViolation, NotTwoWeight
 from .rings import Ring
 from .weights import WeightTable
@@ -16,9 +17,9 @@ class CodeGraph:
     """The graph of a two-weight code: Cay(C, D), D the nonzero codewords of
     the smaller weight w1, so c and c' are adjacent iff c' - c is in D.
 
-    ``connection`` holds D as least pairs (``Code.points``), in sorted
-    codeword order, and ``member[a][b]`` is 1 iff the codeword of the pair
-    (a, b) is in D.  The degree is |D|.  ``labels[i]`` is the orbit of the
+    ``w1`` is a reduced (num, den) pair.  ``connection`` holds D as least
+    pairs (``Code.points``), in sorted codeword order, and ``member[a][b]``
+    is 1 iff the codeword of the pair (a, b) is in D.  The degree is |D|.  ``labels[i]`` is the orbit of the
     nonzero codeword ``code.points[i + 1]`` under the symmetries that keep
     the graph's weights, and so keep D."""
 
@@ -49,8 +50,6 @@ def two_weight_graph(code: Code, table: WeightTable) -> CodeGraph:
     list the points by their pivots (at most log2 |C| of them), sort and
     label them, |R|^2 for the membership table, and the orbits times |D|
     for the common-neighbour counts of ``srg_check``."""
-    from fractions import Fraction
-
     orbits, den, orbit_weight = orbit_weights(code, table)
     # orbit 0 is the zero codeword alone; the others weigh the nonzero ones,
     # which have no weight when every codeword weighs 0, as at gamma = 0
@@ -58,9 +57,8 @@ def two_weight_graph(code: Code, table: WeightTable) -> CodeGraph:
     if weights == [0]:
         weights = []
     if len(weights) != 2:
-        raise NotTwoWeight(len(weights), tuple(Fraction(t, den) for t in weights))
+        raise NotTwoWeight(len(weights), tuple(reduced(t, den) for t in weights))
     w1_scaled = weights[0]
-    w1 = Fraction(w1_scaled, den)
     degree = sum(size for w, size in zip(orbit_weight[1:], orbits.sizes[1:])
                  if w == w1_scaled)
     check_budget("graph", code.size * (code.size.bit_length() + 32)
@@ -75,7 +73,7 @@ def two_weight_graph(code: Code, table: WeightTable) -> CodeGraph:
     for da, db in connection:
         for ka, kb in code.kernel:
             member[add[da][ka]][add[db][kb]] = 1
-    return CodeGraph(code, w1, connection, member, labels)
+    return CodeGraph(code, reduced(w1_scaled, den), connection, member, labels)
 
 
 class SRGParams:
@@ -198,15 +196,14 @@ def connected_components(graph: CodeGraph) -> list:
 
 def is_modular(ring: Ring, columns) -> tuple:
     """Whether a single rational r satisfies
-    |{i : y_i R = y_j R}| = r * |y_j R^x| over all (nonzero) columns y_j.
+    |{i : y_i R = y_j R}| = r * |y_j R^x| over all (nonzero) columns y_j,
+    and r as a reduced (num, den) pair.
     The generator columns (x, f(x)) of C_f are ``enumerate(f.table)``.
 
     In a finite commutative ring yR = zR exactly when z = u*y for a unit u,
     so both counts are read off unit orbits: with
     M(y) = #{(i, u) : u*y_i = y}, r_j = M(y_j)/|R^x|.  M is counted one
     unit u at a time, over the images u*y_i that are columns."""
-    from fractions import Fraction
-
     cols = [tuple(c) for c in columns if any(c)]
     if not cols:
         return (True, None)
@@ -222,4 +219,4 @@ def is_modular(ring: Ring, columns) -> tuple:
     first = hits[cols[0]]
     if any(hits[y] != first for y in cols):
         return (False, None)
-    return (True, Fraction(first, len(units)))
+    return (True, reduced(first, len(units)))

@@ -15,7 +15,7 @@ x -> T0(u*x) of the one trace T0 that the ring family names; T0 is
 validated, and the orbit is a trace by duality, not by a check per map.
 
 Characters are stored as exponent maps into Z_m (m the characteristic); their
-unit sums are exact rationals, read off Ramanujan sums, never through floats.
+unit sums are exact integers, read off Ramanujan sums, never through floats.
 """
 
 from __future__ import annotations
@@ -428,19 +428,19 @@ class Character:
             self._unit_hists = [hists[i] for i in orbit_of]
         return self._unit_hists
 
-    def unit_sum(self, a: int) -> Fraction:
-        """Sum of chi(u*a) over units u, as an exact rational.
+    def unit_sum(self, a: int) -> int:
+        """Sum of chi(u*a) over units u, an integer.
 
         Each j prime to m is a unit j*1 of R, and u -> j*u permutes R^x, so
         the histogram h of a has h[j*e] = h[e]: the sum is fixed by every
         automorphism w -> w^j of Q(w_m), and its Galois average, the sum of
         h[e] * mu(m/g)/phi(m/g) over e with g = gcd(e, m), is its value
-        (``Cyclotomic.from_exponent_counts``), averaged once per unit orbit."""
+        (``Cyclotomic.from_exponent_counts``), found once per unit orbit."""
         orbit_of, orbits = self.ring.unit_orbits()
         if self._unit_sums is None:
             hists = self.unit_exponent_histograms()
             self._unit_sums = [Cyclotomic.from_exponent_counts(
-                self.conductor, hists[orbit[0]]).to_rational() for orbit in orbits]
+                self.conductor, hists[orbit[0]]).value for orbit in orbits]
         return self._unit_sums[orbit_of[a]]
 
     def __repr__(self):

@@ -1,9 +1,11 @@
 """Built-in verification suite.
 
 Fifteen numbered records, each comparing a computed result against its
-recorded expected value with exact rational arithmetic.  Records 9-11 carry
-corrected sigma-quadratic values and name the transcribed values they
-replace, with the reason each is wrong.  Record 15 documents
+recorded expected value with exact rational arithmetic.  The computed side
+is integers over denominators, as everywhere in the package; only the
+expected enumerators here are written with ``Fraction`` weights.  Records
+9-11 carry corrected sigma-quadratic values and name the transcribed values
+they replace, with the reason each is wrong.  Record 15 documents
 a known discrepancy in the source tables for Z_6 and is informational: it
 never fails the suite.  The suite reports expected vs computed for every
 record, so a failing record carries its own evidence.
@@ -54,15 +56,24 @@ PROPERTY_RINGS = (
 _code = lru_cache(maxsize=None)(code_from_specs)
 
 
-def _braced(values) -> str:
-    """A spectrum or a list of weights, in its order, as {a/b, ...}."""
-    return "{" + ", ".join(map(rational_str, values)) + "}"
+@lru_cache(maxsize=None)
+def _homogeneous(code) -> tuple:
+    """The gamma = 1 homogeneous enumerator of a ``_code`` and its spectrum,
+    weighed once per code, so records that share a code weigh it once."""
+    enum = weight_enumerator(code, hom_weight(code.sub, 1))
+    return enum, code_spectrum(code, enum)
+
+
+def _braced(den, values) -> str:
+    """A spectrum (den, values), or values over den, in its order, as
+    {a/b, ...}."""
+    return "{" + ", ".join(rational_str(v, den) for v in values) + "}"
 
 
 def _code_report(code, enum, spectrum=None) -> str:
     parts = [f"|C|={code.size}", f"enumerator {enum.poly_str()}"]
     if spectrum is not None:
-        parts.insert(0, f"spectrum {_braced(spectrum)}")
+        parts.insert(0, f"spectrum {_braced(*spectrum)}")
     return "; ".join(parts)
 
 
@@ -100,8 +111,7 @@ def _frank_triplet(seed=None) -> tuple:
          frank_self_enumerator(2, 2), frank_self_spectrum(2, 2)),
     ):
         code = _code(ring_spec, sub_spec, trace_spec, _frank_spec(ring_spec, seed))
-        enum = weight_enumerator(code, hom_weight(code.sub, 1))
-        spec = code_spectrum(code, enum)
+        enum, spec = _homogeneous(code)
         ok = code.size == closed_enum.total and enum == closed_enum
         results.append((ring_spec, sub_spec, code, enum, spec, closed_enum,
                         closed_spec, ok))
@@ -110,7 +120,7 @@ def _frank_triplet(seed=None) -> tuple:
 
 def _criterion_frank(rid, title):
     _, _, code, enum, spec, closed_enum, closed_spec, ok = _frank_triplet()[rid - 1]
-    expected = (f"spectrum {_braced(closed_spec)}; |C|={closed_enum.total}; "
+    expected = (f"spectrum {_braced(*closed_spec)}; |C|={closed_enum.total}; "
                 f"enumerator {closed_enum.poly_str()}")
     return _record(rid, title, expected, _code_report(code, enum, spec), ok)
 
@@ -148,32 +158,31 @@ def _criterion_6():
     for p, d in ((5, 3), (7, 4)):
         m = 2 * p
         code = _code(f"Zm:{m}", f"Zm:{m}", "identity", f"pow:{d}")
-        enum = weight_enumerator(code, hom_weight(code.sub, 1))
-        spec = code_spectrum(code, enum)
+        enum, spec = _homogeneous(code)
         closed = z2p_power_enumerator(p, d)
         ok = ok and enum == closed
         expected.append(f"Zm:{m} pow:{d} -> spectrum "
-                        f"{_braced(z2p_power_spectrum(p, d))}, {closed.poly_str()}")
-        computed.append(f"Zm:{m} pow:{d} -> spectrum {_braced(spec)}, {enum.poly_str()}")
+                        f"{_braced(*z2p_power_spectrum(p, d))}, {closed.poly_str()}")
+        computed.append(f"Zm:{m} pow:{d} -> spectrum {_braced(*spec)}, {enum.poly_str()}")
     return _record(6, "power-map codes on Zm:2p under homogeneous weight",
                    "; ".join(expected), "; ".join(computed), ok)
 
 
 def _criterion_7():
     code = _code("FXY:2", "Zm:2", "fxy-sum", "sigmaquad:swapxy")
-    enum = weight_enumerator(code, hom_weight(code.sub, Fraction(1, 2)))
-    spec = code_spectrum(code)
+    enum = weight_enumerator(code, hom_weight(code.sub, (1, 2)))
+    spec = _homogeneous(code)[1]
     want_enum = WeightEnumerator({0: 1, 4: 3, 8: 27, 12: 1}, gamma=Fraction(1, 2))
-    want_spec = (16, 8, 0, -8)
-    expected = f"spectrum {_braced(want_spec)}; enumerator {want_enum.poly_str()}"
-    computed = f"spectrum {_braced(spec)}; enumerator {enum.poly_str()}"
+    want_spec = (1, (16, 8, 0, -8))
+    expected = f"spectrum {_braced(*want_spec)}; enumerator {want_enum.poly_str()}"
+    computed = f"spectrum {_braced(*spec)}; enumerator {enum.poly_str()}"
     return _record(7, "sigma-quadratic code on FXY:2 traced to Zm:2 at gamma=1/2",
                    expected, computed, enum == want_enum and spec == want_spec)
 
 
 def _criterion_8():
     code = _code("FXY:2", "FXY:2", "identity", "sigmaquad:swapxy")
-    enum = weight_enumerator(code, hom_weight(code.ring, 1))
+    enum = _homogeneous(code)[0]
     want = WeightEnumerator({0: 1, 8: 14, 16: 113})
     ok = (code.size == 128 and enum == want
           and enum == sigma_quadratic_enumerator(code.ring))
@@ -185,15 +194,15 @@ def _criterion_8():
 def _first_moment_note(transcribed, size, n) -> str:
     """Why a transcribed table is wrong: at gamma = 1 the weights of a code
     with S = R must sum to |C| * (|R| - 1), one gamma per nonzero coordinate."""
-    total = sum(w * c for w, c in transcribed)
+    total = sum(t * c for t, c in transcribed)
     return (f"replaces transcribed {transcribed.poly_str()}, whose weights sum to "
-            f"{rational_str(total)} instead of |C|*(|R|-1) = "
-            f"{rational_str(Fraction(size * (n - 1)))}")
+            f"{rational_str(total, transcribed.den)} instead of |C|*(|R|-1) = "
+            f"{rational_str(size * (n - 1))}")
 
 
 def _criterion_9():
     code = _code("FXY:3", "FXY:3", "identity", "sigmaquad:swapxy")
-    enum = weight_enumerator(code, hom_weight(code.sub, 1))
+    enum = _homogeneous(code)[0]
     want = WeightEnumerator({0: 1, Fraction(81, 2): 4, 54: 234, 81: 6322})
     transcribed = WeightEnumerator({0: 1, Fraction(81, 2): 4, 54: 236, 81: 6320})
     ok = code.size == 6561 and enum == want
@@ -205,7 +214,7 @@ def _criterion_9():
 
 def _criterion_10():
     code = _code("GR:2,3,2", "GR:2,3,2", "identity", "sigmaquad:frobenius")
-    enum = weight_enumerator(code, hom_weight(code.ring, 1))
+    enum = _homogeneous(code)[0]
     want = WeightEnumerator({0: 1, 48: 240, Fraction(128, 3): 9, 64: 3846})
     transcribed = WeightEnumerator({0: 1, 48: 243, Fraction(128, 3): 9, 64: 3843})
     closed = sigma_quadratic_enumerator(code.ring)
@@ -222,16 +231,16 @@ def _criterion_10():
 
 def _criterion_11():
     code = _code("GR:2,3,2", "Zm:8", "galois", "sigmaquad:frobenius")
-    enum = weight_enumerator(code, hom_weight(code.sub, 1))
-    weights = [w for w, _ in enum]
+    enum = _homogeneous(code)[0]
+    weights = tuple(t for t, _ in enum)
     want = (0, 32, 48, 64, 96)
-    computed = _braced(weights)
-    expected = (_braced(want) + " "
+    computed = _braced(enum.den, weights)
+    expected = (_braced(1, want) + " "
                 "(replaces transcribed {0, 32, 48, 64, 80, 88, 96}: summing the "
                 "character over M makes every W = 64 - weight a multiple of 16, "
                 "so weight 88 (W = -24) cannot occur; no pair reaches weight 80)")
     return _record(11, "distinct weights of sigma-quadratic code GR(2,3,2) to Zm:8",
-                   expected, computed, tuple(weights) == tuple(Fraction(w) for w in want))
+                   expected, computed, weights == tuple(w * enum.den for w in want))
 
 
 def _criterion_12():
@@ -269,11 +278,11 @@ def _criterion_13():
     comps = connected_components(graph10)
     mod10, _ = is_modular(code10.ring, enumerate(code10.func.table))
 
-    ok = (srg_ok and mod5 and r5 == Fraction(1, 2)
+    ok = (srg_ok and mod5 and r5 == (1, 2)
           and len(comps) > 1 and not mod10)
     expected = ("Zm:5 x^3 Hamming graph: SRG(25,8,3,2), k(k-l-1)=(v-k-1)mu, "
                 "modular r=1/2; Zm:10 x^3 graph: disconnected, not modular")
-    computed = (f"Zm:5: {srg!r}, modular={mod5} r={rational_str(r5) if r5 is not None else 'none'}; "
+    computed = (f"Zm:5: {srg!r}, modular={mod5} r={rational_str(*r5) if r5 is not None else 'none'}; "
                 f"Zm:10: components {comps}, modular={mod10}")
     return _record(13, "two-weight code graphs for x^3 on Zm:5 and Zm:10",
                    expected, computed, ok)
@@ -282,16 +291,17 @@ def _criterion_13():
 def _criterion_14():
     """hom_weight raises unless the character and axiomatic routes agree;
     the axiomatic solve meets the axioms as it is built, and WeightTable
-    holds Fractions.  With S = R, T = identity and f = x, the codeword of
-    (alpha, beta) is x -> (alpha + beta)*x: |C| = |R| and the enumerator
-    {0: 1, |R|: |R| - 1} say that W(alpha, 0) = |R| - w(alpha*x) is 0 for
-    every alpha != 0, and W(0, 0) = |R|."""
+    holds integers over one denominator.  With S = R, T = identity and
+    f = x, the codeword of (alpha, beta) is x -> (alpha + beta)*x: |C| = |R|
+    and the enumerator {0: 1, |R|: |R| - 1} say that
+    W(alpha, 0) = |R| - w(alpha*x) is 0 for every alpha != 0, and
+    W(0, 0) = |R|."""
     failures = []
     for spec in PROPERTY_RINGS:
         code = _code(spec, spec, "identity", "pow:1")
         n = code.ring.order
-        enum = weight_enumerator(code, hom_weight(code.ring, 1))
-        if code.size != n or enum.counts != {0: 1, n: code.size - 1}:
+        enum = _homogeneous(code)[0]
+        if code.size != n or enum.den != 1 or enum.counts != {0: 1, n: code.size - 1}:
             failures.append(f"{spec}: linear code |C|={code.size}, "
                             f"enumerator {enum.poly_str()}")
     expected = (f"for all of {len(PROPERTY_RINGS)} rings: axiomatic == character "
@@ -306,9 +316,9 @@ def _criterion_15():
     z6 = ring_from_spec("Zm:6")
     wt = hom_weight(z6, 1)
     report = validate_weight(wt)
-    on_24 = {rational_str(wt.values[2]), rational_str(wt.values[4])}
-    on_3 = rational_str(wt.values[3])
-    units_w = {rational_str(wt.values[1]), rational_str(wt.values[5])}
+    on_24 = {rational_str(wt.values[x], wt.den) for x in (2, 4)}
+    on_3 = rational_str(wt.values[3], wt.den)
+    units_w = {rational_str(wt.values[x], wt.den) for x in (1, 5)}
     computed = (f"w on {{2,4}} = {sorted(on_24)}, w(3) = {on_3}, "
                 f"w on units = {sorted(units_w)}; axioms valid={report['valid']}")
     expected = ("recorded discrepancy: computed w is 3/2 on {2,4} and 2 on {3}, "

@@ -1,12 +1,15 @@
 """Homogeneous weights: one table per ring, checked once when it is built.
 
 The character route evaluates w(x) = gamma * (1 - S_x / |R^x|) with S_x the
-sum of chi over the unit multiples of x, an exact rational read off Ramanujan
-sums (``Character.unit_sum``), one per unit orbit.  The axiomatic route
-solves the triangular system over the poset of cyclic submodules, one set
-xR per unit orbit: summing w over a cyclic submodule N must give gamma*|N|,
-so the weight of the generator class of N is determined once all smaller
-cyclic submodules are solved.
+sum of chi over the unit multiples of x, an integer read off Ramanujan sums
+(``Character.unit_sum``), one per unit orbit.  So at gamma = 1 every weight
+is the integer |R^x| - S_x over the denominator |R^x|, and a table is held
+as integer numerators over one denominator; gamma = a/b scales them by a
+and the denominator by b.  The axiomatic route solves the triangular system
+over the poset of cyclic submodules, one set xR per unit orbit: summing w
+over a cyclic submodule N must give gamma*|N|, so the weight of the
+generator class of N is determined once all smaller cyclic submodules are
+solved, by an exact division of integers over the same denominator.
 ``hom_weight`` builds the gamma = 1 table by the character route and
 compares it entry by entry with the axiomatic route, raising
 ``InternalInvariantViolation`` on a mismatch.  Other values of gamma scale
@@ -15,55 +18,52 @@ the checked table, and every transform value is derived from it.
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd
+from operator import index
 
+from .cyclotomic import ratio, rational_str, reduced
 from .errors import InternalInvariantViolation, InvalidParameter, NotLocal, ParseError
 from .rings import Ring
 from .traces import canonical_character
 
 
 class WeightTable:
-    """Per-element weight values over a ring, with the gamma they satisfy."""
+    """Per-element weights over a ring: integer numerators ``values`` over
+    one denominator ``den``, with the gamma they satisfy as a reduced
+    (num, den) pair.  Two tables are equal when they weigh every element of
+    one ring alike, whatever their denominators."""
 
-    def __init__(self, ring: Ring, gamma, values, kind: str = "homogeneous"):
-        from fractions import Fraction
-
+    def __init__(self, ring: Ring, gamma, values, kind: str = "homogeneous",
+                 den: int = 1):
         self.ring = ring
-        self.gamma = Fraction(gamma)
-        self.values = tuple(Fraction(v) for v in values)
+        self.gamma = ratio(gamma)
+        self.values = tuple(map(index, values))
+        self.den = den
         if len(self.values) != ring.order:
             raise InvalidParameter("weight table must cover the ring")
         self.kind = kind
-        self._scaled = None
+        self._reduced = None
 
-    def __call__(self, a: int) -> Fraction:
-        return self.values[a]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def scaled(self):
-        """(D, table of D*w as ints): one common denominator for fast
-        exact codeword sums."""
-        if self._scaled is None:
-            d = 1
-            for v in self.values:
-                d = lcm(d, v.denominator)
-            self._scaled = (d, tuple(int(v * d) for v in self.values))
-        return self._scaled
+    def reduced(self) -> tuple:
+        """(den, values) with no common factor left among them."""
+        if self._reduced is None:
+            d, values = self.den, self.values
+            g = gcd(d, *values)
+            self._reduced = (d // g, tuple(v // g for v in values))
+        return self._reduced
 
     def __eq__(self, other):
         return (
             isinstance(other, WeightTable)
             and self.ring is other.ring
-            and self.values == other.values
+            and self.reduced() == other.reduced()
         )
 
     def __hash__(self):
-        return hash((id(self.ring), self.values))
+        return hash((id(self.ring), self.reduced()))
 
     def __repr__(self):
-        return (f"WeightTable({self.ring.name}, gamma={self.gamma}, "
+        return (f"WeightTable({self.ring.name}, gamma={rational_str(*self.gamma)}, "
                 f"kind={self.kind})")
 
 
@@ -71,30 +71,32 @@ def hom_weight(ring: Ring, gamma=1) -> WeightTable:
     """The homogeneous weight, cached per (ring, gamma).
 
     At gamma = 1, w(x) = 1 - S_x/|R^x| with S_x the unit-averaged sum of the
-    canonical generating character.  That table must equal the axiomatic
-    solve entry by entry; any other gamma scales the checked table.  S_x is
-    constant on unit orbits, so the character route is evaluated once per
-    orbit."""
-    from fractions import Fraction
-
-    gamma = Fraction(gamma)
+    canonical generating character: the numerator |R^x| - S_x over |R^x|.
+    That table must equal the axiomatic solve entry by entry; any other
+    gamma = a/b scales the checked table's numerators by a and its
+    denominator by b.  S_x is constant on unit orbits, so the character
+    route is evaluated once per orbit."""
+    gamma = ratio(gamma)
     key = ("hom_weight", gamma)
     if key not in ring._cache:
-        if gamma == 1:
+        if gamma == (1, 1):
             char = canonical_character(ring)
             nunits = len(ring.units())
             orbit_of, orbits = ring.unit_orbits()
-            per_orbit = [1 - char.unit_sum(orbit[0]) / nunits for orbit in orbits]
-            table = WeightTable(ring, 1, [per_orbit[i] for i in orbit_of])
+            per_orbit = [nunits - char.unit_sum(orbit[0]) for orbit in orbits]
+            table = WeightTable(ring, 1, [per_orbit[i] for i in orbit_of], den=nunits)
             solved = hom_weight_axiomatic(ring, 1)
             for x, (wc, wa) in enumerate(zip(table.values, solved.values)):
-                if wc != wa:
+                if wc * solved.den != wa * table.den:
                     raise InternalInvariantViolation(
                         f"homogeneous weight of {ring.render(x)} in {ring.name}: "
-                        f"character route {wc}, axiomatic route {wa}")
+                        f"character route {rational_str(wc, table.den)}, "
+                        f"axiomatic route {rational_str(wa, solved.den)}")
         else:
-            table = WeightTable(ring, gamma,
-                                [gamma * w for w in hom_weight(ring, 1)])
+            base = hom_weight(ring, 1)
+            a, b = gamma
+            table = WeightTable(ring, gamma, [a * v for v in base.values],
+                                den=b * base.den)
         ring._cache[key] = table
     return ring._cache[key]
 
@@ -115,12 +117,16 @@ def cyclic_submodules(ring: Ring):
 
 
 def hom_weight_axiomatic(ring: Ring, gamma=1) -> WeightTable:
-    """Solve the orbit-sum equations bottom-up over cyclic submodules.  Each
-    module xR has x among its generators, so every equation has a unique
-    solution, and the solved table meets the axioms as it is built."""
-    from fractions import Fraction
-
-    gamma = Fraction(gamma)
+    """Solve the orbit-sum equations bottom-up over cyclic submodules, in
+    numerators over b*|R^x| at gamma = a/b, the character route's
+    denominator.  Each module xR has x among its generators, so every
+    equation has a unique solution, and the solved table meets the axioms
+    as it is built.  The homogeneous weight's denominators divide |R^x|, so
+    each solve is an exact division; one that is not contradicts that and
+    raises InternalInvariantViolation."""
+    a, b = gamma = ratio(gamma)
+    nunits = len(ring.units())
+    den = b * nunits
     classes, cls_of = cyclic_submodules(ring)
     order = sorted(classes, key=lambda n: (len(n), sorted(n)))
     w = {}
@@ -129,34 +135,45 @@ def hom_weight_axiomatic(ring: Ring, gamma=1) -> WeightTable:
             w[n] = 0
             continue
         gens = classes[n]
-        rest = gamma * len(n)
+        rest = a * nunits * len(n)
         for sub in order:
             if sub != n and sub <= n:
                 rest -= w[sub] * len(classes[sub])
-        w[n] = rest / len(gens)
-    return WeightTable(ring, gamma, [w[cls_of[x]] for x in range(ring.order)])
+        w[n], left = divmod(rest, len(gens))
+        if left:
+            raise InternalInvariantViolation(
+                f"the homogeneous weight of {ring.render(gens[0])} in {ring.name} "
+                f"is {rational_str(rest, len(gens) * den)}, whose denominator "
+                f"does not divide {den}")
+    return WeightTable(ring, gamma, [w[cls_of[x]] for x in range(ring.order)],
+                       den=den)
 
 
 def validate_weight(wt: WeightTable) -> dict:
     """Check w(0)=0, constancy on generator classes, and orbit sums;
-    report every violation."""
-    ring = wt.ring
+    report every violation, its values as ``num/den``."""
+    ring, den, values = wt.ring, wt.den, wt.values
+    a, b = wt.gamma
     classes, cls_of = cyclic_submodules(ring)
     violations = []
-    if wt.values[0] != 0:
-        violations.append({"axiom": "zero", "x": 0, "value": str(wt.values[0])})
+    if values[0] != 0:
+        violations.append({"axiom": "zero", "x": 0,
+                           "value": rational_str(values[0], den)})
     for n, gens in sorted(classes.items(), key=lambda kv: sorted(kv[0])):
-        base = wt.values[gens[0]]
+        base = values[gens[0]]
         for y in gens[1:]:
-            if wt.values[y] != base:
+            if values[y] != base:
                 violations.append({"axiom": "orbit-constant", "x": gens[0], "y": y,
-                                   "wx": str(base), "wy": str(wt.values[y])})
-    totals = {n: sum(wt.values[y] for y in n) for n in classes}
+                                   "wx": rational_str(base, den),
+                                   "wy": rational_str(values[y], den)})
+    totals = {n: sum(values[y] for y in n) for n in classes}
     for x in range(1, ring.order):
-        total, expected = totals[cls_of[x]], wt.gamma * len(cls_of[x])
-        if total != expected:
+        total, size = totals[cls_of[x]], len(cls_of[x])
+        # total/den == a*size/b
+        if total * b != a * size * den:
             violations.append({"axiom": "orbit-sum", "x": x,
-                               "sum": str(total), "expected": str(expected)})
+                               "sum": rational_str(total, den),
+                               "expected": rational_str(a * size, b)})
     return {"valid": not violations, "violations": violations}
 
 
@@ -166,11 +183,12 @@ def hamming_table(ring: Ring) -> WeightTable:
     return WeightTable(ring, 1, values, kind="hamming")
 
 
-def parse_gamma(spec: str, ring: Ring) -> Fraction:
+def parse_gamma(spec: str, ring: Ring) -> tuple[int, int]:
     """gamma grammar: `<num>/<den>` | integer | `hamming-normalized`
-    (= (q-1)/q for the residue field size q of a local ring); gamma >= 0."""
-    from fractions import Fraction
-
+    (= (q-1)/q for the residue field size q of a local ring); gamma >= 0.
+    The value is a reduced (num, den) pair.  Digits and `<digits>/<digits>`
+    are read with int; any other spelling is read as ``Fraction(spec)``
+    reads it (a sign, a decimal point, an exponent, underscores)."""
     spec = spec.strip()
     if spec == "hamming-normalized":
         if not ring.is_local():
@@ -178,11 +196,21 @@ def parse_gamma(spec: str, ring: Ring) -> Fraction:
                 f"hamming-normalized gamma needs a local ring, got {ring.name}"
             )
         q = ring.residue_size()
-        return Fraction(q - 1, q)
+        return reduced(q - 1, q)
+    num, slash, den = spec.partition("/")
     try:
+        # int refuses what Fraction refuses: past 4300 digits, a zero den
+        if (num.isascii() and num.isdigit()
+                and (not slash or den.isascii() and den.isdigit())):
+            num, den = int(num), int(den) if slash else 1
+            if den == 0:
+                raise ZeroDivisionError
+            return reduced(num, den)
+        from fractions import Fraction  # only the other spellings need it
+
         gamma = Fraction(spec)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad gamma spec {spec!r}")
     if gamma < 0:
         raise ParseError(f"gamma must be >= 0, got {spec!r}")
-    return gamma
+    return gamma.numerator, gamma.denominator

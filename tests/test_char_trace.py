@@ -51,7 +51,7 @@ def test_cyclotomic_polynomials_match_sympy():
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8, 9, 12])
 def test_full_exponent_sum_vanishes(m):
     total = Cyclotomic.from_exponent_counts(m, [1] * m)
-    assert total.to_rational() == 0
+    assert total.value == 0
 
 
 @pytest.mark.parametrize("spec", UNIT_SUM_RINGS)
@@ -59,7 +59,17 @@ def test_unit_sums_equal_the_field_reduction(spec):
     chi = canonical_character(ring_from_spec(spec))
     for h in set(chi.unit_exponent_histograms()):
         want = CyclotomicVector.from_exponent_counts(chi.conductor, h).to_rational()
-        assert Cyclotomic.from_exponent_counts(chi.conductor, h).to_rational() == want
+        got = Cyclotomic.from_exponent_counts(chi.conductor, h).value
+        assert type(got) is int and got == want
+
+
+@pytest.mark.parametrize("m, counts", [(3, [0, 1, 0]), (7, [0, 1, 0, 0, 0, 0, 0]),
+                                       (6, [1, 1, 0, 0, 0, 0]), (5, [0, 2, 0, 0, 0])])
+def test_a_histogram_that_is_not_galois_invariant_is_refused(m, counts):
+    # w_3 alone averages to -1/2 over Gal(Q(w_3)/Q): no rational sum of
+    # roots of unity is fractional, so the histogram was not invariant
+    with pytest.raises(InternalInvariantViolation, match="not Galois-invariant"):
+        Cyclotomic.from_exponent_counts(m, counts)
 
 
 def _fresh_ring(spec):

@@ -513,27 +513,77 @@ def test_cli_import_and_a_well_formed_job_leave_out_argparse_and_verify():
     assert _fresh_interpreter(_COLD_JOB) == "[]\n0 []\n"
 
 
-_WEIGHLESS_JOBS = """\
+_RATIONAL_JOBS = """\
 import io, sys
 import homring.cli as cli
 RATIONALS = ("fractions", "decimal", "_decimal", "numbers")
 print([m for m in RATIONALS if m in sys.modules])
-for argv in (["trace", "list", "--ring", "GR:2,1,3", "--subring", "Zm:2"],
-             ["ring", "info", "--ring", "Z4X"],
-             ["trace", "check", "--ring", "Zm:5", "--trace", "identity"],
-             ["code", "analyze", "--ring", "Zm:5", "--f", "pow:3"]):
+for argv in {jobs!r} + [["verify", "paper"]]:
     sys.stdout = io.StringIO()
     code = cli.main(argv)
     sys.stdout = sys.__stdout__
     print(argv[1], code, [m for m in RATIONALS if m in sys.modules])
 """
 
+# verify paper writes its expected enumerators with Fraction weights, so it
+# loads them last: the absence before it is not vacuous
+_VERIFY_LOADS = "paper 0 ['fractions', 'decimal', '_decimal', 'numbers']"
+
 
 def test_jobs_that_weigh_nothing_leave_out_fractions():
-    # the first weighing job loads them, so their absence is not vacuous
-    assert _fresh_interpreter(_WEIGHLESS_JOBS).splitlines() == [
-        "[]", "list 0 []", "info 0 []", "check 0 []",
-        "analyze 0 ['fractions', 'decimal', '_decimal', 'numbers']"]
+    jobs = [["trace", "list", "--ring", "GR:2,1,3", "--subring", "Zm:2"],
+            ["ring", "info", "--ring", "Z4X"],
+            ["trace", "check", "--ring", "Zm:5", "--trace", "identity"]]
+    script = _RATIONAL_JOBS.format(jobs=jobs)
+    assert _fresh_interpreter(script).splitlines() == [
+        "[]", "list 0 []", "info 0 []", "check 0 []", _VERIFY_LOADS]
+
+
+def test_jobs_that_weigh_leave_out_fractions():
+    # every weight is an integer over a denominator the job knows, gamma
+    # = 1/2 included; only a spelling such as 0.5 needs Fraction to be read
+    jobs = [["code", "analyze", "--ring", "Zm:5", "--f", "pow:3"],
+            ["code", "analyze", "--ring", "Zm:5", "--f", "pow:3", "--gamma", "1/2"],
+            ["code", "graph", "--ring", "Zm:5", "--f", "pow:3", "--weight", "hamming"],
+            ["weight", "table", "--ring", "Zm:6"]]
+    script = _RATIONAL_JOBS.format(jobs=jobs)
+    assert _fresh_interpreter(script).splitlines() == [
+        "[]", "analyze 0 []", "analyze 0 []", "graph 0 []", "table 0 []",
+        _VERIFY_LOADS]
+
+
+def test_only_verify_and_parse_gamma_import_fractions():
+    import ast
+
+    class Importers(ast.NodeVisitor):
+        """(file, innermost enclosing function or None) of each fractions
+        import, wherever it sits."""
+
+        def __init__(self, name):
+            self.name, self.scope, self.found = name, [None], set()
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Import(self, node):
+            if any(a.name.split(".")[0] == "fractions" for a in node.names):
+                self.found.add((self.name, self.scope[-1]))
+
+        def visit_ImportFrom(self, node):
+            if node.module and node.module.split(".")[0] == "fractions":
+                self.found.add((self.name, self.scope[-1]))
+
+    found = set()
+    package = Path(__file__).resolve().parent.parent / "src" / "homring"
+    for path in sorted(package.glob("*.py")):
+        visitor = Importers(path.name)
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        found |= visitor.found
+    assert found == {("verify.py", None), ("weights.py", "parse_gamma")}
 
 
 # ---------------------------------------------------------------------------

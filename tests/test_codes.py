@@ -3,6 +3,7 @@
 from fractions import Fraction
 from collections import Counter
 from functools import lru_cache
+from math import lcm
 from types import SimpleNamespace
 
 import pytest
@@ -41,11 +42,22 @@ def _code(ring_spec, sub_spec, trace_spec, f_spec, seed=None):
 def _codeword_sum_enumerator(code, table):
     """The enumerator by brute force: the weight of every codeword of the
     swept code, summed coordinate by coordinate.  The oracle for the orbit
-    route of ``weight_enumerator``."""
-    den, scaled = table.scaled()
+    route of ``weight_enumerator``, built from Fraction weights."""
+    den, scaled = table.den, table.values
     totals = Counter(sum(scaled[s] for s in cw) for cw in least_pairs(code))
     return WeightEnumerator({F(t, den): c for t, c in totals.items()},
-                            gamma=table.gamma, kind=table.kind)
+                            gamma=F(*table.gamma), kind=table.kind)
+
+
+def _weights(enum):
+    """An enumerator's (weight, count) pairs, each weight a Fraction."""
+    return [(F(t, enum.den), c) for t, c in enum]
+
+
+def _spectrum(code):
+    """``code_spectrum`` as a tuple of Fractions."""
+    den, values = code_spectrum(code)
+    return tuple(F(v, den) for v in values)
 
 
 def _brute_force(code, table):
@@ -158,7 +170,7 @@ def test_random_teich_permutation_is_seeded():
     assert (f.table, f.tag) == (frank_map(R, p1).table, "frank:rand:9")
 
 
-def test_record_4_builds_each_drawn_permutation_once():
+def test_record_4_builds_each_drawn_permutation_once(monkeypatch):
     # the spec verify names each draw by is the map frank:rand:<seed> builds
     for spec in ("GR:2,2,2", "GR:3,2,2"):
         R = ring_from_spec(spec)
@@ -167,18 +179,30 @@ def test_record_4_builds_each_drawn_permutation_once():
             assert (function_from_spec(R, named).table
                     == function_from_spec(R, f"frank:rand:{seed}").table), named
     # on GR:2,2,2 seeds 1-3 draw one pi and seed 5 the identity of records
-    # 1-3, so record 4 builds 2 codes there for each subring and 5 on GR:3,2,2
-    verify._code.cache_clear()
-    verify._frank_triplet.cache_clear()
+    # 1-3, so record 4 builds 2 codes there for each subring and 5 on GR:3,2,2,
+    # and weighs each of those 9 codes once
+    honest = codes.orbit_weights
+    weighed = []
+
+    def counted(code, table):
+        weighed.append(code)
+        return honest(code, table)
+
+    monkeypatch.setattr(codes, "orbit_weights", counted)
+    caches = (verify._code, verify._frank_triplet, verify._homogeneous)
+    for cache in caches:
+        cache.cache_clear()
     try:
         verify.run(only=[1, 2, 3])
         built = verify._code.cache_info().misses
+        assert len(weighed) == built == 3
         (rec,) = verify.run(only=[4])["records"]
         assert rec["pass"]
         assert verify._code.cache_info().misses - built == 9
+        assert len(weighed) - built == len(set(map(id, weighed))) - built == 9
     finally:
-        verify._code.cache_clear()
-        verify._frank_triplet.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_function_spec_grammar(tmp_path):
@@ -232,11 +256,10 @@ def test_transform_and_weights_are_two_views_of_one_thing(
     code = _code(ring_spec, sub_spec, trace_spec, f_spec)
     n = code.ring.order
     wt = hom_weight(code.sub, 1)
-    den, scaled = wt.scaled()
-    lam = code_spectrum(code)
+    lam = _spectrum(code)
     enum = weight_enumerator(code, wt)
     # weights and spectrum determine each other via w = |R| - W
-    assert {n - v for v in lam} == {w for w, _ in enum}
+    assert {n - v for v in lam} == {w for w, _ in _weights(enum)}
     assert enum.total == code.size
     assert enum[0] == 1
 
@@ -264,8 +287,9 @@ def test_the_spectrum_is_the_character_sum_over_each_codeword():
             char_sum = CyclotomicVector.from_exponent_counts(chi.conductor, counts)
             transform[char_sum.to_rational() / nunits] += 1
         enum = weight_enumerator(code, hom_weight(S, 1))
-        assert transform == Counter({code.ring.order - w: c for w, c in enum}), ring_spec
-        assert set(code_spectrum(code)) == set(transform), ring_spec
+        assert transform == Counter({code.ring.order - w: c
+                                     for w, c in _weights(enum)}), ring_spec
+        assert set(_spectrum(code)) == set(transform), ring_spec
 
 
 def test_frank_pair_dedup_classes():
@@ -431,9 +455,9 @@ def test_orbit_enumerator_equals_codeword_sum(code, hamming, gamma):
     assert weight_enumerator(code, table) == _codeword_sum_enumerator(code, table)
     # and pair by pair: every pair's codeword has the weight of its orbit
     orbits, den, weights = orbit_weights(code, table)
-    _, scaled = table.scaled()
+    assert den == table.den
     for alpha, beta, cw in pair_codewords(code.ring, code.trace, code.func):
-        assert sum(scaled[s] for s in cw) == weights[orbits.label(alpha, beta)]
+        assert sum(table.values[s] for s in cw) == weights[orbits.label(alpha, beta)]
 
 
 def _depth_first_orbits(code):
@@ -736,7 +760,7 @@ MOMENT_CODES = [
 
 
 def _first_moment(enum):
-    return sum(w * c for w, c in enum)
+    return sum(w * c for w, c in _weights(enum))
 
 
 @pytest.mark.parametrize("case", MOMENT_CODES, ids=" ".join)
@@ -751,6 +775,27 @@ def test_weight_enumerators_meet_their_first_moment(case, gamma):
     ham = weight_enumerator(code, hamming_table(S))
     if len(S.units()) == S.order - 1:
         assert _first_moment(ham) == (1 - F(1, S.order)) * code.size * live
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(SMALL_CODES),
+       gamma=st.sampled_from([F(1), F(1, 2), F(2, 3), F(3), None]))
+def test_an_enumerator_from_fraction_weights_equals_the_integer_one(case, gamma):
+    # None weighs by Hamming; the reference sums each codeword's weights as
+    # Fractions and hands them over as Fraction keys with a Fraction gamma
+    code = _code(*case)
+    table = hamming_table(code.sub) if gamma is None else hom_weight(code.sub, gamma)
+    enum = weight_enumerator(code, table)
+    per_element = [F(v, table.den) for v in table.values]
+    counts = Counter(sum((per_element[s] for s in cw), F(0))
+                     for cw in least_pairs(code))
+    ref = WeightEnumerator(counts, gamma=F(*table.gamma), kind=table.kind)
+    assert ref == enum and hash(ref) == hash(enum)
+    assert (ref.den, ref.items, ref.counts) == (enum.den, enum.items, enum.counts)
+    assert ref.poly_str() == enum.poly_str()
+    assert ref.to_records() == enum.to_records()
+    # one denominator, the least that makes every weight an integer
+    assert enum.den == lcm(*(w.denominator for w in counts))
 
 
 def test_the_first_moment_counts_x_0_when_f_0_is_not_0():
@@ -908,7 +953,7 @@ def test_sigma_quadratic_closed_form_deviates_for_larger_residue_fields():
         low, top = F(n - m), F(n)
         assert transcribed[low] - brute[low] == k - 1
         assert brute[top] - transcribed[top] == k - 1
-        rest = set(brute.counts) - {low, top}
+        rest = {w for w, _ in _weights(brute)} - {low, top}
         assert all(brute[w] == transcribed[w] for w in rest)
         assert code_spectrum(code) == closed_form_spectrum("sigma-quadratic", (R,))
 
@@ -927,7 +972,7 @@ def test_closed_form_counts_and_first_moments_are_identities():
         enum = closed_form_enumerator("sigma-quadratic", (R,))
         size = n * n if R.residue_size() > 2 else n * n // 2
         assert enum.total == size, spec
-        assert sum(w * c for w, c in enum) == size * (n - 1), spec
+        assert _first_moment(enum) == size * (n - 1), spec
 
 
 def test_closed_form_dispatch_errors():
@@ -953,14 +998,16 @@ def test_weight_enumerator_rendering():
         {"weight": "3/2", "count": 2},
         {"weight": "4/1", "count": 1},
     ]
-    assert e[F(3, 2)] == 2 and e["3/2"] == 2 and e[7] == 0
+    assert e[F(3, 2)] == 2 and e[(6, 4)] == 2 and e[7] == 0 and e[F(7, 2)] == 0
+    assert (e.den, e.items, e.counts) == (2, ((0, 1), (3, 2), (8, 1)),
+                                          {0: 1, 3: 2, 8: 1})
     assert e.total == 4
 
 
 def test_spectrum_set_semantics():
-    lam = code_spectrum(_code("GR:2,2,2", "Zm:4", "galois", "frank:id"))
-    assert lam == (16, 4, 0, -4)
-    assert all(type(v) is F for v in lam)
+    den, lam = code_spectrum(_code("GR:2,2,2", "Zm:4", "galois", "frank:id"))
+    assert (den, lam) == (1, (16, 4, 0, -4))
+    assert all(type(v) is int for v in lam)
 
 
 def test_enumerators_with_equal_counts_differ_by_gamma_and_kind():
@@ -971,5 +1018,5 @@ def test_enumerators_with_equal_counts_differ_by_gamma_and_kind():
     assert hash(half) == hash(WeightEnumerator(counts, gamma=F(1, 2)))
     assert len({half, WeightEnumerator(counts)}) == 2
     hamming = zp_power_enumerator(5, 3)
-    assert hamming != WeightEnumerator(hamming.counts)
-    assert hamming == WeightEnumerator(hamming.counts, kind="hamming")
+    assert hamming != WeightEnumerator(hamming.counts, den=hamming.den)
+    assert hamming == WeightEnumerator(hamming.counts, kind="hamming", den=hamming.den)
