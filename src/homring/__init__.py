@@ -5,9 +5,8 @@ integers read off Ramanujan sums, and every weight and transform value is an
 integer numerator over a denominator its table or enumerator carries.  Each
 ring has one gamma = 1 homogeneous-weight table, checked against the
 axiomatic solve when it is built; transform values are derived from it.
-Only ``verify`` (whose expected enumerators are written with Fraction
-weights) and ``parse_gamma`` (for a gamma spelled like ``0.5``) import
-``fractions``, so no other job loads it.
+Only ``parse_gamma`` imports ``fractions``, for a gamma spelled like
+``0.5``, so no other job loads it.
 """
 
 from .codes import (Code, CodeFunction, WeightEnumerator, build_code,

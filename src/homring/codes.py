@@ -517,31 +517,32 @@ def code_kernel(ring: Ring, trace: TraceMap, f: CodeFunction) -> tuple:
     """The pairs (alpha, beta) whose codeword is zero, beta-major.
 
     x -> T(alpha*x) is additive, so its values on the additive generators g
-    of R fix it: alphas with the same key (T(alpha*g))_g give the same map.
-    The pair (alpha, beta) is in K when that map is x -> -T(beta*f(x)), so
-    each beta looks up the alphas keyed by (T(beta*(-f(g))))_g and confirms
-    one of them on every x, stopping at the first x that fails: |R|*g
-    lookups plus the confirmations."""
+    of R fix it: alpha is known by its key (T(alpha*g))_g.  Two alphas with
+    one key differ by a d with T(d*R) = 0, and ker T holds no nonzero ideal,
+    so d = 0: a key names one alpha (the least is kept), and each beta meets
+    at most one.  The pair (alpha, beta) is in K when that map is
+    x -> -T(beta*f(x)), so each beta looks up the alpha keyed by
+    (T(beta*(-f(g))))_g and confirms it on every x, stopping at the first x
+    that fails: |R|*g lookups plus the confirmations."""
     mot = ring.mul_table()
     aot = ring.add_table()
     tr = trace.values
     ft = f.table
     n = ring.order
     gens = ring._additive_span()[0]
-    alphas_of = {}
+    alpha_of = {}
     for alpha in range(n):
-        row = mot[alpha]
-        alphas_of.setdefault(tuple([tr[row[g]] for g in gens]), []).append(alpha)
+        alpha_of.setdefault(tuple([tr[mot[alpha][g]] for g in gens]), alpha)
     neg_fg = [aot[ft[g]].index(0) for g in gens]
     kernel = []
     for beta in range(n):
         brow = mot[beta]
-        alphas = alphas_of.get(tuple([tr[brow[v]] for v in neg_fg]))
-        if alphas is None:
+        alpha = alpha_of.get(tuple([tr[brow[v]] for v in neg_fg]))
+        if alpha is None:
             continue
-        arow = mot[alphas[0]]
+        arow = mot[alpha]
         if not any(tr[aot[arow[x]][brow[v]]] for x, v in enumerate(ft)):
-            kernel.extend((alpha, beta) for alpha in alphas)
+            kernel.append((alpha, beta))
     return tuple(kernel)
 
 

@@ -174,12 +174,15 @@ def srg_check(graph: CodeGraph):
 def connected_components(graph: CodeGraph) -> list:
     """Component sizes.  The components are the cosets of <D> in C, all of
     size h = |<D>|, listed as |C|/h copies of h.  h is found by closing the
-    subgroup of R^2 that the lifted D generates, which is |<D>| * |K|."""
+    subgroup of R^2 that the lifted D, D + K, generates, which is
+    |<D>| * |K|.  D is not empty, so D + K and D with K generate one
+    subgroup: the closure starts from the pairs of D and of K, not from the
+    |R|^2 cells of ``member``."""
     ring = graph.code.ring
     add = ring.add_table()
     r = ring.order
     group = {(0, 0)}
-    for g in [(a, b) for a in range(r) for b in range(r) if graph.member[a][b]]:
+    for g in [*graph.connection, *graph.code.kernel]:
         if g in group:
             continue
         # join <g>: the cosets group + m*g up to the first m*g in the group

@@ -27,15 +27,17 @@ checked, nor is the radical or the socle checked as an ideal.  Every ring
 exposes integer-encoded arithmetic plus cached structural data: units,
 radical (the nilpotents) and socle (annihilator of the radical) as
 ascending tuples, locality, and for local rings the Teichmueller coordinate
-system.  Rings are immutable after construction, and each constructor is
-memoized, so one spec or one modulus gives one ring object.  Every ring
-map, an automorphism (Frobenius, swap-xy) or the canonical embedding of a
-subring, is a ``SubringEmbedding``.
+system.  That data, and everything else derived from a ring here and in
+``traces`` and ``weights``, is built once and kept in the ring's own cache
+by ``_cached``.  Rings are immutable after construction, and each
+constructor is memoized, so one spec or one modulus gives one ring object.
+Every ring map, an automorphism (Frobenius, swap-xy) or the canonical
+embedding of a subring, is a ``SubringEmbedding``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import gcd
 
 from .budget import _limit, _refuse, check_budget
@@ -124,6 +126,25 @@ def _homomorphism_failure(src: "Ring", table, add, mul=None):
                 if table[mot[g][h]] != mul[table[g]][table[h]]:
                     return "*", g, h
     return None
+
+
+def _cached(key):
+    """Keep a function's value on a ring in that ring's own ``_cache``,
+    built on first use; a build that raises stores nothing, so a refused
+    input is refused again.  ``key`` is the cache key of a function of the
+    ring alone (its first argument), or a function of the call's arguments
+    that returns (ring, key) for a value that depends on more.  The values
+    live as long as their ring does, not as long as the process."""
+    def wrap(build):
+        @wraps(build)
+        def cached(*args):
+            ring, k = key(*args) if callable(key) else (args[0], key)
+            cache = ring._cache
+            if k not in cache:
+                cache[k] = build(*args)
+            return cache[k]
+        return cached
+    return wrap
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -265,64 +286,56 @@ class Ring:
         """The additive order of 1, whose one digit is taken mod m."""
         return self.m
 
+    @_cached("units")
     def units(self) -> tuple:
-        if "units" not in self._cache:
-            one = self.one
-            self._cache["units"] = tuple(a for a, row in enumerate(self.mul_table())
-                                         if one in row)
-        return self._cache["units"]
+        one = self.one
+        return tuple(a for a, row in enumerate(self.mul_table())
+                     if one in row)
 
+    @_cached("nonunits")
     def nonunits(self) -> tuple:
-        if "nonunits" not in self._cache:
-            us = set(self.units())
-            self._cache["nonunits"] = tuple(a for a in range(self.order) if a not in us)
-        return self._cache["nonunits"]
+        us = set(self.units())
+        return tuple(a for a in range(self.order) if a not in us)
 
+    @_cached("unit_orbits")
     def unit_orbits(self) -> tuple:
         """(orbit_of, orbits): each element's orbit {u*x : u in R^x}, and each
         orbit's members in ascending order, numbered by least member; the
         walk x = 0, 1, ... starts one at each x not yet in one."""
-        if "unit_orbits" not in self._cache:
-            mot, orbit_of, orbits = self.mul_table(), [-1] * self.order, []
-            for x in range(self.order):
-                if orbit_of[x] < 0:
-                    orbit = sorted({mot[x][u] for u in self.units()})
-                    for y in orbit:
-                        orbit_of[y] = len(orbits)
-                    orbits.append(tuple(orbit))
-            self._cache["unit_orbits"] = orbit_of, tuple(orbits)
-        return self._cache["unit_orbits"]
+        mot, orbit_of, orbits = self.mul_table(), [-1] * self.order, []
+        for x in range(self.order):
+            if orbit_of[x] < 0:
+                orbit = sorted({mot[x][u] for u in self.units()})
+                for y in orbit:
+                    orbit_of[y] = len(orbits)
+                orbits.append(tuple(orbit))
+        return orbit_of, tuple(orbits)
 
+    @_cached("radical")
     def radical(self) -> tuple:
         """The nilpotent elements (= Jacobson radical here), ascending.  In
         a commutative ring they form an ideal, so its closure is not
         checked here; the tests check it on the ring operations."""
-        if "radical" not in self._cache:
-            mot = self.mul_table()
-            self._cache["radical"] = tuple(
-                a for a in range(self.order)
-                if _table_pow(mot, self.one, a, self.order) == 0)
-        return self._cache["radical"]
+        mot = self.mul_table()
+        return tuple(a for a in range(self.order)
+                     if _table_pow(mot, self.one, a, self.order) == 0)
 
+    @_cached("socle")
     def socle(self) -> tuple:
         """The annihilator of the radical, ascending: an ideal, as every
         annihilator in a commutative ring is, so not checked as one."""
-        if "socle" not in self._cache:
-            rad = self.radical()
-            mot = self.mul_table()
-            self._cache["socle"] = tuple(
-                a for a in range(self.order)
-                if not any(map(mot[a].__getitem__, rad)))
-        return self._cache["socle"]
+        rad = self.radical()
+        mot = self.mul_table()
+        return tuple(a for a in range(self.order)
+                     if not any(map(mot[a].__getitem__, rad)))
 
+    @_cached("local")
     def is_local(self) -> bool:
         """Local iff the non-units are closed under addition."""
-        if "local" not in self._cache:
-            non = self.nonunits()
-            ns = set(non)
-            aot = self.add_table()
-            self._cache["local"] = all(aot[a][b] in ns for a in non for b in non)
-        return self._cache["local"]
+        non = self.nonunits()
+        ns = set(non)
+        aot = self.add_table()
+        return all(aot[a][b] in ns for a in non for b in non)
 
     def residue_size(self) -> int:
         """|R| / |M| for local rings (size of the residue field)."""
@@ -330,43 +343,42 @@ class Ring:
             raise NotLocal(f"{self.name} is not local")
         return self.order // len(self.nonunits())
 
+    @_cached("teich")
     def teichmuller(self) -> TeichmullerData:
         """The Teichmueller set 0, g^0, ..., g^(q-2) of a local ring with
         residue field of size q, g from ``_teichmuller_generator``, and its
         digit map nu.  Each fact is checked once: the powers of g return to
         1 after q - 1 steps and are distinct, and the cosets t + M of the q
         Teichmueller elements cover every element once."""
-        if "teich" not in self._cache:
-            if not self.is_local():
-                raise NotLocal(f"{self.name} is not local")
-            q = self.residue_size()
-            mot = self.mul_table()
-            gen = self._teichmuller_generator(q - 1)
-            elements = [0]
-            cur = self.one
-            for _ in range(q - 1):
-                elements.append(cur)
-                cur = mot[cur][gen]
-            if cur != self.one or len(set(elements)) != q:
-                raise InternalInvariantViolation("Teichmueller generator order wrong")
-            # a - t lies in M exactly when a lies in the coset t + M
-            aot = self.add_table()
-            maximal = self.nonunits()
-            nu = [None] * self.order
-            hits = [0] * self.order
-            for t in elements:
-                row = aot[t]
-                for m in maximal:
-                    a = row[m]
-                    hits[a] += 1
-                    nu[a] = t
-            for a, h in enumerate(hits):
-                if h != 1:
-                    raise InternalInvariantViolation(
-                        f"element {a} has {h} Teichmueller digits"
-                    )
-            self._cache["teich"] = TeichmullerData(elements, gen, nu)
-        return self._cache["teich"]
+        if not self.is_local():
+            raise NotLocal(f"{self.name} is not local")
+        q = self.residue_size()
+        mot = self.mul_table()
+        gen = self._teichmuller_generator(q - 1)
+        elements = [0]
+        cur = self.one
+        for _ in range(q - 1):
+            elements.append(cur)
+            cur = mot[cur][gen]
+        if cur != self.one or len(set(elements)) != q:
+            raise InternalInvariantViolation("Teichmueller generator order wrong")
+        # a - t lies in M exactly when a lies in the coset t + M
+        aot = self.add_table()
+        maximal = self.nonunits()
+        nu = [None] * self.order
+        hits = [0] * self.order
+        for t in elements:
+            row = aot[t]
+            for m in maximal:
+                a = row[m]
+                hits[a] += 1
+                nu[a] = t
+        for a, h in enumerate(hits):
+            if h != 1:
+                raise InternalInvariantViolation(
+                    f"element {a} has {h} Teichmueller digits"
+                )
+        return TeichmullerData(elements, gen, nu)
 
     def _teichmuller_generator(self, order):
         """The least unit of multiplicative order exactly ``order``."""
@@ -383,59 +395,54 @@ class Ring:
     # The add rows of the k basis elements are read off the encoding, and
     # only basis pairs call mul, k^2 calls; every other cell is a lookup.
 
+    @_cached("span")
     def _additive_span(self) -> tuple:
         """The basis m^j as additive generators, their add rows
         v -> m^j + v, and the steps (y, y - m^j, j), j the lowest nonzero
         digit of y, for y = 1 .. |R|-1: each y - m^j is 0 or an earlier y,
         and every element is reached once."""
-        if "span" not in self._cache:
-            m, n = self.m, self.order
-            gens = [m**j for j in range(self.k)]
-            steps = []
-            for y in range(1, n):
-                j, g = 0, 1
-                while y // g % m == 0:
-                    j, g = j + 1, g * m
-                steps.append((y, y - g, j))
-            rows = []
-            for g in gens:  # + m^j turns each block of m^(j+1) by m^j
-                row = []
-                for b in range(0, n, g * m):
-                    row += range(b + g, b + g * m)
-                    row += range(b, b + g)
-                rows.append(row)
-            self._cache["span"] = gens, rows, steps
-        return self._cache["span"]
+        m, n = self.m, self.order
+        gens = [m**j for j in range(self.k)]
+        steps = []
+        for y in range(1, n):
+            j, g = 0, 1
+            while y // g % m == 0:
+                j, g = j + 1, g * m
+            steps.append((y, y - g, j))
+        rows = []
+        for g in gens:  # + m^j turns each block of m^(j+1) by m^j
+            row = []
+            for b in range(0, n, g * m):
+                row += range(b + g, b + g * m)
+                row += range(b, b + g)
+            rows.append(row)
+        return gens, rows, steps
 
+    @_cached("add_table")
     def add_table(self) -> list:
         """Row y = x + m^j is m^j's row read at row x, since
         (x + g) + v = g + (x + v)."""
-        if "add_table" not in self._cache:
-            _, rows, steps = self._additive_span()
-            aot = [list(range(self.order))] + [None] * (self.order - 1)
-            for y, x, j in steps:
-                aot[y] = list(map(rows[j].__getitem__, aot[x]))
-            self._cache["add_table"] = aot
-        return self._cache["add_table"]
+        _, rows, steps = self._additive_span()
+        aot = [list(range(self.order))] + [None] * (self.order - 1)
+        for y, x, j in steps:
+            aot[y] = list(map(rows[j].__getitem__, aot[x]))
+        return aot
 
+    @_cached("mul_table")
     def mul_table(self) -> list:
         """Row y is the additive map b -> y*b, extended from its images
         y*m^j = m^j*y, read off the basis rows."""
-        if "mul_table" not in self._cache:
-            aot, (gens, _, steps) = self.add_table(), self._additive_span()
-            basis_rows = [_extend(aot, steps, [self.mul(g, h) for h in gens])
-                          for g in gens]
-            self._cache["mul_table"] = [
-                _extend(aot, steps, [row[y] for row in basis_rows])
+        aot, (gens, _, steps) = self.add_table(), self._additive_span()
+        basis_rows = [_extend(aot, steps, [self.mul(g, h) for h in gens])
+                      for g in gens]
+        return [_extend(aot, steps, [row[y] for row in basis_rows])
                 for y in range(self.order)]
-        return self._cache["mul_table"]
 
+    @_cached("sub_table")
     def sub_table(self) -> list:
-        if "sub_table" not in self._cache:
-            aot = self.add_table()
-            neg = [row.index(0) for row in aot]
-            self._cache["sub_table"] = [list(map(row.__getitem__, neg)) for row in aot]
-        return self._cache["sub_table"]
+        aot = self.add_table()
+        neg = [row.index(0) for row in aot]
+        return [list(map(row.__getitem__, neg)) for row in aot]
 
     # ----- presentation ---------------------------------------------------
 
@@ -461,10 +468,9 @@ class IntegerModRing(Ring):
             raise InvalidParameter(f"Zm needs modulus >= 2, got {m}")
         super().__init__(f"Zm:{m}", m, 1, [[(1,)]])
 
+    @_cached("units")
     def units(self):
-        if "units" not in self._cache:
-            self._cache["units"] = tuple(a for a in range(self.m) if gcd(a, self.m) == 1)
-        return self._cache["units"]
+        return tuple(a for a in range(self.m) if gcd(a, self.m) == 1)
 
 
 @lru_cache(maxsize=None)
@@ -607,39 +613,36 @@ def make_galois_ring(p: int, n: int, r: int) -> GaloisRing:
 # ---------------------------------------------------------------------------
 
 
+@_cached("frobenius")
 def frobenius(ring: GaloisRing) -> SubringEmbedding:
     """The Frobenius automorphism sum p^i a_i -> sum p^i a_i^p on digits
     a_i in the Teichmueller set, which holds the class x of the variable:
     so sigma(x) = x^p and sigma(sum c_k x^k) = sum c_k x^(pk)."""
     if not isinstance(ring, GaloisRing):
         raise UnknownPreset(f"frobenius automorphism needs a Galois ring, got {ring.name}")
-    key = "frobenius"
-    if key not in ring._cache:
-        # sigma is additive: compute it on the additive generators and
-        # extend along the span; the SubringEmbedding check covers the rest
-        xp = _table_pow(ring.mul_table(), ring.one, ring.xbar, ring.p)
-        gens, _, steps = ring._additive_span()
-        images = [ring._evaluate(ring.decode(g), xp) for g in gens]
-        table = _extend(ring.add_table(), steps, images)
-        ring._cache[key] = SubringEmbedding(ring, ring, table, tag="frobenius-1")
-    return ring._cache[key]
+    # sigma is additive: compute it on the additive generators and extend
+    # along the span; the SubringEmbedding check covers the rest
+    xp = _table_pow(ring.mul_table(), ring.one, ring.xbar, ring.p)
+    gens, _, steps = ring._additive_span()
+    images = [ring._evaluate(ring.decode(g), xp) for g in gens]
+    table = _extend(ring.add_table(), steps, images)
+    return SubringEmbedding(ring, ring, table, tag="frobenius-1")
 
 
+@_cached("swapxy")
 def swap_xy(ring: "TableRing") -> SubringEmbedding:
     """The coefficient-swap automorphism of FXY:p (x <-> y)."""
     if getattr(ring, "preset", None) != "fxy":
         raise UnknownPreset(f"swap-xy automorphism needs an FXY ring, got {ring.name}")
-    key = "swapxy"
-    if key not in ring._cache:
-        # the basis 1, x, y, xy of FXY:p, encoded 1, p, p^2, p^3, goes to
-        # 1, y, x, xy
-        p = ring.m
-        table = _extend(ring.add_table(), ring._additive_span()[2],
-                        [1, p * p, p, p**3])
-        ring._cache[key] = SubringEmbedding(ring, ring, table, tag="swap-xy")
-    return ring._cache[key]
+    # the basis 1, x, y, xy of FXY:p, encoded 1, p, p^2, p^3, goes to
+    # 1, y, x, xy
+    p = ring.m
+    table = _extend(ring.add_table(), ring._additive_span()[2],
+                    [1, p * p, p, p**3])
+    return SubringEmbedding(ring, ring, table, tag="swap-xy")
 
 
+@_cached(lambda sub, ring: (ring, ("embedding", sub)))
 def subring_embedding(sub: Ring, ring: Ring) -> SubringEmbedding:
     """The canonical embedding of S into R, built once per pair and kept in
     R's cache under S itself (an id could pass to a later ring).
@@ -650,10 +653,7 @@ def subring_embedding(sub: Ring, ring: Ring) -> SubringEmbedding:
     p^s - 1, that is a root of S's modulus; eta = xi^((p^r-1)/(p^s-1))
     generates the Teichmueller group of that subring.
     """
-    key = ("embedding", sub)
-    if key not in ring._cache:
-        ring._cache[key] = _embedding(sub, ring)
-    return ring._cache[key]
+    return _embedding(sub, ring)
 
 
 def _embedding(sub: Ring, ring: Ring) -> SubringEmbedding:

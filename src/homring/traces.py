@@ -36,6 +36,7 @@ from .rings import (
     Ring,
     SubringEmbedding,
     TableRing,
+    _cached,
     _extend,
     _homomorphism_failure,
     frobenius,
@@ -193,6 +194,7 @@ def identity_trace(ring: Ring) -> TraceMap:
     return _named_trace(ring, ring)
 
 
+@_cached(lambda ring, sub=None: (ring, ("galois", ring if sub is None else sub)))
 def galois_trace(ring: GaloisRing, sub: Ring = None) -> TraceMap:
     """T(a) = a + tau(a) + ... + tau^(k-1)(a), tau the Frobenius power that
     fixes the subring.  Built and validated once per pair, and kept in R's
@@ -200,12 +202,7 @@ def galois_trace(ring: GaloisRing, sub: Ring = None) -> TraceMap:
     pair that is refused is not kept."""
     if not isinstance(ring, GaloisRing):
         raise WrongRingFamily(f"galois trace needs a Galois ring, got {ring.name}")
-    if sub is None:
-        sub = ring
-    key = ("galois", sub)
-    if key not in ring._cache:
-        ring._cache[key] = _galois_trace(ring, sub)
-    return ring._cache[key]
+    return _galois_trace(ring, ring if sub is None else sub)
 
 
 def _galois_trace(ring: GaloisRing, sub: Ring) -> TraceMap:
@@ -447,14 +444,12 @@ class Character:
         return f"Character({self.ring.name}, conductor={self.conductor}, {self.tag})"
 
 
+@_cached("abs_exps")
 def _absolute_exponents(ring: Ring):
     """The canonical exponent chain of a ring down to Z_char: (m, exps),
     exps the named trace onto Z_m, m the characteristic."""
-    if "abs_exps" in ring._cache:
-        return ring._cache["abs_exps"]
     m = ring.characteristic()
     exps = _named_trace(ring, make_integer_ring(m)).values
-    ring._cache["abs_exps"] = (m, exps)
     return m, exps
 
 
@@ -465,12 +460,11 @@ def generating_character(trace: TraceMap) -> Character:
     return Character(trace.ring, m, exps, tag=f"chi[{trace.tag}]")
 
 
+@_cached("canonical_char")
 def canonical_character(ring: Ring) -> Character:
     """The generating character of the identity chain on R."""
-    if "canonical_char" not in ring._cache:
-        m, exps = _absolute_exponents(ring)
-        ring._cache["canonical_char"] = Character(ring, m, exps, tag="canonical")
-    return ring._cache["canonical_char"]
+    m, exps = _absolute_exponents(ring)
+    return Character(ring, m, exps, tag="canonical")
 
 
 def char_fixed_by(char: Character, auto) -> bool:

@@ -1,19 +1,18 @@
 """Built-in verification suite.
 
 Fifteen numbered records, each comparing a computed result against its
-recorded expected value with exact rational arithmetic.  The computed side
-is integers over denominators, as everywhere in the package; only the
-expected enumerators here are written with ``Fraction`` weights.  Records
-9-11 carry corrected sigma-quadratic values and name the transcribed values
-they replace, with the reason each is wrong.  Record 15 documents
-a known discrepancy in the source tables for Z_6 and is informational: it
-never fails the suite.  The suite reports expected vs computed for every
-record, so a failing record carries its own evidence.
+recorded expected value with exact rational arithmetic: integers over
+denominators, as everywhere in the package, with a fractional expected
+weight written as a (num, den) pair.  Records 9-11 carry corrected
+sigma-quadratic values and name the transcribed values they replace, with
+the reason each is wrong.  Record 15 documents a known discrepancy in the
+source tables for Z_6 and is informational: it never fails the suite.
+The suite reports expected vs computed for every record, so a failing
+record carries its own evidence.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, partial
 
 from .codes import (
@@ -172,7 +171,7 @@ def _criterion_7():
     code = _code("FXY:2", "Zm:2", "fxy-sum", "sigmaquad:swapxy")
     enum = weight_enumerator(code, hom_weight(code.sub, (1, 2)))
     spec = _homogeneous(code)[1]
-    want_enum = WeightEnumerator({0: 1, 4: 3, 8: 27, 12: 1}, gamma=Fraction(1, 2))
+    want_enum = WeightEnumerator({0: 1, 4: 3, 8: 27, 12: 1}, gamma=(1, 2))
     want_spec = (1, (16, 8, 0, -8))
     expected = f"spectrum {_braced(*want_spec)}; enumerator {want_enum.poly_str()}"
     computed = f"spectrum {_braced(*spec)}; enumerator {enum.poly_str()}"
@@ -203,8 +202,8 @@ def _first_moment_note(transcribed, size, n) -> str:
 def _criterion_9():
     code = _code("FXY:3", "FXY:3", "identity", "sigmaquad:swapxy")
     enum = _homogeneous(code)[0]
-    want = WeightEnumerator({0: 1, Fraction(81, 2): 4, 54: 234, 81: 6322})
-    transcribed = WeightEnumerator({0: 1, Fraction(81, 2): 4, 54: 236, 81: 6320})
+    want = WeightEnumerator({0: 1, (81, 2): 4, 54: 234, 81: 6322})
+    transcribed = WeightEnumerator({0: 1, (81, 2): 4, 54: 236, 81: 6320})
     ok = code.size == 6561 and enum == want
     return _record(9, "sigma-quadratic code on FXY:3 with S=R",
                    f"|C|=6561; enumerator {want.poly_str()} "
@@ -215,8 +214,8 @@ def _criterion_9():
 def _criterion_10():
     code = _code("GR:2,3,2", "GR:2,3,2", "identity", "sigmaquad:frobenius")
     enum = _homogeneous(code)[0]
-    want = WeightEnumerator({0: 1, 48: 240, Fraction(128, 3): 9, 64: 3846})
-    transcribed = WeightEnumerator({0: 1, 48: 243, Fraction(128, 3): 9, 64: 3843})
+    want = WeightEnumerator({0: 1, 48: 240, (128, 3): 9, 64: 3846})
+    transcribed = WeightEnumerator({0: 1, 48: 243, (128, 3): 9, 64: 3843})
     closed = sigma_quadratic_enumerator(code.ring)
     table_ok = enum == closed
     ok = code.size == 4096 and enum == want and table_ok

@@ -23,7 +23,7 @@ from operator import index
 
 from .cyclotomic import ratio, rational_str, reduced
 from .errors import InternalInvariantViolation, InvalidParameter, NotLocal, ParseError
-from .rings import Ring
+from .rings import Ring, _cached
 from .traces import canonical_character
 
 
@@ -67,6 +67,7 @@ class WeightTable:
                 f"kind={self.kind})")
 
 
+@_cached(lambda ring, gamma=1: (ring, ("hom_weight", ratio(gamma))))
 def hom_weight(ring: Ring, gamma=1) -> WeightTable:
     """The homogeneous weight, cached per (ring, gamma).
 
@@ -76,44 +77,38 @@ def hom_weight(ring: Ring, gamma=1) -> WeightTable:
     gamma = a/b scales the checked table's numerators by a and its
     denominator by b.  S_x is constant on unit orbits, so the character
     route is evaluated once per orbit."""
-    gamma = ratio(gamma)
-    key = ("hom_weight", gamma)
-    if key not in ring._cache:
-        if gamma == (1, 1):
-            char = canonical_character(ring)
-            nunits = len(ring.units())
-            orbit_of, orbits = ring.unit_orbits()
-            per_orbit = [nunits - char.unit_sum(orbit[0]) for orbit in orbits]
-            table = WeightTable(ring, 1, [per_orbit[i] for i in orbit_of], den=nunits)
-            solved = hom_weight_axiomatic(ring, 1)
-            for x, (wc, wa) in enumerate(zip(table.values, solved.values)):
-                if wc * solved.den != wa * table.den:
-                    raise InternalInvariantViolation(
-                        f"homogeneous weight of {ring.render(x)} in {ring.name}: "
-                        f"character route {rational_str(wc, table.den)}, "
-                        f"axiomatic route {rational_str(wa, solved.den)}")
-        else:
-            base = hom_weight(ring, 1)
-            a, b = gamma
-            table = WeightTable(ring, gamma, [a * v for v in base.values],
-                                den=b * base.den)
-        ring._cache[key] = table
-    return ring._cache[key]
+    a, b = ratio(gamma)
+    if (a, b) != (1, 1):
+        base = hom_weight(ring, 1)
+        return WeightTable(ring, (a, b), [a * v for v in base.values],
+                           den=b * base.den)
+    char = canonical_character(ring)
+    nunits = len(ring.units())
+    orbit_of, orbits = ring.unit_orbits()
+    per_orbit = [nunits - char.unit_sum(orbit[0]) for orbit in orbits]
+    table = WeightTable(ring, 1, [per_orbit[i] for i in orbit_of], den=nunits)
+    solved = hom_weight_axiomatic(ring, 1)
+    for x, (wc, wa) in enumerate(zip(table.values, solved.values)):
+        if wc * solved.den != wa * table.den:
+            raise InternalInvariantViolation(
+                f"homogeneous weight of {ring.render(x)} in {ring.name}: "
+                f"character route {rational_str(wc, table.den)}, "
+                f"axiomatic route {rational_str(wa, solved.den)}")
+    return table
 
 
+@_cached("cyclic")
 def cyclic_submodules(ring: Ring):
     """Map frozenset(xR) -> its generators in increasing order, plus each
     element's module; xR is the row mul[x], since the rings are
     commutative.  u*x generates xR for each unit u, so one set is built per
     unit orbit, and orbits with equal sets are joined: orbits * |R| cells."""
-    if "cyclic" not in ring._cache:
-        mot, (orbit_of, orbits) = ring.mul_table(), ring.unit_orbits()
-        modules = [frozenset(mot[orbit[0]]) for orbit in orbits]
-        classes = {}
-        for n, orbit in zip(modules, orbits):
-            classes[n] = sorted([*classes.get(n, ()), *orbit])
-        ring._cache["cyclic"] = classes, [modules[i] for i in orbit_of]
-    return ring._cache["cyclic"]
+    mot, (orbit_of, orbits) = ring.mul_table(), ring.unit_orbits()
+    modules = [frozenset(mot[orbit[0]]) for orbit in orbits]
+    classes = {}
+    for n, orbit in zip(modules, orbits):
+        classes[n] = sorted([*classes.get(n, ()), *orbit])
+    return classes, [modules[i] for i in orbit_of]
 
 
 def hom_weight_axiomatic(ring: Ring, gamma=1) -> WeightTable:

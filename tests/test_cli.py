@@ -518,16 +518,18 @@ import io, sys
 import homring.cli as cli
 RATIONALS = ("fractions", "decimal", "_decimal", "numbers")
 print([m for m in RATIONALS if m in sys.modules])
-for argv in {jobs!r} + [["verify", "paper"]]:
+for argv in {jobs!r} + [["verify", "paper"], ["code", "analyze", "--ring", "Zm:5",
+                                              "--f", "pow:3", "--gamma", "0.5"]]:
     sys.stdout = io.StringIO()
     code = cli.main(argv)
     sys.stdout = sys.__stdout__
     print(argv[1], code, [m for m in RATIONALS if m in sys.modules])
 """
 
-# verify paper writes its expected enumerators with Fraction weights, so it
-# loads them last: the absence before it is not vacuous
-_VERIFY_LOADS = "paper 0 ['fractions', 'decimal', '_decimal', 'numbers']"
+# verify paper loads none of them either; the last job's gamma, spelled 0.5,
+# is read as a Fraction, so it loads them: the absence before it is not vacuous
+_VERIFY_LOADS = "paper 0 []"
+_SPELLED_LOADS = "analyze 0 ['fractions', 'decimal', '_decimal', 'numbers']"
 
 
 def test_jobs_that_weigh_nothing_leave_out_fractions():
@@ -536,7 +538,7 @@ def test_jobs_that_weigh_nothing_leave_out_fractions():
             ["trace", "check", "--ring", "Zm:5", "--trace", "identity"]]
     script = _RATIONAL_JOBS.format(jobs=jobs)
     assert _fresh_interpreter(script).splitlines() == [
-        "[]", "list 0 []", "info 0 []", "check 0 []", _VERIFY_LOADS]
+        "[]", "list 0 []", "info 0 []", "check 0 []", _VERIFY_LOADS, _SPELLED_LOADS]
 
 
 def test_jobs_that_weigh_leave_out_fractions():
@@ -549,7 +551,7 @@ def test_jobs_that_weigh_leave_out_fractions():
     script = _RATIONAL_JOBS.format(jobs=jobs)
     assert _fresh_interpreter(script).splitlines() == [
         "[]", "analyze 0 []", "analyze 0 []", "graph 0 []", "table 0 []",
-        _VERIFY_LOADS]
+        _VERIFY_LOADS, _SPELLED_LOADS]
 
 
 def test_only_verify_and_parse_gamma_import_fractions():
@@ -583,7 +585,7 @@ def test_only_verify_and_parse_gamma_import_fractions():
         visitor = Importers(path.name)
         visitor.visit(ast.parse(path.read_text(), filename=str(path)))
         found |= visitor.found
-    assert found == {("verify.py", None), ("weights.py", "parse_gamma")}
+    assert found == {("weights.py", "parse_gamma")}
 
 
 # ---------------------------------------------------------------------------

@@ -777,6 +777,15 @@ def test_weight_enumerators_meet_their_first_moment(case, gamma):
         assert _first_moment(ham) == (1 - F(1, S.order)) * code.size * live
 
 
+@pytest.mark.parametrize("case", sorted(set(SMALL_CODES + KERNEL_CASES + MOMENT_CODES)),
+                         ids=" ".join)
+def test_no_two_kernel_pairs_share_a_beta(case):
+    # (alpha, beta) and (alpha', beta) in K give T((alpha - alpha')*R) = 0,
+    # and ker T holds no nonzero ideal: ``code_kernel`` keeps one alpha a key
+    betas = [beta for _, beta in _orbit_case(case).kernel]
+    assert len(betas) == len(set(betas))
+
+
 @settings(max_examples=30, deadline=None)
 @given(case=st.sampled_from(SMALL_CODES),
        gamma=st.sampled_from([F(1), F(1, 2), F(2, 3), F(3), None]))

@@ -213,8 +213,9 @@ def test_record_14_fails_when_a_multiple_of_x_does_not_weigh_r(mutate, monkeypat
     # codeword x -> gamma*x at weight |R|, so W(alpha, 0) = 0 for alpha != 0;
     # a weight changed on the unit orbit {3, 6} of Zm:9 (a table must stay
     # constant on unit orbits to be weighed), must fail it.  A trace value
-    # changed at 3 leaves T not additive, which the first moment check of the
-    # orbit weighing refuses before the record compares the enumerator
+    # changed at 3 leaves T not additive, so its kernel (8 pairs, one alpha a
+    # key) is no subgroup, which the count check of the pair orbits refuses
+    # before the record compares the enumerator
     ring = ring_from_spec("Zm:9")
     if mutate == "weight":
         honest = verify.hom_weight
@@ -241,7 +242,7 @@ def test_record_14_fails_when_a_multiple_of_x_does_not_weigh_r(mutate, monkeypat
     try:
         if mutate == "trace":
             with pytest.raises(InternalInvariantViolation,
-                               match="pow:1 on Zm:9 over Zm:9 sum to"):
+                               match="2 x 9 least pairs for 10 codewords"):
                 verify.run(only=[14])
             return
         (rec,) = verify.run(only=[14])["records"]

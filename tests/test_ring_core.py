@@ -4,12 +4,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from homring import rings, traces
+from homring import rings, traces, verify, weights
 from homring.codes import (frank_map, power_map, random_teich_permutation,
                            sigma_quadratic_map)
-from homring.errors import (BadPermutation, InternalInvariantViolation,
-                            InvalidParameter, NotLocal, ParseError,
-                            UnknownPreset)
+from homring.errors import (BadPermutation, HomringError,
+                            InternalInvariantViolation, InvalidParameter,
+                            NotLocal, ParseError, UnknownPreset,
+                            WrongRingFamily)
 from homring.rings import (GaloisRing, IntegerModRing, SubringEmbedding,
                            TableRing, frobenius, fxy_ring, make_galois_ring,
                            make_integer_ring, permutation_of_teichmuller,
@@ -18,7 +19,7 @@ from homring.traces import (canonical_character, char_fixed_by,
                             enumerate_trace_maps, fxy_sum_trace, galois_trace,
                             generating_character, z4x_trace)
 
-from homring.weights import cyclic_submodules
+from homring.weights import WeightTable, cyclic_submodules
 
 from ring_oracle import (SETUP_GRID, cyclic_submodules_by_elements,
                          element_from_int, embedding_by_elements,
@@ -635,3 +636,147 @@ def test_radical_and_socle_equal_the_slow_operations(spec):
         assert all(R.neg(a) in members for a in members)
         assert all(R.add(a, b) in members for a in members for b in members)
         assert all(R.mul(r, a) in members for a in members for r in range(R.order))
+
+
+# ---------------------------------------------------------------------------
+# one memo for everything derived from a ring: rings._cached
+
+
+def test_only_the_memo_and_ring_init_touch_a_ring_cache():
+    """An AST scan: ``_cache``, as an attribute or a string, appears only
+    inside ``rings._cached`` and ``Ring.__init__``."""
+    import ast
+    from pathlib import Path
+
+    class Touches(ast.NodeVisitor):
+        """(file, outermost function, or Class.method) of each touch."""
+
+        def __init__(self, name):
+            self.name, self.scope, self.found = name, [], set()
+
+        def _enter(self, node):
+            self.scope.append((node.name, isinstance(node, ast.ClassDef)))
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _enter
+
+        def _touch(self):
+            names = [name for name, _ in self.scope[:2]]
+            outer = ".".join(names if self.scope and self.scope[0][1] else names[:1])
+            self.found.add((self.name, outer or None))
+
+        def visit_Attribute(self, node):
+            if node.attr == "_cache":
+                self._touch()
+            self.generic_visit(node)
+
+        def visit_Constant(self, node):
+            if node.value == "_cache":
+                self._touch()
+
+    found = set()
+    for path in sorted(Path(rings.__file__).resolve().parent.glob("*.py")):
+        visitor = Touches(path.name)
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        found |= visitor.found
+    assert found == {("rings.py", "_cached"), ("rings.py", "Ring.__init__")}
+
+
+# every function rings._cached keeps; the memo test calls each on R, or on
+# R and S (Z_c, c the characteristic of R) as below
+_MEMOS = (
+    "Ring.units", "Ring.nonunits", "Ring.unit_orbits", "Ring.radical",
+    "Ring.socle", "Ring.is_local", "Ring.teichmuller", "Ring._additive_span",
+    "Ring.add_table", "Ring.mul_table", "Ring.sub_table", "IntegerModRing.units",
+    "frobenius", "swap_xy", "subring_embedding", "galois_trace",
+    "canonical_character", "_absolute_exponents", "hom_weight",
+    "cyclic_submodules",
+)
+_KEYED = {"subring_embedding": lambda R, S: [(R, R), (S, R)],
+          "galois_trace": lambda R, S: [(R,), (R, S)],
+          "hom_weight": lambda R, S: [(R, 1), (R, (1, 2))]}
+
+
+def _memos() -> dict:
+    """qualified name -> (defining class or None, function), for each
+    function in homring that ``rings._cached`` wraps: every wrapper runs
+    the code of the one closure it builds."""
+    import importlib
+    import pkgutil
+
+    import homring
+    code = rings._cached("")(len).__code__
+    found = {}
+    for info in pkgutil.iter_modules(homring.__path__):
+        module = importlib.import_module(f"homring.{info.name}")
+        for value in vars(module).values():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            members = [(value, v) for v in vars(value).values()] if isinstance(
+                value, type) else [(None, value)]
+            for owner, fn in members:
+                if getattr(fn, "__code__", None) is code:
+                    found[fn.__qualname__] = owner, fn
+    return found
+
+
+def _memo_calls(R) -> list:
+    """(name, function, args) of each memo that applies to R's class."""
+    S = make_integer_ring(R.characteristic())
+    return [(name, fn, args) for name, (owner, fn) in _memos().items()
+            if owner is None or isinstance(R, owner)
+            for args in _KEYED.get(name, lambda R, S: [(R,)])(R, S)]
+
+
+def _results(calls) -> list:
+    """Each call's value, or the HomringError class that refused it."""
+    out = []
+    for _, fn, args in calls:
+        try:
+            out.append(fn(*args))
+        except HomringError as err:
+            out.append(type(err))
+    return out
+
+
+def _same_cache(R, before) -> bool:
+    return R._cache.keys() == before.keys() and all(
+        R._cache[k] is v for k, v in before.items())
+
+
+@pytest.mark.parametrize("spec", verify.PROPERTY_RINGS)
+def test_each_memo_keeps_its_first_value_and_no_refusal(spec, monkeypatch):
+    assert sorted(_memos()) == sorted(_MEMOS)
+    family, params = rings.parse_ring_spec_parts(spec)
+    R = rings._BUILDERS[family].__wrapped__(*params)   # outside the builders' memo
+    calls = _memo_calls(R)
+    # every memo but the homogeneous weight, so the weight is refused below
+    # on a ring whose cache holds everything it reads
+    _results([call for call in calls if call[0] != "hom_weight"])
+    before = dict(R._cache)
+    honest = weights.hom_weight_axiomatic
+
+    def tampered(ring, gamma=1):
+        table = honest(ring, gamma)
+        return WeightTable(ring, gamma, [v + 1 for v in table.values], den=table.den)
+
+    bad = make_integer_ring(R.characteristic() + 1)   # embeds in no ring here
+    with monkeypatch.context() as patch:
+        patch.setattr(weights, "hom_weight_axiomatic", tampered)
+        for _ in range(2):   # a refusal is refused again: nothing was kept
+            with pytest.raises(WrongRingFamily if family != "galois"
+                               else InvalidParameter):
+                galois_trace(R, bad)
+            with pytest.raises(InvalidParameter, match="does not embed"):
+                rings.subring_embedding(bad, R)
+            for gamma in (1, (1, 2)):
+                with pytest.raises(InternalInvariantViolation):
+                    weights.hom_weight(R, gamma)
+    assert _same_cache(R, before)
+    first = _results(calls)
+    before = dict(R._cache)
+    again = _results(calls)
+    assert _same_cache(R, before)
+    for (name, _, args), one, two in zip(calls, first, again):
+        assert one is two, (name, args)
