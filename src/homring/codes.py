@@ -67,7 +67,7 @@ class CodeFunction:
     """A total map f : R -> R stored as a value table on canonical indices."""
 
     def __init__(self, ring: Ring, kind: str, table, tag: str, *, sigma=None,
-                 perm=None, seed=None):
+                 seed=None):
         table = tuple(int(v) for v in table)
         if len(table) != ring.order:
             raise InvalidParameter(
@@ -80,7 +80,6 @@ class CodeFunction:
         self.table = table
         self.tag = tag
         self.sigma = sigma
-        self.perm = perm
         self.seed = seed
 
     def __call__(self, x: int) -> int:
@@ -129,7 +128,7 @@ def frank_map(ring: Ring, perm=None, tag: str | None = None) -> CodeFunction:
     x1_of = {p_row[e]: e for e in t.elements}
     pi = {e: t.elements[perm[i]] for i, e in enumerate(t.elements)}
     table = [p_row[mot[pi[x0]][x1_of[sot[x][x0]]]] for x, x0 in enumerate(t.nu)]
-    return CodeFunction(ring, "frank", table, tag, perm=perm)
+    return CodeFunction(ring, "frank", table, tag)
 
 
 def sigma_quadratic_map(ring: Ring, sigma, tag: str | None = None) -> CodeFunction:
@@ -226,17 +225,16 @@ class Code:
         """The least pair of each codeword, in sorted codeword order; the
         first is (0, 0), the zero codeword.
 
-        The least pairs are arep x brep (see ``PairOrbits``).  Walking
-        x = 0, 1, ..., ``live`` keeps the points whose codeword is zero on
-        every coordinate so far; x is a pivot when some live codeword is
-        nonzero at x, and those leave ``live``.  Two codewords that first
+        The least pairs are arep x brep of ``orbits`` (see ``PairOrbits``).
+        Walking x = 0, 1, ..., ``live`` keeps the points whose codeword is
+        zero on every coordinate so far; x is a pivot when some live codeword
+        is nonzero at x, and those leave ``live``.  Two codewords that first
         differ at x have a difference that is live there and nonzero at x,
         so x is a pivot, and comparing values at the pivots compares the
         whole codewords."""
         mot, aot = self.ring.mul_table(), self.ring.add_table()
         tr = self.trace.values
-        (_, arep, _), (_, brep, _) = _transversal(aot, self.kernel)
-        points = [(a, b) for a in arep for b in brep]
+        points = [(a, b) for a in self.orbits.arep for b in self.orbits.brep]
         live, pivots = points, []
         for x, fx in enumerate(self.func.table):
             if len(live) == 1:
@@ -362,7 +360,9 @@ class PairOrbits:
         self.add = add
         self.mul = mul
         self.acls = acls
+        self.arep = arep
         self.bcls = bcls
+        self.brep = brep
         self.delta = delta
         self.head = head
         self.tinv = tinv

@@ -213,9 +213,8 @@ class TeichmullerData:
     a - t in the maximal ideal.
     """
 
-    def __init__(self, elements, generator, nu):
+    def __init__(self, elements, nu):
         self.elements = tuple(elements)
-        self.generator = generator
         self.nu = tuple(nu)
 
 
@@ -378,7 +377,7 @@ class Ring:
                 raise InternalInvariantViolation(
                     f"element {a} has {h} Teichmueller digits"
                 )
-        return TeichmullerData(elements, gen, nu)
+        return TeichmullerData(elements, nu)
 
     def _teichmuller_generator(self, order):
         """The least unit of multiplicative order exactly ``order``."""
@@ -653,10 +652,6 @@ def subring_embedding(sub: Ring, ring: Ring) -> SubringEmbedding:
     p^s - 1, that is a root of S's modulus; eta = xi^((p^r-1)/(p^s-1))
     generates the Teichmueller group of that subring.
     """
-    return _embedding(sub, ring)
-
-
-def _embedding(sub: Ring, ring: Ring) -> SubringEmbedding:
     if sub is ring:
         return SubringEmbedding(sub, ring, range(ring.order), tag="identity")
     gens, _, steps = sub._additive_span()

@@ -14,14 +14,13 @@ checked.
 x -> T0(u*x) of the one trace T0 that the ring family names; T0 is
 validated, and the orbit is a trace by duality, not by a check per map.
 
-Characters are stored as exponent maps into Z_m (m the characteristic); their
-unit sums are exact integers, read off Ramanujan sums, never through floats.
+Characters are stored as exponent maps into Z_m (m the characteristic);
+``weights.hom_weight`` sums them over unit multiples.
 """
 
 from __future__ import annotations
 
 from .budget import check_budget
-from .cyclotomic import Cyclotomic
 from .errors import (
     InternalInvariantViolation,
     InvalidParameter,
@@ -202,10 +201,7 @@ def galois_trace(ring: GaloisRing, sub: Ring = None) -> TraceMap:
     pair that is refused is not kept."""
     if not isinstance(ring, GaloisRing):
         raise WrongRingFamily(f"galois trace needs a Galois ring, got {ring.name}")
-    return _galois_trace(ring, ring if sub is None else sub)
-
-
-def _galois_trace(ring: GaloisRing, sub: Ring) -> TraceMap:
+    sub = ring if sub is None else sub
     emb = subring_embedding(sub, ring)
     if sub is ring:
         sdeg = ring.r
@@ -395,8 +391,7 @@ class Character:
     The map is not checked here: every character built in this module is
     Phi o T with T a validated trace (additive, with no nonzero ideal in its
     kernel) and Phi the canonical character of S, so it is additive and
-    generating.  u -> u*v permutes R^x for each unit v, so its unit data
-    are read once per unit orbit (``Ring.unit_orbits``), at the least member."""
+    generating."""
 
     def __init__(self, ring: Ring, conductor: int, exps, tag: str = ""):
         exps = tuple(e % conductor for e in exps)
@@ -406,39 +401,6 @@ class Character:
         self.conductor = conductor
         self.exps = exps
         self.tag = tag
-        self._unit_hists = None
-        self._unit_sums = None
-
-    def unit_exponent_histograms(self) -> list:
-        """For each a: a length-m integer vector counting exponents of
-        chi(u*a) over the units u, one tuple shared by each unit orbit.
-        The workhorse for unit-averaged sums."""
-        if self._unit_hists is None:
-            m, exps, mot = self.conductor, self.exps, self.ring.mul_table()
-            orbit_of, orbits = self.ring.unit_orbits()
-            hists = []
-            for orbit in orbits:
-                h, row = [0] * m, mot[orbit[0]]
-                for u in self.ring.units():
-                    h[exps[row[u]]] += 1
-                hists.append(tuple(h))
-            self._unit_hists = [hists[i] for i in orbit_of]
-        return self._unit_hists
-
-    def unit_sum(self, a: int) -> int:
-        """Sum of chi(u*a) over units u, an integer.
-
-        Each j prime to m is a unit j*1 of R, and u -> j*u permutes R^x, so
-        the histogram h of a has h[j*e] = h[e]: the sum is fixed by every
-        automorphism w -> w^j of Q(w_m), and its Galois average, the sum of
-        h[e] * mu(m/g)/phi(m/g) over e with g = gcd(e, m), is its value
-        (``Cyclotomic.from_exponent_counts``), found once per unit orbit."""
-        orbit_of, orbits = self.ring.unit_orbits()
-        if self._unit_sums is None:
-            hists = self.unit_exponent_histograms()
-            self._unit_sums = [Cyclotomic.from_exponent_counts(
-                self.conductor, hists[orbit[0]]).value for orbit in orbits]
-        return self._unit_sums[orbit_of[a]]
 
     def __repr__(self):
         return f"Character({self.ring.name}, conductor={self.conductor}, {self.tag})"

@@ -2,7 +2,7 @@
 
 The character route evaluates w(x) = gamma * (1 - S_x / |R^x|) with S_x the
 sum of chi over the unit multiples of x, an integer read off Ramanujan sums
-(``Character.unit_sum``), one per unit orbit.  So at gamma = 1 every weight
+(``hom_weight``), one per unit orbit.  So at gamma = 1 every weight
 is the integer |R^x| - S_x over the denominator |R^x|, and a table is held
 as integer numerators over one denominator; gamma = a/b scales them by a
 and the denominator by b.  The axiomatic route solves the triangular system
@@ -18,10 +18,11 @@ the checked table, and every transform value is derived from it.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd
 from operator import index
 
-from .cyclotomic import ratio, rational_str, reduced
+from .cyclotomic import Cyclotomic, rational_str, reduced
 from .errors import InternalInvariantViolation, InvalidParameter, NotLocal, ParseError
 from .rings import Ring, _cached
 from .traces import canonical_character
@@ -36,57 +37,71 @@ class WeightTable:
     def __init__(self, ring: Ring, gamma, values, kind: str = "homogeneous",
                  den: int = 1):
         self.ring = ring
-        self.gamma = ratio(gamma)
+        self.gamma = _gamma(gamma)
         self.values = tuple(map(index, values))
         self.den = den
         if len(self.values) != ring.order:
             raise InvalidParameter("weight table must cover the ring")
         self.kind = kind
-        self._reduced = None
 
+    @cached_property
     def reduced(self) -> tuple:
         """(den, values) with no common factor left among them."""
-        if self._reduced is None:
-            d, values = self.den, self.values
-            g = gcd(d, *values)
-            self._reduced = (d // g, tuple(v // g for v in values))
-        return self._reduced
+        g = gcd(self.den, *self.values)
+        return self.den // g, tuple(v // g for v in self.values)
 
     def __eq__(self, other):
         return (
             isinstance(other, WeightTable)
             and self.ring is other.ring
-            and self.reduced() == other.reduced()
+            and self.reduced == other.reduced
         )
 
     def __hash__(self):
-        return hash((id(self.ring), self.reduced()))
+        return hash((id(self.ring), self.reduced))
 
     def __repr__(self):
         return (f"WeightTable({self.ring.name}, gamma={rational_str(*self.gamma)}, "
                 f"kind={self.kind})")
 
 
-@_cached(lambda ring, gamma=1: (ring, ("hom_weight", ratio(gamma))))
+def _gamma(gamma) -> tuple[int, int]:
+    """gamma, an int, a Fraction or a (num, den) pair of ints, as a reduced
+    pair; a zero den, a negative gamma or any other value is refused."""
+    num, den = gamma if isinstance(gamma, tuple) and len(gamma) == 2 else (
+        getattr(gamma, "numerator", None), getattr(gamma, "denominator", 0))
+    if not (isinstance(num, int) and isinstance(den, int) and den and num * den >= 0):
+        raise InvalidParameter(f"gamma must be an int, a Fraction or a (num, den) "
+                               f"pair with den != 0, and >= 0; got {gamma!r}")
+    return reduced(num, den)
+
+
+@_cached(lambda ring, gamma=1: (ring, ("hom_weight", _gamma(gamma))))
 def hom_weight(ring: Ring, gamma=1) -> WeightTable:
     """The homogeneous weight, cached per (ring, gamma).
 
-    At gamma = 1, w(x) = 1 - S_x/|R^x| with S_x the unit-averaged sum of the
-    canonical generating character: the numerator |R^x| - S_x over |R^x|.
-    That table must equal the axiomatic solve entry by entry; any other
-    gamma = a/b scales the checked table's numerators by a and its
-    denominator by b.  S_x is constant on unit orbits, so the character
-    route is evaluated once per orbit."""
-    a, b = ratio(gamma)
+    At gamma = 1, w(x) = 1 - S_x/|R^x|: the numerator |R^x| - S_x over
+    |R^x|, S_x the sum of the canonical character chi over the unit
+    multiples u*x.  S_x is read once per unit orbit, as the Galois average
+    of the histogram h of the exponents of chi(u*x), which is the sum
+    itself: each j prime to m is a unit, so h[j*e] = h[e].  The table must
+    equal the axiomatic solve entry by entry; any other gamma = a/b scales
+    its numerators by a and its denominator by b."""
+    a, b = _gamma(gamma)
     if (a, b) != (1, 1):
         base = hom_weight(ring, 1)
         return WeightTable(ring, (a, b), [a * v for v in base.values],
                            den=b * base.den)
     char = canonical_character(ring)
-    nunits = len(ring.units())
+    m, exps, mot, units = char.conductor, char.exps, ring.mul_table(), ring.units()
     orbit_of, orbits = ring.unit_orbits()
-    per_orbit = [nunits - char.unit_sum(orbit[0]) for orbit in orbits]
-    table = WeightTable(ring, 1, [per_orbit[i] for i in orbit_of], den=nunits)
+    per_orbit = []
+    for orbit in orbits:
+        h, row = [0] * m, mot[orbit[0]]
+        for u in units:
+            h[exps[row[u]]] += 1
+        per_orbit.append(len(units) - Cyclotomic.from_exponent_counts(m, h).value)
+    table = WeightTable(ring, 1, [per_orbit[i] for i in orbit_of], den=len(units))
     solved = hom_weight_axiomatic(ring, 1)
     for x, (wc, wa) in enumerate(zip(table.values, solved.values)):
         if wc * solved.den != wa * table.den:
@@ -119,7 +134,7 @@ def hom_weight_axiomatic(ring: Ring, gamma=1) -> WeightTable:
     as it is built.  The homogeneous weight's denominators divide |R^x|, so
     each solve is an exact division; one that is not contradicts that and
     raises InternalInvariantViolation."""
-    a, b = gamma = ratio(gamma)
+    a, b = gamma = _gamma(gamma)
     nunits = len(ring.units())
     den = b * nunits
     classes, cls_of = cyclic_submodules(ring)

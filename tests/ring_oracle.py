@@ -243,7 +243,7 @@ def embedding_by_elements(sub, R) -> list:
         return list(range(R.order))
     if not hasattr(sub, "reduction"):
         return [element_from_int(R, c) for c in range(sub.order)]
-    eta = R.pow(R.teichmuller().generator, (R.q - 1) // (sub.q - 1))
+    eta = R.pow(R.xbar, (R.q - 1) // (sub.q - 1))
 
     def modulus_at(y):
         acc = R.pow(y, sub.r)

@@ -54,13 +54,23 @@ def test_full_exponent_sum_vanishes(m):
     assert total.value == 0
 
 
+def _numerators_by_field_reduction(chi) -> list:
+    """|R^x| - S_x for each x, S_x the sum of chi over the unit multiples of
+    x, from per-element histograms reduced in the cyclotomic field: the
+    gamma = 1 numerators of ``hom_weight``, never through Ramanujan sums."""
+    hists, nunits = unit_histograms_by_elements(chi), len(chi.ring.units())
+    sums = {h: CyclotomicVector.from_exponent_counts(chi.conductor, h).to_rational()
+            for h in set(hists)}
+    return [nunits - sums[h] for h in hists]
+
+
 @pytest.mark.parametrize("spec", UNIT_SUM_RINGS)
 def test_unit_sums_equal_the_field_reduction(spec):
-    chi = canonical_character(ring_from_spec(spec))
-    for h in set(chi.unit_exponent_histograms()):
-        want = CyclotomicVector.from_exponent_counts(chi.conductor, h).to_rational()
-        got = Cyclotomic.from_exponent_counts(chi.conductor, h).value
-        assert type(got) is int and got == want
+    R = ring_from_spec(spec)
+    wt = hom_weight(R, 1)
+    assert wt.den == len(R.units())
+    assert all(type(v) is int for v in wt.values)
+    assert list(wt.values) == _numerators_by_field_reduction(canonical_character(R))
 
 
 @pytest.mark.parametrize("m, counts", [(3, [0, 1, 0]), (7, [0, 1, 0, 0, 0, 0, 0]),
@@ -230,25 +240,25 @@ def test_verify_paper_builds_one_z_m_per_modulus_and_one_embedding_per_pair():
                            "'GR:2,2,2', 'GR:2,3,2', 'GR:3,2,2']\n")
 
 
-# counts the galois traces that a fresh verify paper builds and the tables
-# it validates: one build per (R, S) pair, so 5 for its 5 pairs (18 when each
-# code built its own), and 26 validations (39)
+# counts the galois traces that a fresh verify paper keeps and the tables
+# it validates: one trace per (R, S) pair, kept in R's cache under
+# ("galois", S), so 5 for its 5 pairs, and 26 validations (39 when each
+# code built and validated its own trace)
 _VERIFY_GALOIS = """
-from homring import traces, verify
-pairs, checked = [], []
-build, check = traces._galois_trace, traces.validate_trace
-
-def counted_build(ring, sub):
-    pairs.append((ring.name, sub.name))
-    return build(ring, sub)
+import gc
+from homring import rings, traces, verify
+checked = []
+check = traces.validate_trace
 
 def counted_check(*args):
     checked.append(args[0].name)
     return check(*args)
 
-traces._galois_trace, traces.validate_trace = counted_build, counted_check
+traces.validate_trace = counted_check
 assert verify.run()["passed"]
-print(len(pairs), len(set(pairs)), len(checked))
+kept = [(R.name, key[1].name) for R in gc.get_objects() if isinstance(R, rings.Ring)
+        for key in R._cache if isinstance(key, tuple) and key[0] == "galois"]
+print(len(kept), len(set(kept)), len(checked))
 """
 
 
@@ -680,20 +690,14 @@ def test_generating_character_factors_through_the_trace():
 
 @pytest.mark.parametrize("spec", SETUP_GRID)
 def test_unit_histograms_and_sums_are_found_per_orbit(spec):
+    # hom_weight reads one histogram per unit orbit of the canonical
+    # character; every generating character has the same unit sums, so each
+    # one's per-element sums must give its numerators
     R = ring_from_spec(spec)
+    values = list(hom_weight(R, 1).values)
     for chi in [canonical_character(R)] + [generating_character(tr)
                                            for tr in _named_traces(R)]:
-        hists = chi.unit_exponent_histograms()
-        assert hists == unit_histograms_by_elements(chi), chi.tag
-        for a, h in enumerate(hists):
-            want = CyclotomicVector.from_exponent_counts(chi.conductor, h)
-            assert chi.unit_sum(a) == want.to_rational(), (chi.tag, a)
-
-
-@pytest.mark.parametrize("spec", ["Zm:12", "GR:2,2,2"])
-def test_equal_unit_histograms_are_one_tuple(spec):
-    hists = canonical_character(ring_from_spec(spec)).unit_exponent_histograms()
-    assert len({id(h) for h in hists}) == len(set(hists)) < len(hists)
+        assert _numerators_by_field_reduction(chi) == values, chi.tag
 
 
 def test_char_fixed_by(z4x_conjugation):

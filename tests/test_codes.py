@@ -30,7 +30,8 @@ from homring.weights import WeightTable, hamming_table, hom_weight
 
 from codeword_oracle import least_pairs, pair_codewords, sorted_codewords
 from cyclotomic_oracle import CyclotomicVector
-from ring_oracle import element_from_int, padic_digits
+from ring_oracle import (element_from_int, padic_digits,
+                         unit_histograms_by_elements)
 
 F = Fraction
 
@@ -213,7 +214,8 @@ def test_function_spec_grammar(tmp_path):
     assert function_from_spec(R, "frank:rand").seed == 0
     assert function_from_spec(R, "frank:rand:5").seed == 5
     explicit = function_from_spec(R, "frank:0,2,1,3")
-    assert explicit.perm == (0, 2, 1, 3)
+    assert explicit.tag == "frank:0,2,1,3"
+    assert explicit.table == frank_map(R, (0, 2, 1, 3)).table != frank_map(R).table
     path = tmp_path / "f.txt"
     path.write_text("".join(f"{x} {x}\n" for x in range(R.order)))
     assert function_from_spec(R, f"table:{path}").table == tuple(range(R.order))
@@ -276,7 +278,7 @@ def test_the_spectrum_is_the_character_sum_over_each_codeword():
         code = _code(ring_spec, sub_spec, trace_spec, f_spec)
         S = code.sub
         chi = canonical_character(S)
-        histos = chi.unit_exponent_histograms()
+        histos = unit_histograms_by_elements(chi)
         nunits = len(S.units())
         transform = Counter()
         for cw in least_pairs(code):

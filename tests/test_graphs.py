@@ -185,18 +185,25 @@ def test_srg_from_row_zero_equals_all_pairs_scan(ring_spec, hamming, reason):
 ])
 def test_a_graph_job_labels_each_nonzero_codeword_once(capsys, monkeypatch,
                                                          argv, srg):
-    calls = []
-    label = codes.PairOrbits.label
+    calls, transversals = [], []
+    label, transversal = codes.PairOrbits.label, codes._transversal
 
     def counted(orbits, a, b):
         calls.append((a, b))
         return label(orbits, a, b)
 
+    def counted_transversal(*args):
+        transversals.append(args)
+        return transversal(*args)
+
     monkeypatch.setattr(codes.PairOrbits, "label", counted)
+    monkeypatch.setattr(codes, "_transversal", counted_transversal)
     assert main(["code", "graph"] + argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["srg"] is not None) == srg
     assert len(calls) == len(set(calls)) == report["vertices"] - 1
+    # Code.points reads the coset transversal its PairOrbits built
+    assert len(transversals) == 1
 
 
 def test_z5_cube_graph_is_srg_25_8_3_2():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homring import codes, verify, weights
-from homring.errors import InternalInvariantViolation, NotLocal, ParseError
+from homring.errors import (InternalInvariantViolation, InvalidParameter,
+                            NotLocal, ParseError)
 from homring.rings import IntegerModRing, ring_from_spec, subring_embedding
 from homring.traces import TraceMap, TraceReport, canonical_character
 from homring.weights import (WeightTable, hamming_table, hom_weight,
@@ -307,6 +308,27 @@ def test_parse_gamma():
             parse_gamma(spec, R4)
 
 
+@pytest.mark.parametrize("gamma", [0.5, "1/2", (1, 0), -1], ids=repr)
+def test_hom_weight_refuses_a_gamma_outside_its_domain(gamma):
+    # the library path (both weight routes and the table that holds a
+    # gamma) refuses what parse_gamma refuses on the CLI path, with
+    # InvalidParameter naming the value, and keeps nothing
+    R = ring_from_spec("Zm:6")
+    before = dict(R._cache)
+    for route in (hom_weight, hom_weight_axiomatic,
+                  lambda ring, gamma: WeightTable(ring, gamma, [0] * ring.order)):
+        with pytest.raises(InvalidParameter) as err:
+            route(R, gamma)
+        assert str(err.value) == ("gamma must be an int, a Fraction or a (num, den) "
+                                  f"pair with den != 0, and >= 0; got {gamma!r}")
+    assert R._cache.keys() == before.keys()
+    # ints, Fractions and pairs with den != 0 are one gamma each
+    for same in ((1, 2), F(1, 2), (2, 4), (-1, -2)):
+        assert hom_weight(R, same) is hom_weight(R, (1, 2))
+    assert hom_weight(R, 0).values == (0,) * R.order
+    assert hom_weight(R, 3).gamma == (3, 1)
+
+
 # spellings parse_gamma reads with int, and others only Fraction reads,
 # good and bad: each must keep Fraction(spec)'s value or its refusal
 GAMMA_SPELLINGS = (
@@ -347,6 +369,6 @@ def test_scaled_representation_round_trips():
     assert wt.gamma == (2, 3)
     assert (wt.den, wt.values[:3]) == (12, (0, 6, 10))
     # the reduced form keeps every weight and leaves no common factor
-    den, ints = wt.reduced()
+    den, ints = wt.reduced
     assert (den, ints[:3]) == (6, (0, 3, 5))
     assert all(F(i, den) == v for i, v in zip(ints, _fractions(wt)))

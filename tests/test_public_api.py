@@ -1,6 +1,7 @@
 """The public API serves the program: every name in ``homring.__all__``,
-apart from the error classes of the exit-code table, and every public method
-of a class among them is used somewhere other than the tests.
+apart from the error classes of the exit-code table, every public method
+of a class among them, and every attribute that a class of ``src/homring``
+stores in its ``__init__`` is used somewhere other than the tests.
 
 A name counts as used when ``src/homring`` refers to it outside its own
 definition and the package's ``__init__``, or when a file in ``bench/``
@@ -11,6 +12,7 @@ README's exit-code table lists every error class under its exit code, and
 no retired code has a class."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import homring
@@ -93,6 +95,41 @@ def test_every_public_method_of_a_public_class_is_used_outside_the_tests():
                    and (callable(getattr(cls, attr)) or isinstance(member, property))]
         unused += [f"{name}.{attr}" for attr in _unused(methods, src, users)]
     assert unused == []
+
+
+def _stored_in_init(tree):
+    """(class name, attribute) for each attribute that a class's
+    ``__init__`` stores on ``self``."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for init in cls.body:
+            if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                yield from ((cls.name, node.attr) for node in ast.walk(init)
+                            if isinstance(node, ast.Attribute)
+                            and isinstance(node.ctx, ast.Store)
+                            and isinstance(node.value, ast.Name)
+                            and node.value.id == "self")
+
+
+def test_every_attribute_stored_in_init_is_read_outside_the_tests():
+    # an attribute counts as read when src loads it, by name alone since
+    # the parse does not know the class of the object, or names it as a
+    # string, or when bench/ refers to it; an error's payload, such as
+    # ParseError.line, is for the caller that catches it
+    src, users = _usage()
+    reads = set(users)
+    for tree in src:
+        reads |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        reads |= {node.value for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    unread = []
+    for path in sorted((ROOT / "src" / "homring").glob("*.py")):
+        module = importlib.import_module(f"homring.{path.stem}")
+        unread += [f"{name}.{attr}" for name, attr in _stored_in_init(_parse(path))
+                   if attr not in reads and not _is_error(getattr(module, name))]
+    assert unread == []
 
 
 def _exit_code_table() -> dict:
