@@ -330,11 +330,10 @@ class Ring:
 
     @_cached("local")
     def is_local(self) -> bool:
-        """Local iff the non-units are closed under addition."""
-        non = self.nonunits()
-        ns = set(non)
-        aot = self.add_table()
-        return all(aot[a][b] in ns for a in non for b in non)
+        """Local iff 0 and 1 are the only idempotents: a finite commutative
+        ring is the product of local rings, one per primitive idempotent."""
+        mot = self.mul_table()
+        return sum(mot[a][a] == a for a in range(self.order)) == 2
 
     def residue_size(self) -> int:
         """|R| / |M| for local rings (size of the residue field)."""
@@ -779,10 +778,11 @@ _BASES = {"zm": lambda m: (m, 1), "galois": lambda p, n, r: (p**n, r),
 def ring_from_spec(spec: str, budget: int | None = None) -> Ring:
     """Build (and memoize) a ring from its spec string once the budget
     admits its set-up: |R|^2 cells in each of the add, mul and sub tables
-    and up to |R|^2 in the cyclic submodules, at two lookups a cell.  The
-    charge is read off the spec before the ring is built, since a Galois
-    ring searches for its modulus when it is built; parameters that are
-    not positive are left to the builder to refuse."""
+    and up to |R|^2 read from them for the ring's structure and weight
+    table, at two lookups a cell.  The charge is read off the spec before
+    the ring is built, since a Galois ring searches for its modulus when
+    it is built; parameters that are not positive are left to the builder
+    to refuse."""
     family, params = parse_ring_spec_parts(spec)
     if all(v > 0 for v in params):
         m, k = _BASES[family](*params)

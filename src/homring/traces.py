@@ -406,26 +406,19 @@ class Character:
         return f"Character({self.ring.name}, conductor={self.conductor}, {self.tag})"
 
 
-@_cached("abs_exps")
-def _absolute_exponents(ring: Ring):
-    """The canonical exponent chain of a ring down to Z_char: (m, exps),
-    exps the named trace onto Z_m, m the characteristic."""
-    m = ring.characteristic()
-    exps = _named_trace(ring, make_integer_ring(m)).values
-    return m, exps
-
-
 def generating_character(trace: TraceMap) -> Character:
     """chi = Phi o T, with Phi the canonical generating character of S."""
-    m, sub_exps = _absolute_exponents(trace.sub)
-    exps = tuple(sub_exps[v] for v in trace.values)
-    return Character(trace.ring, m, exps, tag=f"chi[{trace.tag}]")
+    phi = canonical_character(trace.sub)
+    exps = tuple(phi.exps[v] for v in trace.values)
+    return Character(trace.ring, phi.conductor, exps, tag=f"chi[{trace.tag}]")
 
 
 @_cached("canonical_char")
 def canonical_character(ring: Ring) -> Character:
-    """The generating character of the identity chain on R."""
-    m, exps = _absolute_exponents(ring)
+    """The generating character of the identity chain on R: the named trace
+    onto Z_m, m the characteristic, read as exponents."""
+    m = ring.characteristic()
+    exps = _named_trace(ring, make_integer_ring(m)).values
     return Character(ring, m, exps, tag="canonical")
 
 

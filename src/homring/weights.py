@@ -5,11 +5,12 @@ sum of chi over the unit multiples of x, an integer read off Ramanujan sums
 (``hom_weight``), one per unit orbit.  So at gamma = 1 every weight
 is the integer |R^x| - S_x over the denominator |R^x|, and a table is held
 as integer numerators over one denominator; gamma = a/b scales them by a
-and the denominator by b.  The axiomatic route solves the triangular system
-over the poset of cyclic submodules, one set xR per unit orbit: summing w
-over a cyclic submodule N must give gamma*|N|, so the weight of the
-generator class of N is determined once all smaller cyclic submodules are
-solved, by an exact division of integers over the same denominator.
+and the denominator by b.  The axiomatic route solves a triangular system
+at gamma = 1, one equation per unit orbit: the generators of a cyclic
+module xR are the associates of x, its unit orbit, so xR is that orbit and
+orbits of smaller modules, and summing w over xR must give |xR|.  So the
+weight of x's orbit is determined once the smaller modules are solved, by
+an exact division of integers over the same denominator.
 ``hom_weight`` builds the gamma = 1 table by the character route and
 compares it entry by entry with the axiomatic route, raising
 ``InternalInvariantViolation`` on a mismatch.  Other values of gamma scale
@@ -82,27 +83,30 @@ def hom_weight(ring: Ring, gamma=1) -> WeightTable:
 
     At gamma = 1, w(x) = 1 - S_x/|R^x|: the numerator |R^x| - S_x over
     |R^x|, S_x the sum of the canonical character chi over the unit
-    multiples u*x.  S_x is read once per unit orbit, as the Galois average
-    of the histogram h of the exponents of chi(u*x), which is the sum
-    itself: each j prime to m is a unit, so h[j*e] = h[e].  The table must
-    equal the axiomatic solve entry by entry; any other gamma = a/b scales
-    its numerators by a and its denominator by b."""
+    multiples u*x.  u -> u*x meets each member of x's unit orbit
+    |R^x|/|orbit| times, so S_x is that many times the sum of chi over the
+    orbit, read once per orbit as the Galois average of the histogram h of
+    the exponents of chi(y), y in the orbit, which is the sum itself: each
+    j prime to m is a unit, so h[j*e] = h[e].  The table must equal the
+    axiomatic solve entry by entry; any other gamma = a/b scales its
+    numerators by a and its denominator by b."""
     a, b = _gamma(gamma)
     if (a, b) != (1, 1):
         base = hom_weight(ring, 1)
         return WeightTable(ring, (a, b), [a * v for v in base.values],
                            den=b * base.den)
     char = canonical_character(ring)
-    m, exps, mot, units = char.conductor, char.exps, ring.mul_table(), ring.units()
+    m, exps, nunits = char.conductor, char.exps, len(ring.units())
     orbit_of, orbits = ring.unit_orbits()
     per_orbit = []
     for orbit in orbits:
-        h, row = [0] * m, mot[orbit[0]]
-        for u in units:
-            h[exps[row[u]]] += 1
-        per_orbit.append(len(units) - Cyclotomic.from_exponent_counts(m, h).value)
-    table = WeightTable(ring, 1, [per_orbit[i] for i in orbit_of], den=len(units))
-    solved = hom_weight_axiomatic(ring, 1)
+        h = [0] * m
+        for y in orbit:
+            h[exps[y]] += 1
+        orbit_sum = Cyclotomic.from_exponent_counts(m, h).value
+        per_orbit.append(nunits - nunits // len(orbit) * orbit_sum)
+    table = WeightTable(ring, 1, [per_orbit[i] for i in orbit_of], den=nunits)
+    solved = hom_weight_axiomatic(ring)
     for x, (wc, wa) in enumerate(zip(table.values, solved.values)):
         if wc * solved.den != wa * table.den:
             raise InternalInvariantViolation(
@@ -112,73 +116,62 @@ def hom_weight(ring: Ring, gamma=1) -> WeightTable:
     return table
 
 
-@_cached("cyclic")
-def cyclic_submodules(ring: Ring):
-    """Map frozenset(xR) -> its generators in increasing order, plus each
-    element's module; xR is the row mul[x], since the rings are
-    commutative.  u*x generates xR for each unit u, so one set is built per
-    unit orbit, and orbits with equal sets are joined: orbits * |R| cells."""
+def _modules(ring: Ring) -> list:
+    """Each unit orbit's cyclic module xR, x its least member, as the set
+    of orbits that the row mul[x] meets, since xR holds u*y with y.  The
+    generators of xR are the associates of x, its unit orbit, so every
+    other orbit in xR has a smaller module."""
     mot, (orbit_of, orbits) = ring.mul_table(), ring.unit_orbits()
-    modules = [frozenset(mot[orbit[0]]) for orbit in orbits]
-    classes = {}
-    for n, orbit in zip(modules, orbits):
-        classes[n] = sorted([*classes.get(n, ()), *orbit])
-    return classes, [modules[i] for i in orbit_of]
+    return [{orbit_of[y] for y in mot[orbit[0]]} for orbit in orbits]
 
 
-def hom_weight_axiomatic(ring: Ring, gamma=1) -> WeightTable:
-    """Solve the orbit-sum equations bottom-up over cyclic submodules, in
-    numerators over b*|R^x| at gamma = a/b, the character route's
-    denominator.  Each module xR has x among its generators, so every
-    equation has a unique solution, and the solved table meets the axioms
-    as it is built.  The homogeneous weight's denominators divide |R^x|, so
-    each solve is an exact division; one that is not contradicts that and
-    raises InternalInvariantViolation."""
-    a, b = gamma = _gamma(gamma)
-    nunits = len(ring.units())
-    den = b * nunits
-    classes, cls_of = cyclic_submodules(ring)
-    order = sorted(classes, key=lambda n: (len(n), sorted(n)))
-    w = {}
-    for n in order:
-        if len(n) == 1:
-            w[n] = 0
-            continue
-        gens = classes[n]
-        rest = a * nunits * len(n)
-        for sub in order:
-            if sub != n and sub <= n:
-                rest -= w[sub] * len(classes[sub])
-        w[n], left = divmod(rest, len(gens))
+def hom_weight_axiomatic(ring: Ring) -> WeightTable:
+    """Solve the module-sum equations at gamma = 1 bottom-up by module size,
+    in numerators over |R^x|, the character route's denominator: w(0) = 0,
+    and summing w over xR must give |xR|, which fixes the weight of x's
+    orbit once the smaller modules in xR are solved.  The solved table
+    meets the axioms as it is built.  The homogeneous weight's denominators
+    divide |R^x|, so each solve is an exact division; one that is not
+    contradicts that and raises InternalInvariantViolation."""
+    orbit_of, orbits = ring.unit_orbits()
+    den, modules = len(ring.units()), _modules(ring)
+    sizes = [sum(len(orbits[j]) for j in mod) for mod in modules]
+    w = [0] * len(orbits)
+    for i in sorted(range(1, len(orbits)), key=sizes.__getitem__):
+        # x's own orbit is in modules[i] and still weighs 0 here
+        rest = den * sizes[i] - sum(w[j] * len(orbits[j]) for j in modules[i])
+        w[i], left = divmod(rest, len(orbits[i]))
         if left:
             raise InternalInvariantViolation(
-                f"the homogeneous weight of {ring.render(gens[0])} in {ring.name} "
-                f"is {rational_str(rest, len(gens) * den)}, whose denominator "
-                f"does not divide {den}")
-    return WeightTable(ring, gamma, [w[cls_of[x]] for x in range(ring.order)],
-                       den=den)
+                f"the homogeneous weight of {ring.render(orbits[i][0])} in "
+                f"{ring.name} is {rational_str(rest, len(orbits[i]) * den)}, "
+                f"whose denominator does not divide {den}")
+    return WeightTable(ring, 1, [w[i] for i in orbit_of], den=den)
 
 
 def validate_weight(wt: WeightTable) -> dict:
-    """Check w(0)=0, constancy on generator classes, and orbit sums;
-    report every violation, its values as ``num/den``."""
+    """Check w(0)=0, constancy on generator classes, and module sums;
+    report every violation, its values as ``num/den``, the classes in the
+    order of their modules' ascending members."""
     ring, den, values = wt.ring, wt.den, wt.values
     a, b = wt.gamma
-    classes, cls_of = cyclic_submodules(ring)
+    mot, (orbit_of, orbits) = ring.mul_table(), ring.unit_orbits()
+    modules = _modules(ring)
     violations = []
     if values[0] != 0:
         violations.append({"axiom": "zero", "x": 0,
                            "value": rational_str(values[0], den)})
-    for n, gens in sorted(classes.items(), key=lambda kv: sorted(kv[0])):
+    for gens in sorted(orbits, key=lambda gens: sorted(set(mot[gens[0]]))):
         base = values[gens[0]]
         for y in gens[1:]:
             if values[y] != base:
                 violations.append({"axiom": "orbit-constant", "x": gens[0], "y": y,
                                    "wx": rational_str(base, den),
                                    "wy": rational_str(values[y], den)})
-    totals = {n: sum(values[y] for y in n) for n in classes}
+    sums = [(sum(values[y] for j in mod for y in orbits[j]),
+             sum(len(orbits[j]) for j in mod)) for mod in modules]
     for x in range(1, ring.order):
-        total, size = totals[cls_of[x]], len(cls_of[x])
+        total, size = sums[orbit_of[x]]
         # total/den == a*size/b
         if total * b != a * size * den:
             violations.append({"axiom": "orbit-sum", "x": x,

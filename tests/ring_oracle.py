@@ -33,6 +33,7 @@ from math import gcd
 from homring.errors import InternalInvariantViolation
 from homring.rings import subring_embedding
 from homring.traces import _ideal_in_kernel, _is_linear, _missing_value
+from homring.verify import PROPERTY_RINGS
 
 # the 55 rings whose set-up is compared with the slow operations
 SETUP_GRID = (
@@ -40,6 +41,12 @@ SETUP_GRID = (
     + ["GR:2,3,2", "GR:3,2,2", "GR:5,1,2", "GR:7,1,2"]
     + [f"Zm:{m}" for m in range(2, 41)] + ["FXY:2", "FXY:3", "Z4X"]
 )
+
+# the 135 rings on which ring structure is compared with its definitions:
+# the property rings, Zm:2 to Zm:120 and the other SETUP_GRID rings
+CENSUS_GRID = tuple(dict.fromkeys(
+    [*PROPERTY_RINGS, *(f"Zm:{m}" for m in range(2, 121))]
+    + [spec for spec in SETUP_GRID if not spec.startswith("Zm:")]))
 
 # every ring GR(p^n, r) whose divisor pairs GR(p^n, s) < GR(p^n, r) are
 # checked; GR:2,3,4 (4096 elements, whose add and mul tables take about
@@ -306,15 +313,12 @@ def traces_by_search(R, S) -> list:
 
 
 def cyclic_submodules_by_elements(R):
-    """frozenset(xR) for every element x, deduplicated, and each module's
-    generators in increasing order: (classes, cls_of) as
-    ``weights.cyclic_submodules`` returns them."""
-    distinct = {}
-    cls_of = [distinct.setdefault(n, n) for n in map(frozenset, R.mul_table())]
+    """frozenset(xR) for every element x, mapped to the elements that
+    generate it, in increasing order."""
     classes = {}
-    for x, n in enumerate(cls_of):
-        classes.setdefault(n, []).append(x)
-    return classes, cls_of
+    for x, row in enumerate(R.mul_table()):
+        classes.setdefault(frozenset(row), []).append(x)
+    return classes
 
 
 def unit_histograms_by_elements(chi) -> list:

@@ -51,9 +51,11 @@ def test_known_weight_tables(spec, expected):
 @pytest.mark.parametrize("spec", RINGS)
 def test_both_routes_agree(spec):
     R = ring_from_spec(spec)
-    assert hom_weight(R, 1).values == hom_weight_axiomatic(R, 1).values
-    g = F(2, 3)
-    assert hom_weight(R, g).values == hom_weight_axiomatic(R, g).values
+    solved = hom_weight_axiomatic(R)
+    assert hom_weight(R, 1).values == solved.values
+    # the solve is at gamma = 1; gamma = 2/3 scales it
+    wt = hom_weight(R, F(2, 3))
+    assert (wt.den, wt.values) == (3 * solved.den, tuple(2 * v for v in solved.values))
 
 
 @pytest.mark.parametrize("spec", RINGS)
@@ -94,18 +96,20 @@ def test_the_integer_table_equals_the_fraction_reference(spec, gamma):
     assert wt.den == gamma.denominator * len(R.units())
     assert all(type(v) is int for v in wt.values)
     assert _fractions(wt) == _fraction_table(R, gamma)
-    assert _fractions(hom_weight_axiomatic(R, gamma)) == _fractions(wt)
+    assert tuple(gamma * v for v in _fractions(hom_weight_axiomatic(R))) == _fractions(wt)
 
 
 def test_an_axiomatic_solve_that_is_not_exact_is_refused(monkeypatch):
     # the weights' denominators divide |R^x|, so every solve divides
-    # exactly; on Zm:6 the units weigh 1/2 over |R^x| = 2, and a solve over
-    # a denominator of 1 would need 1/2 of an integer: it must raise, not
-    # round down
+    # exactly; on Zm:6 the orbit {2, 4} weighs 3/2 over |R^x| = 2, and a
+    # solve over a denominator of 1 would need 3/2 of an integer: it must
+    # raise, not round down.  The solve divides by the orbit sizes, so the
+    # orbits are built before the denominator |R^x| is patched
     R = IntegerModRing(6)
+    R.unit_orbits()
     monkeypatch.setattr(R, "units", lambda: [1])
     with pytest.raises(InternalInvariantViolation, match="does not divide 1"):
-        hom_weight_axiomatic(R, 1)
+        hom_weight_axiomatic(R)
 
 
 @pytest.mark.parametrize("spec", RINGS)
@@ -193,11 +197,11 @@ def test_hom_weight_refuses_a_table_the_axiomatic_route_contradicts(monkeypatch)
     assert not any(isinstance(k, tuple) and k[0] == "hom_weight" for k in R._cache)
     honest = weights.hom_weight_axiomatic
 
-    def tampered(ring, gamma=1):
-        table = honest(ring, gamma)
+    def tampered(ring):
+        table = honest(ring)
         values = list(table.values)
         values[5] += 1
-        return WeightTable(ring, gamma, values, den=table.den)
+        return WeightTable(ring, 1, values, den=table.den)
 
     monkeypatch.setattr(weights, "hom_weight_axiomatic", tampered)
     with pytest.raises(InternalInvariantViolation, match="axiomatic route"):
@@ -310,12 +314,12 @@ def test_parse_gamma():
 
 @pytest.mark.parametrize("gamma", [0.5, "1/2", (1, 0), -1], ids=repr)
 def test_hom_weight_refuses_a_gamma_outside_its_domain(gamma):
-    # the library path (both weight routes and the table that holds a
-    # gamma) refuses what parse_gamma refuses on the CLI path, with
+    # the library path (the weight and the table that holds a gamma)
+    # refuses what parse_gamma refuses on the CLI path, with
     # InvalidParameter naming the value, and keeps nothing
     R = ring_from_spec("Zm:6")
     before = dict(R._cache)
-    for route in (hom_weight, hom_weight_axiomatic,
+    for route in (hom_weight,
                   lambda ring, gamma: WeightTable(ring, gamma, [0] * ring.order)):
         with pytest.raises(InvalidParameter) as err:
             route(R, gamma)

@@ -18,10 +18,9 @@ from homring.rings import (GaloisRing, IntegerModRing, SubringEmbedding,
 from homring.traces import (canonical_character, char_fixed_by,
                             enumerate_trace_maps, fxy_sum_trace, galois_trace,
                             generating_character, z4x_trace)
+from homring.weights import WeightTable
 
-from homring.weights import WeightTable, cyclic_submodules
-
-from ring_oracle import (SETUP_GRID, cyclic_submodules_by_elements,
+from ring_oracle import (CENSUS_GRID, SETUP_GRID, cyclic_submodules_by_elements,
                          element_from_int, embedding_by_elements,
                          embedding_refusal_by_scan, frobenius_by_digits,
                          from_padic_digits, fxy_by_coordinates,
@@ -69,6 +68,16 @@ def test_zm_structure():
                                      (8, True), (9, True), (10, False)])
 def test_zm_locality(m, local):
     assert ring_from_spec(f"Zm:{m}").is_local() is local
+
+
+@pytest.mark.parametrize("spec", CENSUS_GRID)
+def test_a_ring_is_local_iff_its_nonunits_are_closed_under_addition(spec):
+    # is_local counts idempotents; the definition is that the nonunits
+    # form an ideal, here that they are closed under addition
+    R = ring_from_spec(spec)
+    aot, nonunits = R.add_table(), set(R.nonunits())
+    assert R.is_local() is all(aot[a][b] in nonunits
+                               for a in nonunits for b in nonunits)
 
 
 def test_non_local_ring_has_no_teichmuller_set():
@@ -418,7 +427,7 @@ def test_the_additive_span_is_the_basis_that_the_greedy_search_picks(spec):
     assert sorted(reached) == list(range(R.order))
 
 
-@pytest.mark.parametrize("spec", SETUP_GRID)
+@pytest.mark.parametrize("spec", CENSUS_GRID)
 def test_unit_orbits_partition_the_ring_in_order_of_least_members(spec):
     R = ring_from_spec(spec)
     orbit_of, orbits = R.unit_orbits()
@@ -428,10 +437,10 @@ def test_unit_orbits_partition_the_ring_in_order_of_least_members(spec):
         assert all(orbit_of[y] == i for y in orbit)
     assert [orbit[0] for orbit in orbits] == sorted(orbit[0] for orbit in orbits)
     assert orbits[0] == (0,) and orbits[1][0] == R.one
-    # the modules built per orbit are those built per element
-    classes, cls_of = cyclic_submodules(R)
-    assert (classes, cls_of) == cyclic_submodules_by_elements(R)
-    assert list(classes) == list(cyclic_submodules_by_elements(R)[0])
+    # the generators of each cyclic module xR are a unit orbit, which the
+    # weights read as its generator class
+    classes = cyclic_submodules_by_elements(R)
+    assert sorted(map(tuple, classes.values())) == list(orbits)
 
 
 def _canonical_subrings(R):
@@ -720,8 +729,7 @@ _MEMOS = (
     "Ring.socle", "Ring.is_local", "Ring.teichmuller", "Ring._additive_span",
     "Ring.add_table", "Ring.mul_table", "Ring.sub_table", "IntegerModRing.units",
     "frobenius", "swap_xy", "subring_embedding", "galois_trace",
-    "canonical_character", "_absolute_exponents", "hom_weight",
-    "cyclic_submodules",
+    "canonical_character", "hom_weight",
 )
 _KEYED = {"subring_embedding": lambda R, S: [(R, R), (S, R)],
           "galois_trace": lambda R, S: [(R,), (R, S)],
@@ -787,9 +795,9 @@ def test_each_memo_keeps_its_first_value_and_no_refusal(spec, monkeypatch):
     before = dict(R._cache)
     honest = weights.hom_weight_axiomatic
 
-    def tampered(ring, gamma=1):
-        table = honest(ring, gamma)
-        return WeightTable(ring, gamma, [v + 1 for v in table.values], den=table.den)
+    def tampered(ring):
+        table = honest(ring)
+        return WeightTable(ring, 1, [v + 1 for v in table.values], den=table.den)
 
     bad = make_integer_ring(R.characteristic() + 1)   # embeds in no ring here
     with monkeypatch.context() as patch:
