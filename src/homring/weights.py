@@ -155,13 +155,14 @@ def validate_weight(wt: WeightTable) -> dict:
     order of their modules' ascending members."""
     ring, den, values = wt.ring, wt.den, wt.values
     a, b = wt.gamma
-    mot, (orbit_of, orbits) = ring.mul_table(), ring.unit_orbits()
-    modules = _modules(ring)
+    (orbit_of, orbits), modules = ring.unit_orbits(), _modules(ring)
     violations = []
     if values[0] != 0:
         violations.append({"axiom": "zero", "x": 0,
                            "value": rational_str(values[0], den)})
-    for gens in sorted(orbits, key=lambda gens: sorted(set(mot[gens[0]]))):
+    order = sorted(range(len(orbits)),
+                   key=lambda i: sorted(y for j in modules[i] for y in orbits[j]))
+    for gens in (orbits[i] for i in order):
         base = values[gens[0]]
         for y in gens[1:]:
             if values[y] != base:

@@ -1,11 +1,11 @@
 """Mutants as data: each row changes one exact text in ``src/homring`` and
 names the tests that must fail on the changed copy.
 
-    python tests/mutants.py [name ...]
+    python tests/mutants.py
 
-copies ``src/`` to a temporary directory for each mutant (or each one
-named), applies its row there and runs its tests from the repository with
-that copy first on PYTHONPATH.  A mutant is killed when pytest reports a
+copies ``src/`` to a temporary directory for each mutant, applies its row
+there and runs its tests from the repository with that copy first on
+PYTHONPATH.  A mutant is killed when pytest reports a
 failed test (exit status 1).  One line per mutant is printed, and the exit
 status is 1 when any mutant survived or could not be run.
 ``tests/test_mutants.py`` checks in Tier-1 that every old text still occurs
@@ -109,19 +109,14 @@ def run(mutant: Mutant) -> str:
     return f"error: pytest exited {done.returncode}: {(done.stdout + done.stderr)[-300:]}"
 
 
-def main(names) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
+def main() -> int:
     killed = True
     for mutant in MUTANTS:
-        if not names or mutant.name in names:
-            outcome = run(mutant)
-            print(f"{mutant.name}: {outcome}", flush=True)
-            killed = killed and outcome == "killed"
+        outcome = run(mutant)
+        print(f"{mutant.name}: {outcome}", flush=True)
+        killed = killed and outcome == "killed"
     return 0 if killed else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
