@@ -7,10 +7,10 @@ CPython 3.11; a stage whose cells cost more time or memory charges a
 measured multiple of it.  The estimates and where they are checked:
 
 * ring set-up (``rings.ring_from_spec``, from the spec, before the ring
-  is built): |R|^2 cells for each of the add, mul and sub tables, and up
-  to |R|^2 for the reads that the ring's structure and weight table make
-  of them (the unit orbits and their modules read orbits * |R| cells),
-  two lookups a cell;
+  is built): |R|^2 cells for each of the add and mul tables and for the
+  sub table, which only ``code graph`` builds, and up to |R|^2 for the
+  reads that the ring's structure and weight table make of them (the unit
+  orbits and their modules read orbits * |R| cells), two lookups a cell;
 * trace enumeration (``traces.enumerate_trace_maps``): 16 |R^x| * |R|,
   16 for each value of the |R^x| tables of |R| values, about 50 bytes each
   in process with a trace list report, before the named trace is built;

@@ -110,7 +110,8 @@ def random_teich_permutation(ring: Ring, seed: int) -> tuple:
 
 def frank_map(ring: Ring, perm=None, tag: str | None = None) -> CodeFunction:
     """f(x) = p * pi(x0) * x1 on GR(p^2, r), with pi permuting Teichmueller
-    representatives (fixing 0) and x = x0 + p*x1 the digit expansion."""
+    representatives (fixing 0) and x = x0 + p*x1 the digit expansion: x0 is
+    nu(x), and p*x1 the rest x - x0 that the Teichmueller walk keeps."""
     if not isinstance(ring, GaloisRing) or ring.n != 2:
         raise WrongRingFamily(
             f"frank functions need a Galois ring GR(p^2, r); got {ring.name}")
@@ -122,28 +123,28 @@ def frank_map(ring: Ring, perm=None, tag: str | None = None) -> CodeFunction:
     perm = permutation_of_teichmuller(ring, perm)
     if tag is None:
         tag = "frank:" + ",".join(str(i) for i in perm)
-    mot, sot = ring.mul_table(), ring.sub_table()
+    mot = ring.mul_table()
     p_row = mot[ring.p]  # p < p^2 encodes p*1
-    # x0 = nu(x), and x - x0 = p*x1 for one Teichmueller x1
+    # x - x0 = p*x1 for one Teichmueller x1
     x1_of = {p_row[e]: e for e in t.elements}
     pi = {e: t.elements[perm[i]] for i, e in enumerate(t.elements)}
-    table = [p_row[mot[pi[x0]][x1_of[sot[x][x0]]]] for x, x0 in enumerate(t.nu)]
+    table = [p_row[mot[pi[x0]][x1_of[rest]]] for x0, rest in zip(t.nu, t.rest)]
     return CodeFunction(ring, "frank", table, tag)
 
 
 def sigma_quadratic_map(ring: Ring, sigma, tag: str | None = None) -> CodeFunction:
     """f(a) = sigma(a)*a - sigma(a_m)*a_m on a local ring, where a_m = a - nu(a)
-    subtracts the Teichmueller part of a."""
+    subtracts the Teichmueller part of a.  With a = nu + a_m, and the ring
+    commutative, that is sigma(nu)*a + sigma(a_m)*nu: a sum of two products,
+    with a_m read off the Teichmueller walk."""
     if not ring.is_local():
         raise NotLocal(f"sigma-quadratic functions need a local ring; {ring.name} is not")
     if sigma.sub is not ring or sigma.ring is not ring:
         raise InvalidParameter("automorphism acts on a different ring")
-    nu = ring.teichmuller().nu
-    mot, sot = ring.mul_table(), ring.sub_table()
-    table = []
-    for a in range(ring.order):
-        am = sot[a][nu[a]]
-        table.append(sot[mot[sigma(a)][a]][mot[sigma(am)][am]])
+    t = ring.teichmuller()
+    aot, mot = ring.add_table(), ring.mul_table()
+    table = [aot[mot[sigma(nu)][a]][mot[sigma(am)][nu]]
+             for a, (nu, am) in enumerate(zip(t.nu, t.rest))]
     return CodeFunction(ring, "sigma-quadratic", table,
                         tag or f"sigmaquad:{sigma.tag}", sigma=sigma)
 

@@ -12,11 +12,12 @@ gives.  Three families are provided:
   monic basic irreducible of degree r, on the basis 1, x, ..., x^(r-1) over
   Z_{p^n}: x^i * x^j = x^(i+j), reduced by h.  The modulus h is chosen
   deterministically: the lexicographically smallest monic polynomial over
-  F_p whose root generates the multiplicative group of F_{p^r} is lifted so
-  that the class xi of x satisfies xi^(p^r - 1) = 1.  The unit xi then
-  generates the Teichmueller group, and the Frobenius map, which acts
-  digit-wise on p-adic coordinates, is the ring automorphism with
-  xi -> xi^p.
+  F_p whose root generates the multiplicative group of F_{p^r} is lifted to
+  the product of X - xi^(p^i), i < r, over the conjugates of its
+  Teichmueller root xi, so the class x of the variable satisfies
+  x^(p^r - 1) = 1.  That unit then generates the Teichmueller group, and
+  the Frobenius map, which acts digit-wise on p-adic coordinates, is the
+  ring automorphism with x -> x^p.
 * two presets (``TableRing``) with their basis products keyed by symbol:
   ``FXY:<p>`` = F_p[x,y]/(x^2, y^2) on the basis (1, x, y, xy) over Z_p,
   from x*y = xy, and ``Z4X`` = Z_4[x]/(x^2 + 2) on the basis (1, t) over
@@ -210,12 +211,13 @@ class TeichmullerData:
     ``elements`` lists the Teichmueller set ordered with 0 first, then the
     powers g^0, g^1, ... of a fixed generator g of its cyclic unit part.
     ``nu`` maps each ring element a to the unique Teichmueller t with
-    a - t in the maximal ideal.
+    a - t in the maximal ideal, and ``rest`` maps a to that a - t.
     """
 
-    def __init__(self, elements, nu):
+    def __init__(self, elements, nu, rest):
         self.elements = tuple(elements)
         self.nu = tuple(nu)
+        self.rest = tuple(rest)
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +346,11 @@ class Ring:
     @_cached("teich")
     def teichmuller(self) -> TeichmullerData:
         """The Teichmueller set 0, g^0, ..., g^(q-2) of a local ring with
-        residue field of size q, g from ``_teichmuller_generator``, and its
-        digit map nu.  Each fact is checked once: the powers of g return to
-        1 after q - 1 steps and are distinct, and the cosets t + M of the q
-        Teichmueller elements cover every element once."""
+        residue field of size q, g from ``_teichmuller_generator``, its
+        digit map nu and the rest a - nu(a), read off the coset walk.  Each
+        fact is checked once: the powers of g return to 1 after q - 1 steps
+        and are distinct, and the cosets t + M of the q Teichmueller
+        elements cover every element once."""
         if not self.is_local():
             raise NotLocal(f"{self.name} is not local")
         q = self.residue_size()
@@ -363,20 +366,20 @@ class Ring:
         # a - t lies in M exactly when a lies in the coset t + M
         aot = self.add_table()
         maximal = self.nonunits()
-        nu = [None] * self.order
+        nu, rest = [None] * self.order, [None] * self.order
         hits = [0] * self.order
         for t in elements:
             row = aot[t]
             for m in maximal:
                 a = row[m]
                 hits[a] += 1
-                nu[a] = t
+                nu[a], rest[a] = t, m
         for a, h in enumerate(hits):
             if h != 1:
                 raise InternalInvariantViolation(
                     f"element {a} has {h} Teichmueller digits"
                 )
-        return TeichmullerData(elements, nu)
+        return TeichmullerData(elements, nu, rest)
 
     def _teichmuller_generator(self, order):
         """The least unit of multiplicative order exactly ``order``."""
@@ -556,30 +559,14 @@ def _smallest_generator_poly(p: int, r: int) -> tuple:
     raise InternalInvariantViolation(f"no generator polynomial for p={p}, r={r}")
 
 
-def _solve_linear_mod(cols, target, mod: int, p: int) -> list[int]:
-    """Solve M c = target over Z_mod where M has the given columns and is
-    invertible modulo p."""
-    r = len(target)
-    m = [[cols[j][i] % mod for j in range(r)] + [target[i] % mod] for i in range(r)]
-    for col in range(r):
-        piv = next(
-            (row for row in range(col, r) if m[row][col] % p != 0), None
-        )
-        if piv is None:
-            raise InternalInvariantViolation("basis matrix singular mod p")
-        m[col], m[piv] = m[piv], m[col]
-        inv = pow(m[col][col], -1, mod)
-        m[col] = [(v * inv) % mod for v in m[col]]
-        for row in range(r):
-            if row != col and m[row][col]:
-                f = m[row][col]
-                m[row] = [(a - f * b) % mod for a, b in zip(m[row], m[col])]
-    return [m[i][r] % mod for i in range(r)]
-
-
 @lru_cache(maxsize=None)
 def make_galois_ring(p: int, n: int, r: int) -> GaloisRing:
-    """Construct GR(p^n, r) with the canonical basic irreducible modulus."""
+    """Construct GR(p^n, r) with the canonical basic irreducible modulus.
+    For n >= 2 it is the product of X - xi^(p^i), i < r, in the rough
+    quotient Z_{p^n}[x]/(h), h the modulus over F_p with its coefficients
+    read in Z_{p^n}, where xi = x^(q^(n-1)) is the Teichmueller lift of x.
+    Frobenius permutes the conjugates xi^(p^i), so each coefficient lies in
+    Z_{p^n}*1, which is checked."""
     if not _is_prime(p):
         raise InvalidParameter(f"GR needs a prime p, got {p}")
     if n < 1 or r < 1:
@@ -590,15 +577,15 @@ def make_galois_ring(p: int, n: int, r: int) -> GaloisRing:
         ring = GaloisRing(p, 1, r, reduction_p)
     else:
         rough = GaloisRing(p, n, r, tuple(-c for c in base))
-        # Teichmueller lift of the class of x inside the rough quotient
-        xi = rough.pow(rough.xbar, (p**r) ** (n - 1))
-        cols = []
-        power = rough.one
-        for _ in range(r):
-            cols.append(rough.decode(power))
-            power = rough.mul(power, xi)
-        reduction = _solve_linear_mod(cols, rough.decode(power), rough.m, p)
-        ring = GaloisRing(p, n, r, tuple(reduction))
+        conj = rough.pow(rough.xbar, (p**r) ** (n - 1))
+        lifted = [rough.one]   # coefficients of X^0, X^1, ...
+        for _ in range(r):     # times X - conj
+            lifted = [rough.sub(lo, rough.mul(conj, hi))
+                      for lo, hi in zip([0, *lifted], [*lifted, 0])]
+            conj = rough.pow(conj, p)
+        if any(c >= rough.m for c in lifted):
+            raise InternalInvariantViolation("lifted modulus is not over Z_{p^n}")
+        ring = GaloisRing(p, n, r, tuple(-c for c in lifted[:r]))
     if ring.pow(ring.xbar, p**r - 1) != ring.one:
         raise InternalInvariantViolation("class of x is not a Teichmueller unit")
     if tuple(c % p for c in ring.reduction) != reduction_p:
@@ -777,12 +764,12 @@ _BASES = {"zm": lambda m: (m, 1), "galois": lambda p, n, r: (p**n, r),
 
 def ring_from_spec(spec: str, budget: int | None = None) -> Ring:
     """Build (and memoize) a ring from its spec string once the budget
-    admits its set-up: |R|^2 cells in each of the add, mul and sub tables
-    and up to |R|^2 read from them for the ring's structure and weight
-    table, at two lookups a cell.  The charge is read off the spec before
-    the ring is built, since a Galois ring searches for its modulus when
-    it is built; parameters that are not positive are left to the builder
-    to refuse."""
+    admits its set-up: |R|^2 cells in each of the add and mul tables and in
+    the sub table, which only ``code graph`` builds, and up to |R|^2 read
+    from them for the ring's structure and weight table, at two lookups a
+    cell.  The charge is read off the spec before the ring is built, since
+    a Galois ring searches for its modulus when it is built; parameters
+    that are not positive are left to the builder to refuse."""
     family, params = parse_ring_spec_parts(spec)
     if all(v > 0 for v in params):
         m, k = _BASES[family](*params)

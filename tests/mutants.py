@@ -77,6 +77,48 @@ MUTANTS = (
            "        if False:\n",
            ("tests/test_char_trace.py::"
             "test_a_histogram_that_is_not_galois_invariant_is_refused",)),
+    Mutant("galois-lift-conjugate-not-advanced", "rings.py",
+           "conj = rough.pow(conj, p)",
+           "conj = conj",
+           ("tests/test_ring_core.py::test_galois_modulus_is_the_hensel_lift",)),
+    Mutant("teichmuller-walk-records-t-as-the-rest", "rings.py",
+           "nu[a], rest[a] = t, m",
+           "nu[a], rest[a] = t, t",
+           ("tests/test_ring_core.py::test_nu_picks_the_teichmuller_part",
+            "tests/test_ring_core.py::test_code_functions_equal_the_slow_operations")),
+    Mutant("sigma-quadratic-drops-sigma-of-a-m", "codes.py",
+           "mot[sigma(am)][nu]",
+           "mot[am][nu]",
+           ("tests/test_ring_core.py::test_code_functions_equal_the_slow_operations",)),
+    Mutant("galois-trace-key-drops-the-subring", "traces.py",
+           '(ring, ("galois", ring if sub is None else sub))',
+           '(ring, "galois")',
+           ("tests/test_char_trace.py::"
+            "test_a_galois_trace_is_kept_per_pair_and_a_refused_pair_is_not",
+            "tests/test_ring_core.py::"
+            "test_each_memo_keeps_its_first_value_and_no_refusal")),
+    Mutant("unit-sum-added-not-subtracted", "weights.py",
+           "nunits - nunits // len(orbit) * orbit_sum",
+           "nunits + nunits // len(orbit) * orbit_sum",
+           ("tests/test_char_trace.py::test_unit_sums_equal_the_field_reduction",
+            "tests/test_hom_weight.py::test_both_routes_agree")),
+    Mutant("every-embedding-is-the-identity-table", "rings.py",
+           "    if sub is ring:\n"
+           "        return SubringEmbedding(sub, ring, range(ring.order), tag=\"identity\")",
+           "    return SubringEmbedding(sub, ring, range(sub.order), tag=\"identity\")",
+           ("tests/test_ring_core.py::"
+            "test_maps_from_generator_images_equal_the_per_element_routes",
+            "tests/test_budget.py::test_gr_2_3_embeds_in_gr_2_6_through_another_root")),
+    Mutant("components-closed-from-d-alone", "graphs.py",
+           "for g in [*graph.connection, *graph.code.kernel]:",
+           "for g in graph.connection:",
+           ("tests/test_graphs.py::test_cayley_rows_equal_all_pairs_adjacency_property",
+            "tests/test_graphs.py::test_nonzero_codewords_of_weight_zero_join_without_loops",
+            "tests/test_graphs.py::test_degenerate_matching_graph")),
+    Mutant("rational-str-not-reduced", "cyclotomic.py",
+           "    num, den = reduced(num, den)\n    return f\"{num}/{den}\"",
+           "    return f\"{num}/{den}\"",
+           ("tests/test_codes.py::test_weight_enumerator_rendering",)),
 )
 
 

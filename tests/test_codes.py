@@ -227,6 +227,25 @@ def test_function_spec_grammar(tmp_path):
         function_from_spec(R, "shuffle:1")
 
 
+def test_only_a_graph_job_builds_the_sub_table(monkeypatch, capsys):
+    # the Frank and sigma-quadratic maps read a - nu(a) off the Teichmueller
+    # walk; the SRG check of ``code graph`` is the one reader of the |R|^2
+    # sub table
+    for ring_spec, f_spec in [("GR:3,2,2", "frank:id"), ("GR:3,2,2", "frank:rand:7"),
+                              ("GR:2,3,2", "sigmaquad:frobenius"),
+                              ("FXY:3", "sigmaquad:swapxy")]:
+        R = ring_from_spec(ring_spec)
+        monkeypatch.delitem(R._cache, "sub_table", raising=False)
+        function_from_spec(R, f_spec)
+        assert "sub_table" not in R._cache, (ring_spec, f_spec)
+    R = ring_from_spec("Zm:5")
+    monkeypatch.delitem(R._cache, "sub_table", raising=False)
+    assert cli.main(["code", "graph", "--ring", "Zm:5", "--f", "pow:3",
+                     "--weight", "hamming"]) == 0
+    assert '"srg": {' in capsys.readouterr().out
+    assert "sub_table" in R._cache
+
+
 # ---------------------------------------------------------------------------
 # code construction invariants
 

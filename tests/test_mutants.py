@@ -1,6 +1,7 @@
 """The rows of ``mutants.py`` still apply to the tree: each old text occurs
-exactly once under src/homring, in the row's file, and each named test
-exists.  Running the mutants is ``python tests/mutants.py``."""
+exactly once under src/homring, in the row's file, each named test
+exists, and no two rows share a name.  Running the mutants is
+``python tests/mutants.py``."""
 
 import pytest
 
@@ -16,3 +17,8 @@ def test_each_mutant_applies_once_and_names_existing_tests(mutant):
     for test in mutant.tests:
         path, _, name = test.partition("::")
         assert f"def {name}(" in (REPO / path).read_text(encoding="utf-8"), test
+
+
+def test_mutant_names_are_unique():
+    names = [mutant.name for mutant in MUTANTS]
+    assert len(set(names)) == len(names)

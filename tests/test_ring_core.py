@@ -97,9 +97,17 @@ def test_non_local_ring_has_no_teichmuller_set():
     ("GR:2,2,2", (3, 3)),          # x^2 = 3 + 3x over Z_4
     ("GR:3,2,2", (1, 5)),          # x^2 = 1 + 5x over Z_9
     ("GR:2,3,2", (7, 7)),          # x^2 = 7 + 7x over Z_8
+    ("GR:2,2,3", (1, 3, 2)),       # x^3 = 1 + 3x + 2x^2 over Z_4
+    ("GR:3,2,3", (8, 7, 6)),
+    ("GR:2,4,3", (1, 11, 10)),
+    ("GR:2,3,4", (7, 5, 2, 4)),
+    ("GR:7,2,2", (18, 34)),
+    ("GR:5,2,1", (18,)),           # x = 18, the Teichmueller lift of 3 in Z_25
 ])
 def test_galois_modulus_is_the_hensel_lift(spec, reduction):
-    R = ring_from_spec(spec)
+    # built past the set-up budget, which refuses the larger rings: only the
+    # modulus and slow powers of x are read
+    R = make_galois_ring(*rings.parse_ring_spec_parts(spec)[1])
     assert R.reduction == reduction
     # the class of x must be a Teichmueller unit of full order p^r - 1
     q = R.p ** R.r
@@ -213,6 +221,11 @@ def test_nu_picks_the_teichmuller_part():
     max_ideal = {R.mul(p_elt, a) for a in range(R.order)}
     for a in range(R.order):
         assert R.sub(a, t.nu[a]) in max_ideal
+    # the coset walk keeps the maximal-ideal part a - nu(a) it pairs with nu
+    for spec in ["GR:2,2,2", "GR:3,2,2", "GR:2,3,2", "FXY:3", "Z4X", "Zm:9"]:
+        R = ring_from_spec(spec)
+        t = R.teichmuller()
+        assert list(t.rest) == [R.sub(a, t.nu[a]) for a in range(R.order)], spec
 
 
 def test_frobenius_fixes_exactly_the_base_ring():
